@@ -21,11 +21,10 @@ from .framework import (
     random_realization,
 )
 from .gain import GainGraph
-from .linalg import nullspace, psd_check
+from .linalg import nullspace, symmetric_spectrum
 from .stress import (
     fixed_stress_space,
     is_proper,
-    laplacian_kernel_dim,
     stress_space,
     verify_equilibrium,
     weighted_laplacians,
@@ -201,8 +200,8 @@ def certify_super_stable(
     d = graph.dimension
     laps = weighted_laplacians(graph, w)
     eq = verify_equilibrium(graph, real, w, "flexible", tol)
-    kernel_dim, marginal = laplacian_kernel_dim(laps.zd_laplacian, w, tol)
-    psd = psd_check(laps.zd_laplacian, tol)
+    spec = symmetric_spectrum(laps.zd_laplacian, tol, laps.weight_scale)
+    kernel_dim = spec.nullity
     conic = conic_at_infinity(graph, real, tol)
     kernel_dims = {"zd_laplacian": kernel_dim}
 
@@ -211,14 +210,14 @@ def certify_super_stable(
         failing = f"equilibrium residual {eq.residual:g} exceeds tolerance"
     elif kernel_dim != d + 1:
         failing = f"kernel dimension {kernel_dim} != d+1 = {d + 1}"
-    elif not psd.is_psd:
-        failing = f"stress matrix not PSD (min eigenvalue {psd.min_eigenvalue:g})"
+    elif not spec.is_psd:
+        failing = f"stress matrix not PSD (min eigenvalue {spec.min_eigenvalue:g})"
     elif conic is not None:
         failing = "edge directions lie on a conic at infinity"
     cert = _clause_certificate(
-        Verdict.SUPER_STABLE, w, None, kernel_dims, psd.min_eigenvalue, conic, failing
+        Verdict.SUPER_STABLE, w, None, kernel_dims, spec.min_eigenvalue, conic, failing
     )
-    cert.marginal = marginal
+    cert.marginal = spec.marginal
     cert.residuals = {"equilibrium": eq.residual}
     return cert
 
@@ -232,8 +231,8 @@ def certify_fixed_lattice(
     w = np.asarray(weights, dtype=float).reshape(-1)
     laps = weighted_laplacians(graph, w)
     eq = verify_equilibrium(graph, real, w, "fixed", tol)
-    kernel_dim, marginal = laplacian_kernel_dim(laps.laplacian, w, tol)
-    psd = psd_check(laps.laplacian, tol)
+    spec = symmetric_spectrum(laps.laplacian, tol, laps.weight_scale)
+    kernel_dim = spec.nullity
     kernel_dims = {"laplacian": kernel_dim}
 
     failing = None
@@ -241,12 +240,12 @@ def certify_fixed_lattice(
         failing = f"fixed equilibrium residual {eq.residual:g} exceeds tolerance"
     elif kernel_dim != 1:
         failing = f"Laplacian kernel dimension {kernel_dim} != 1"
-    elif not psd.is_psd:
-        failing = f"Laplacian not PSD (min eigenvalue {psd.min_eigenvalue:g})"
+    elif not spec.is_psd:
+        failing = f"Laplacian not PSD (min eigenvalue {spec.min_eigenvalue:g})"
     cert = _clause_certificate(
-        Verdict.FIXED_SUPER_STABLE, w, None, kernel_dims, psd.min_eigenvalue, None, failing
+        Verdict.FIXED_SUPER_STABLE, w, None, kernel_dims, spec.min_eigenvalue, None, failing
     )
-    cert.marginal = marginal
+    cert.marginal = spec.marginal
     cert.residuals = {"fixed_equilibrium": eq.residual}
     return cert
 
@@ -329,7 +328,7 @@ def generic_global_rigidity_test(graph: GainGraph, tol: ToleranceVault) -> Certi
             continue
         omega = _random_unit_combination(basis, rng)
         laps = weighted_laplacians(graph, omega)
-        kernel_dim, _ = laplacian_kernel_dim(laps.zd_laplacian, omega, tol)
+        kernel_dim = symmetric_spectrum(laps.zd_laplacian, tol, laps.weight_scale).nullity
         entry["stress_kernel_dim"] = int(kernel_dim)
         entry["positive"] = kernel_dim == d + 1
         entry["branch"] = "stress sampling"
@@ -381,7 +380,7 @@ def generic_fixed_global_rigidity_test(
             continue
         omega = _random_unit_combination(basis, rng)
         laps = weighted_laplacians(graph, omega)
-        kernel_dim, _ = laplacian_kernel_dim(laps.laplacian, omega, tol)
+        kernel_dim = symmetric_spectrum(laps.laplacian, tol, laps.weight_scale).nullity
         entry["stress_kernel_dim"] = int(kernel_dim)
         entry["positive"] = kernel_dim == 1
         entry["branch"] = "stress sampling"

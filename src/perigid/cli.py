@@ -108,7 +108,10 @@ def _vault(args) -> ToleranceVault:
     trials = getattr(args, "trials", None)
     if trials is not None:
         kwargs["generic_trials"] = trials
-    return ToleranceVault(**kwargs)
+    try:
+        return ToleranceVault(**kwargs)
+    except ValueError as exc:
+        raise ParseError(f"invalid option value: {exc}") from exc
 
 
 def _load(path: str) -> fileformat.ParsedFramework:
@@ -144,10 +147,6 @@ def _matrix_payload(graph: GainGraph, realization: Optional[Realization]) -> dic
         payload["rigidity"] = rigidity_matrix(graph, realization).tolist()
         payload["fixed_rigidity"] = fixed_rigidity_matrix(graph, realization).tolist()
     return payload
-
-
-def _certificate_payload(cert: certify_mod.Certificate) -> dict:
-    return cert.to_dict()
 
 
 def _pick_stress(
@@ -277,7 +276,7 @@ def _run_certify(parsed, vault, args) -> tuple[dict, int]:
         cert = certify_mod.certify_spiderweb(graph, real, weights, vault)
     else:
         cert = optimize.certify_volume_constrained(graph, real, weights, lam, vault)
-    payload = {"mode": args.mode, **info, "certificate": _certificate_payload(cert)}
+    payload = {"mode": args.mode, **info, "certificate": cert.to_dict()}
     return payload, EXIT_OK if cert.positive else EXIT_NEGATIVE
 
 
@@ -288,7 +287,7 @@ def _run_generic_test(parsed, vault, args) -> tuple[dict, int]:
     else:
         lattice = None if parsed.realization is None else parsed.realization.lattice
         cert = certify_mod.generic_fixed_global_rigidity_test(graph, vault, lattice=lattice)
-    payload = {"mode": args.mode, "certificate": _certificate_payload(cert)}
+    payload = {"mode": args.mode, "certificate": cert.to_dict()}
     return payload, EXIT_OK if cert.positive else EXIT_NEGATIVE
 
 

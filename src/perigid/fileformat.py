@@ -9,6 +9,7 @@ arithmetic downstream stays honest.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,7 +48,13 @@ def _as_strict_int(value, path: str) -> int:
 def _as_real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, f"must be a real number, got {value!r}")
-    return float(value)
+    try:
+        real = float(value)
+    except OverflowError:
+        real = math.inf
+    if not math.isfinite(real):
+        raise _fail(path, f"must be a finite real number, got {value!r}")
+    return real
 
 
 def _as_name(value, path: str) -> str:
@@ -75,15 +82,16 @@ def loads(data) -> ParsedFramework:
     raw_vertices = _require(data, "vertices", "$")
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise _fail("$.vertices", "must be a non-empty list")
-    names, positions = [], {}
+    names, name_set, positions = [], set(), {}
     for i, entry in enumerate(raw_vertices):
         path = f"$.vertices[{i}]"
         if not isinstance(entry, dict):
             raise _fail(path, "must be an object")
         name = _as_name(_require(entry, "name", path), f"{path}.name")
-        if name in positions or name in names:
+        if name in name_set:
             raise _fail(f"{path}.name", f"duplicate vertex name {name!r}")
         names.append(name)
+        name_set.add(name)
         if "position" in entry:
             pos = entry["position"]
             if not isinstance(pos, list) or len(pos) != dim:
@@ -114,7 +122,7 @@ def loads(data) -> ParsedFramework:
             raise _fail(path, "must be an object")
         tail = _as_name(_require(entry, "tail", path), f"{path}.tail")
         head = _as_name(_require(entry, "head", path), f"{path}.head")
-        if tail not in names or head not in names:
+        if tail not in name_set or head not in name_set:
             raise _fail(path, f"edge references unknown vertex {tail!r} or {head!r}")
         gain_raw = _require(entry, "gain", path)
         if not isinstance(gain_raw, list) or len(gain_raw) != dim:
@@ -246,5 +254,7 @@ def loads_finite(data) -> tuple[FiniteFramework, Optional[np.ndarray]]:
     if any(w is not None for w in weights):
         if not all(w is not None for w in weights):
             raise ParseError("$.edges[].weight: all edges need weights or none")
-        stress = np.array([float(w) for w in weights])
+        stress = np.array(
+            [_as_real(w, f"$.edges[{i}].weight") for i, w in enumerate(weights)]
+        )
     return finite, stress

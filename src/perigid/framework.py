@@ -98,10 +98,8 @@ def is_affinely_spanning(graph: GainGraph, real: Realization, tol: ToleranceVaul
 
 def edge_vectors(graph: GainGraph, real: Realization) -> np.ndarray:
     """|E| x d array of edge vectors p(head) + L*gain - p(tail)."""
-    out = np.zeros((graph.num_edges, graph.dimension))
-    for i, e in enumerate(graph.edges):
-        out[i] = real.points[e.head] + real.lattice @ np.array(e.gain, dtype=float) - real.points[e.tail]
-    return out
+    pts = point_matrix(graph, real).T
+    return pts[graph.head_idx] + graph.gain_array @ real.lattice.T - pts[graph.tail_idx]
 
 
 def measurement(graph: GainGraph, real: Realization) -> np.ndarray:
@@ -110,34 +108,33 @@ def measurement(graph: GainGraph, real: Realization) -> np.ndarray:
     return np.einsum("ij,ij->i", nu, nu)
 
 
+def _vertex_blocks(graph: GainGraph, nu: np.ndarray, mat: np.ndarray) -> None:
+    """Write -nu / +nu into the tail / head coordinate blocks of each non-loop row."""
+    d = graph.dimension
+    rows = np.flatnonzero(~graph.loop_mask)[:, None]
+    coords = np.arange(d)
+    mat[rows, d * graph.tail_idx[rows] + coords] = -nu[rows[:, 0]]
+    mat[rows, d * graph.head_idx[rows] + coords] = nu[rows[:, 0]]
+
+
 def rigidity_matrix(graph: GainGraph, real: Realization) -> np.ndarray:
     """|E| x (d|V| + d^2) rigidity matrix; rows are half-derivatives of the measurement."""
     d = graph.dimension
     n = graph.num_vertices
     nu = edge_vectors(graph, real)
     mat = np.zeros((graph.num_edges, d * n + d * d))
-    for i, e in enumerate(graph.edges):
-        if not e.is_loop:
-            ti, hi = graph.vertex_index(e.tail), graph.vertex_index(e.head)
-            mat[i, d * ti : d * (ti + 1)] = -nu[i]
-            mat[i, d * hi : d * (hi + 1)] = nu[i]
-        for k, g in enumerate(e.gain):
-            if g:
-                mat[i, d * n + d * k : d * n + d * (k + 1)] = g * nu[i]
+    _vertex_blocks(graph, nu, mat)
+    gains = graph.gain_array[:, :, None]
+    # zero gains leave their lattice block at +0.0 (a product would give -0.0)
+    lattice = np.where(gains != 0.0, gains * nu[:, None, :], 0.0)
+    mat[:, d * n :] = lattice.reshape(graph.num_edges, d * d)
     return mat
 
 
 def fixed_rigidity_matrix(graph: GainGraph, real: Realization) -> np.ndarray:
     """|E| x d|V| fixed-lattice rigidity matrix; loop rows vanish by cancellation."""
-    d = graph.dimension
-    nu = edge_vectors(graph, real)
-    mat = np.zeros((graph.num_edges, d * graph.num_vertices))
-    for i, e in enumerate(graph.edges):
-        if e.is_loop:
-            continue
-        ti, hi = graph.vertex_index(e.tail), graph.vertex_index(e.head)
-        mat[i, d * ti : d * (ti + 1)] = -nu[i]
-        mat[i, d * hi : d * (hi + 1)] = nu[i]
+    mat = np.zeros((graph.num_edges, graph.dimension * graph.num_vertices))
+    _vertex_blocks(graph, edge_vectors(graph, real), mat)
     return mat
 
 

@@ -45,6 +45,10 @@ class GainEdge(NamedTuple):
 
 
 def _gain_tuple(gain) -> tuple[int, ...]:
+    if isinstance(gain, (tuple, list)) and all(
+        isinstance(g, int) and not isinstance(g, bool) for g in gain
+    ):
+        return tuple(gain)
     out = []
     for g in np.asarray(gain).ravel().tolist():
         if isinstance(g, bool) or not isinstance(g, int):
@@ -53,13 +57,8 @@ def _gain_tuple(gain) -> tuple[int, ...]:
     return tuple(out)
 
 
-def canonicalize_edge(tail, head, gain, order: Sequence[Vertex]) -> GainEdge:
-    """Canonical representative of the edge class {(u,v,g), (v,u,-g)}.
-
-    Non-loops are oriented tail-before-head in ``order``; loops flip so the
-    first nonzero gain entry is positive.  Idempotent.
-    """
-    gain = _gain_tuple(gain)
+def _canonical(tail, head, gain: tuple[int, ...], index) -> GainEdge:
+    """The rule behind :func:`canonicalize_edge`; ``index`` maps vertex -> position."""
     if tail == head:
         if not any(gain):
             raise ZeroLoop(f"loop at {tail!r} must have a nonzero gain")
@@ -67,10 +66,23 @@ def canonicalize_edge(tail, head, gain, order: Sequence[Vertex]) -> GainEdge:
         if first < 0:
             gain = tuple(-g for g in gain)
         return GainEdge(tail, head, gain)
-    index = {v: i for i, v in enumerate(order)}
     if index[tail] > index[head]:
         return GainEdge(head, tail, tuple(-g for g in gain))
     return GainEdge(tail, head, gain)
+
+
+def canonicalize_edge(tail, head, gain, order: Sequence[Vertex]) -> GainEdge:
+    """Canonical representative of the edge class {(u,v,g), (v,u,-g)}.
+
+    Non-loops are oriented tail-before-head in ``order``; loops flip so the
+    first nonzero gain entry is positive.  Idempotent.
+    """
+    return _canonical(tail, head, _gain_tuple(gain), {v: i for i, v in enumerate(order)})
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class GainGraph:
@@ -78,7 +90,11 @@ class GainGraph:
 
     Immutable after construction; all derived matrices use the construction
     order of vertices and edges, so matrix layouts are reproducible
-    bit-for-bit.
+    bit-for-bit.  Construction also caches the edge structure as read-only
+    arrays, from which every matrix is gathered or scattered in O(|E|):
+    ``tail_idx`` and ``head_idx`` (vertex positions, intp), ``loop_mask`` and
+    ``gain_array`` (|E| x d, float64 so huge integer gains cannot overflow;
+    the exact integers stay on the edges).
     """
 
     def __init__(self, dimension: int, vertices: Sequence[Vertex], edges: Iterable):
@@ -96,12 +112,22 @@ class GainGraph:
         seen: set[tuple] = set()
         for raw in edges:
             edge = self._coerce_edge(raw)
-            key = self._class_key(edge)
+            key = _canonical(edge.tail, edge.head, edge.gain, self._index)[:3]
             if key in seen:
                 raise DuplicateEdge(f"edge {edge} duplicates an earlier edge under ~")
             seen.add(key)
             normalized.append(edge)
         self.edges: tuple[GainEdge, ...] = tuple(normalized)
+
+        index = self._index
+        self.tail_idx = _frozen(np.array([index[e.tail] for e in normalized], dtype=np.intp))
+        self.head_idx = _frozen(np.array([index[e.head] for e in normalized], dtype=np.intp))
+        self.loop_mask = _frozen(self.tail_idx == self.head_idx)
+        try:
+            gains = np.array([e.gain for e in normalized], dtype=float)
+        except OverflowError as exc:
+            raise ValueError("gain entries must fit in a float64") from exc
+        self.gain_array = _frozen(gains.reshape(len(normalized), self.dimension))
 
     def _coerce_edge(self, raw) -> GainEdge:
         if isinstance(raw, GainEdge):
@@ -127,10 +153,6 @@ class GainGraph:
         if tail == head and not any(gain):
             raise ZeroLoop(f"loop at {tail!r} must have a nonzero gain")
         return GainEdge(tail, head, gain, marking)
-
-    def _class_key(self, edge: GainEdge) -> tuple:
-        canon = canonicalize_edge(edge.tail, edge.head, edge.gain, self.vertices)
-        return (canon.tail, canon.head, canon.gain)
 
     # -- basic accessors -------------------------------------------------
 
@@ -182,23 +204,18 @@ class GainGraph:
     def incidence(self) -> np.ndarray:
         """|E| x |V| incidence matrix; loops give all-zero rows."""
         mat = np.zeros((self.num_edges, self.num_vertices))
-        for row, e in enumerate(self.edges):
-            if e.is_loop:
-                continue
-            mat[row, self._index[e.tail]] = -1.0
-            mat[row, self._index[e.head]] = 1.0
+        rows = np.flatnonzero(~self.loop_mask)
+        mat[rows, self.tail_idx[rows]] = -1.0
+        mat[rows, self.head_idx[rows]] = 1.0
         return mat
 
     def gain_matrix(self) -> np.ndarray:
         """d x |E| matrix whose column for edge e is its gain vector."""
-        mat = np.zeros((self.dimension, self.num_edges))
-        for col, e in enumerate(self.edges):
-            mat[:, col] = e.gain
-        return mat
+        return self.gain_array.T.copy()
 
     def incidence_zd(self) -> np.ndarray:
         """|E| x (|V|+d) incidence matrix with gains in the last d columns."""
-        return np.hstack([self.incidence(), self.gain_matrix().T])
+        return np.hstack([self.incidence(), self.gain_array])
 
     # -- connectivity and gain rank ---------------------------------------
 

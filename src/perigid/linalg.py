@@ -31,6 +31,18 @@ class PsdResult(NamedTuple):
     min_eigenvalue: float
 
 
+class SpectrumResult(NamedTuple):
+    rank: int
+    eigenvalues: np.ndarray  # ascending
+    marginal: bool
+    is_psd: bool
+    min_eigenvalue: float
+
+    @property
+    def nullity(self) -> int:
+        return self.eigenvalues.size - self.rank
+
+
 def _as_float_matrix(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
@@ -38,6 +50,20 @@ def _as_float_matrix(matrix) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NonFiniteEntry("matrix contains NaN or infinite entries")
     return m
+
+
+def _rank_cut(
+    svals: np.ndarray, shape: tuple, tol: ToleranceVault, scale_floor: float
+) -> tuple[int, bool]:
+    """(rank, marginal) from singular values sorted in descending order."""
+    if svals.size == 0 or svals[0] == 0.0:
+        return 0, False
+    threshold = tol.rank_rel_tol * max(shape) * max(svals[0], scale_floor)
+    rank = int(np.sum(svals > threshold))
+    marginal = False
+    if 0 < rank < svals.size and svals[rank] > 0.0:
+        marginal = bool(svals[rank - 1] / svals[rank] < RANK_GAP_GUARD)
+    return rank, marginal
 
 
 def numeric_rank(matrix, tol: ToleranceVault, scale_floor: float = 0.0) -> RankResult:
@@ -56,13 +82,7 @@ def numeric_rank(matrix, tol: ToleranceVault, scale_floor: float = 0.0) -> RankR
     if m.size == 0:
         return RankResult(0, np.zeros(0), False)
     svals = np.linalg.svd(m, compute_uv=False)
-    if svals[0] == 0.0:
-        return RankResult(0, svals, False)
-    threshold = tol.rank_rel_tol * max(m.shape) * max(svals[0], scale_floor)
-    rank = int(np.sum(svals > threshold))
-    marginal = False
-    if 0 < rank < svals.size and svals[rank] > 0.0:
-        marginal = bool(svals[rank - 1] / svals[rank] < RANK_GAP_GUARD)
+    rank, marginal = _rank_cut(svals, m.shape, tol, scale_floor)
     return RankResult(rank, svals, marginal)
 
 
@@ -83,27 +103,36 @@ def nullspace(matrix, side: str, tol: ToleranceVault) -> np.ndarray:
     return u[:, rank:]
 
 
-def psd_check(matrix, tol: ToleranceVault) -> PsdResult:
-    """Decide positive semidefiniteness of a (nearly) symmetric matrix.
+def symmetric_spectrum(matrix, tol: ToleranceVault, scale_floor: float = 0.0) -> SpectrumResult:
+    """Rank, marginal flag and PSD verdict of a (nearly) symmetric matrix from
+    one eigenvalue decomposition.
 
     Raises :class:`AsymmetricInput` when the asymmetry exceeds
     ``residual_tol * (1 + |S|)``; otherwise symmetrizes before the eigensolve.
+    The rank applies :func:`numeric_rank`'s cut, floor and gap guard to the
+    eigenvalue magnitudes, which are the singular values of a symmetric
+    matrix.  PSD means ``lambda_min >= -psd_slack * max(1, lambda_max)``.
     """
     m = _as_float_matrix(matrix)
     if m.shape[0] != m.shape[1]:
-        raise ValueError("psd_check needs a square matrix")
+        raise ValueError("symmetric_spectrum needs a square matrix")
     if m.size == 0:
-        return PsdResult(True, 0.0)
+        return SpectrumResult(0, np.zeros(0), False, True, 0.0)
     scale = 1.0 + float(np.abs(m).max())
     asym = float(np.abs(m - m.T).max())
     if asym > tol.residual_tol * scale:
         raise AsymmetricInput(f"asymmetry {asym:g} exceeds tolerance")
-    sym = 0.5 * (m + m.T)
-    eigs = np.linalg.eigvalsh(sym)
-    lam_min = float(eigs[0])
-    lam_max = float(eigs[-1])
+    eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
+    rank, marginal = _rank_cut(np.sort(np.abs(eigs))[::-1], m.shape, tol, scale_floor)
+    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     is_psd = lam_min >= -tol.psd_slack * max(1.0, lam_max)
-    return PsdResult(bool(is_psd), lam_min)
+    return SpectrumResult(rank, eigs, marginal, bool(is_psd), lam_min)
+
+
+def psd_check(matrix, tol: ToleranceVault) -> PsdResult:
+    """PSD verdict and minimum eigenvalue of :func:`symmetric_spectrum`."""
+    spec = symmetric_spectrum(matrix, tol)
+    return PsdResult(spec.is_psd, spec.min_eigenvalue)
 
 
 def _as_int_rows(matrix) -> list[list[int]]:
@@ -152,16 +181,3 @@ def smith_rank(matrix) -> int:
         rank += 1
         pivot_col += 1
     return rank
-
-
-def orthonormalize_rows(rows: np.ndarray, tol: ToleranceVault) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row space of ``rows``."""
-    m = _as_float_matrix(rows)
-    if m.size == 0:
-        return m.reshape(0, m.shape[1] if m.ndim == 2 else 0)
-    u, svals, vt = np.linalg.svd(m, full_matrices=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return np.zeros((0, m.shape[1]))
-    threshold = tol.rank_rel_tol * max(m.shape) * svals[0]
-    rank = int(np.sum(svals > threshold))
-    return vt[:rank]

@@ -31,26 +31,29 @@ from .framework import (
     rigidity_matrix,
 )
 from .gain import GainGraph
-from .linalg import nullspace, psd_check
-from .stress import is_proper, laplacian_kernel_dim, verify_equilibrium, weighted_laplacians
+from .linalg import nullspace, symmetric_spectrum
+from .stress import is_proper, verify_equilibrium, weighted_laplacians
 from .tolerances import ToleranceVault
+
+
+def _form(graph: GainGraph, w: np.ndarray, pl: np.ndarray) -> np.ndarray:
+    """Lzd [P L]^T: in realization-vector order, kron(Lzd, I_d) times [p; l]."""
+    return weighted_laplacians(graph, w).zd_laplacian @ pl.T
 
 
 def energy(graph: GainGraph, weights, real: Realization, tol: ToleranceVault) -> float:
     """Stress energy, cross-checked between its two formulations.
 
     Computed once as half the weighted sum of squared edge lengths and once as
-    the quadratic form of the Kronecker-extended stress matrix; disagreement
+    the quadratic form trace([P L] Lzd [P L]^T); disagreement
     beyond tolerance is a bug and raises :class:`FormMismatch`.
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
     from .framework import measurement
 
     direct = 0.5 * float(w @ measurement(graph, real))
-    laps = weighted_laplacians(graph, w)
-    vec = realization_vector(graph, real)
-    big = np.kron(laps.zd_laplacian, np.eye(graph.dimension))
-    quadratic = 0.5 * float(vec @ big @ vec)
+    pl = rep_matrix(graph, real)
+    quadratic = 0.5 * float(np.sum(pl.T * _form(graph, w, pl)))
     scale = max(1.0, abs(direct), abs(quadratic))
     if abs(direct - quadratic) > tol.residual_tol * scale:
         raise FormMismatch(
@@ -64,10 +67,7 @@ def energy_gradient(
 ) -> np.ndarray:
     """Gradient of the stress energy, cross-checked between its two formulations."""
     w = np.asarray(weights, dtype=float).reshape(-1)
-    laps = weighted_laplacians(graph, w)
-    vec = realization_vector(graph, real)
-    big = np.kron(laps.zd_laplacian, np.eye(graph.dimension))
-    from_form = big @ vec
+    from_form = _form(graph, w, rep_matrix(graph, real)).reshape(-1)
     from_rows = rigidity_matrix(graph, real).T @ w
     scale = max(1.0, float(np.abs(from_form).max(initial=0.0)))
     if float(np.abs(from_form - from_rows).max(initial=0.0)) > tol.residual_tol * scale:
@@ -143,12 +143,11 @@ def standard_realization(
     n = graph.num_vertices
     laps = weighted_laplacians(graph, w)
     lap_zd = laps.zd_laplacian
-    kernel_dim, _ = laplacian_kernel_dim(lap_zd, w, tol)
-    psd = psd_check(lap_zd, tol)
-    if kernel_dim != 1 or not psd.is_psd:
+    spec = symmetric_spectrum(lap_zd, tol, laps.weight_scale)
+    if spec.nullity != 1 or not spec.is_psd:
         raise HypothesisFailed(
             f"need PSD stress matrix with kernel dimension 1, got kernel "
-            f"{kernel_dim}, min eigenvalue {psd.min_eigenvalue:g}"
+            f"{spec.nullity}, min eigenvalue {spec.min_eigenvalue:g}"
         )
 
     omega_left = lap_zd[:, :n]
@@ -204,8 +203,8 @@ def certify_volume_constrained(
         raise ImproperStress("stress violates the cable/strut sign conditions")
     w = np.asarray(weights, dtype=float).reshape(-1)
     laps = weighted_laplacians(graph, w)
-    kernel_dim, marginal = laplacian_kernel_dim(laps.zd_laplacian, w, tol)
-    psd = psd_check(laps.zd_laplacian, tol)
+    spec = symmetric_spectrum(laps.zd_laplacian, tol, laps.weight_scale)
+    kernel_dim = spec.nullity
     eq = verify_equilibrium(graph, real, w, "volume", tol, lam=lam)
 
     failing = None
@@ -215,16 +214,16 @@ def certify_volume_constrained(
         failing = f"volume equilibrium residual {eq.residual:g} exceeds tolerance"
     elif kernel_dim != 1:
         failing = f"stress matrix kernel dimension {kernel_dim} != 1"
-    elif not psd.is_psd:
-        failing = f"stress matrix not PSD (min eigenvalue {psd.min_eigenvalue:g})"
+    elif not spec.is_psd:
+        failing = f"stress matrix not PSD (min eigenvalue {spec.min_eigenvalue:g})"
     verdict = Verdict.VOLUME_SUPER_STABLE if failing is None else Verdict.INCONCLUSIVE
     return Certificate(
         verdict=verdict,
         witness_stress=w.copy(),
         witness_lambda=float(lam),
         kernel_dims={"zd_laplacian": kernel_dim},
-        min_eigenvalue=psd.min_eigenvalue,
-        marginal=marginal,
+        min_eigenvalue=spec.min_eigenvalue,
+        marginal=spec.marginal,
         failing=failing,
         residuals={"volume_equilibrium": eq.residual},
     )

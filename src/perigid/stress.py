@@ -33,11 +33,17 @@ from .tolerances import ToleranceVault
 
 @dataclass(frozen=True)
 class WeightedLaplacians:
-    """The weighted Laplacian and its lattice-extended companion."""
+    """The weighted Laplacian and its lattice-extended companion.
+
+    ``weight_scale`` is max|w|, the floor for rank cuts on either matrix: a
+    stress can make them cancel to zero up to floating noise, and a purely
+    relative cut would then count that noise as rank.
+    """
 
     laplacian: np.ndarray  # |V| x |V|
     zd_laplacian: np.ndarray  # (|V|+d) x (|V|+d)
     dimension: int
+    weight_scale: float = 0.0
 
     @property
     def cross_block(self) -> np.ndarray:
@@ -50,34 +56,48 @@ class WeightedLaplacians:
         return self.zd_laplacian[n:, n:]
 
 
+def _vertex_scatter(graph: GainGraph, values: np.ndarray, tail_sign: float) -> np.ndarray:
+    """|V| x k matrix: row v sums ``values`` over the non-loop edges with head v,
+    plus ``tail_sign`` times the sum over those with tail v."""
+    keep = ~graph.loop_mask
+    heads, tails, vals = graph.head_idx[keep], graph.tail_idx[keep], values[keep]
+    n = graph.num_vertices
+    return np.column_stack(
+        [
+            np.bincount(heads, vals[:, k], n) + tail_sign * np.bincount(tails, vals[:, k], n)
+            for k in range(vals.shape[1])
+        ]
+    )
+
+
 def weighted_laplacians(graph: GainGraph, weights) -> WeightedLaplacians:
-    """Assemble I^T diag(w) I and its lattice-extended analog."""
+    """Assemble I^T diag(w) I and its lattice-extended analog by scatter, in O(|E|).
+
+    Blocks of the lattice-extended matrix: the Laplacian, the cross block
+    sum_e w_e (e_h - e_t) g_e^T (loops cancel) and the lattice block
+    sum_e w_e g_e g_e^T (loops included).  Both matrices are exactly symmetric.
+    """
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size != graph.num_edges:
         raise ValueError("need one weight per edge")
-    inc = graph.incidence()
-    inc_zd = graph.incidence_zd()
-    lap = inc.T @ (w[:, None] * inc)
-    lap_zd = inc_zd.T @ (w[:, None] * inc_zd)
-    lap = 0.5 * (lap + lap.T)
-    lap_zd = 0.5 * (lap_zd + lap_zd.T)
-    return WeightedLaplacians(lap, lap_zd, graph.dimension)
-
-
-def laplacian_kernel_dim(
-    matrix: np.ndarray, weights, tol: ToleranceVault
-) -> tuple[int, bool]:
-    """Kernel dimension of a weighted Laplacian, floored at the stress scale.
-
-    A stress can make the assembled Laplacian cancel to the zero matrix; with
-    a purely relative cut the leftover floating noise would then masquerade as
-    rank.  Flooring the cut at the stress magnitude ranks such matrices as
-    zero.  Returns (kernel dimension, marginal flag).
-    """
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    floor = float(np.abs(w).max(initial=0.0))
-    res = numeric_rank(matrix, tol, scale_floor=floor)
-    return matrix.shape[0] - res.rank, res.marginal
+    n, d = graph.num_vertices, graph.dimension
+    keep = ~graph.loop_mask
+    tails, heads, wk = graph.tail_idx[keep], graph.head_idx[keep], w[keep]
+    upper = np.bincount(
+        np.minimum(tails, heads) * n + np.maximum(tails, heads), wk, n * n
+    ).reshape(n, n)
+    lap = np.diag(np.bincount(tails, wk, n) + np.bincount(heads, wk, n))
+    lap -= upper
+    lap -= upper.T
+    gains = graph.gain_array
+    weighted_gains = w[:, None] * gains
+    lattice = weighted_gains.T @ gains
+    lap_zd = np.empty((n + d, n + d))
+    lap_zd[:n, :n] = lap
+    lap_zd[:n, n:] = _vertex_scatter(graph, weighted_gains, -1.0)
+    lap_zd[n:, :n] = lap_zd[:n, n:].T
+    lap_zd[n:, n:] = 0.5 * (lattice + lattice.T)
+    return WeightedLaplacians(lap, lap_zd, d, float(np.abs(w).max(initial=0.0)))
 
 
 def stress_space(graph: GainGraph, real: Realization, tol: ToleranceVault) -> np.ndarray:
@@ -128,38 +148,39 @@ def verify_equilibrium(
 ) -> EquilibriumReport:
     """Residual check of the equilibrium conditions in the requested mode.
 
-    flexible: |[P L] Lzd|_max,  fixed: |P L + L M diag(w) I|_max,
-    volume:   |[P L] Lzd - lam [0  L^-T]|_max.
+    flexible: |[P L] Lzd|_max,  fixed: |P Omega + L M diag(w) I|_max,
+    volume:   |[P L] Lzd - lam [0  L^-T]|_max.  The fixed-mode gate scale is
+    max(|P| |Omega| + |L| |M| |diag(w)| |I|), the size of the residual's terms.
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
+    if mode not in ("flexible", "fixed", "volume"):
+        raise ValueError(f"unknown mode {mode!r}")
     laps = weighted_laplacians(graph, w)
+    if mode == "fixed":
+        # the lattice block (~ w g^2) does not enter this residual, so the
+        # gate is scaled by the residual's own two terms
+        P, L = point_matrix(graph, real), real.lattice
+        residual = float(np.abs(P @ laps.laplacian + L @ laps.cross_block.T).max(initial=0.0))
+        abs_cross = _vertex_scatter(graph, np.abs(w)[:, None] * np.abs(graph.gain_array), 1.0)
+        bound = np.abs(P) @ np.abs(laps.laplacian) + np.abs(L) @ abs_cross.T
+        scale = float(bound.max(initial=0.0))
+        return EquilibriumReport(mode, residual, scale, residual <= tol.residual_tol * scale)
     pl = rep_matrix(graph, real)
     # scale tracks the stress magnitude so the gate is invariant under
     # rescaling of w, without collapsing when the stress matrix cancels
-    magnitude = max(
-        float(np.abs(w).max(initial=0.0)),
-        float(np.abs(laps.zd_laplacian).max(initial=0.0)),
-    )
+    magnitude = max(laps.weight_scale, float(np.abs(laps.zd_laplacian).max(initial=0.0)))
     scale = magnitude * max(1.0, float(np.abs(pl).max(initial=0.0)))
-    if mode == "flexible":
-        residual = float(np.abs(pl @ laps.zd_laplacian).max(initial=0.0))
-    elif mode == "fixed":
-        P = point_matrix(graph, real)
-        inc = graph.incidence()
-        gm = graph.gain_matrix()
-        resid_mat = P @ laps.laplacian + real.lattice @ gm @ (w[:, None] * inc)
-        residual = float(np.abs(resid_mat).max(initial=0.0))
-    elif mode == "volume":
+    resid_mat = pl @ laps.zd_laplacian
+    if mode == "volume":
         if lam is None:
             raise ValueError("volume mode needs the multiplier lam")
         if not real.non_flat(tol):
             raise FlatLattice("volume equilibrium needs a nonsingular lattice")
         target = np.zeros_like(pl)
         target[:, graph.num_vertices :] = lam * np.linalg.inv(real.lattice).T
-        residual = float(np.abs(pl @ laps.zd_laplacian - target).max(initial=0.0))
+        resid_mat -= target
         scale = max(scale, float(np.abs(target).max(initial=0.0)))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    residual = float(np.abs(resid_mat).max(initial=0.0))
     return EquilibriumReport(mode, residual, scale, residual <= tol.residual_tol * scale)
 
 
@@ -219,8 +240,8 @@ def extend_with_loops(
         columns.append(_sym_coords(L @ np.outer(gv, gv) @ L.T))
     system = np.column_stack(columns)
     P = point_matrix(graph, real)
-    gm = graph.gain_matrix()
-    rhs_mat = P @ weighted_laplacians(graph, w).laplacian @ P.T - L @ gm @ (w[:, None] * gm.T) @ L.T
+    laps = weighted_laplacians(graph, w)
+    rhs_mat = P @ laps.laplacian @ P.T - L @ laps.lattice_block @ L.T
     rhs = _sym_coords(0.5 * (rhs_mat + rhs_mat.T))
     sys_rank = numeric_rank(system, tol).rank
     if sys_rank < system.shape[1]:

@@ -19,7 +19,7 @@ from perigid.framework import (
     measurement,
     random_realization,
 )
-from perigid.gain import GainGraph
+from perigid.gain import GainEdge, GainGraph
 from perigid.tolerances import ToleranceVault
 
 
@@ -105,6 +105,59 @@ def test_certify_fixed_lattice_inconclusive_clause(flex2, tol):
     )
     assert cert.verdict == Verdict.INCONCLUSIVE
     assert "kernel" in cert.failing
+
+
+@pytest.mark.parametrize("gain", [10**8, 10**9])
+def test_certify_fixed_lattice_huge_gain_out_of_equilibrium(hexes, tol, gain):
+    """A huge gain breaks force balance by ~gain; the gate must not scale like gain^2."""
+    edges = list(hexes.graph.edges)
+    tail, head, _, marking = edges[6]
+    edges[6] = GainEdge(tail, head, (gain, 0), marking)
+    graph = GainGraph(2, hexes.graph.vertices, edges)
+    cert = certify_fixed_lattice(graph, hexes.realization, hexes.stress, tol)
+    assert cert.verdict == Verdict.INCONCLUSIVE
+    assert "equilibrium" in cert.failing
+    assert cert.residuals["fixed_equilibrium"] == pytest.approx(3.0 * gain, rel=1e-6)
+
+
+def _counting_factorisations(monkeypatch) -> list:
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh", "qr"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["flexible", "fixed", "spiderweb", "volume"])
+def test_each_certificate_factorises_its_laplacian_once(monkeypatch, catalog, tol, mode):
+    from perigid.optimize import certify_volume_constrained
+    from perigid.stress import lambda_stress_space, normalized_stress
+
+    if mode == "flexible":
+        fix = catalog["octagon"]
+        run = lambda: certify_super_stable(fix.graph, fix.realization, fix.stress, tol)  # noqa: E731
+    else:
+        fix = catalog["hex"]
+        graph = fix.graph.with_markings(["cable"] * fix.graph.num_edges)
+        if mode == "fixed":
+            run = lambda: certify_fixed_lattice(graph, fix.realization, fix.stress, tol)  # noqa: E731
+        elif mode == "spiderweb":
+            run = lambda: certify_spiderweb(graph, fix.realization, fix.stress, tol)  # noqa: E731
+        else:
+            unit = fix.realization.scaled(abs(np.linalg.det(fix.realization.lattice)) ** -0.5)
+            vec = normalized_stress(lambda_stress_space(graph, unit, tol))
+            run = lambda: certify_volume_constrained(graph, unit, vec[:-1], vec[-1], tol)  # noqa: E731
+    n, d = fix.graph.num_vertices, fix.graph.dimension
+    size = n if mode in ("fixed", "spiderweb") else n + d
+    calls = _counting_factorisations(monkeypatch)
+    assert run().positive
+    assert [c for c in calls if c[0] == "eigvalsh"] == [("eigvalsh", (size, size))]
+    assert not [c for c in calls if c[0] != "eigvalsh" and c[1] == (size, size)]
 
 
 def test_certify_spiderweb_hex(hexes, tol):

@@ -293,6 +293,44 @@ def test_cli_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["vertices"][0]["position"].__setitem__(0, float("nan")),
+        lambda doc: doc["lattice"][1].__setitem__(0, float("inf")),
+    ],
+    ids=["nan-position", "inf-lattice"],
+)
+def test_cli_non_finite_real_is_input_error(tmp_path, capsys, edit):
+    doc = flex2_document()
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # json writes NaN / Infinity literals
+    assert cli(["certify", str(path), "--mode", "fixed"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_cli_from_finite_nan_weight_is_input_error(tmp_path, capsys):
+    finite_doc = {
+        "dimension": 1,
+        "vertices": [{"name": "a", "position": [0.0]}, {"name": "b", "position": [1.3]}],
+        "edges": [{"tail": "a", "head": "b", "weight": float("nan")}],
+    }
+    src = tmp_path / "nan_weight.json"
+    src.write_text(json.dumps(finite_doc))
+    assert cli(["from-finite", str(src), "--pairs", "a:b"]) == 2
+    assert "$.edges[0].weight" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option", [["--trials", "0"], ["--tol", "0"], ["--tol", "nan"]], ids=" ".join
+)
+def test_cli_bad_numeric_option_is_usage_error(fixture_file, capsys, option):
+    assert cli(["generic-test", fixture_file("hex"), *option]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError:") and err.count("\n") == 1
+
+
 def test_cli_tol_flag(fixture_file, capsys):
     cli(["certify", fixture_file("flex2"), "--mode", "flexible", "--tol", "1e-6", "--json"])
     data = json.loads(capsys.readouterr().out)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perigid.errors import AsymmetricInput, NonFiniteEntry
-from perigid.linalg import numeric_rank, nullspace, psd_check, smith_rank
+from perigid.linalg import numeric_rank, nullspace, psd_check, smith_rank, symmetric_spectrum
 from perigid.tolerances import ToleranceVault
 
 SQRT2 = math.sqrt(2.0)
@@ -63,6 +63,8 @@ def test_numeric_rank_marginal_flag(tol):
     shrunk = ToleranceVault(rank_rel_tol=1e-2)
     res = numeric_rank(m, shrunk)
     assert res.rank == 1 and res.marginal
+    spec = symmetric_spectrum(m, shrunk)
+    assert spec.rank == 1 and spec.marginal
     assert numeric_rank(np.diag([1.0, 1e-12]), tol).marginal is False
 
 
@@ -99,6 +101,23 @@ def test_nullspace_residual_property(tol):
         if left.size:
             smax = np.linalg.svd(m, compute_uv=False)[0]
             assert np.abs(left.T @ m).max() <= tol.residual_tol * smax * np.sqrt(m.shape[0])
+
+
+def test_symmetric_spectrum_matches_numeric_rank_and_psd(tol):
+    rng = np.random.default_rng(7)
+    cases = [FLEX2_LZD, octagon_finite_laplacian(), np.zeros((3, 3)), np.diag([1.0, -1.0])]
+    for rank in (1, 3, 5):
+        b = rng.standard_normal((6, rank))
+        cases.append(b @ np.diag(rng.uniform(-2, 2, rank)) @ b.T)
+    for m in cases:
+        spec = symmetric_spectrum(m, tol)
+        ref = numeric_rank(m, tol)
+        assert (spec.rank, spec.marginal) == (ref.rank, ref.marginal)
+        assert spec.nullity == m.shape[0] - ref.rank
+        assert (spec.is_psd, spec.min_eigenvalue) == tuple(psd_check(m, tol))
+    floored = symmetric_spectrum(1e-14 * FLEX2_LZD, tol, scale_floor=1.0)
+    assert floored.rank == numeric_rank(1e-14 * FLEX2_LZD, tol, scale_floor=1.0).rank == 0
+    assert symmetric_spectrum(np.zeros((0, 0)), tol).nullity == 0
 
 
 def test_psd_check_basics(tol):
