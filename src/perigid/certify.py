@@ -3,16 +3,29 @@
 Positive stress-matrix verdicts are sufficiency certificates that re-verify
 from their witness data; the randomized tests decide properties of *generic*
 realizations of a graph and never judge one special input realization.
+
+Each certificate assembles its stress Laplacians once and checks an ordered
+list of clauses; the first failing clause is reported and gives Inconclusive:
+
+- flexible: equilibrium, nullity(Lzd) = d+1, Lzd PSD, no conic at infinity;
+- fixed: fixed equilibrium, nullity(L) = 1, L PSD;
+- spiderweb: fixed equilibrium, stress strictly positive, nullity(L) = 1, L PSD;
+- volume (``optimize.certify_volume_constrained``): multiplier positive,
+  volume equilibrium, nullity(Lzd) = 1, Lzd PSD.
+
+Input gates raise before any clause: affinely spanning (flexible), proper
+signs (flexible, fixed, volume), the spiderweb preconditions, and a non-flat
+unit-volume lattice (volume).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateEdge, ImproperStress, NotAffinelySpanning, NotSpiderweb
+from .errors import DegenerateEdge, FlatLattice, ImproperStress, NotAffinelySpanning, NotSpiderweb
 from .framework import (
     Realization,
     edge_vectors,
@@ -23,10 +36,11 @@ from .framework import (
 from .gain import GainGraph
 from .linalg import nullspace, symmetric_spectrum
 from .stress import (
+    _equilibrium,
     fixed_stress_space,
     is_proper,
+    lambda_stress_space,
     stress_space,
-    verify_equilibrium,
     weighted_laplacians,
 )
 from .tolerances import ToleranceVault
@@ -154,33 +168,12 @@ def conic_deformation(real: Realization, q: np.ndarray, t: float) -> Realization
     return real.transformed(a_t)
 
 
-def _clause_certificate(
-    verdict_on_pass: str,
-    weights,
-    lam: Optional[float],
-    kernel_dims: dict,
-    min_eig: Optional[float],
-    conic: Optional[np.ndarray],
-    failing: Optional[str],
-) -> Certificate:
-    if failing is None:
-        return Certificate(
-            verdict=verdict_on_pass,
-            witness_stress=np.asarray(weights, dtype=float).copy(),
-            witness_lambda=lam,
-            kernel_dims=kernel_dims,
-            min_eigenvalue=min_eig,
-            conic_witness=conic,
-        )
-    return Certificate(
-        verdict=Verdict.INCONCLUSIVE,
-        witness_stress=np.asarray(weights, dtype=float).copy(),
-        witness_lambda=lam,
-        kernel_dims=kernel_dims,
-        min_eigenvalue=min_eig,
-        conic_witness=conic,
-        failing=failing,
-    )
+def _decide(verdict_on_pass: str, clauses, **witness) -> Certificate:
+    """``verdict_on_pass`` when every ``(holds, message)`` clause holds, else
+    Inconclusive naming the first failing clause; ``witness`` fills the rest."""
+    failing = next((message for holds, message in clauses if not holds), None)
+    verdict = verdict_on_pass if failing is None else Verdict.INCONCLUSIVE
+    return Certificate(verdict=verdict, failing=failing, **witness)
 
 
 def certify_super_stable(
@@ -199,27 +192,47 @@ def certify_super_stable(
     w = np.asarray(weights, dtype=float).reshape(-1)
     d = graph.dimension
     laps = weighted_laplacians(graph, w)
-    eq = verify_equilibrium(graph, real, w, "flexible", tol)
+    eq = _equilibrium(graph, real, w, laps, "flexible", tol)
     spec = symmetric_spectrum(laps.zd_laplacian, tol, laps.weight_scale)
-    kernel_dim = spec.nullity
     conic = conic_at_infinity(graph, real, tol)
-    kernel_dims = {"zd_laplacian": kernel_dim}
-
-    failing = None
-    if not eq.passed:
-        failing = f"equilibrium residual {eq.residual:g} exceeds tolerance"
-    elif kernel_dim != d + 1:
-        failing = f"kernel dimension {kernel_dim} != d+1 = {d + 1}"
-    elif not spec.is_psd:
-        failing = f"stress matrix not PSD (min eigenvalue {spec.min_eigenvalue:g})"
-    elif conic is not None:
-        failing = "edge directions lie on a conic at infinity"
-    cert = _clause_certificate(
-        Verdict.SUPER_STABLE, w, None, kernel_dims, spec.min_eigenvalue, conic, failing
+    return _decide(
+        Verdict.SUPER_STABLE,
+        [
+            (eq.passed, f"equilibrium residual {eq.residual:g} exceeds tolerance"),
+            (spec.nullity == d + 1, f"kernel dimension {spec.nullity} != d+1 = {d + 1}"),
+            (spec.is_psd, f"stress matrix not PSD (min eigenvalue {spec.min_eigenvalue:g})"),
+            (conic is None, "edge directions lie on a conic at infinity"),
+        ],
+        witness_stress=w.copy(),
+        kernel_dims={"zd_laplacian": spec.nullity},
+        min_eigenvalue=spec.min_eigenvalue,
+        conic_witness=conic,
+        marginal=spec.marginal,
+        residuals={"equilibrium": eq.residual},
     )
-    cert.marginal = spec.marginal
-    cert.residuals = {"equilibrium": eq.residual}
-    return cert
+
+
+def _fixed_certificate(
+    graph: GainGraph, real: Realization, w: np.ndarray, tol: ToleranceVault, extra=()
+) -> Certificate:
+    """Fixed-lattice clauses (equilibrium, ``extra``, kernel 1, PSD) on one assembly."""
+    laps = weighted_laplacians(graph, w)
+    eq = _equilibrium(graph, real, w, laps, "fixed", tol)
+    spec = symmetric_spectrum(laps.laplacian, tol, laps.weight_scale)
+    return _decide(
+        Verdict.FIXED_SUPER_STABLE,
+        [
+            (eq.passed, f"fixed equilibrium residual {eq.residual:g} exceeds tolerance"),
+            *extra,
+            (spec.nullity == 1, f"Laplacian kernel dimension {spec.nullity} != 1"),
+            (spec.is_psd, f"Laplacian not PSD (min eigenvalue {spec.min_eigenvalue:g})"),
+        ],
+        witness_stress=w.copy(),
+        kernel_dims={"laplacian": spec.nullity},
+        min_eigenvalue=spec.min_eigenvalue,
+        marginal=spec.marginal,
+        residuals={"fixed_equilibrium": eq.residual},
+    )
 
 
 def certify_fixed_lattice(
@@ -228,26 +241,7 @@ def certify_fixed_lattice(
     """Fixed-lattice super-stability certificate (kernel 1 + PSD Laplacian)."""
     if not is_proper(graph, weights, tol):
         raise ImproperStress("stress violates the cable/strut sign conditions")
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    laps = weighted_laplacians(graph, w)
-    eq = verify_equilibrium(graph, real, w, "fixed", tol)
-    spec = symmetric_spectrum(laps.laplacian, tol, laps.weight_scale)
-    kernel_dim = spec.nullity
-    kernel_dims = {"laplacian": kernel_dim}
-
-    failing = None
-    if not eq.passed:
-        failing = f"fixed equilibrium residual {eq.residual:g} exceeds tolerance"
-    elif kernel_dim != 1:
-        failing = f"Laplacian kernel dimension {kernel_dim} != 1"
-    elif not spec.is_psd:
-        failing = f"Laplacian not PSD (min eigenvalue {spec.min_eigenvalue:g})"
-    cert = _clause_certificate(
-        Verdict.FIXED_SUPER_STABLE, w, None, kernel_dims, spec.min_eigenvalue, None, failing
-    )
-    cert.marginal = spec.marginal
-    cert.residuals = {"fixed_equilibrium": eq.residual}
-    return cert
+    return _fixed_certificate(graph, real, np.asarray(weights, dtype=float).reshape(-1), tol)
 
 
 def certify_spiderweb(
@@ -255,8 +249,10 @@ def certify_spiderweb(
 ) -> Certificate:
     """Spiderweb shortcut: strictly positive stress on an all-cable rank-d graph.
 
-    Thin gate in front of the fixed-lattice certificate; connectivity plus
-    positivity already force the PSD and kernel conditions.
+    The fixed-lattice clauses with strict positivity checked right after
+    equilibrium; connectivity plus positivity already force the PSD and
+    kernel conditions.  A strictly positive stress on cables is proper, so
+    this never raises :class:`ImproperStress`.
     """
     if any(e.marking != "cable" for e in graph.edges):
         raise NotSpiderweb("spiderwebs have every edge marked cable")
@@ -267,26 +263,49 @@ def certify_spiderweb(
     if not real.non_flat(tol):
         raise NotSpiderweb("spiderwebs are non-flat")
     w = np.asarray(weights, dtype=float).reshape(-1)
-    eq = verify_equilibrium(graph, real, w, "fixed", tol)
-    if not eq.passed:
-        return Certificate(
-            verdict=Verdict.INCONCLUSIVE,
-            witness_stress=w.copy(),
-            failing=f"fixed equilibrium residual {eq.residual:g} exceeds tolerance",
-        )
-    if not np.all(w > tol.residual_tol):
-        return Certificate(
-            verdict=Verdict.INCONCLUSIVE,
-            witness_stress=w.copy(),
-            failing="stress is not strictly positive on every cable",
-        )
-    return certify_fixed_lattice(graph, real, w, tol)
+    positive = bool(np.all(w > tol.residual_tol))
+    return _fixed_certificate(
+        graph, real, w, tol, [(positive, "stress is not strictly positive on every cable")]
+    )
 
 
 def _random_unit_combination(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     coeffs = rng.standard_normal(basis.shape[1])
     vec = basis @ coeffs
     return vec / np.linalg.norm(vec)
+
+
+def _trial_loop(tol: ToleranceVault, salt: int, trial, verdicts: tuple[str, str]) -> Certificate:
+    """Majority over ``tol.generic_trials`` seeded trials.
+
+    ``trial(seed, rng)`` returns the trial's log entry, whose ``positive`` key
+    votes; ``rng`` is seeded with ``seed ^ salt``.  The verdict is
+    ``verdicts[0]`` on a strict majority, else ``verdicts[1]``; the marginal
+    flag records any disagreement between trials.
+    """
+    seeds = range(tol.rng_seed, tol.rng_seed + tol.generic_trials)
+    trials = [trial(seed, np.random.default_rng(seed ^ salt)) for seed in seeds]
+    positives = sum(1 for t in trials if t["positive"])
+    return Certificate(
+        verdict=verdicts[0] if positives * 2 > len(trials) else verdicts[1],
+        marginal=0 < positives < len(trials),
+        trial_log=trials,
+    )
+
+
+def _sample_stress(entry: dict, graph, basis, rng, tol, block: str, kernel: int) -> dict:
+    """Finish a trial entry: a random stress from ``basis`` is positive when its
+    ``block`` Laplacian (``laplacian`` or ``zd_laplacian``) has nullity ``kernel``."""
+    entry["stress_space_dim"] = int(basis.shape[1])
+    if basis.shape[1] == 0:
+        entry.update(positive=False, branch="stress-free")
+        return entry
+    laps = weighted_laplacians(graph, _random_unit_combination(basis, rng))
+    kernel_dim = symmetric_spectrum(getattr(laps, block), tol, laps.weight_scale).nullity
+    entry.update(
+        stress_kernel_dim=int(kernel_dim), positive=kernel_dim == kernel, branch="stress sampling"
+    )
+    return entry
 
 
 def generic_global_rigidity_test(graph: GainGraph, tol: ToleranceVault) -> Certificate:
@@ -298,52 +317,20 @@ def generic_global_rigidity_test(graph: GainGraph, tol: ToleranceVault) -> Certi
     rigidity alone.  The verdict is the majority over the trials and the
     marginal flag records any disagreement.
     """
-    d = graph.dimension
-    trials = []
-    for k in range(tol.generic_trials):
-        seed = tol.rng_seed + k
-        rng = np.random.default_rng(seed ^ 0x9E3779B9)
+
+    def trial(seed: int, rng) -> dict:
         real = random_realization(graph, tol, seed=seed)
-        entry = {"seed": seed}
-        if graph.num_vertices == 1:
-            rigid = is_infinitesimally_rigid(graph, real, tol)
-            entry["infinitesimally_rigid"] = rigid
-            entry["positive"] = rigid
-            entry["branch"] = "single-orbit"
-            trials.append(entry)
-            continue
         rigid = is_infinitesimally_rigid(graph, real, tol)
-        entry["infinitesimally_rigid"] = rigid
-        if not rigid:
-            entry["positive"] = False
-            entry["branch"] = "not infinitesimally rigid"
-            trials.append(entry)
-            continue
+        entry = {"seed": seed, "infinitesimally_rigid": rigid}
+        if graph.num_vertices == 1 or not rigid:
+            branch = "single-orbit" if graph.num_vertices == 1 else "not infinitesimally rigid"
+            entry.update(positive=rigid, branch=branch)
+            return entry
         basis = stress_space(graph, real, tol)
-        entry["stress_space_dim"] = int(basis.shape[1])
-        if basis.shape[1] == 0:
-            entry["positive"] = False
-            entry["branch"] = "stress-free"
-            trials.append(entry)
-            continue
-        omega = _random_unit_combination(basis, rng)
-        laps = weighted_laplacians(graph, omega)
-        kernel_dim = symmetric_spectrum(laps.zd_laplacian, tol, laps.weight_scale).nullity
-        entry["stress_kernel_dim"] = int(kernel_dim)
-        entry["positive"] = kernel_dim == d + 1
-        entry["branch"] = "stress sampling"
-        trials.append(entry)
-    positives = sum(1 for t in trials if t["positive"])
-    verdict = (
-        Verdict.GENERIC_GLOBALLY_RIGID
-        if positives * 2 > len(trials)
-        else Verdict.GENERIC_NOT_GLOBALLY_RIGID
-    )
-    return Certificate(
-        verdict=verdict,
-        marginal=0 < positives < len(trials),
-        trial_log=trials,
-    )
+        return _sample_stress(entry, graph, basis, rng, tol, "zd_laplacian", graph.dimension + 1)
+
+    verdicts = (Verdict.GENERIC_GLOBALLY_RIGID, Verdict.GENERIC_NOT_GLOBALLY_RIGID)
+    return _trial_loop(tol, 0x9E3779B9, trial, verdicts)
 
 
 def generic_fixed_global_rigidity_test(
@@ -357,61 +344,78 @@ def generic_fixed_global_rigidity_test(
     a random stress from the fixed-lattice stress space, and test whether the
     weighted Laplacian has kernel dimension exactly one.
     """
-    from .errors import FlatLattice
-
     if lattice is not None:
         lattice = np.asarray(lattice, dtype=float)
         if abs(float(np.linalg.det(lattice))) <= tol.residual_tol:
             raise FlatLattice("supplied lattice is singular")
-    trials = []
-    for k in range(tol.generic_trials):
-        seed = tol.rng_seed + k
-        rng = np.random.default_rng(seed ^ 0x517CC1B7)
+
+    def trial(seed: int, rng) -> dict:
         real = random_realization(graph, tol, seed=seed)
         if lattice is not None:
             real = Realization(real.points, lattice)
-        entry = {"seed": seed}
         basis = fixed_stress_space(graph, real, tol)
-        entry["stress_space_dim"] = int(basis.shape[1])
-        if basis.shape[1] == 0:
-            entry["positive"] = False
-            entry["branch"] = "stress-free"
-            trials.append(entry)
-            continue
-        omega = _random_unit_combination(basis, rng)
-        laps = weighted_laplacians(graph, omega)
-        kernel_dim = symmetric_spectrum(laps.laplacian, tol, laps.weight_scale).nullity
-        entry["stress_kernel_dim"] = int(kernel_dim)
-        entry["positive"] = kernel_dim == 1
-        entry["branch"] = "stress sampling"
-        trials.append(entry)
-    positives = sum(1 for t in trials if t["positive"])
-    verdict = (
-        Verdict.FIXED_GENERIC_GLOBALLY_RIGID
-        if positives * 2 > len(trials)
-        else Verdict.FIXED_GENERIC_NOT_GLOBALLY_RIGID
-    )
-    return Certificate(
-        verdict=verdict,
-        marginal=0 < positives < len(trials),
-        trial_log=trials,
-    )
+        return _sample_stress({"seed": seed}, graph, basis, rng, tol, "laplacian", 1)
+
+    verdicts = (Verdict.FIXED_GENERIC_GLOBALLY_RIGID, Verdict.FIXED_GENERIC_NOT_GLOBALLY_RIGID)
+    return _trial_loop(tol, 0x517CC1B7, trial, verdicts)
+
+
+def _certify_volume(graph, real, weights, lam, tol) -> Certificate:
+    from .optimize import certify_volume_constrained  # optimize imports this module
+
+    return certify_volume_constrained(graph, real, weights, lam, tol)
+
+
+class _Mode(NamedTuple):
+    stress_space: Callable  # (graph, real, tol)
+    certify: Callable  # (graph, real, weights, lam, tol)
+    generic_test: Optional[Callable]  # (graph, real or None, tol)
+
+
+# Entries look their functions up when called, so a wrapper installed on a
+# module attribute (a profiler's, a test's) sees every call made through here.
+_MODES = {
+    "flexible": _Mode(
+        lambda g, r, t: stress_space(g, r, t),
+        lambda g, r, w, lam, t: certify_super_stable(g, r, w, t),
+        lambda g, r, t: generic_global_rigidity_test(g, t),
+    ),
+    "fixed": _Mode(
+        lambda g, r, t: fixed_stress_space(g, r, t),
+        lambda g, r, w, lam, t: certify_fixed_lattice(g, r, w, t),
+        lambda g, r, t: generic_fixed_global_rigidity_test(
+            g, t, lattice=None if r is None else r.lattice
+        ),
+    ),
+    "volume": _Mode(
+        lambda g, r, t: lambda_stress_space(g, r, t),
+        lambda g, r, w, lam, t: _certify_volume(g, r, w, lam, t),
+        None,
+    ),
+    "spiderweb": _Mode(
+        lambda g, r, t: fixed_stress_space(g, r, t),
+        lambda g, r, w, lam, t: certify_spiderweb(g, r, w, t),
+        None,
+    ),
+}
 
 
 def reverify(
     certificate: Certificate, graph: GainGraph, real: Realization, tol: ToleranceVault
 ) -> bool:
-    """Re-run the checks behind a positive stress certificate from its witness."""
-    if certificate.verdict == Verdict.SUPER_STABLE:
-        again = certify_super_stable(graph, real, certificate.witness_stress, tol)
-    elif certificate.verdict == Verdict.FIXED_SUPER_STABLE:
-        again = certify_fixed_lattice(graph, real, certificate.witness_stress, tol)
-    elif certificate.verdict == Verdict.VOLUME_SUPER_STABLE:
-        from .optimize import certify_volume_constrained
+    """Re-run the checks behind a positive stress certificate from its witness.
 
-        again = certify_volume_constrained(
-            graph, real, certificate.witness_stress, certificate.witness_lambda, tol
-        )
-    else:
+    A fixed-lattice verdict re-runs the fixed-lattice certificate, also when a
+    spiderweb check issued it.
+    """
+    mode = {
+        Verdict.SUPER_STABLE: "flexible",
+        Verdict.FIXED_SUPER_STABLE: "fixed",
+        Verdict.VOLUME_SUPER_STABLE: "volume",
+    }.get(certificate.verdict)
+    if mode is None:
         raise ValueError("reverify handles positive stress-certificate verdicts only")
+    again = _MODES[mode].certify(
+        graph, real, certificate.witness_stress, certificate.witness_lambda, tol
+    )
     return again.verdict == certificate.verdict

@@ -11,14 +11,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import certify as certify_mod
 from . import construct, fileformat, optimize, stress, svg
+from .certify import _MODES
 from .errors import InternalInconsistency, ParseError, PerigidError
 from .framework import Realization
 from .gain import GainGraph
@@ -56,19 +55,20 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("info", help="counts, connectivity, gain rank"))
     add_common(sub.add_parser("rank", help="ranks of every matrix at the given realization"))
 
+    # spiderweb is a certificate on the fixed-lattice stress space, not a space
     p = sub.add_parser("stresses", help="basis of the requested stress space")
     p.add_argument("--mode", choices=("flexible", "fixed", "volume"), default="flexible")
     add_common(p)
 
     p = sub.add_parser("certify", help="stress-matrix certificates")
-    p.add_argument(
-        "--mode", choices=("flexible", "fixed", "volume", "spiderweb"), default="flexible"
-    )
+    p.add_argument("--mode", choices=tuple(_MODES), default="flexible")
     p.add_argument("--stress", choices=("from-file", "compute"), default="from-file")
     add_common(p)
 
     p = sub.add_parser("generic-test", help="randomized generic global rigidity test")
-    p.add_argument("--mode", choices=("flexible", "fixed"), default="flexible")
+    p.add_argument(
+        "--mode", choices=[m for m, e in _MODES.items() if e.generic_test], default="flexible"
+    )
     p.add_argument("--trials", type=int, help="number of independent trials")
     add_common(p)
 
@@ -166,22 +166,13 @@ def _pick_stress(
             raise ParseError("volume mode needs a lambda field in the file")
         return parsed.stress, lam, info
     real = _need_realization(parsed)
-    if mode == "flexible":
-        basis = stress.stress_space(graph, real, vault)
-    elif mode in ("fixed", "spiderweb"):
-        basis = stress.fixed_stress_space(graph, real, vault)
-    else:
-        basis = stress.lambda_stress_space(graph, real, vault)
+    basis = _MODES[mode].stress_space(graph, real, vault)
     info["stress_space_dim"] = int(basis.shape[1])
     if basis.shape[1] == 0:
         raise ParseError("computed stress space is trivial; nothing to certify")
-    if basis.shape[1] == 1:
-        vec = stress.normalized_stress(basis)
-    else:
-        rng = np.random.default_rng(vault.rng_seed)
-        coeffs = rng.standard_normal(basis.shape[1])
-        vec = basis @ coeffs
-        vec = stress.normalized_stress(vec)
+    if basis.shape[1] > 1:  # a seeded random combination
+        basis = basis @ np.random.default_rng(vault.rng_seed).standard_normal(basis.shape[1])
+    vec = stress.normalized_stress(basis)
     if mode == "volume":
         return vec[:-1], float(vec[-1]), info
     return vec, None, info
@@ -247,13 +238,7 @@ def _run_rank(parsed, vault, args) -> tuple[dict, int]:
 
 def _run_stresses(parsed, vault, args) -> tuple[dict, int]:
     graph = parsed.graph
-    real = _need_realization(parsed)
-    if args.mode == "flexible":
-        basis = stress.stress_space(graph, real, vault)
-    elif args.mode == "fixed":
-        basis = stress.fixed_stress_space(graph, real, vault)
-    else:
-        basis = stress.lambda_stress_space(graph, real, vault)
+    basis = _MODES[args.mode].stress_space(graph, _need_realization(parsed), vault)
     payload = {
         "mode": args.mode,
         "dimension": int(basis.shape[1]),
@@ -268,25 +253,13 @@ def _run_certify(parsed, vault, args) -> tuple[dict, int]:
     graph = parsed.graph
     real = _need_realization(parsed)
     weights, lam, info = _pick_stress(parsed, args.mode, args.stress, vault)
-    if args.mode == "flexible":
-        cert = certify_mod.certify_super_stable(graph, real, weights, vault)
-    elif args.mode == "fixed":
-        cert = certify_mod.certify_fixed_lattice(graph, real, weights, vault)
-    elif args.mode == "spiderweb":
-        cert = certify_mod.certify_spiderweb(graph, real, weights, vault)
-    else:
-        cert = optimize.certify_volume_constrained(graph, real, weights, lam, vault)
+    cert = _MODES[args.mode].certify(graph, real, weights, lam, vault)
     payload = {"mode": args.mode, **info, "certificate": cert.to_dict()}
     return payload, EXIT_OK if cert.positive else EXIT_NEGATIVE
 
 
 def _run_generic_test(parsed, vault, args) -> tuple[dict, int]:
-    graph = parsed.graph
-    if args.mode == "flexible":
-        cert = certify_mod.generic_global_rigidity_test(graph, vault)
-    else:
-        lattice = None if parsed.realization is None else parsed.realization.lattice
-        cert = certify_mod.generic_fixed_global_rigidity_test(graph, vault, lattice=lattice)
+    cert = _MODES[args.mode].generic_test(parsed.graph, parsed.realization, vault)
     payload = {"mode": args.mode, "certificate": cert.to_dict()}
     return payload, EXIT_OK if cert.positive else EXIT_NEGATIVE
 
@@ -475,25 +448,18 @@ def cli(argv) -> int:
             files = sorted(str(p) for p in Path(batch).glob("*.json"))
             if not files:
                 raise ParseError(f"no *.json files in {batch!r}")
-
-            def work(path: str) -> tuple[str, int]:
+            # reports are written once all files have run, so an unexpected
+            # exception leaves no partial batch on stdout
+            reports, worst = [], EXIT_OK
+            for path in files:
                 try:
-                    return _run_single(args, vault, path)
+                    text, code = _run_single(args, vault, path)
                 except PerigidError as exc:
-                    kind = type(exc).__name__
-                    code = (
-                        EXIT_INTERNAL
-                        if isinstance(exc, InternalInconsistency)
-                        else EXIT_INPUT
-                    )
-                    return f"error: {kind}: {exc}\n", code
-
-            with ThreadPoolExecutor(max_workers=min(8, len(files))) as pool:
-                results = list(pool.map(work, files))
-            worst = EXIT_OK
-            for path, (text, code) in zip(files, results):
-                sys.stdout.write(f"=== {path}\n{text}")
+                    text = f"error: {type(exc).__name__}: {exc}\n"
+                    code = EXIT_INTERNAL if isinstance(exc, InternalInconsistency) else EXIT_INPUT
+                reports.append(f"=== {path}\n{text}")
                 worst = max(worst, code)
+            sys.stdout.write("".join(reports))
             return worst
         text, code = _run_single(args, vault, getattr(args, "file", None))
         sys.stdout.write(text)

@@ -83,7 +83,7 @@ class ShapeMismatch(PerigidError):
 
 
 class ParseError(PerigidError):
-    """A framework file is malformed; the message carries the offending path."""
+    """A framework file or a request is malformed; file errors name the offending path."""
 
 
 class InternalInconsistency(PerigidError):

@@ -19,15 +19,18 @@ import numpy as np
 from .errors import (
     DuplicateEdge,
     GainDimensionMismatch,
-    InternalInconsistency,
+    ParseError,
     ZeroLoop,
 )
-from .linalg import numeric_rank, smith_rank
+from .linalg import smith_rank
 from .tolerances import ToleranceVault
 
 Vertex = Hashable
 
 MARKINGS = ("bar", "cable", "strut")
+
+# Largest covering window, in nodes (2w+1)^d |V|, that CoveringWindow builds.
+_MAX_WINDOW_NODES = 100_000
 
 
 class GainEdge(NamedTuple):
@@ -285,23 +288,22 @@ class GainGraph:
         return best
 
     def full_rank_condition(self, tol: Optional[ToleranceVault] = None) -> tuple[bool, int]:
-        """Check connected + gain rank d, cross-validated against rank I_zd.
+        """Check connected + gain rank d through the exact rank of I_zd.
 
-        The combinatorial side and the numeric rank of the extended
-        incidence matrix are computed independently (exact integers vs. SVD);
-        disagreement is a bug, not bad input, and raises
-        :class:`InternalInconsistency`.
+        Shifting each vertex column by its spanning-forest potential times the
+        gain columns turns every forest row into a plain incidence row and
+        every other row into its cycle gain, so
+        rank I_zd = (|V| - #components) + rank of all cycle gains stacked.
+        The stacked rank is at most d, so rank I_zd = |V|-1+d exactly when the
+        graph is connected with gain rank d; one pass gives both.  ``tol`` is
+        unused: no cut is made.
         """
-        tol = tol or ToleranceVault()
-        holds = self.is_connected() and self.gain_rank() == self.dimension
-        rank = numeric_rank(self.incidence_zd(), tol).rank
-        expected = self.num_vertices - 1 + self.dimension
-        if holds != (rank == expected):
-            raise InternalInconsistency(
-                f"rank equivalence violated: holds={holds}, rank I_zd={rank}, "
-                f"|V|-1+d={expected}"
-            )
-        return holds, rank
+        comps = self.components()
+        cycles = [g for comp in comps for g in self._component_cycle_gains(comp)]
+        rank = self.num_vertices - len(comps)
+        if cycles:
+            rank += smith_rank(np.array(cycles, dtype=object))
+        return len(comps) == 1 and rank == self.num_vertices - 1 + self.dimension, rank
 
     # -- covering window and switching ------------------------------------
 
@@ -339,7 +341,13 @@ class CoveringWindow:
     @staticmethod
     def build(graph: GainGraph, window: int) -> "CoveringWindow":
         if window < 0:
-            raise ValueError("window must be a nonnegative integer")
+            raise ParseError("window must be a nonnegative integer")
+        nodes = (2 * window + 1) ** graph.dimension * graph.num_vertices
+        if nodes > _MAX_WINDOW_NODES:
+            raise ParseError(
+                f"window {window} needs {nodes} covering nodes, over the limit "
+                f"of {_MAX_WINDOW_NODES}"
+            )
         shifts = list(
             itertools.product(range(-window, window + 1), repeat=graph.dimension)
         )

@@ -87,7 +87,8 @@ def numeric_rank(matrix, tol: ToleranceVault, scale_floor: float = 0.0) -> RankR
 
 
 def nullspace(matrix, side: str, tol: ToleranceVault) -> np.ndarray:
-    """Orthonormal basis (as columns) of the right or left kernel of ``matrix``."""
+    """Orthonormal basis (as columns) of the right or left kernel of ``matrix``,
+    cut where :func:`numeric_rank` cuts with no floor."""
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     m = _as_float_matrix(matrix)
@@ -96,8 +97,7 @@ def nullspace(matrix, side: str, tol: ToleranceVault) -> np.ndarray:
     if m.size == 0 or not np.any(m):
         return np.eye(dim)
     u, svals, vt = np.linalg.svd(m, full_matrices=True)
-    threshold = tol.rank_rel_tol * max(m.shape) * svals[0]
-    rank = int(np.sum(svals > threshold))
+    rank, _ = _rank_cut(svals, m.shape, tol, 0.0)
     if side == "right":
         return vt[rank:].T
     return u[:, rank:]

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .certify import Certificate, Verdict
+from .certify import Certificate, Verdict, _decide
 from .errors import (
     DegenerateKernel,
     FlatLattice,
@@ -31,8 +31,8 @@ from .framework import (
     rigidity_matrix,
 )
 from .gain import GainGraph
-from .linalg import nullspace, symmetric_spectrum
-from .stress import is_proper, verify_equilibrium, weighted_laplacians
+from .linalg import _rank_cut, nullspace, symmetric_spectrum
+from .stress import _equilibrium, is_proper, weighted_laplacians
 from .tolerances import ToleranceVault
 
 
@@ -104,14 +104,14 @@ def verify_kkt(
     if not real.non_flat(tol):
         raise FlatLattice("KKT verification needs a nonsingular lattice")
     w = np.asarray(weights, dtype=float).reshape(-1)
-    eq = verify_equilibrium(graph, real, w, "volume", tol, lam=lam)
+    laps = weighted_laplacians(graph, w)
+    eq = _equilibrium(graph, real, w, laps, "volume", tol, lam)
     volume = abs(float(np.linalg.det(real.lattice)))
     slackness = abs(lam * float(np.log(volume)))
     pl = rep_matrix(graph, real)
-    laps = weighted_laplacians(graph, w)
-    gram = pl @ laps.zd_laplacian @ pl.T - lam * np.eye(graph.dimension)
-    gram_residual = float(np.abs(gram).max())
-    gram_scale = max(1.0, abs(lam), float(np.abs(pl @ laps.zd_laplacian @ pl.T).max()))
+    form = pl @ laps.zd_laplacian @ pl.T
+    gram_residual = float(np.abs(form - lam * np.eye(graph.dimension)).max())
+    gram_scale = max(1.0, abs(lam), float(np.abs(form).max()))
     sign_ok = lam >= -tol.residual_tol
     # primal feasibility is part of being a KKT point, whatever the multiplier
     volume_ok = volume >= 1.0 - tol.residual_tol
@@ -164,11 +164,11 @@ def standard_realization(
         rng = np.random.default_rng(basis_seed)
         pinned = pinned @ rng.standard_normal((pinned.shape[1], pinned.shape[1]))
     svd_u, svd_s, _ = np.linalg.svd(pinned, full_matrices=False)
-    cut = tol.rank_rel_tol * max(pinned.shape) * svd_s[0]
-    keep = svd_s > cut
-    if int(np.sum(keep)) != d:
+    if _rank_cut(svd_s, pinned.shape, tol, 0.0)[0] != d:
         raise DegenerateKernel("kernel modulo the all-ones vector is not d-dimensional")
-    basis = svd_u[:, keep].T  # d rows spanning {k in ker : k[v1] = 0}
+    # d rows spanning {k in ker : k[v1] = 0}, copied row-major: the layout
+    # decides the rounding of the products below
+    basis = svd_u[:, :d].T.copy()
 
     gram = basis @ lap_zd @ basis.T
     gram = 0.5 * (gram + gram.T)
@@ -204,27 +204,20 @@ def certify_volume_constrained(
     w = np.asarray(weights, dtype=float).reshape(-1)
     laps = weighted_laplacians(graph, w)
     spec = symmetric_spectrum(laps.zd_laplacian, tol, laps.weight_scale)
-    kernel_dim = spec.nullity
-    eq = verify_equilibrium(graph, real, w, "volume", tol, lam=lam)
-
-    failing = None
-    if not lam > tol.residual_tol:
-        failing = f"multiplier {lam!r} is not positive"
-    elif not eq.passed:
-        failing = f"volume equilibrium residual {eq.residual:g} exceeds tolerance"
-    elif kernel_dim != 1:
-        failing = f"stress matrix kernel dimension {kernel_dim} != 1"
-    elif not spec.is_psd:
-        failing = f"stress matrix not PSD (min eigenvalue {spec.min_eigenvalue:g})"
-    verdict = Verdict.VOLUME_SUPER_STABLE if failing is None else Verdict.INCONCLUSIVE
-    return Certificate(
-        verdict=verdict,
+    eq = _equilibrium(graph, real, w, laps, "volume", tol, lam)
+    return _decide(
+        Verdict.VOLUME_SUPER_STABLE,
+        [
+            (lam > tol.residual_tol, f"multiplier {lam!r} is not positive"),
+            (eq.passed, f"volume equilibrium residual {eq.residual:g} exceeds tolerance"),
+            (spec.nullity == 1, f"stress matrix kernel dimension {spec.nullity} != 1"),
+            (spec.is_psd, f"stress matrix not PSD (min eigenvalue {spec.min_eigenvalue:g})"),
+        ],
         witness_stress=w.copy(),
         witness_lambda=float(lam),
-        kernel_dims={"zd_laplacian": kernel_dim},
+        kernel_dims={"zd_laplacian": spec.nullity},
         min_eigenvalue=spec.min_eigenvalue,
         marginal=spec.marginal,
-        failing=failing,
         residuals={"volume_equilibrium": eq.residual},
     )
 

@@ -155,7 +155,11 @@ def verify_equilibrium(
     w = np.asarray(weights, dtype=float).reshape(-1)
     if mode not in ("flexible", "fixed", "volume"):
         raise ValueError(f"unknown mode {mode!r}")
-    laps = weighted_laplacians(graph, w)
+    return _equilibrium(graph, real, w, weighted_laplacians(graph, w), mode, tol, lam)
+
+
+def _equilibrium(graph, real, w, laps: WeightedLaplacians, mode, tol, lam=None):
+    """:func:`verify_equilibrium` on the already assembled Laplacians of ``w``."""
     if mode == "fixed":
         # the lattice block (~ w g^2) does not enter this residual, so the
         # gate is scaled by the residual's own two terms
@@ -222,7 +226,8 @@ def extend_with_loops(
     w = np.asarray(weights, dtype=float).reshape(-1)
     if not real.non_flat(tol):
         raise FlatLattice("loop extension needs a nonsingular lattice")
-    base = verify_equilibrium(graph, real, w, "fixed", tol)
+    laps = weighted_laplacians(graph, w)
+    base = _equilibrium(graph, real, w, laps, "fixed", tol)
     if not base.passed:
         raise NotFixedLatticeStress(
             f"fixed-lattice equilibrium residual {base.residual:g} fails"
@@ -240,7 +245,6 @@ def extend_with_loops(
         columns.append(_sym_coords(L @ np.outer(gv, gv) @ L.T))
     system = np.column_stack(columns)
     P = point_matrix(graph, real)
-    laps = weighted_laplacians(graph, w)
     rhs_mat = P @ laps.laplacian @ P.T - L @ laps.lattice_block @ L.T
     rhs = _sym_coords(0.5 * (rhs_mat + rhs_mat.T))
     sys_rank = numeric_rank(system, tol).rank
@@ -269,12 +273,12 @@ def strip_loops(
     w = np.asarray(weights, dtype=float).reshape(-1)
     if not real.non_flat(tol):
         raise FlatLattice("loop stripping is stated for non-flat frameworks")
-    full = verify_equilibrium(graph, real, w, "flexible", tol)
+    laps = weighted_laplacians(graph, w)
+    full = _equilibrium(graph, real, w, laps, "flexible", tol)
     if not full.passed:
         raise NotFixedLatticeStress(f"equilibrium residual {full.residual:g} fails")
     stripped, keep = graph.without_loops()
     w_stripped = w[keep]
-    laps = weighted_laplacians(graph, w)
     laps_stripped = weighted_laplacians(stripped, w_stripped)
     report = StripReport(
         numeric_rank(laps.zd_laplacian, tol).rank,
@@ -283,7 +287,7 @@ def strip_loops(
     )
     if not (report.rank_zd == report.rank_laplacian == report.rank_stripped):
         raise RankMismatch(f"loop stripping rank equalities failed: {report}")
-    check = verify_equilibrium(stripped, real, w_stripped, "fixed", tol)
+    check = _equilibrium(stripped, real, w_stripped, laps_stripped, "fixed", tol)
     if not check.passed:
         raise RankMismatch(
             f"stripped stress is not a fixed-lattice equilibrium stress "

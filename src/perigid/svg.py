@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FlatLattice
+from .errors import FlatLattice, ParseError
 from .framework import Realization
 from .gain import GainGraph
 from .tolerances import ToleranceVault
@@ -35,7 +35,7 @@ def render_covering(
     if not real.non_flat(tol):
         raise FlatLattice("rendering needs a nonsingular lattice")
     if graph.dimension != 2:
-        raise ValueError("SVG rendering is two-dimensional only")
+        raise ParseError("SVG rendering is two-dimensional only")
     cover = graph.covering_window(window)
     pos = {
         node: real.points[node[0]] + real.lattice @ np.array(node[1], dtype=float)

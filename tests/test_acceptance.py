@@ -206,6 +206,7 @@ def test_criterion_4_octagon(catalog, tol):
 def test_criterion_5_rank_equivalence(tol):
     started = time.perf_counter()
     from perigid.gain import canonicalize_edge
+    from perigid.linalg import numeric_rank
 
     rng = np.random.default_rng(512)
     checked = 0
@@ -226,8 +227,11 @@ def test_criterion_5_rank_equivalence(tol):
             seen.add(key)
             edges.append((a, b, gain))
         graph = GainGraph(d, verts, edges)
-        holds, rank = graph.full_rank_condition(tol)  # raises on violation
+        holds, rank = graph.full_rank_condition(tol)
         assert holds == (rank == n - 1 + d)
+        # gains in [-2, 2]: the float rank is exact and checks the exact one
+        assert holds == (graph.is_connected() and graph.gain_rank() == d)
+        assert rank == numeric_rank(graph.incidence_zd(), tol).rank
         checked += 1
     assert time.perf_counter() - started < 30.0
 

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from perigid import stress
 from perigid.certify import (
     Verdict,
     certify_fixed_lattice,
@@ -155,9 +158,26 @@ def test_each_certificate_factorises_its_laplacian_once(monkeypatch, catalog, to
     n, d = fix.graph.num_vertices, fix.graph.dimension
     size = n if mode in ("fixed", "spiderweb") else n + d
     calls = _counting_factorisations(monkeypatch)
+    assemblies = _counting_assemblies(monkeypatch)
     assert run().positive
     assert [c for c in calls if c[0] == "eigvalsh"] == [("eigvalsh", (size, size))]
     assert not [c for c in calls if c[0] != "eigvalsh" and c[1] == (size, size)]
+    assert len(assemblies) == 1
+
+
+def _counting_assemblies(monkeypatch) -> list:
+    """Count stress.weighted_laplacians calls through every perigid module that holds it."""
+    calls = []
+    original = stress.weighted_laplacians
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("perigid") and getattr(module, "weighted_laplacians", None) is original:
+            monkeypatch.setattr(module, "weighted_laplacians", counted)
+    return calls
 
 
 def test_certify_spiderweb_hex(hexes, tol):
@@ -180,6 +200,29 @@ def test_certify_spiderweb_gate_and_preconditions(hexes, tol):
     r = random_realization(disconnected, tol, seed=0)
     with pytest.raises(NotSpiderweb):
         certify_spiderweb(disconnected, r, np.ones(2), tol)
+
+
+@pytest.mark.parametrize("break_clause", ["positivity", "equilibrium"])
+def test_inconclusive_spiderweb_reports_every_clause_value(hexes, tol, break_clause):
+    """An Inconclusive spiderweb still carries kernel, eigenvalue and residual."""
+    all_cable = hexes.graph.with_markings(["cable"] * 9)
+    real, weights = hexes.realization, hexes.stress.copy()
+    if break_clause == "positivity":
+        weights = -weights  # still in equilibrium, never positive
+    else:
+        real = Realization(
+            {v: p + (0.1 if v == all_cable.vertices[0] else 0.0) for v, p in real.points.items()},
+            real.lattice,
+        )
+    cert = certify_spiderweb(all_cable, real, weights, tol)
+    assert cert.verdict == Verdict.INCONCLUSIVE
+    assert ("positive" if break_clause == "positivity" else "equilibrium") in cert.failing
+    assert set(cert.kernel_dims) == {"laplacian"}
+    assert cert.min_eigenvalue is not None
+    assert set(cert.residuals) == {"fixed_equilibrium"}
+    fixed = certify_fixed_lattice(hexes.graph, real, weights, tol)  # bars: any sign
+    assert cert.kernel_dims == fixed.kernel_dims
+    assert cert.residuals == fixed.residuals
 
 
 def test_generic_flexible_verdicts(flex1, flex2, hexes, tol):

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 
 import numpy as np
@@ -408,3 +410,108 @@ def test_cli_stresses_fixed_mode(fixture_file, capsys):
     data = json.loads(capsys.readouterr().out)["report"]
     assert data["dimension"] == 1
     assert np.allclose(data["normalized"], np.ones(9))
+
+
+@pytest.mark.parametrize(
+    "name, mode, keys",
+    [
+        ("flex1", "flexible", ["seed", "infinitesimally_rigid", "positive", "branch"]),
+        ("hex", "flexible", ["seed", "infinitesimally_rigid", "positive", "branch"]),
+        (
+            "flex2",
+            "flexible",
+            ["seed", "infinitesimally_rigid", "stress_space_dim", "positive", "branch"],
+        ),
+        ("flex1", "fixed", ["seed", "stress_space_dim", "stress_kernel_dim", "positive", "branch"]),
+        ("hex", "fixed", ["seed", "stress_space_dim", "positive", "branch"]),
+    ],
+)
+def test_cli_generic_test_trial_log_key_order(fixture_file, capsys, name, mode, keys):
+    """Text reports print trial entries as dicts, so their key order is output."""
+    cli(["generic-test", fixture_file(name), "--mode", mode])
+    prefix = "report.certificate.trial_log: "
+    line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith(prefix))
+    entries = ast.literal_eval(line[len(prefix):])
+    assert [e["seed"] for e in entries] == [2024, 2025, 2026]
+    assert all(list(e) == keys for e in entries)
+
+
+def test_cli_info_huge_gain_exact_rank(fixture_file, tmp_path, capsys):
+    """A 10^30 gain is beyond any float rank cut; the I_zd rank is exact."""
+    doc = json.loads(open(fixture_file("hex")).read())
+    doc["edges"][6]["gain"] = [10**30, 0]
+    path = tmp_path / "hex_huge.json"
+    path.write_text(json.dumps(doc))
+    assert cli(["info", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["connected"] and report["gain_rank"] == 2
+    assert report["full_rank_condition"] == {"holds": True, "rank_incidence_zd": 7}
+
+
+def _three_dim_document():
+    return {
+        "dimension": 3,
+        "vertices": [{"name": "a", "position": [0.0, 0.0, 0.0]}],
+        "lattice": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        "edges": [
+            {"tail": "a", "head": "a", "gain": g}
+            for g in ([1, 0, 0], [0, 1, 0], [0, 0, 1])
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [("negative window", "nonnegative"), ("over budget", "limit"), ("d = 3", "two-dimensional")],
+)
+def test_cli_cover_bad_request_is_input_error(fixture_file, tmp_path, capsys, case, message):
+    path, window = fixture_file("hex"), "1"
+    if case == "negative window":
+        window = "-1"
+    elif case == "over budget":
+        window = "200"  # 401^2 * 6 nodes
+    else:
+        path = str(tmp_path / "cube.json")
+        with open(path, "w") as fh:
+            json.dump(_three_dim_document(), fh)
+    out = tmp_path / "out.svg"
+    assert cli(["cover", path, "--window", window, "--svg", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (["certify", "--mode", "flexible"], "certify", "certify_super_stable"),
+        (["certify", "--mode", "fixed"], "certify", "certify_fixed_lattice"),
+        (["certify", "--mode", "spiderweb"], "certify", "certify_spiderweb"),
+        (["certify", "--mode", "fixed", "--stress", "compute"], "certify", "fixed_stress_space"),
+        (["stresses", "--mode", "volume"], "certify", "lambda_stress_space"),
+        (["generic-test", "--mode", "flexible"], "certify", "generic_global_rigidity_test"),
+        (["generic-test", "--mode", "fixed"], "certify", "generic_fixed_global_rigidity_test"),
+        (["certify", "--mode", "volume"], "optimize", "certify_volume_constrained"),
+    ],
+)
+def test_cli_mode_table_calls_module_attributes(
+    fixture_file, tmp_path, monkeypatch, argv, module, name
+):
+    """The CLI reaches each mode's functions through their module attributes at
+    call time, so a wrapper installed there (as a profiler does) sees the call."""
+    doc = json.loads(open(fixture_file("hex")).read())
+    for edge in doc["edges"]:
+        edge["type"] = "cable"
+    doc["lambda"] = 1.0  # the volume certificate refuses the lattice; the call is what counts
+    path = tmp_path / "hex_cables.json"
+    path.write_text(json.dumps(doc))
+    target = importlib.import_module(f"perigid.{module}")
+    original, calls = getattr(target, name), []
+
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, wrapped)
+    cli([argv[0], str(path), *argv[1:]])
+    assert calls == [name]

@@ -221,12 +221,18 @@ def _random_gain_graph(rng):
 
 
 def test_rank_equivalence_random_graphs(tol):
-    """Both directions of the rank equivalence, exact integers vs SVD."""
+    """Both directions of the rank equivalence, exact integers vs SVD.
+
+    Gains lie in [-2, 2], so the float rank of I_zd is exact here and checks
+    the spanning-forest rank independently.
+    """
     rng = np.random.default_rng(20240817)
     for _ in range(1000):
         g = _random_gain_graph(rng)
-        holds, rank = g.full_rank_condition(tol)  # raises on any violation
+        holds, rank = g.full_rank_condition(tol)
         assert holds == (rank == g.num_vertices - 1 + g.dimension)
+        assert holds == (g.is_connected() and g.gain_rank() == g.dimension)
+        assert rank == numeric_rank(g.incidence_zd(), tol).rank
 
 
 def test_switch_preserves_ranks_random(tol):
