@@ -21,7 +21,7 @@ from .certify import _MODES
 from .errors import InternalInconsistency, ParseError, PerigidError
 from .framework import Realization
 from .gain import GainGraph
-from .linalg import numeric_rank
+from .linalg import numeric_rank, symmetric_spectrum
 from .tolerances import ToleranceVault
 
 ENV_SEED = "PERIGID_SEED"
@@ -227,7 +227,7 @@ def _run_rank(parsed, vault, args) -> tuple[dict, int]:
     if parsed.stress is not None:
         laps = stress.weighted_laplacians(graph, parsed.stress)
         for name, matrix in (("laplacian", laps.laplacian), ("zd_laplacian", laps.zd_laplacian)):
-            res = numeric_rank(matrix, vault)
+            res = symmetric_spectrum(matrix, vault, laps.weight_scale)
             payload[name] = {
                 "shape": list(matrix.shape),
                 "rank": res.rank,
@@ -297,9 +297,8 @@ def _run_minimize(parsed, vault, args) -> tuple[dict, int]:
 def _run_cover(parsed, vault, args) -> tuple[dict, int]:
     graph = parsed.graph
     real = _need_realization(parsed)
-    image = svg.render_covering(graph, real, args.window, vault)
+    cover, image = svg._render(graph, real, args.window, vault)
     Path(args.svg).write_bytes(image)
-    cover = graph.covering_window(args.window)
     payload = {
         "window": args.window,
         "vertices": len(cover.vertices),

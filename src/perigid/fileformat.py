@@ -63,10 +63,13 @@ def _as_name(value, path: str) -> str:
     return value
 
 
-def loads(data) -> ParsedFramework:
-    """Parse a framework document from bytes, text, or an already-decoded dict."""
+def _document(data) -> tuple[dict, int]:
+    """The top-level object of a document (bytes, text or decoded) and its dimension."""
     if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid UTF-8: {exc}") from exc
     if isinstance(data, str):
         try:
             data = json.loads(data)
@@ -74,11 +77,14 @@ def loads(data) -> ParsedFramework:
             raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
-
     dim = _as_strict_int(_require(data, "dimension", "$"), "$.dimension")
     if dim < 1:
         raise _fail("$.dimension", "must be positive")
+    return data, dim
 
+
+def _vertices(data: dict, dim: int, need_position: bool) -> tuple[list, dict]:
+    """Distinct vertex names in file order and the positions given for them."""
     raw_vertices = _require(data, "vertices", "$")
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise _fail("$.vertices", "must be a non-empty list")
@@ -92,13 +98,64 @@ def loads(data) -> ParsedFramework:
             raise _fail(f"{path}.name", f"duplicate vertex name {name!r}")
         names.append(name)
         name_set.add(name)
-        if "position" in entry:
-            pos = entry["position"]
+        if need_position or "position" in entry:
+            pos = _require(entry, "position", path)
             if not isinstance(pos, list) or len(pos) != dim:
                 raise _fail(f"{path}.position", f"must be a list of {dim} reals")
             positions[name] = np.array(
                 [_as_real(x, f"{path}.position[{k}]") for k, x in enumerate(pos)]
             )
+    return names, positions
+
+
+def _edges(data: dict, dim: int, names: list, with_gains: bool) -> tuple[list, list]:
+    """(tail, head, gain or None, marking) per edge entry, and the raw weights."""
+    raw_edges = _require(data, "edges", "$")
+    if not isinstance(raw_edges, list):
+        raise _fail("$.edges", "must be a list")
+    name_set = set(names)
+    edges, weights = [], []
+    for i, entry in enumerate(raw_edges):
+        path = f"$.edges[{i}]"
+        if not isinstance(entry, dict):
+            raise _fail(path, "must be an object")
+        tail = _as_name(_require(entry, "tail", path), f"{path}.tail")
+        head = _as_name(_require(entry, "head", path), f"{path}.head")
+        if tail not in name_set or head not in name_set:
+            raise _fail(path, f"edge references unknown vertex {tail!r} or {head!r}")
+        gain = None
+        if with_gains:
+            gain_raw = _require(entry, "gain", path)
+            if not isinstance(gain_raw, list) or len(gain_raw) != dim:
+                raise _fail(f"{path}.gain", f"must be a list of {dim} integers")
+            gain = tuple(
+                _as_strict_int(x, f"{path}.gain[{k}]") for k, x in enumerate(gain_raw)
+            )
+        elif "gain" in entry:
+            raise _fail(f"{path}.gain", "finite frameworks carry no gains")
+        marking = entry.get("type", "bar")
+        if marking not in MARKINGS:
+            raise _fail(f"{path}.type", f"must be one of {MARKINGS}")
+        edges.append((tail, head, gain, marking))
+        weights.append(entry.get("weight"))
+    return edges, weights
+
+
+def _stress(weights: list) -> Optional[np.ndarray]:
+    """Edge weights when every edge has one, None when none has."""
+    with_weight = [w is not None for w in weights]
+    if not any(with_weight):
+        return None
+    if not all(with_weight):
+        missing = with_weight.index(False)
+        raise _fail(f"$.edges[{missing}].weight", "all edges need weights or none")
+    return np.array([_as_real(w, f"$.edges[{i}].weight") for i, w in enumerate(weights)])
+
+
+def loads(data) -> ParsedFramework:
+    """Parse a framework document from bytes, text, or an already-decoded dict."""
+    data, dim = _document(data)
+    names, positions = _vertices(data, dim, need_position=False)
 
     lattice = None
     if data.get("lattice") is not None:
@@ -112,44 +169,14 @@ def loads(data) -> ParsedFramework:
             cols.append([_as_real(x, f"$.lattice[{i}][{k}]") for k, x in enumerate(col)])
         lattice = np.array(cols).T  # columns of L are the stored columns
 
-    raw_edges = _require(data, "edges", "$")
-    if not isinstance(raw_edges, list):
-        raise _fail("$.edges", "must be a list")
-    edges, weights = [], []
-    for i, entry in enumerate(raw_edges):
-        path = f"$.edges[{i}]"
-        if not isinstance(entry, dict):
-            raise _fail(path, "must be an object")
-        tail = _as_name(_require(entry, "tail", path), f"{path}.tail")
-        head = _as_name(_require(entry, "head", path), f"{path}.head")
-        if tail not in name_set or head not in name_set:
-            raise _fail(path, f"edge references unknown vertex {tail!r} or {head!r}")
-        gain_raw = _require(entry, "gain", path)
-        if not isinstance(gain_raw, list) or len(gain_raw) != dim:
-            raise _fail(f"{path}.gain", f"must be a list of {dim} integers")
-        gain = tuple(
-            _as_strict_int(x, f"{path}.gain[{k}]") for k, x in enumerate(gain_raw)
-        )
-        marking = entry.get("type", "bar")
-        if marking not in MARKINGS:
-            raise _fail(f"{path}.type", f"must be one of {MARKINGS}")
-        edges.append((tail, head, gain, marking))
-        weights.append(entry.get("weight"))
-
+    edges, weights = _edges(data, dim, names, with_gains=True)
     try:
         graph = GainGraph(dim, names, edges)
     except PerigidError:
         raise
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-
-    with_weight = [w is not None for w in weights]
-    stress = None
-    if any(with_weight):
-        if not all(with_weight):
-            missing = with_weight.index(False)
-            raise _fail(f"$.edges[{missing}].weight", "all edges need weights or none")
-        stress = np.array([_as_real(w, "$.edges[].weight") for w in weights])
+    stress = _stress(weights)
 
     realization = None
     if positions and lattice is not None:
@@ -216,45 +243,16 @@ def dumps(
 
 def loads_finite(data) -> tuple[FiniteFramework, Optional[np.ndarray]]:
     """Parse a finite framework: same schema minus lattice and gains."""
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParseError("top level must be a JSON object")
-    dim = _as_strict_int(_require(data, "dimension", "$"), "$.dimension")
-    raw_vertices = _require(data, "vertices", "$")
-    names, points = [], {}
-    for i, entry in enumerate(raw_vertices):
-        path = f"$.vertices[{i}]"
-        name = _as_name(_require(entry, "name", path), f"{path}.name")
-        pos = _require(entry, "position", path)
-        if not isinstance(pos, list) or len(pos) != dim:
-            raise _fail(f"{path}.position", f"must be a list of {dim} reals")
-        names.append(name)
-        points[name] = np.array([_as_real(x, f"{path}.position") for x in pos])
-    edges, markings, weights = [], [], []
-    for i, entry in enumerate(_require(data, "edges", "$")):
-        path = f"$.edges[{i}]"
-        tail = _as_name(_require(entry, "tail", path), f"{path}.tail")
-        head = _as_name(_require(entry, "head", path), f"{path}.head")
-        if "gain" in entry:
-            raise _fail(f"{path}.gain", "finite frameworks carry no gains")
-        edges.append((tail, head))
-        markings.append(entry.get("type", "bar"))
-        weights.append(entry.get("weight"))
+    data, dim = _document(data)
+    names, points = _vertices(data, dim, need_position=True)
+    edges, weights = _edges(data, dim, names, with_gains=False)
     try:
-        finite = FiniteFramework(tuple(names), tuple(edges), points, tuple(markings))
+        finite = FiniteFramework(
+            tuple(names),
+            tuple((t, h) for t, h, _, _ in edges),
+            points,
+            tuple(m for _, _, _, m in edges),
+        )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    stress = None
-    if any(w is not None for w in weights):
-        if not all(w is not None for w in weights):
-            raise ParseError("$.edges[].weight: all edges need weights or none")
-        stress = np.array(
-            [_as_real(w, f"$.edges[{i}].weight") for i, w in enumerate(weights)]
-        )
-    return finite, stress
+    return finite, _stress(weights)

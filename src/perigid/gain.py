@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -83,6 +84,18 @@ def canonicalize_edge(tail, head, gain, order: Sequence[Vertex]) -> GainEdge:
     return _canonical(tail, head, _gain_tuple(gain), {v: i for i, v in enumerate(order)})
 
 
+def _covering_neighbors(graph: "GainGraph", v: Vertex, shift: tuple[int, ...]):
+    """Covering nodes next to (v, shift), one per edge end at v (a loop gives two)."""
+    for e, other, sign in graph._incidence[graph._index[v]]:
+        gain = graph.edges[e].gain
+        yield graph.vertices[other], tuple(s + sign * g for s, g in zip(shift, gain))
+
+
+class _Forest(NamedTuple):
+    component: list[int]  # per vertex position; components numbered by first vertex
+    cycle_gains: list[list[tuple[int, ...]]]  # per component, exact integers
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -97,7 +110,10 @@ class GainGraph:
     arrays, from which every matrix is gathered or scattered in O(|E|):
     ``tail_idx`` and ``head_idx`` (vertex positions, intp), ``loop_mask`` and
     ``gain_array`` (|E| x d, float64 so huge integer gains cannot overflow;
-    the exact integers stay on the edges).
+    the exact integers stay on the edges).  A per-vertex incidence table and
+    a breadth-first spanning forest are built from them on first use; the
+    components, the gain rank, the rank condition and the covering windows
+    all read those two.
     """
 
     def __init__(self, dimension: int, vertices: Sequence[Vertex], edges: Iterable):
@@ -222,70 +238,63 @@ class GainGraph:
 
     # -- connectivity and gain rank ---------------------------------------
 
-    def components(self) -> list[list[Vertex]]:
-        remaining = set(self.vertices)
-        adjacency: dict[Vertex, set[Vertex]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            adjacency[e.tail].add(e.head)
-            adjacency[e.head].add(e.tail)
-        comps = []
-        for start in self.vertices:
-            if start not in remaining:
+    @cached_property
+    def _incidence(self) -> list[list[tuple[int, int, int]]]:
+        """Per vertex position: (edge index, other end, +1 leaving / -1 entering).
+        A loop is listed twice at its vertex, once each way."""
+        table: list[list[tuple[int, int, int]]] = [[] for _ in self.vertices]
+        for e, (t, h) in enumerate(zip(self.tail_idx.tolist(), self.head_idx.tolist())):
+            table[t].append((e, h, 1))
+            table[h].append((e, t, -1))
+        return table
+
+    @cached_property
+    def _forest(self) -> _Forest:
+        """Breadth-first spanning forest, rooted at each component's first vertex.
+
+        The potential phi of a vertex is the gain of its forest path from the
+        root; a non-forest edge tail -> head closes the cycle root -> tail ->
+        head -> root, whose gain is phi(tail) + g - phi(head).
+        """
+        component = [-1] * self.num_vertices
+        potential: list[tuple[int, ...]] = [()] * self.num_vertices
+        in_forest = [False] * self.num_edges
+        count = 0
+        for root in range(self.num_vertices):
+            if component[root] >= 0:
                 continue
-            stack, comp = [start], []
-            remaining.discard(start)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in adjacency[v]:
-                    if w in remaining:
-                        remaining.discard(w)
-                        stack.append(w)
-            comps.append(comp)
+            component[root], potential[root] = count, (0,) * self.dimension
+            queue = [root]
+            for v in queue:  # grows while it is read: breadth-first order
+                for e, other, sign in self._incidence[v]:
+                    if component[other] < 0:
+                        gain = self.edges[e].gain
+                        component[other] = count
+                        potential[other] = tuple(p + sign * g for p, g in zip(potential[v], gain))
+                        in_forest[e] = True
+                        queue.append(other)
+            count += 1
+        cycle_gains: list[list[tuple[int, ...]]] = [[] for _ in range(count)]
+        for e, (t, h) in enumerate(zip(self.tail_idx.tolist(), self.head_idx.tolist())):
+            if not in_forest[e]:
+                cycle = zip(potential[t], self.edges[e].gain, potential[h])
+                cycle_gains[component[t]].append(tuple(pt + g - ph for pt, g, ph in cycle))
+        return _Forest(component, cycle_gains)
+
+    def components(self) -> list[list[Vertex]]:
+        """Connected components, each listing its vertices in graph order."""
+        comps: list[list[Vertex]] = [[] for _ in self._forest.cycle_gains]
+        for v, c in zip(self.vertices, self._forest.component):
+            comps[c].append(v)
         return comps
 
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
-
-    def _component_cycle_gains(self, comp: Sequence[Vertex]) -> list[tuple[int, ...]]:
-        comp_set = set(comp)
-        root = comp[0]
-        potential: dict[Vertex, np.ndarray] = {root: np.zeros(self.dimension, dtype=object)}
-        tree_edges: set[int] = set()
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for idx, e in enumerate(self.edges):
-                if idx in tree_edges or e.is_loop:
-                    continue
-                if e.tail in potential and e.head not in potential and e.tail in comp_set:
-                    potential[e.head] = potential[e.tail] + np.array(e.gain, dtype=object)
-                    tree_edges.add(idx)
-                    nxt.append(e.head)
-                elif e.head in potential and e.tail not in potential and e.head in comp_set:
-                    potential[e.tail] = potential[e.head] - np.array(e.gain, dtype=object)
-                    tree_edges.add(idx)
-                    nxt.append(e.tail)
-            if not nxt:
-                break
-            frontier = nxt
-        gains = []
-        for idx, e in enumerate(self.edges):
-            if idx in tree_edges or e.tail not in comp_set:
-                continue
-            # closed walk root -> tail -> head -> root has gain phi(tail)+g-phi(head)
-            cycle = potential[e.tail] + np.array(e.gain, dtype=object) - potential[e.head]
-            gains.append(tuple(int(x) for x in cycle))
-        return gains
+        return len(self._forest.cycle_gains) == 1
 
     def gain_rank(self) -> int:
         """Rank of the gain group, maximised over connected components."""
-        best = 0
-        for comp in self.components():
-            gains = self._component_cycle_gains(comp)
-            if gains:
-                best = max(best, smith_rank(np.array(gains, dtype=object)))
-        return best
+        ranks = [smith_rank(np.array(g, dtype=object)) for g in self._forest.cycle_gains if g]
+        return max(ranks, default=0)
 
     def full_rank_condition(self, tol: Optional[ToleranceVault] = None) -> tuple[bool, int]:
         """Check connected + gain rank d through the exact rank of I_zd.
@@ -298,12 +307,12 @@ class GainGraph:
         graph is connected with gain rank d; one pass gives both.  ``tol`` is
         unused: no cut is made.
         """
-        comps = self.components()
-        cycles = [g for comp in comps for g in self._component_cycle_gains(comp)]
-        rank = self.num_vertices - len(comps)
+        per_component = self._forest.cycle_gains
+        cycles = [g for gains in per_component for g in gains]
+        rank = self.num_vertices - len(per_component)
         if cycles:
             rank += smith_rank(np.array(cycles, dtype=object))
-        return len(comps) == 1 and rank == self.num_vertices - 1 + self.dimension, rank
+        return len(per_component) == 1 and rank == self.num_vertices - 1 + self.dimension, rank
 
     # -- covering window and switching ------------------------------------
 
@@ -352,27 +361,15 @@ class CoveringWindow:
             itertools.product(range(-window, window + 1), repeat=graph.dimension)
         )
         nodes = [(v, shift) for v in graph.vertices for shift in shifts]
-        node_set = set(nodes)
         node_pos = {n: i for i, n in enumerate(nodes)}
-        edge_set = set()
-        for v, shift in nodes:
-            for other in CoveringWindow._neighbors(graph, v, shift):
-                if other in node_set:
-                    a, b = (v, shift), other
-                    if node_pos[a] > node_pos[b]:
-                        a, b = b, a
-                    if a != b:
-                        edge_set.add((a, b))
-        edges = tuple(sorted(edge_set, key=lambda ab: (node_pos[ab[0]], node_pos[ab[1]])))
+        pairs = set()
+        for i, node in enumerate(nodes):
+            for other in _covering_neighbors(graph, *node):
+                j = node_pos.get(other)
+                if j is not None and j != i:
+                    pairs.add((i, j) if i < j else (j, i))
+        edges = tuple((nodes[a], nodes[b]) for a, b in sorted(pairs))
         return CoveringWindow(graph, window, tuple(nodes), edges)
-
-    @staticmethod
-    def _neighbors(graph: GainGraph, v: Vertex, shift: tuple[int, ...]):
-        for e in graph.edges:
-            if e.tail == v:
-                yield (e.head, tuple(s + g for s, g in zip(shift, e.gain)))
-            if e.head == v:
-                yield (e.tail, tuple(s - g for s, g in zip(shift, e.gain)))
 
     def degree(self, node) -> int:
         return sum(1 for a, b in self.edges if a == node or b == node)
@@ -380,10 +377,8 @@ class CoveringWindow:
     def interior_vertices(self) -> list:
         """Window vertices all of whose covering neighbors stay in the window."""
         node_set = set(self.vertices)
-        out = []
-        for v, shift in self.vertices:
-            if all(
-                n in node_set for n in self._neighbors(self.graph, v, shift)
-            ):
-                out.append((v, shift))
-        return out
+        return [
+            node
+            for node in self.vertices
+            if all(n in node_set for n in _covering_neighbors(self.graph, *node))
+        ]

@@ -32,7 +32,7 @@ from .framework import (
 )
 from .gain import GainGraph
 from .linalg import _rank_cut, nullspace, symmetric_spectrum
-from .stress import _equilibrium, is_proper, weighted_laplacians
+from .stress import WeightedLaplacians, _equilibrium, is_proper, weighted_laplacians
 from .tolerances import ToleranceVault
 
 
@@ -101,10 +101,14 @@ def verify_kkt(
     graph: GainGraph, weights, real: Realization, lam: float, tol: ToleranceVault
 ) -> KktReport:
     """Pure checker of stationarity, complementary slackness, sign and Gram identity."""
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    return _kkt(graph, w, real, lam, weighted_laplacians(graph, w), tol)
+
+
+def _kkt(graph, w, real, lam, laps: WeightedLaplacians, tol) -> KktReport:
+    """:func:`verify_kkt` on weighted Laplacians already assembled from ``w``."""
     if not real.non_flat(tol):
         raise FlatLattice("KKT verification needs a nonsingular lattice")
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    laps = weighted_laplacians(graph, w)
     eq = _equilibrium(graph, real, w, laps, "volume", tol, lam)
     volume = abs(float(np.linalg.det(real.lattice)))
     slackness = abs(lam * float(np.log(volume)))
@@ -187,7 +191,7 @@ def standard_realization(
     lam = factor * factor
     points = {v: pl[:, i].copy() for i, v in enumerate(graph.vertices)}
     real = Realization(points, pl[:, n:])
-    return real, verify_kkt(graph, w, real, lam, tol)
+    return real, _kkt(graph, w, real, lam, laps, tol)
 
 
 def certify_volume_constrained(

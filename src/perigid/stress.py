@@ -27,7 +27,7 @@ from .framework import (
     volume_rigidity_matrix,
 )
 from .gain import GainGraph, Vertex
-from .linalg import numeric_rank, nullspace
+from .linalg import nullspace, numeric_rank, symmetric_spectrum
 from .tolerances import ToleranceVault
 
 
@@ -281,9 +281,9 @@ def strip_loops(
     w_stripped = w[keep]
     laps_stripped = weighted_laplacians(stripped, w_stripped)
     report = StripReport(
-        numeric_rank(laps.zd_laplacian, tol).rank,
-        numeric_rank(laps.laplacian, tol).rank,
-        numeric_rank(laps_stripped.laplacian, tol).rank,
+        symmetric_spectrum(laps.zd_laplacian, tol, laps.weight_scale).rank,
+        symmetric_spectrum(laps.laplacian, tol, laps.weight_scale).rank,
+        symmetric_spectrum(laps_stripped.laplacian, tol, laps_stripped.weight_scale).rank,
     )
     if not (report.rank_zd == report.rank_laplacian == report.rank_stripped):
         raise RankMismatch(f"loop stripping rank equalities failed: {report}")

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import FlatLattice, ParseError
 from .framework import Realization
-from .gain import GainGraph
+from .gain import CoveringWindow, GainGraph
 from .tolerances import ToleranceVault
 
 _STYLES = {
@@ -32,6 +32,13 @@ def render_covering(
     graph: GainGraph, real: Realization, window: int, tol: ToleranceVault
 ) -> bytes:
     """SVG bytes for the covering restricted to lattice shifts in [-w, w]^d."""
+    return _render(graph, real, window, tol)[1]
+
+
+def _render(
+    graph: GainGraph, real: Realization, window: int, tol: ToleranceVault
+) -> tuple[CoveringWindow, bytes]:
+    """The covering window and its SVG bytes, from one window build."""
     if not real.non_flat(tol):
         raise FlatLattice("rendering needs a nonsingular lattice")
     if graph.dimension != 2:
@@ -52,19 +59,11 @@ def render_covering(
         y = _CANVAS - _MARGIN - (p[1] - lo[1]) * scale  # SVG y-axis points down
         return x, y
 
+    # a covering edge (u, alpha) - (v, beta) lifts the one edge class (u, v, beta - alpha)
     marking_of = {}
     for e in graph.edges:
-        marking_of.setdefault((e.tail, e.head, e.gain), e.marking)
-
-    def edge_marking(a, b) -> str:
-        (u, alpha), (v, beta) = a, b
-        shift_ab = tuple(y - x for x, y in zip(alpha, beta))
-        for e in graph.edges:
-            if (e.tail, e.head) == (u, v) and e.gain == shift_ab:
-                return e.marking
-            if (e.tail, e.head) == (v, u) and e.gain == tuple(-s for s in shift_ab):
-                return e.marking
-        return "bar"
+        marking_of[e.tail, e.head, e.gain] = e.marking
+        marking_of[e.head, e.tail, tuple(-g for g in e.gain)] = e.marking
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -76,7 +75,8 @@ def render_covering(
     for a, b in cover.edges:
         xa, ya = to_canvas(pos[a])
         xb, yb = to_canvas(pos[b])
-        style = _STYLES[edge_marking(a, b)]
+        shift = tuple(y - x for x, y in zip(a[1], b[1]))
+        style = _STYLES[marking_of[a[0], b[0], shift]]
         lines.append(
             f'<line x1="{_fmt(xa)}" y1="{_fmt(ya)}" x2="{_fmt(xb)}" y2="{_fmt(yb)}" {style}/>'
         )
@@ -84,4 +84,4 @@ def render_covering(
         x, y = to_canvas(pos[node])
         lines.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.0" fill="#10151c"/>')
     lines.append("</svg>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return cover, ("\n".join(lines) + "\n").encode("utf-8")

@@ -180,6 +180,18 @@ def _counting_assemblies(monkeypatch) -> list:
     return calls
 
 
+def test_minimize_assembles_laplacians_twice(hexes, tmp_path, monkeypatch, capsys):
+    """One assembly serves the minimiser and its KKT check, one the energy."""
+    from perigid import fileformat
+    from perigid.cli import cli
+
+    path = tmp_path / "hex.json"
+    path.write_bytes(fileformat.dumps(hexes.graph, hexes.realization, hexes.stress))
+    assemblies = _counting_assemblies(monkeypatch)
+    assert cli(["minimize", str(path)]) == 0
+    assert len(assemblies) == 2
+
+
 def test_certify_spiderweb_hex(hexes, tol):
     all_cable = hexes.graph.with_markings(["cable"] * 9)
     cert = certify_spiderweb(all_cable, hexes.realization, hexes.stress, tol)

@@ -1,13 +1,16 @@
 import ast
 import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from perigid import fileformat
 from perigid.cli import cli
-from perigid.errors import DuplicateEdge, ParseError, ZeroLoop
+from perigid.errors import DuplicateEdge, ParseError, PerigidError, ZeroLoop
 from perigid.svg import render_covering
 
 
@@ -109,7 +112,7 @@ def test_cli_certify_exit_codes(fixture_file):
 
 def test_cli_certify_improper_is_input_error(fixture_file, tmp_path):
     path = fixture_file("hex")
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["edges"][0]["type"] = "strut"
     bad = tmp_path / "hex_strut.json"
     bad.write_text(json.dumps(doc))
@@ -171,7 +174,7 @@ def test_cli_certify_volume(tmp_path, fixture_file, capsys):
 
 def test_cli_spiderweb(tmp_path, fixture_file):
     path = fixture_file("hex")
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     for edge in doc["edges"]:
         edge["type"] = "cable"
     cables = tmp_path / "hex_cables.json"
@@ -325,6 +328,100 @@ def test_cli_from_finite_nan_weight_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["vertices"].__setitem__(0, 1), "$.vertices[0]: must be an object"),
+        (lambda doc: doc["vertices"][1].__setitem__("name", "a"), "duplicate vertex name 'a'"),
+        (lambda doc: doc["edges"][0].__setitem__("head", "z"), "unknown vertex"),
+    ],
+    ids=["non-object-vertex", "duplicate-vertex", "unknown-vertex"],
+)
+def test_cli_from_finite_malformed_entry_is_input_error(tmp_path, capsys, edit, message):
+    finite_doc = {
+        "dimension": 1,
+        "vertices": [{"name": "a", "position": [0.0]}, {"name": "b", "position": [1.3]}],
+        "edges": [{"tail": "a", "head": "b"}],
+    }
+    edit(finite_doc)
+    src = tmp_path / "bad_finite.json"
+    src.write_text(json.dumps(finite_doc))
+    assert cli(["from-finite", str(src), "--pairs", "a:b"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError:") and message in err
+
+
+def test_cli_rank_uses_the_certificates_rank_policy(tmp_path, capsys):
+    """rank and the fixed certificate cut the same stress Laplacian in one place."""
+    doc = {
+        "dimension": 2,
+        "vertices": [{"name": "u", "position": [0.0, 0.0]}, {"name": "v", "position": [0.3, 0.2]}],
+        "lattice": [[1.0, 0.0], [0.0, 1.0]],
+        "edges": [  # 0.1 + 0.2 - 0.3 cancels to rounding noise in the vertex block
+            {"tail": "u", "head": "v", "gain": [0, 0], "weight": 0.1},
+            {"tail": "u", "head": "v", "gain": [1, 0], "weight": 0.2},
+            {"tail": "u", "head": "v", "gain": [0, 1], "weight": -0.3},
+        ],
+    }
+    path = tmp_path / "cancelling.json"
+    path.write_text(json.dumps(doc))
+    assert cli(["rank", str(path), "--json"]) == 0
+    ranks = json.loads(capsys.readouterr().out)["report"]
+    cli(["certify", str(path), "--mode", "fixed", "--json"])
+    cert = json.loads(capsys.readouterr().out)["report"]["certificate"]
+    assert ranks["laplacian"]["rank"] == 0
+    assert ranks["laplacian"]["rank"] == 2 - cert["kernel_dims"]["laplacian"]
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _or_any(strategy):
+    return st.one_of(strategy, _json_values)
+
+
+_names = _or_any(st.sampled_from(["a", "b", "c"]))
+_reals = st.floats() | st.integers(-(10**400), 10**400)
+_vertex_entries = st.fixed_dictionaries(
+    {"name": _names},
+    optional={"position": _or_any(st.lists(_or_any(_reals), max_size=3))},
+)
+_edge_entries = st.fixed_dictionaries(
+    {"tail": _names, "head": _names},
+    optional={
+        "gain": _or_any(st.lists(_or_any(st.integers(-2, 2) | st.integers()), max_size=3)),
+        "type": _or_any(st.sampled_from(["bar", "cable", "strut"])),
+        "weight": _or_any(_reals),
+    },
+)
+_framework_like = st.fixed_dictionaries(
+    {},
+    optional={
+        "dimension": _or_any(st.integers(-1, 3)),
+        "vertices": _or_any(st.lists(_or_any(_vertex_entries), max_size=4)),
+        "lattice": _or_any(st.lists(_or_any(st.lists(_or_any(_reals), max_size=3)), max_size=3)),
+        "edges": _or_any(st.lists(_or_any(_edge_entries), max_size=5)),
+        "lambda": _or_any(_reals),
+    },
+)
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(value=st.one_of(_json_values, _framework_like, st.binary(max_size=24)))
+def test_readers_parse_or_raise_perigid_error(value):
+    """Any file content either parses or raises a PerigidError (exit 2 in the CLI)."""
+    raw = value if isinstance(value, bytes) else json.dumps(value).encode("utf-8")
+    for reader in (fileformat.loads, fileformat.loads_finite):
+        try:
+            reader(raw)
+        except PerigidError:
+            pass
+
+
+@pytest.mark.parametrize(
     "option", [["--trials", "0"], ["--tol", "0"], ["--tol", "nan"]], ids=" ".join
 )
 def test_cli_bad_numeric_option_is_usage_error(fixture_file, capsys, option):
@@ -438,7 +535,7 @@ def test_cli_generic_test_trial_log_key_order(fixture_file, capsys, name, mode, 
 
 def test_cli_info_huge_gain_exact_rank(fixture_file, tmp_path, capsys):
     """A 10^30 gain is beyond any float rank cut; the I_zd rank is exact."""
-    doc = json.loads(open(fixture_file("hex")).read())
+    doc = json.loads(Path(fixture_file("hex")).read_text())
     doc["edges"][6]["gain"] = [10**30, 0]
     path = tmp_path / "hex_huge.json"
     path.write_text(json.dumps(doc))
@@ -499,7 +596,7 @@ def test_cli_mode_table_calls_module_attributes(
 ):
     """The CLI reaches each mode's functions through their module attributes at
     call time, so a wrapper installed there (as a profiler does) sees the call."""
-    doc = json.loads(open(fixture_file("hex")).read())
+    doc = json.loads(Path(fixture_file("hex")).read_text())
     for edge in doc["edges"]:
         edge["type"] = "cable"
     doc["lambda"] = 1.0  # the volume certificate refuses the lattice; the call is what counts
