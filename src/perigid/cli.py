@@ -19,7 +19,12 @@ import numpy as np
 from . import construct, fileformat, optimize, stress, svg
 from .certify import _MODES
 from .errors import InternalInconsistency, ParseError, PerigidError
-from .framework import Realization
+from .framework import (
+    Realization,
+    fixed_rigidity_matrix,
+    rigidity_matrix,
+    volume_rigidity_matrix,
+)
 from .gain import GainGraph
 from .linalg import numeric_rank, symmetric_spectrum
 from .tolerances import ToleranceVault
@@ -114,12 +119,22 @@ def _vault(args) -> ToleranceVault:
         raise ParseError(f"invalid option value: {exc}") from exc
 
 
-def _load(path: str) -> fileformat.ParsedFramework:
+def _read(path: str) -> bytes:
     try:
-        raw = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return fileformat.loads(raw)
+
+
+def _write(path: str, data: bytes) -> None:
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
+def _load(path: str) -> fileformat.ParsedFramework:
+    return fileformat.loads(_read(path))
 
 
 def _need_realization(parsed: fileformat.ParsedFramework) -> Realization:
@@ -142,8 +157,6 @@ def _matrix_payload(graph: GainGraph, realization: Optional[Realization]) -> dic
         "incidence_zd": graph.incidence_zd().tolist(),
     }
     if realization is not None:
-        from .framework import fixed_rigidity_matrix, rigidity_matrix
-
         payload["rigidity"] = rigidity_matrix(graph, realization).tolist()
         payload["fixed_rigidity"] = fixed_rigidity_matrix(graph, realization).tolist()
     return payload
@@ -200,12 +213,6 @@ def _run_info(parsed, vault, args) -> tuple[dict, int]:
 
 
 def _run_rank(parsed, vault, args) -> tuple[dict, int]:
-    from .framework import (
-        fixed_rigidity_matrix,
-        rigidity_matrix,
-        volume_rigidity_matrix,
-    )
-
     graph = parsed.graph
     real = _need_realization(parsed)
     payload = {}
@@ -298,7 +305,7 @@ def _run_cover(parsed, vault, args) -> tuple[dict, int]:
     graph = parsed.graph
     real = _need_realization(parsed)
     cover, image = svg._render(graph, real, args.window, vault)
-    Path(args.svg).write_bytes(image)
+    _write(args.svg, image)
     payload = {
         "window": args.window,
         "vertices": len(cover.vertices),
@@ -320,11 +327,9 @@ def _parse_pairs(text: str) -> list[tuple[str, str]]:
 
 
 def _run_from_finite(args, vault) -> tuple[Optional[dict], int, Optional[bytes]]:
-    try:
-        raw = Path(args.file).read_bytes()
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.file}: {exc}") from exc
-    finite, finite_stress = fileformat.loads_finite(raw)
+    if args.file is None:
+        raise ParseError("from-finite needs a finite framework file")
+    finite, finite_stress = fileformat.loads_finite(_read(args.file))
     quotient = construct.finite_to_periodic(finite, _parse_pairs(args.pairs))
     weights = None
     if finite_stress is not None:
@@ -333,7 +338,7 @@ def _run_from_finite(args, vault) -> tuple[Optional[dict], int, Optional[bytes]]
         )
     document = fileformat.dumps(quotient.graph, quotient.realization, weights)
     if args.emit:
-        Path(args.emit).write_bytes(document)
+        _write(args.emit, document)
         payload = {
             "vertices": quotient.graph.num_vertices,
             "edges": quotient.graph.num_edges,
@@ -361,7 +366,7 @@ def _run_fixtures(args, vault) -> tuple[Optional[dict], int, Optional[bytes]]:
     fix = catalog[args.name]
     document = fileformat.dumps(fix.graph, fix.realization, fix.stress)
     if args.emit:
-        Path(args.emit).write_bytes(document)
+        _write(args.emit, document)
         return {"fixture": args.name, "emitted": args.emit}, EXIT_OK, None
     return None, EXIT_OK, document
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .construct import FiniteFramework
-from .errors import ParseError, PerigidError
+from .errors import ParseError
 from .framework import Realization
 from .gain import GainGraph, MARKINGS
 
@@ -172,8 +172,6 @@ def loads(data) -> ParsedFramework:
     edges, weights = _edges(data, dim, names, with_gains=True)
     try:
         graph = GainGraph(dim, names, edges)
-    except PerigidError:
-        raise
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     stress = _stress(weights)

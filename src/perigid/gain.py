@@ -291,10 +291,14 @@ class GainGraph:
     def is_connected(self) -> bool:
         return len(self._forest.cycle_gains) == 1
 
+    @cached_property
+    def _cycle_ranks(self) -> list[int]:
+        """Exact rank of each component's cycle gains."""
+        return [smith_rank(np.array(g, dtype=object)) for g in self._forest.cycle_gains]
+
     def gain_rank(self) -> int:
         """Rank of the gain group, maximised over connected components."""
-        ranks = [smith_rank(np.array(g, dtype=object)) for g in self._forest.cycle_gains if g]
-        return max(ranks, default=0)
+        return max(self._cycle_ranks)
 
     def full_rank_condition(self, tol: Optional[ToleranceVault] = None) -> tuple[bool, int]:
         """Check connected + gain rank d through the exact rank of I_zd.
@@ -308,9 +312,11 @@ class GainGraph:
         unused: no cut is made.
         """
         per_component = self._forest.cycle_gains
-        cycles = [g for gains in per_component for g in gains]
         rank = self.num_vertices - len(per_component)
-        if cycles:
+        if len(per_component) == 1:
+            rank += self._cycle_ranks[0]
+        else:
+            cycles = [g for gains in per_component for g in gains]
             rank += smith_rank(np.array(cycles, dtype=object))
         return len(per_component) == 1 and rank == self.num_vertices - 1 + self.dimension, rank
 

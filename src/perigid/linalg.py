@@ -26,11 +26,6 @@ class RankResult(NamedTuple):
     marginal: bool
 
 
-class PsdResult(NamedTuple):
-    is_psd: bool
-    min_eigenvalue: float
-
-
 class SpectrumResult(NamedTuple):
     rank: int
     eigenvalues: np.ndarray  # ascending
@@ -127,12 +122,6 @@ def symmetric_spectrum(matrix, tol: ToleranceVault, scale_floor: float = 0.0) ->
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     is_psd = lam_min >= -tol.psd_slack * max(1.0, lam_max)
     return SpectrumResult(rank, eigs, marginal, bool(is_psd), lam_min)
-
-
-def psd_check(matrix, tol: ToleranceVault) -> PsdResult:
-    """PSD verdict and minimum eigenvalue of :func:`symmetric_spectrum`."""
-    spec = symmetric_spectrum(matrix, tol)
-    return PsdResult(spec.is_psd, spec.min_eigenvalue)
 
 
 def _as_int_rows(matrix) -> list[list[int]]:

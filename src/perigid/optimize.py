@@ -3,8 +3,10 @@
 The energy of a weighted framework is a quadratic form in the realization
 vector; under a positive-semidefinite stress matrix with one-dimensional
 kernel, the program "minimize energy subject to unit fundamental-domain
-volume" has a closed-form solution (whitening the kernel complement), unique
-up to isometries, and every KKT point is a global minimizer.
+volume" has a closed-form solution, unique up to isometries, and every KKT
+point is a global minimizer.  The solution takes one eigenvalue check of the
+stress matrix, one linear solve of its pinned vertex block and a d x d
+whitening; no singular value decomposition is needed.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ from .errors import (
 )
 from .framework import (
     Realization,
+    measurement,
     realization_from_vector,
     realization_vector,
     rep_matrix,
     rigidity_matrix,
 )
 from .gain import GainGraph
-from .linalg import _rank_cut, nullspace, symmetric_spectrum
+from .linalg import symmetric_spectrum
 from .stress import WeightedLaplacians, _equilibrium, is_proper, weighted_laplacians
 from .tolerances import ToleranceVault
 
@@ -49,8 +52,6 @@ def energy(graph: GainGraph, weights, real: Realization, tol: ToleranceVault) ->
     beyond tolerance is a bug and raises :class:`FormMismatch`.
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
-    from .framework import measurement
-
     direct = 0.5 * float(w @ measurement(graph, real))
     pl = rep_matrix(graph, real)
     quadratic = 0.5 * float(np.sum(pl.T * _form(graph, w, pl)))
@@ -137,10 +138,14 @@ def standard_realization(
 ) -> tuple[Realization, KktReport]:
     """Closed-form unique (up to isometry) minimizer of the unit-volume program.
 
-    Requires the stress matrix to be PSD with a one-dimensional kernel.  The
-    construction whitens a kernel-complement basis of the vertex-column block
-    and rescales to unit volume; ``basis_seed`` remixes the intermediate basis
-    to exercise the uniqueness-up-to-isometry guarantee.
+    Requires the stress matrix Lzd = [[L, C], [C^T, G]] to be PSD with kernel
+    span(1-hat), so the pinned block L[1:, 1:] is positive definite.  One
+    solve of it gives the d rows [X^T | I_d] spanning {k : (Lzd k)[:|V|] = 0,
+    k[v1] = 0}, with X[v1] = 0 and L[1:, 1:] X[1:] = -C[1:]; whitening them
+    against Lzd and rescaling to unit volume gives the minimizer.  Without
+    ``basis_seed`` it comes in a normal form: p(v1) = 0 exactly and a
+    symmetric positive-definite lattice.  ``basis_seed`` remixes the rows to
+    exercise the uniqueness-up-to-isometry guarantee.
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
     d = graph.dimension
@@ -154,32 +159,23 @@ def standard_realization(
             f"{spec.nullity}, min eigenvalue {spec.min_eigenvalue:g}"
         )
 
-    omega_left = lap_zd[:, :n]
-    kernel = nullspace(omega_left, "left", tol)
-    if kernel.shape[1] != d + 1:
-        raise DegenerateKernel(
-            f"vertex-block left kernel has dimension {kernel.shape[1]}, expected {d + 1}"
-        )
-    one_hat = np.zeros(n + d)
-    one_hat[:n] = 1.0
-    # Quotient modulo the all-ones direction, pinned by zeroing the v1 column.
-    pinned = kernel - np.outer(one_hat, kernel[0, :])
+    basis = np.zeros((d, n + d))
+    basis[:, n:] = np.eye(d)
+    try:
+        # the v1 row of [L C] k = 0 then holds too: it is minus the sum of the others
+        basis[:, 1:n] = np.linalg.solve(laps.laplacian[1:, 1:], -laps.cross_block[1:]).T
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateKernel(f"pinned Laplacian block is singular: {exc}") from exc
     if basis_seed is not None:
-        rng = np.random.default_rng(basis_seed)
-        pinned = pinned @ rng.standard_normal((pinned.shape[1], pinned.shape[1]))
-    svd_u, svd_s, _ = np.linalg.svd(pinned, full_matrices=False)
-    if _rank_cut(svd_s, pinned.shape, tol, 0.0)[0] != d:
-        raise DegenerateKernel("kernel modulo the all-ones vector is not d-dimensional")
-    # d rows spanning {k in ker : k[v1] = 0}, copied row-major: the layout
-    # decides the rounding of the products below
-    basis = svd_u[:, :d].T.copy()
+        basis = np.random.default_rng(basis_seed).standard_normal((d, d)) @ basis
 
     gram = basis @ lap_zd @ basis.T
     gram = 0.5 * (gram + gram.T)
     eigvals, eigvecs = np.linalg.eigh(gram)
     if eigvals[0] <= tol.residual_tol * max(1.0, eigvals[-1]):
         raise DegenerateKernel("whitening matrix is numerically singular")
-    inv_sqrt = eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
+    half = eigvecs / eigvals**0.25
+    inv_sqrt = half @ half.T  # exactly symmetric: both triangles sum the same products
     pl = inv_sqrt @ basis  # [P L] with [P L] Lzd [P L]^T = I_d
 
     lattice = pl[:, n:]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from perigid import ToleranceVault, fixtures
@@ -31,3 +32,22 @@ def hexes(catalog):
 @pytest.fixture(scope="session")
 def octagon(catalog):
     return catalog["octagon"]
+
+
+@pytest.fixture()
+def count_factorisations(monkeypatch):
+    """Start recording (name, operand shape) of every numpy.linalg factorisation."""
+
+    def start() -> list:
+        calls = []
+        for name in ("svd", "eigh", "eigvalsh", "qr"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    return start

@@ -101,13 +101,13 @@ def test_criterion_2_hex(catalog, tol, tmp_path):
     started = time.perf_counter()
     hexes = catalog["hex"]
     from perigid import fixed_stress_space
-    from perigid.linalg import numeric_rank, psd_check
+    from perigid.linalg import numeric_rank, symmetric_spectrum
 
     basis = fixed_stress_space(hexes.graph, hexes.realization, tol)
     assert basis.shape[1] == 1
     assert np.allclose(normalized_stress(basis), np.ones(9), atol=1e-9)
     laps = weighted_laplacians(hexes.graph, hexes.stress)
-    assert psd_check(laps.laplacian, tol).is_psd
+    assert symmetric_spectrum(laps.laplacian, tol).is_psd
     assert laps.laplacian.shape[0] - numeric_rank(laps.laplacian, tol).rank == 1
 
     path = _emit_fixture(tmp_path, "hex")
@@ -161,11 +161,11 @@ def test_criterion_4_octagon(catalog, tol):
     octagon = catalog["octagon"]
     assert octagon.finite.equilibrium_residual(octagon.finite_stress) <= 1e-10
 
-    from perigid.linalg import numeric_rank, psd_check
+    from perigid.linalg import numeric_rank, symmetric_spectrum
 
     finite_lap = octagon.finite.weighted_laplacian(octagon.finite_stress)
     assert numeric_rank(finite_lap, tol).rank == 5
-    assert psd_check(finite_lap, tol).is_psd
+    assert symmetric_spectrum(finite_lap, tol).is_psd
 
     assert octagon.graph.vertices == ("0", "1", "2", "3", "5", "7")
     golden_edges = [

@@ -123,21 +123,10 @@ def test_certify_fixed_lattice_huge_gain_out_of_equilibrium(hexes, tol, gain):
     assert cert.residuals["fixed_equilibrium"] == pytest.approx(3.0 * gain, rel=1e-6)
 
 
-def _counting_factorisations(monkeypatch) -> list:
-    calls = []
-    for name in ("svd", "eigh", "eigvalsh", "qr"):
-        original = getattr(np.linalg, name)
-
-        def counted(a, *args, _name=name, _original=original, **kwargs):
-            calls.append((_name, np.shape(a)))
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("mode", ["flexible", "fixed", "spiderweb", "volume"])
-def test_each_certificate_factorises_its_laplacian_once(monkeypatch, catalog, tol, mode):
+def test_each_certificate_factorises_its_laplacian_once(
+    monkeypatch, count_factorisations, catalog, tol, mode
+):
     from perigid.optimize import certify_volume_constrained
     from perigid.stress import lambda_stress_space, normalized_stress
 
@@ -157,7 +146,7 @@ def test_each_certificate_factorises_its_laplacian_once(monkeypatch, catalog, to
             run = lambda: certify_volume_constrained(graph, unit, vec[:-1], vec[-1], tol)  # noqa: E731
     n, d = fix.graph.num_vertices, fix.graph.dimension
     size = n if mode in ("fixed", "spiderweb") else n + d
-    calls = _counting_factorisations(monkeypatch)
+    calls = count_factorisations()
     assemblies = _counting_assemblies(monkeypatch)
     assert run().positive
     assert [c for c in calls if c[0] == "eigvalsh"] == [("eigvalsh", (size, size))]

@@ -290,6 +290,7 @@ def test_cli_batch(tmp_path, capsys):
 def test_cli_missing_file_is_input_error(tmp_path):
     assert cli(["info", str(tmp_path / "missing.json")]) == 2
     assert cli(["certify"]) == 2  # no file, no batch
+    assert cli(["from-finite", "--pairs", "a:b"]) == 2
 
 
 def test_cli_usage_error_exits_2():
@@ -576,6 +577,24 @@ def test_cli_cover_bad_request_is_input_error(fixture_file, tmp_path, capsys, ca
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError:") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cover", "from-finite", "fixtures"])
+def test_cli_unwritable_output_is_input_error(fixture_file, tmp_path, capsys, command):
+    finite = tmp_path / "finite.json"
+    finite.write_text(json.dumps({
+        "dimension": 1,
+        "vertices": [{"name": "a", "position": [0.0]}, {"name": "b", "position": [1.3]}],
+        "edges": [{"tail": "a", "head": "b"}],
+    }))
+    out = str(tmp_path / "missing-dir" / "out")
+    argv = {
+        "cover": ["cover", fixture_file("hex"), "--svg", out],
+        "from-finite": ["from-finite", str(finite), "--pairs", "a:b", "--emit", out],
+        "fixtures": ["fixtures", "--name", "hex", "--emit", out],
+    }[command]
+    assert cli(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ParseError:")
 
 
 @pytest.mark.parametrize(

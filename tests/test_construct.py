@@ -12,7 +12,7 @@ from perigid.construct import (
     transport_stress,
 )
 from perigid.errors import DependentLatticeVectors, PairConditionViolated
-from perigid.linalg import numeric_rank, psd_check
+from perigid.linalg import numeric_rank, symmetric_spectrum
 from perigid.stress import verify_equilibrium, weighted_laplacians
 
 SQRT2 = math.sqrt(2.0)
@@ -55,7 +55,7 @@ def test_octagon_finite_stress_verifies(octagon):
 def test_octagon_finite_laplacian_rank_and_psd(octagon, tol):
     lap = octagon.finite.weighted_laplacian(octagon.finite_stress)
     assert numeric_rank(lap, tol).rank == 5
-    assert psd_check(lap, tol).is_psd
+    assert symmetric_spectrum(lap, tol).is_psd
 
 
 def test_finite_to_periodic_reproduces_golden_quotient(octagon):
@@ -75,7 +75,7 @@ def test_octagon_quotient_laplacian_matches_golden(octagon, tol):
     laps = weighted_laplacians(octagon.graph, octagon.stress)
     assert np.abs(laps.zd_laplacian - OCTAGON_LZD).max() <= 1e-12
     assert numeric_rank(laps.zd_laplacian, tol).rank == 5
-    assert psd_check(laps.zd_laplacian, tol).is_psd
+    assert symmetric_spectrum(laps.zd_laplacian, tol).is_psd
 
 
 def test_octagon_conjugation_identity(octagon, tol):

@@ -182,3 +182,22 @@ def test_components_in_graph_order():
     for name in ("hex", "octagon"):
         graph = catalog[name].graph
         assert graph.components() == [list(graph.vertices)]
+
+
+def test_info_ranks_cycle_gains_once(tmp_path, monkeypatch, capsys):
+    """gain_rank and full_rank_condition share one exact rank per component."""
+    from perigid import fileformat, gain
+    from perigid.cli import cli
+
+    hexes = fixtures()["hex"]
+    path = tmp_path / "hex.json"
+    path.write_bytes(fileformat.dumps(hexes.graph, hexes.realization, hexes.stress))
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return smith_rank(matrix)
+
+    monkeypatch.setattr(gain, "smith_rank", counted)
+    assert cli(["info", str(path)]) == 0
+    assert len(calls) == 1

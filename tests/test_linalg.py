@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perigid.errors import AsymmetricInput, NonFiniteEntry
-from perigid.linalg import numeric_rank, nullspace, psd_check, smith_rank, symmetric_spectrum
+from perigid.linalg import numeric_rank, nullspace, smith_rank, symmetric_spectrum
 from perigid.tolerances import ToleranceVault
 
 SQRT2 = math.sqrt(2.0)
@@ -114,23 +114,22 @@ def test_symmetric_spectrum_matches_numeric_rank_and_psd(tol):
         ref = numeric_rank(m, tol)
         assert (spec.rank, spec.marginal) == (ref.rank, ref.marginal)
         assert spec.nullity == m.shape[0] - ref.rank
-        assert (spec.is_psd, spec.min_eigenvalue) == tuple(psd_check(m, tol))
     floored = symmetric_spectrum(1e-14 * FLEX2_LZD, tol, scale_floor=1.0)
     assert floored.rank == numeric_rank(1e-14 * FLEX2_LZD, tol, scale_floor=1.0).rank == 0
     assert symmetric_spectrum(np.zeros((0, 0)), tol).nullity == 0
 
 
 def test_psd_check_basics(tol):
-    assert psd_check(np.zeros((2, 2)), tol) == (True, 0.0)
-    is_psd, lam_min = psd_check(np.diag([1.0, -1.0]), tol)
-    assert not is_psd and lam_min == pytest.approx(-1.0)
-    ok, _ = psd_check(octagon_finite_laplacian(), tol)
-    assert ok
+    zero = symmetric_spectrum(np.zeros((2, 2)), tol)
+    assert (zero.is_psd, zero.min_eigenvalue) == (True, 0.0)
+    spec = symmetric_spectrum(np.diag([1.0, -1.0]), tol)
+    assert not spec.is_psd and spec.min_eigenvalue == pytest.approx(-1.0)
+    assert symmetric_spectrum(octagon_finite_laplacian(), tol).is_psd
 
 
 def test_psd_check_rejects_asymmetric(tol):
     with pytest.raises(AsymmetricInput):
-        psd_check(np.array([[0.0, 1.0], [0.0, 0.0]]), tol)
+        symmetric_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]), tol)
 
 
 def test_psd_check_conjugation_invariance(tol):
@@ -140,7 +139,7 @@ def test_psd_check_conjugation_invariance(tol):
         a = rng.standard_normal((n, n))
         s = a + a.T
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        assert psd_check(s, tol).is_psd == psd_check(q @ s @ q.T, tol).is_psd
+        assert symmetric_spectrum(s, tol).is_psd == symmetric_spectrum(q @ s @ q.T, tol).is_psd
 
 
 @pytest.mark.parametrize(

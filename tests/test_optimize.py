@@ -5,6 +5,7 @@ import pytest
 
 from perigid.certify import Verdict
 from perigid.errors import (
+    DegenerateKernel,
     FlatLattice,
     HypothesisFailed,
     ImproperStress,
@@ -226,6 +227,63 @@ def test_standard_realization_single_orbit(flex1, tol):
     assert report.passed and report.lam > 0
     assert abs(abs(np.linalg.det(real.lattice)) - 1.0) <= 1e-9
     assert np.abs(real.points["v1"]).max() <= 1e-12
+
+
+def _cable_framework(seed: int, n: int = 40, d: int = 2):
+    """Seeded connected all-cable gain graph with positive weights: a random
+    tree plus chords, gains in {-1, 0, 1}^d, so Lzd is PSD with kernel 1-hat."""
+    rng = np.random.default_rng(seed)
+    edges = {}  # tail < head throughout, so distinct keys are distinct edges
+    for head in range(1, n):
+        edges[(int(rng.integers(head)), head, tuple(rng.integers(-1, 2, d).tolist()))] = None
+    while len(edges) < 2 * n + 1:
+        tail, head = sorted(rng.choice(n, 2, replace=False).tolist())
+        edges[(tail, head, tuple(rng.integers(-1, 2, d).tolist()))] = None
+    graph = GainGraph(
+        d, [f"v{i}" for i in range(n)], [(f"v{t}", f"v{h}", g, "cable") for t, h, g in edges]
+    )
+    return graph, rng.uniform(0.5, 1.5, graph.num_edges)
+
+
+@pytest.mark.parametrize("case", ["hex", "cable40"])
+def test_standard_realization_one_eigvalsh_one_eigh_no_svd(
+    hexes, tol, count_factorisations, case
+):
+    graph, weights = (hexes.graph, hexes.stress) if case == "hex" else _cable_framework(5)
+    n, d = graph.num_vertices, graph.dimension
+    calls = count_factorisations()
+    _, report = standard_realization(graph, weights, tol)
+    assert report.passed
+    assert calls == [("eigvalsh", (n + d, n + d)), ("eigh", (d, d))]
+
+
+@pytest.mark.parametrize("case", ["hex", "cable40"])
+def test_standard_realization_normal_form(hexes, tol, case):
+    """p(v1) = 0 exactly and a symmetric positive-definite lattice."""
+    graph, weights = (hexes.graph, hexes.stress) if case == "hex" else _cable_framework(5)
+    real, report = standard_realization(graph, weights, tol)
+    assert report.passed
+    assert np.array_equal(real.points[graph.vertices[0]], np.zeros(graph.dimension))
+    assert np.array_equal(real.lattice, real.lattice.T)
+    assert np.linalg.eigvalsh(real.lattice)[0] > 0
+
+
+def test_standard_realization_singular_solve_is_degenerate_kernel(
+    hexes, tol, monkeypatch, tmp_path, capsys
+):
+    from perigid import fileformat
+    from perigid.cli import cli
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(DegenerateKernel):
+        standard_realization(hexes.graph, hexes.stress, tol)
+    path = tmp_path / "hex.json"
+    path.write_bytes(fileformat.dumps(hexes.graph, hexes.realization, hexes.stress))
+    assert cli(["minimize", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: DegenerateKernel:")
 
 
 def test_verify_kkt_requires_feasibility(hexes, tol):
