@@ -29,12 +29,13 @@ from .errors import DegenerateEdge, FlatLattice, ImproperStress, NotAffinelySpan
 from .framework import (
     Realization,
     edge_vectors,
+    fixed_rigidity_matrix,
     is_affinely_spanning,
-    is_infinitesimally_rigid,
     random_realization,
+    rigidity_matrix,
 )
 from .gain import GainGraph
-from .linalg import nullspace, symmetric_spectrum
+from .linalg import _left_kernel_sample, nullspace, symmetric_spectrum
 from .stress import (
     _equilibrium,
     fixed_stress_space,
@@ -149,25 +150,6 @@ def conic_at_infinity(
     return q / np.linalg.norm(q)
 
 
-def conic_deformation(real: Realization, q: np.ndarray, t: float) -> Realization:
-    """Equivalent non-congruent affine image built from a conic witness.
-
-    Diagonalize Q, rescale so its top eigenvalue is at most one, and apply the
-    square-root deformation A_t with I - A_t^T A_t = t Q; measurements of edges
-    annihilated by Q are preserved exactly.
-    """
-    q = np.asarray(q, dtype=float)
-    q = 0.5 * (q + q.T)
-    eigvals, eigvecs = np.linalg.eigh(q)
-    top = float(eigvals[-1])
-    if top > 1.0:
-        q = q / top
-        eigvals = eigvals / top
-    factors = np.sqrt(1.0 - t * eigvals)
-    a_t = eigvecs @ np.diag(factors) @ eigvecs.T
-    return real.transformed(a_t)
-
-
 def _decide(verdict_on_pass: str, clauses, **witness) -> Certificate:
     """``verdict_on_pass`` when every ``(holds, message)`` clause holds, else
     Inconclusive naming the first failing clause; ``witness`` fills the rest."""
@@ -269,12 +251,6 @@ def certify_spiderweb(
     )
 
 
-def _random_unit_combination(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    coeffs = rng.standard_normal(basis.shape[1])
-    vec = basis @ coeffs
-    return vec / np.linalg.norm(vec)
-
-
 def _trial_loop(tol: ToleranceVault, salt: int, trial, verdicts: tuple[str, str]) -> Certificate:
     """Majority over ``tol.generic_trials`` seeded trials.
 
@@ -293,14 +269,17 @@ def _trial_loop(tol: ToleranceVault, salt: int, trial, verdicts: tuple[str, str]
     )
 
 
-def _sample_stress(entry: dict, graph, basis, rng, tol, block: str, kernel: int) -> dict:
-    """Finish a trial entry: a random stress from ``basis`` is positive when its
-    ``block`` Laplacian (``laplacian`` or ``zd_laplacian``) has nullity ``kernel``."""
-    entry["stress_space_dim"] = int(basis.shape[1])
-    if basis.shape[1] == 0:
-        entry.update(positive=False, branch="stress-free")
+def _sample_stress(entry: dict, graph, rank: int, stress, tol, block: str, kernel: int) -> dict:
+    """Finish a trial entry from the rank of its rigidity matrix and a random
+    ``stress``: positive when the stress's ``block`` Laplacian (``laplacian`` or
+    ``zd_laplacian``) has nullity ``kernel``.  With no stress but zero, that
+    Laplacian is zero and its nullity is the block's order."""
+    entry["stress_space_dim"] = dim = graph.num_edges - rank
+    if dim == 0:
+        order = graph.num_vertices + (graph.dimension if block == "zd_laplacian" else 0)
+        entry.update(positive=order == kernel, branch="stress-free")
         return entry
-    laps = weighted_laplacians(graph, _random_unit_combination(basis, rng))
+    laps = weighted_laplacians(graph, stress)
     kernel_dim = symmetric_spectrum(getattr(laps, block), tol, laps.weight_scale).nullity
     entry.update(
         stress_kernel_dim=int(kernel_dim), positive=kernel_dim == kernel, branch="stress sampling"
@@ -311,23 +290,27 @@ def _sample_stress(entry: dict, graph, basis, rng, tol, block: str, kernel: int)
 def generic_global_rigidity_test(graph: GainGraph, tol: ToleranceVault) -> Certificate:
     """Randomized decision of generic global rigidity (flexible lattice).
 
-    Per trial: a fresh seeded realization must be infinitesimally rigid and a
-    random stress from its stress space must have a stress matrix of kernel
-    dimension exactly d+1.  Single-orbit graphs reduce to infinitesimal
-    rigidity alone.  The verdict is the majority over the trials and the
-    marginal flag records any disagreement.
+    Per trial: one least-squares solve of the rigidity matrix R at a fresh
+    seeded realization gives its rank and a random stress (a Gaussian
+    projected onto the left kernel of R).  The framework must be
+    infinitesimally rigid (nullity of R equal to d(d+1)/2) and the stress
+    matrix of that stress must have kernel dimension exactly d+1.
+    Single-orbit graphs reduce to infinitesimal rigidity alone.  The verdict
+    is the majority over the trials and the marginal flag records any
+    disagreement.
     """
+    d = graph.dimension
 
     def trial(seed: int, rng) -> dict:
         real = random_realization(graph, tol, seed=seed)
-        rigid = is_infinitesimally_rigid(graph, real, tol)
+        rank, stress = _left_kernel_sample(rigidity_matrix(graph, real), rng, tol)
+        rigid = d * graph.num_vertices + d * d - rank == d * (d + 1) // 2
         entry = {"seed": seed, "infinitesimally_rigid": rigid}
         if graph.num_vertices == 1 or not rigid:
             branch = "single-orbit" if graph.num_vertices == 1 else "not infinitesimally rigid"
             entry.update(positive=rigid, branch=branch)
             return entry
-        basis = stress_space(graph, real, tol)
-        return _sample_stress(entry, graph, basis, rng, tol, "zd_laplacian", graph.dimension + 1)
+        return _sample_stress(entry, graph, rank, stress, tol, "zd_laplacian", d + 1)
 
     verdicts = (Verdict.GENERIC_GLOBALLY_RIGID, Verdict.GENERIC_NOT_GLOBALLY_RIGID)
     return _trial_loop(tol, 0x9E3779B9, trial, verdicts)
@@ -340,9 +323,11 @@ def generic_fixed_global_rigidity_test(
 ) -> Certificate:
     """Randomized decision of generic fixed-lattice global rigidity.
 
-    Per trial: sample positions (and the lattice unless one is supplied), draw
-    a random stress from the fixed-lattice stress space, and test whether the
-    weighted Laplacian has kernel dimension exactly one.
+    Per trial: sample positions (and the lattice unless one is supplied),
+    take the rank of the fixed-lattice rigidity matrix and a random stress of
+    its left kernel from one least-squares solve, and test whether the
+    weighted Laplacian has kernel dimension exactly one.  With no nonzero
+    stress only a single vertex orbit passes: it can only be translated.
     """
     if lattice is not None:
         lattice = np.asarray(lattice, dtype=float)
@@ -353,8 +338,8 @@ def generic_fixed_global_rigidity_test(
         real = random_realization(graph, tol, seed=seed)
         if lattice is not None:
             real = Realization(real.points, lattice)
-        basis = fixed_stress_space(graph, real, tol)
-        return _sample_stress({"seed": seed}, graph, basis, rng, tol, "laplacian", 1)
+        rank, stress = _left_kernel_sample(fixed_rigidity_matrix(graph, real), rng, tol)
+        return _sample_stress({"seed": seed}, graph, rank, stress, tol, "laplacian", 1)
 
     verdicts = (Verdict.FIXED_GENERIC_GLOBALLY_RIGID, Verdict.FIXED_GENERIC_NOT_GLOBALLY_RIGID)
     return _trial_loop(tol, 0x517CC1B7, trial, verdicts)

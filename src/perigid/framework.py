@@ -68,24 +68,6 @@ def rep_matrix(graph: GainGraph, real: Realization) -> np.ndarray:
     return np.hstack([point_matrix(graph, real), real.lattice])
 
 
-def realization_vector(graph: GainGraph, real: Realization) -> np.ndarray:
-    """Concatenated vector form [p; l] of length d|V| + d^2."""
-    p = np.concatenate([real.points[v] for v in graph.vertices])
-    ell = real.lattice.flatten(order="F")
-    return np.concatenate([p, ell])
-
-
-def realization_from_vector(graph: GainGraph, vec: np.ndarray) -> Realization:
-    d = graph.dimension
-    n = graph.num_vertices
-    vec = np.asarray(vec, dtype=float).reshape(-1)
-    if vec.size != d * n + d * d:
-        raise ValueError("vector has the wrong length for this graph")
-    points = {v: vec[d * i : d * (i + 1)] for i, v in enumerate(graph.vertices)}
-    lattice = vec[d * n :].reshape(d, d, order="F")
-    return Realization(points, lattice)
-
-
 def is_affinely_spanning(graph: GainGraph, real: Realization, tol: ToleranceVault) -> bool:
     """True when the lattice translates of the points affinely span d-space.
 

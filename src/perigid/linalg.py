@@ -61,6 +61,23 @@ def _rank_cut(
     return rank, marginal
 
 
+def _left_kernel_sample(
+    matrix, rng: np.random.Generator, tol: ToleranceVault
+) -> tuple[int, np.ndarray]:
+    """Rank of ``matrix`` and a random vector of its left kernel, from one
+    least-squares solve.
+
+    LAPACK zeroes the singular values at or below ``rcond * sigma_1``, which
+    is :func:`_rank_cut`'s rule with no floor.  The residual ``x - R fit`` of
+    a standard Gaussian ``x`` is its orthogonal projection onto the left
+    kernel, so it is an isotropic Gaussian there.
+    """
+    m = _as_float_matrix(matrix)
+    x = rng.standard_normal(m.shape[0])
+    fit, _, rank, _ = np.linalg.lstsq(m, x, rcond=tol.rank_rel_tol * max(m.shape))
+    return int(rank), x - m @ fit
+
+
 def numeric_rank(matrix, tol: ToleranceVault, scale_floor: float = 0.0) -> RankResult:
     """Rank of a real matrix from its singular values.
 
@@ -130,13 +147,10 @@ def _as_int_rows(matrix) -> list[list[int]]:
         return []
     if arr.ndim != 2:
         raise ValueError("expected a 2-d integer matrix")
-    if not np.issubdtype(arr.dtype, np.integer):
+    if not np.issubdtype(arr.dtype, np.integer) and arr.dtype != object:
         if np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.round(arr)):
             raise ValueError("smith_rank requires exact integer input, not floats")
-        if arr.dtype == object:
-            pass
-        else:
-            raise ValueError("smith_rank requires exact integer input")
+        raise ValueError("smith_rank requires exact integer input")
     return [[int(x) for x in row] for row in arr.tolist()]
 
 

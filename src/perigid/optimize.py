@@ -28,8 +28,6 @@ from .errors import (
 from .framework import (
     Realization,
     measurement,
-    realization_from_vector,
-    realization_vector,
     rep_matrix,
     rigidity_matrix,
 )
@@ -220,50 +218,3 @@ def certify_volume_constrained(
         marginal=spec.marginal,
         residuals={"volume_equilibrium": eq.residual},
     )
-
-
-def projected_gradient_refine(
-    graph: GainGraph,
-    weights,
-    real: Realization,
-    tol: ToleranceVault,
-    steps: int = 200,
-    step_size: float = 0.05,
-) -> Realization:
-    """Validation-only refiner: gradient descent re-projected onto volume >= 1.
-
-    The closed-form solver never calls this; tests use it to confirm the
-    closed-form output cannot be improved upon.
-    """
-    d = graph.dimension
-
-    def project(vec: np.ndarray) -> Optional[Realization]:
-        candidate = realization_from_vector(graph, vec)
-        det = abs(float(np.linalg.det(candidate.lattice)))
-        if det < tol.residual_tol:
-            return None
-        if det < 1.0:
-            candidate = Realization(
-                candidate.points, candidate.lattice * det ** (-1.0 / d)
-            )
-        return candidate
-
-    current = project(realization_vector(graph, real)) or real
-    current_energy = energy(graph, weights, current, tol)
-    for _ in range(steps):
-        grad = energy_gradient(graph, weights, current, tol)
-        base = realization_vector(graph, current)
-        step = step_size
-        improved = False
-        while step > 1e-10:
-            candidate = project(base - step * grad)
-            if candidate is not None:
-                cand_energy = energy(graph, weights, candidate, tol)
-                if cand_energy < current_energy - 1e-15:
-                    current, current_energy = candidate, cand_energy
-                    improved = True
-                    break
-            step *= 0.5
-        if not improved:
-            break
-    return current

@@ -1,0 +1,94 @@
+"""Reference helpers that only the tests use: vector forms of a realization,
+the conic deformation and a projected-gradient refiner."""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from perigid.framework import Realization
+from perigid.gain import GainGraph
+from perigid.optimize import energy, energy_gradient
+from perigid.tolerances import ToleranceVault
+
+
+def realization_vector(graph: GainGraph, real: Realization) -> np.ndarray:
+    """Concatenated vector form [p; l] of length d|V| + d^2 (lattice columns in order)."""
+    p = np.concatenate([real.points[v] for v in graph.vertices])
+    ell = real.lattice.flatten(order="F")
+    return np.concatenate([p, ell])
+
+
+def realization_from_vector(graph: GainGraph, vec: np.ndarray) -> Realization:
+    d = graph.dimension
+    n = graph.num_vertices
+    vec = np.asarray(vec, dtype=float).reshape(-1)
+    if vec.size != d * n + d * d:
+        raise ValueError("vector has the wrong length for this graph")
+    points = {v: vec[d * i : d * (i + 1)] for i, v in enumerate(graph.vertices)}
+    lattice = vec[d * n :].reshape(d, d, order="F")
+    return Realization(points, lattice)
+
+
+def conic_deformation(real: Realization, q: np.ndarray, t: float) -> Realization:
+    """Equivalent non-congruent affine image built from a conic witness.
+
+    Diagonalize Q, rescale so its top eigenvalue is at most one, and apply the
+    square-root deformation A_t with I - A_t^T A_t = t Q; measurements of edges
+    annihilated by Q are preserved exactly.
+    """
+    q = np.asarray(q, dtype=float)
+    q = 0.5 * (q + q.T)
+    eigvals, eigvecs = np.linalg.eigh(q)
+    top = float(eigvals[-1])
+    if top > 1.0:
+        q = q / top
+        eigvals = eigvals / top
+    factors = np.sqrt(1.0 - t * eigvals)
+    a_t = eigvecs @ np.diag(factors) @ eigvecs.T
+    return real.transformed(a_t)
+
+
+def projected_gradient_refine(
+    graph: GainGraph,
+    weights,
+    real: Realization,
+    tol: ToleranceVault,
+    steps: int = 200,
+    step_size: float = 0.05,
+) -> Realization:
+    """Gradient descent re-projected onto volume >= 1, to confirm that the
+    closed-form minimizer cannot be improved upon."""
+    d = graph.dimension
+
+    def project(vec: np.ndarray) -> Optional[Realization]:
+        candidate = realization_from_vector(graph, vec)
+        det = abs(float(np.linalg.det(candidate.lattice)))
+        if det < tol.residual_tol:
+            return None
+        if det < 1.0:
+            candidate = Realization(
+                candidate.points, candidate.lattice * det ** (-1.0 / d)
+            )
+        return candidate
+
+    current = project(realization_vector(graph, real)) or real
+    current_energy = energy(graph, weights, current, tol)
+    for _ in range(steps):
+        grad = energy_gradient(graph, weights, current, tol)
+        base = realization_vector(graph, current)
+        step = step_size
+        improved = False
+        while step > 1e-10:
+            candidate = project(base - step * grad)
+            if candidate is not None:
+                cand_energy = energy(graph, weights, candidate, tol)
+                if cand_energy < current_energy - 1e-15:
+                    current, current_energy = candidate, cand_energy
+                    improved = True
+                    break
+            step *= 0.5
+        if not improved:
+            break
+    return current

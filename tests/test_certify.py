@@ -10,7 +10,6 @@ from perigid.certify import (
     certify_spiderweb,
     certify_super_stable,
     conic_at_infinity,
-    conic_deformation,
     generic_fixed_global_rigidity_test,
     generic_global_rigidity_test,
     reverify,
@@ -22,8 +21,10 @@ from perigid.framework import (
     measurement,
     random_realization,
 )
-from perigid.gain import GainEdge, GainGraph
+from perigid.gain import GainEdge, GainGraph, canonicalize_edge
 from perigid.tolerances import ToleranceVault
+
+from oracles import conic_deformation
 
 
 def test_conic_examples(flex1, flex2, tol):
@@ -306,6 +307,99 @@ def test_generic_fixed_positive(tol):
     g = GainGraph(2, ("a", "b"), [("a", "b", (0, 0)), ("a", "b", (1, 0)), ("a", "b", (0, 1))])
     cert = generic_fixed_global_rigidity_test(g, tol)
     assert cert.verdict == Verdict.FIXED_GENERIC_GLOBALLY_RIGID
+
+
+def test_generic_fixed_single_orbit_positive_with_or_without_loop(tmp_path, tol):
+    """Under a fixed lattice one vertex orbit can only be translated, and a
+    loop adds no constraint: both graphs are positive, also in the CLI."""
+    from perigid import fileformat
+    from perigid.cli import cli
+
+    bare = GainGraph(2, ("v",), [])
+    looped = GainGraph(2, ("v",), [("v", "v", (1, 0))])
+    for name, graph in (("bare", bare), ("looped", looped)):
+        cert = generic_fixed_global_rigidity_test(graph, tol)
+        assert cert.verdict == Verdict.FIXED_GENERIC_GLOBALLY_RIGID, name
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(fileformat.dumps(graph))
+        assert cli(["generic-test", str(path), "--mode", "fixed"]) == 0, name
+    branches = [t["branch"] for t in generic_fixed_global_rigidity_test(bare, tol).trial_log]
+    assert branches == ["stress-free"] * tol.generic_trials
+
+
+def _out_degree_graph(seed: int, n: int = 40, out: int = 3, d: int = 2) -> GainGraph:
+    """Seeded gain graph: each vertex sends ``out`` edges to random other
+    vertices, with gains in {-1, 0, 1}^d."""
+    rng = np.random.default_rng(seed)
+    verts = tuple(f"v{i}" for i in range(n))
+    edges = {}  # keyed by edge class, so no two edges are equivalent
+    for tail in range(n):
+        sent = 0
+        while sent < out:
+            head, gain = int(rng.integers(n)), tuple(rng.integers(-1, 2, d).tolist())
+            if head == tail:
+                continue
+            key = canonicalize_edge(verts[tail], verts[head], gain, verts)[:3]
+            if key not in edges:
+                edges[key] = None
+                sent += 1
+    return GainGraph(d, verts, list(edges))
+
+
+@pytest.mark.parametrize("mode", ["flexible", "fixed"])
+@pytest.mark.parametrize("case", ["flex2+orbit", "out3-40"])
+def test_generic_trial_one_lstsq_one_eigvalsh_no_svd(flex2, tol, count_factorisations, mode, case):
+    """Each trial: one least-squares solve of R and one eigvalsh of the stress Laplacian."""
+    if case == "flex2+orbit":
+        edges = [(e.tail, e.head, e.gain) for e in flex2.graph.edges]
+        graph = GainGraph(2, flex2.graph.vertices, edges + [("v1", "v2", (0, 1))])
+    else:
+        graph = _out_degree_graph(0)
+    n, d, e = graph.num_vertices, graph.dimension, graph.num_edges
+    calls = count_factorisations()
+    if mode == "flexible":
+        assert generic_global_rigidity_test(graph, tol).positive
+        per_trial = [("lstsq", (e, d * n + d * d)), ("eigvalsh", (n + d, n + d))]
+    else:
+        assert generic_fixed_global_rigidity_test(graph, tol).positive
+        per_trial = [("lstsq", (e, d * n)), ("eigvalsh", (n, n))]
+    assert calls == per_trial * tol.generic_trials
+
+
+def test_generic_trials_match_public_rank_and_stress_space(tol):
+    """Each trial's rigidity and stress-space dimension equal those of the
+    public functions at the trial's realization, on seeded gain graphs."""
+    from perigid.framework import is_infinitesimally_rigid
+    from perigid.stress import fixed_stress_space, stress_space
+
+    rng = np.random.default_rng(11)
+    branches = set()
+    for _ in range(60):
+        d, n = int(rng.integers(2, 4)), int(rng.integers(1, 9))
+        verts = tuple(f"v{i}" for i in range(n))
+        edges = {}  # keyed by edge class, so no two edges are equivalent
+        for _ in range(int(rng.integers(0, d * n + d * d + 2))):
+            tail, head = sorted(int(x) for x in rng.integers(n, size=2))
+            gain = tuple(int(x) for x in rng.integers(-1, 2, d))
+            if tail != head or any(gain):
+                edges[canonicalize_edge(verts[tail], verts[head], gain, verts)[:3]] = None
+        graph = GainGraph(d, verts, list(edges))
+        for entry in generic_global_rigidity_test(graph, tol).trial_log:
+            real = random_realization(graph, tol, seed=entry["seed"])
+            assert entry["infinitesimally_rigid"] == is_infinitesimally_rigid(graph, real, tol)
+            if "stress_space_dim" in entry:
+                assert entry["stress_space_dim"] == stress_space(graph, real, tol).shape[1]
+            branches.add(("flexible", entry["branch"]))
+        for entry in generic_fixed_global_rigidity_test(graph, tol).trial_log:
+            real = random_realization(graph, tol, seed=entry["seed"])
+            assert entry["stress_space_dim"] == fixed_stress_space(graph, real, tol).shape[1]
+            branches.add(("fixed", entry["branch"]))
+    assert branches >= {
+        ("flexible", "not infinitesimally rigid"),
+        ("flexible", "stress sampling"),
+        ("fixed", "stress-free"),
+        ("fixed", "stress sampling"),
+    }
 
 
 def test_generic_tests_deterministic_and_stable(hexes, tol):

@@ -11,13 +11,13 @@ from perigid.framework import (
     is_infinitesimally_rigid,
     measurement,
     random_realization,
-    realization_from_vector,
-    realization_vector,
     rigidity_matrix,
     trivial_motions,
     volume_rigidity_matrix,
 )
 from perigid.gain import GainGraph
+
+from oracles import realization_from_vector, realization_vector
 
 
 def single_edge():

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perigid.errors import AsymmetricInput, NonFiniteEntry
-from perigid.linalg import numeric_rank, nullspace, smith_rank, symmetric_spectrum
+from perigid.linalg import (
+    _left_kernel_sample,
+    numeric_rank,
+    nullspace,
+    smith_rank,
+    symmetric_spectrum,
+)
 from perigid.tolerances import ToleranceVault
 
 SQRT2 = math.sqrt(2.0)
@@ -161,8 +167,12 @@ def test_smith_rank_empty():
 
 
 def test_smith_rank_rejects_floats():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not floats"):
         smith_rank(np.array([[1.0, 2.0]]))
+    for bad in (np.array([[1.5, 2.0]]), np.array([["1", "2"]]), np.array([[True, False]])):
+        with pytest.raises(ValueError, match="exact integer input$"):
+            smith_rank(bad)
+    assert smith_rank(np.array([[10**30, 1], [2 * 10**30, 2]], dtype=object)) == 1
 
 
 @settings(max_examples=1000, deadline=None)
@@ -176,3 +186,32 @@ def test_numeric_rank_agrees_with_smith_rank(rows, cols, seed):
     m = rng.integers(-10, 11, size=(rows, cols))
     tol = ToleranceVault()
     assert numeric_rank(m.astype(float), tol).rank == smith_rank(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.sampled_from(["zero", "rank-deficient", "random"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_left_kernel_sample_matches_numeric_rank_and_nullspace(rows, cols, kind, seed):
+    """One least-squares solve gives numeric_rank's rank and the projection of
+    its Gaussian onto nullspace's left kernel."""
+    tol = ToleranceVault()
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        m = np.zeros((rows, cols))
+    elif kind == "rank-deficient":
+        # orthonormal factors and singular values in [1, 10]: a well-separated cut
+        r = int(rng.integers(0, max(min(rows, cols), 1)))
+        u = np.linalg.qr(rng.standard_normal((rows, r)))[0]
+        v = np.linalg.qr(rng.standard_normal((cols, r)))[0]
+        m = u @ np.diag(rng.uniform(1.0, 10.0, r)) @ v.T
+    else:
+        m = rng.standard_normal((rows, cols))
+    rank, vec = _left_kernel_sample(m, np.random.default_rng(seed + 1), tol)
+    x = np.random.default_rng(seed + 1).standard_normal(rows)
+    assert rank == numeric_rank(m, tol).rank
+    kernel = nullspace(m, "left", tol)
+    assert np.linalg.norm(vec - kernel @ (kernel.T @ x)) <= 1e-10 * np.linalg.norm(x)
