@@ -28,9 +28,11 @@ import numpy as np
 from .errors import DegenerateEdge, FlatLattice, ImproperStress, NotAffinelySpanning, NotSpiderweb
 from .framework import (
     Realization,
+    _non_flat,
     edge_vectors,
     fixed_rigidity_matrix,
     is_affinely_spanning,
+    point_matrix,
     random_realization,
     rigidity_matrix,
 )
@@ -136,8 +138,10 @@ def conic_at_infinity(
     kernel vector reshapes to the witness conic.
     """
     nu = edge_vectors(graph, real)
-    lengths = np.linalg.norm(nu, axis=1)
-    if np.any(lengths <= tol.residual_tol):
+    # an edge vector p(h) + L g - p(t) is zero when it cancels below its terms
+    pts = np.linalg.norm(point_matrix(graph, real), axis=0)
+    terms = pts[graph.head_idx] + np.linalg.norm(graph.gain_array @ real.lattice.T, axis=1)
+    if np.any(np.linalg.norm(nu, axis=1) <= tol.residual_tol * (terms + pts[graph.tail_idx])):
         raise DegenerateEdge("conic test needs nonzero edge vectors")
     system = np.vstack([_sym_basis_row(v) for v in nu]) if graph.num_edges else np.zeros(
         (0, graph.dimension * (graph.dimension + 1) // 2)
@@ -245,7 +249,7 @@ def certify_spiderweb(
     if not real.non_flat(tol):
         raise NotSpiderweb("spiderwebs are non-flat")
     w = np.asarray(weights, dtype=float).reshape(-1)
-    positive = bool(np.all(w > tol.residual_tol))
+    positive = bool(np.all(w > tol.residual_tol * np.abs(w).max(initial=0.0)))
     return _fixed_certificate(
         graph, real, w, tol, [(positive, "stress is not strictly positive on every cable")]
     )
@@ -257,33 +261,32 @@ def _trial_loop(tol: ToleranceVault, salt: int, trial, verdicts: tuple[str, str]
     ``trial(seed, rng)`` returns the trial's log entry, whose ``positive`` key
     votes; ``rng`` is seeded with ``seed ^ salt``.  The verdict is
     ``verdicts[0]`` on a strict majority, else ``verdicts[1]``; the marginal
-    flag records any disagreement between trials.
+    flag records any disagreement between trials and any marginal trial.
     """
     seeds = range(tol.rng_seed, tol.rng_seed + tol.generic_trials)
     trials = [trial(seed, np.random.default_rng(seed ^ salt)) for seed in seeds]
     positives = sum(1 for t in trials if t["positive"])
     return Certificate(
         verdict=verdicts[0] if positives * 2 > len(trials) else verdicts[1],
-        marginal=0 < positives < len(trials),
+        marginal=0 < positives < len(trials) or any(t["marginal"] for t in trials),
         trial_log=trials,
     )
 
 
-def _sample_stress(entry: dict, graph, rank: int, stress, tol, block: str, kernel: int) -> dict:
-    """Finish a trial entry from the rank of its rigidity matrix and a random
-    ``stress``: positive when the stress's ``block`` Laplacian (``laplacian`` or
-    ``zd_laplacian``) has nullity ``kernel``.  With no stress but zero, that
-    Laplacian is zero and its nullity is the block's order."""
+def _sample_stress(entry: dict, graph, rank, marginal, stress, tol, block, kernel) -> dict:
+    """Finish a trial entry from its rigidity matrix's rank and marginal flag
+    and a random ``stress``: positive when the stress's ``block`` Laplacian has
+    nullity ``kernel``, marginal when either cut is.  With no stress but zero,
+    that Laplacian is zero and its nullity is the block's order."""
     entry["stress_space_dim"] = dim = graph.num_edges - rank
     if dim == 0:
         order = graph.num_vertices + (graph.dimension if block == "zd_laplacian" else 0)
-        entry.update(positive=order == kernel, branch="stress-free")
+        entry.update(positive=order == kernel, branch="stress-free", marginal=marginal)
         return entry
     laps = weighted_laplacians(graph, stress)
-    kernel_dim = symmetric_spectrum(getattr(laps, block), tol, laps.weight_scale).nullity
-    entry.update(
-        stress_kernel_dim=int(kernel_dim), positive=kernel_dim == kernel, branch="stress sampling"
-    )
+    spec = symmetric_spectrum(getattr(laps, block), tol, laps.weight_scale)
+    entry.update(stress_kernel_dim=spec.nullity, positive=spec.nullity == kernel)
+    entry.update(branch="stress sampling", marginal=marginal or spec.marginal)
     return entry
 
 
@@ -297,20 +300,20 @@ def generic_global_rigidity_test(graph: GainGraph, tol: ToleranceVault) -> Certi
     matrix of that stress must have kernel dimension exactly d+1.
     Single-orbit graphs reduce to infinitesimal rigidity alone.  The verdict
     is the majority over the trials and the marginal flag records any
-    disagreement.
+    disagreement or marginal rank cut.
     """
     d = graph.dimension
 
     def trial(seed: int, rng) -> dict:
         real = random_realization(graph, tol, seed=seed)
-        rank, stress = _left_kernel_sample(rigidity_matrix(graph, real), rng, tol)
+        rank, marginal, stress = _left_kernel_sample(rigidity_matrix(graph, real), rng, tol)
         rigid = d * graph.num_vertices + d * d - rank == d * (d + 1) // 2
         entry = {"seed": seed, "infinitesimally_rigid": rigid}
         if graph.num_vertices == 1 or not rigid:
             branch = "single-orbit" if graph.num_vertices == 1 else "not infinitesimally rigid"
-            entry.update(positive=rigid, branch=branch)
+            entry.update(positive=rigid, branch=branch, marginal=marginal)
             return entry
-        return _sample_stress(entry, graph, rank, stress, tol, "zd_laplacian", d + 1)
+        return _sample_stress(entry, graph, rank, marginal, stress, tol, "zd_laplacian", d + 1)
 
     verdicts = (Verdict.GENERIC_GLOBALLY_RIGID, Verdict.GENERIC_NOT_GLOBALLY_RIGID)
     return _trial_loop(tol, 0x9E3779B9, trial, verdicts)
@@ -331,15 +334,16 @@ def generic_fixed_global_rigidity_test(
     """
     if lattice is not None:
         lattice = np.asarray(lattice, dtype=float)
-        if abs(float(np.linalg.det(lattice))) <= tol.residual_tol:
+        if not _non_flat(lattice, tol):
             raise FlatLattice("supplied lattice is singular")
 
     def trial(seed: int, rng) -> dict:
         real = random_realization(graph, tol, seed=seed)
         if lattice is not None:
             real = Realization(real.points, lattice)
-        rank, stress = _left_kernel_sample(fixed_rigidity_matrix(graph, real), rng, tol)
-        return _sample_stress({"seed": seed}, graph, rank, stress, tol, "laplacian", 1)
+        rank, marginal, stress = _left_kernel_sample(fixed_rigidity_matrix(graph, real), rng, tol)
+        entry = {"seed": seed}
+        return _sample_stress(entry, graph, rank, marginal, stress, tol, "laplacian", 1)
 
     verdicts = (Verdict.FIXED_GENERIC_GLOBALLY_RIGID, Verdict.FIXED_GENERIC_NOT_GLOBALLY_RIGID)
     return _trial_loop(tol, 0x517CC1B7, trial, verdicts)

@@ -23,7 +23,6 @@ from .framework import (
     Realization,
     fixed_rigidity_matrix,
     rigidity_matrix,
-    volume_rigidity_matrix,
 )
 from .gain import GainGraph
 from .linalg import numeric_rank, symmetric_spectrum
@@ -101,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _vault(args) -> ToleranceVault:
     kwargs = {}
     if args.tol is not None:
-        kwargs.update(rank_rel_tol=args.tol, psd_slack=args.tol, residual_tol=args.tol)
+        kwargs.update(rank_rel_tol=args.tol, residual_tol=args.tol)
     seed = args.seed
     if seed is None and os.environ.get(ENV_SEED):
         try:
@@ -215,31 +214,30 @@ def _run_info(parsed, vault, args) -> tuple[dict, int]:
 def _run_rank(parsed, vault, args) -> tuple[dict, int]:
     graph = parsed.graph
     real = _need_realization(parsed)
-    payload = {}
+    n, edges = graph.num_vertices, graph.num_edges
+
+    def entry(shape, rank, marginal=False) -> dict:
+        return {"shape": list(shape), "rank": rank, "marginal": marginal}
+
+    # the incidence ranks are exact integers, so neither matrix is built
+    payload = {
+        "incidence": entry((edges, n), n - len(graph.components())),
+        "incidence_zd": entry((edges, n + graph.dimension), graph.full_rank_condition()[1]),
+    }
     for name, matrix in (
-        ("incidence", graph.incidence()),
-        ("incidence_zd", graph.incidence_zd()),
         ("rigidity", rigidity_matrix(graph, real)),
         ("fixed_rigidity", fixed_rigidity_matrix(graph, real)),
     ):
         res = numeric_rank(matrix, vault)
-        payload[name] = {
-            "shape": list(matrix.shape),
-            "rank": res.rank,
-            "marginal": res.marginal,
-        }
+        payload[name] = entry(matrix.shape, res.rank, res.marginal)
     if real.non_flat(vault):
-        res = numeric_rank(volume_rigidity_matrix(graph, real, vault), vault)
+        res = numeric_rank(stress._balanced_volume_rigidity(graph, real, vault)[0], vault)
         payload["volume_rigidity"] = {"rank": res.rank, "marginal": res.marginal}
     if parsed.stress is not None:
         laps = stress.weighted_laplacians(graph, parsed.stress)
         for name, matrix in (("laplacian", laps.laplacian), ("zd_laplacian", laps.zd_laplacian)):
             res = symmetric_spectrum(matrix, vault, laps.weight_scale)
-            payload[name] = {
-                "shape": list(matrix.shape),
-                "rank": res.rank,
-                "marginal": res.marginal,
-            }
+            payload[name] = entry(matrix.shape, res.rank, res.marginal)
     return payload, EXIT_OK
 
 
@@ -429,7 +427,6 @@ def _run_single(args, vault: ToleranceVault, path: Optional[str]) -> tuple[str, 
         "input": path,
         "tolerances": {
             "rank_rel_tol": vault.rank_rel_tol,
-            "psd_slack": vault.psd_slack,
             "residual_tol": vault.residual_tol,
             "generic_trials": vault.generic_trials,
         },

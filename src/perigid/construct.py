@@ -18,10 +18,10 @@ from .errors import (
     PairConditionViolated,
     ShapeMismatch,
 )
-from .framework import Realization
+from .framework import Realization, _non_flat
 from .gain import GainEdge, GainGraph, Vertex
 from .stress import weighted_laplacians
-from .tolerances import ToleranceVault
+from .tolerances import DEFAULT_TOL, ToleranceVault
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -111,7 +111,7 @@ def finite_to_periodic(
     columns = np.column_stack(
         [np.asarray(finite.points[v], dtype=float) - np.asarray(finite.points[u], dtype=float) for u, v in pairs]
     )
-    if abs(float(np.linalg.det(columns))) < 1e-12 * max(1.0, float(np.abs(columns).max()) ** d):
+    if not _non_flat(columns, DEFAULT_TOL):
         raise DependentLatticeVectors("pair difference vectors are linearly dependent")
 
     head_index = {v: i for i, v in enumerate(heads)}

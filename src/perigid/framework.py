@@ -41,7 +41,7 @@ class Realization:
         return self.lattice.shape[0]
 
     def non_flat(self, tol: ToleranceVault) -> bool:
-        return abs(float(np.linalg.det(self.lattice))) > tol.residual_tol
+        return _non_flat(self.lattice, tol)
 
     def scaled(self, factor: float) -> "Realization":
         return Realization(
@@ -56,6 +56,13 @@ class Realization:
             {v: matrix @ p + shift for v, p in self.points.items()},
             matrix @ self.lattice,
         )
+
+
+def _non_flat(lattice: np.ndarray, tol: ToleranceVault) -> bool:
+    """|det L| against Hadamard's bound, the product of the column lengths:
+    scale-free, and one determinant with no singular values."""
+    bound = float(np.prod(np.linalg.norm(lattice, axis=0)))
+    return abs(float(np.linalg.det(lattice))) > tol.residual_tol * bound
 
 
 def point_matrix(graph: GainGraph, real: Realization) -> np.ndarray:
@@ -183,7 +190,7 @@ def random_realization(
     d = graph.dimension
     points = {v: rng.uniform(1.0, 2.0, size=d) for v in graph.vertices}
     lattice = rng.uniform(1.0, 2.0, size=(d, d))
-    while abs(float(np.linalg.det(lattice))) < tol.residual_tol:
+    while not _non_flat(lattice, tol):
         lattice = rng.uniform(1.0, 2.0, size=(d, d))
     return Realization(points, lattice)
 
@@ -208,7 +215,7 @@ def congruence_check(
     u, _, vt = np.linalg.svd(stack_b @ stack_a.T)
     rot = u @ vt
     shift = (cb - rot @ ca).reshape(-1)
-    scale = max(1.0, float(np.abs(stack_a).max()), float(np.abs(cb).max(initial=0.0)))
+    scale = float(np.abs(np.hstack([pa, pb, real_a.lattice, real_b.lattice])).max())
     residual = max(
         float(np.abs(rot @ pa + shift[:, None] - pb).max()),
         float(np.abs(rot @ real_a.lattice - real_b.lattice).max()),

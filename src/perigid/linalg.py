@@ -49,33 +49,34 @@ def _as_float_matrix(matrix) -> np.ndarray:
 
 def _rank_cut(
     svals: np.ndarray, shape: tuple, tol: ToleranceVault, scale_floor: float
-) -> tuple[int, bool]:
-    """(rank, marginal) from singular values sorted in descending order."""
+) -> tuple[int, bool, float]:
+    """(rank, marginal, threshold) from singular values sorted in descending
+    order; the values at or below the threshold are zero."""
     if svals.size == 0 or svals[0] == 0.0:
-        return 0, False
+        return 0, False, 0.0
     threshold = tol.rank_rel_tol * max(shape) * max(svals[0], scale_floor)
     rank = int(np.sum(svals > threshold))
     marginal = False
     if 0 < rank < svals.size and svals[rank] > 0.0:
         marginal = bool(svals[rank - 1] / svals[rank] < RANK_GAP_GUARD)
-    return rank, marginal
+    return rank, marginal, threshold
 
 
-def _left_kernel_sample(
-    matrix, rng: np.random.Generator, tol: ToleranceVault
-) -> tuple[int, np.ndarray]:
-    """Rank of ``matrix`` and a random vector of its left kernel, from one
-    least-squares solve.
+def _left_kernel_sample(matrix, rng, tol: ToleranceVault) -> tuple[int, bool, np.ndarray]:
+    """Rank, marginal flag and a random left-kernel vector of ``matrix`` from
+    one least-squares solve.
 
-    LAPACK zeroes the singular values at or below ``rcond * sigma_1``, which
-    is :func:`_rank_cut`'s rule with no floor.  The residual ``x - R fit`` of
-    a standard Gaussian ``x`` is its orthogonal projection onto the left
-    kernel, so it is an isotropic Gaussian there.
+    LAPACK zeroes the singular values at or below ``rcond * sigma_1``:
+    :func:`_rank_cut`'s rule with no floor, which reads the cut again from the
+    singular values the solve returns.  The residual ``x - R fit`` of a
+    standard Gaussian ``x`` is its projection onto the left kernel, so it is
+    an isotropic Gaussian there.
     """
     m = _as_float_matrix(matrix)
     x = rng.standard_normal(m.shape[0])
-    fit, _, rank, _ = np.linalg.lstsq(m, x, rcond=tol.rank_rel_tol * max(m.shape))
-    return int(rank), x - m @ fit
+    fit, _, _, svals = np.linalg.lstsq(m, x, rcond=tol.rank_rel_tol * max(m.shape))
+    rank, marginal, _ = _rank_cut(svals, m.shape, tol, 0.0)
+    return rank, marginal, x - m @ fit
 
 
 def numeric_rank(matrix, tol: ToleranceVault, scale_floor: float = 0.0) -> RankResult:
@@ -94,7 +95,7 @@ def numeric_rank(matrix, tol: ToleranceVault, scale_floor: float = 0.0) -> RankR
     if m.size == 0:
         return RankResult(0, np.zeros(0), False)
     svals = np.linalg.svd(m, compute_uv=False)
-    rank, marginal = _rank_cut(svals, m.shape, tol, scale_floor)
+    rank, marginal, _ = _rank_cut(svals, m.shape, tol, scale_floor)
     return RankResult(rank, svals, marginal)
 
 
@@ -109,7 +110,7 @@ def nullspace(matrix, side: str, tol: ToleranceVault) -> np.ndarray:
     if m.size == 0 or not np.any(m):
         return np.eye(dim)
     u, svals, vt = np.linalg.svd(m, full_matrices=True)
-    rank, _ = _rank_cut(svals, m.shape, tol, 0.0)
+    rank, _, _ = _rank_cut(svals, m.shape, tol, 0.0)
     if side == "right":
         return vt[rank:].T
     return u[:, rank:]
@@ -123,7 +124,8 @@ def symmetric_spectrum(matrix, tol: ToleranceVault, scale_floor: float = 0.0) ->
     ``residual_tol * (1 + |S|)``; otherwise symmetrizes before the eigensolve.
     The rank applies :func:`numeric_rank`'s cut, floor and gap guard to the
     eigenvalue magnitudes, which are the singular values of a symmetric
-    matrix.  PSD means ``lambda_min >= -psd_slack * max(1, lambda_max)``.
+    matrix.  PSD means no eigenvalue below minus that cut's threshold, so
+    each eigenvalue is zero, positive or negative by the same one number.
     """
     m = _as_float_matrix(matrix)
     if m.shape[0] != m.shape[1]:
@@ -135,10 +137,9 @@ def symmetric_spectrum(matrix, tol: ToleranceVault, scale_floor: float = 0.0) ->
     if asym > tol.residual_tol * scale:
         raise AsymmetricInput(f"asymmetry {asym:g} exceeds tolerance")
     eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
-    rank, marginal = _rank_cut(np.sort(np.abs(eigs))[::-1], m.shape, tol, scale_floor)
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    is_psd = lam_min >= -tol.psd_slack * max(1.0, lam_max)
-    return SpectrumResult(rank, eigs, marginal, bool(is_psd), lam_min)
+    rank, marginal, threshold = _rank_cut(np.sort(np.abs(eigs))[::-1], m.shape, tol, scale_floor)
+    lam_min = float(eigs[0])
+    return SpectrumResult(rank, eigs, marginal, lam_min >= -threshold, lam_min)
 
 
 def _as_int_rows(matrix) -> list[list[int]]:

@@ -27,12 +27,13 @@ from .errors import (
 )
 from .framework import (
     Realization,
+    _non_flat,
     measurement,
     rep_matrix,
     rigidity_matrix,
 )
 from .gain import GainGraph
-from .linalg import symmetric_spectrum
+from .linalg import _rank_cut, symmetric_spectrum
 from .stress import WeightedLaplacians, _equilibrium, is_proper, weighted_laplacians
 from .tolerances import ToleranceVault
 
@@ -113,17 +114,15 @@ def _kkt(graph, w, real, lam, laps: WeightedLaplacians, tol) -> KktReport:
     slackness = abs(lam * float(np.log(volume)))
     pl = rep_matrix(graph, real)
     form = pl @ laps.zd_laplacian @ pl.T
+    form_scale = float(np.abs(form).max())
     gram_residual = float(np.abs(form - lam * np.eye(graph.dimension)).max())
-    gram_scale = max(1.0, abs(lam), float(np.abs(form).max()))
-    sign_ok = lam >= -tol.residual_tol
-    # primal feasibility is part of being a KKT point, whatever the multiplier
-    volume_ok = volume >= 1.0 - tol.residual_tol
+    # each gate against its own terms; the multiplier's sign against the form it equals
     passed = bool(
         eq.passed
-        and slackness <= tol.residual_tol * max(1.0, abs(lam))
-        and gram_residual <= tol.residual_tol * gram_scale
-        and sign_ok
-        and volume_ok
+        and slackness <= tol.residual_tol * abs(lam)
+        and gram_residual <= tol.residual_tol * max(abs(lam), form_scale)
+        and lam >= -tol.residual_tol * form_scale
+        and np.log(volume) >= -tol.residual_tol
     )
     return KktReport(float(lam), eq.residual, volume, slackness, gram_residual, passed)
 
@@ -170,17 +169,16 @@ def standard_realization(
     gram = basis @ lap_zd @ basis.T
     gram = 0.5 * (gram + gram.T)
     eigvals, eigvecs = np.linalg.eigh(gram)
-    if eigvals[0] <= tol.residual_tol * max(1.0, eigvals[-1]):
+    if eigvals[0] <= _rank_cut(np.abs(eigvals)[::-1], gram.shape, tol, 0.0)[2]:
         raise DegenerateKernel("whitening matrix is numerically singular")
     half = eigvecs / eigvals**0.25
     inv_sqrt = half @ half.T  # exactly symmetric: both triangles sum the same products
     pl = inv_sqrt @ basis  # [P L] with [P L] Lzd [P L]^T = I_d
 
     lattice = pl[:, n:]
-    det = float(np.linalg.det(lattice))
-    if abs(det) <= tol.residual_tol:
+    if not _non_flat(lattice, tol):
         raise DegenerateKernel("constructed lattice is singular")
-    factor = abs(det) ** (-1.0 / d)
+    factor = abs(float(np.linalg.det(lattice))) ** (-1.0 / d)
     pl = factor * pl
     lam = factor * factor
     points = {v: pl[:, i].copy() for i, v in enumerate(graph.vertices)}
@@ -195,7 +193,7 @@ def certify_volume_constrained(
     if not real.non_flat(tol):
         raise FlatLattice("volume certificate needs a nonsingular lattice")
     volume = abs(float(np.linalg.det(real.lattice)))
-    if abs(volume - 1.0) > tol.residual_tol * max(1.0, volume):
+    if abs(np.log(volume)) > tol.residual_tol:
         raise VolumeNotOne(f"lattice volume {volume!r} is not one")
     if not is_proper(graph, weights, tol):
         raise ImproperStress("stress violates the cable/strut sign conditions")
@@ -203,10 +201,12 @@ def certify_volume_constrained(
     laps = weighted_laplacians(graph, w)
     spec = symmetric_spectrum(laps.zd_laplacian, tol, laps.weight_scale)
     eq = _equilibrium(graph, real, w, laps, "volume", tol, lam)
+    # positive: the multiplier's term lam L^-T does not vanish in the balance
+    lam_term = lam * float(np.abs(np.linalg.inv(real.lattice)).max())
     return _decide(
         Verdict.VOLUME_SUPER_STABLE,
         [
-            (lam > tol.residual_tol, f"multiplier {lam!r} is not positive"),
+            (lam_term > tol.residual_tol * eq.scale, f"multiplier {lam!r} is not positive"),
             (eq.passed, f"volume equilibrium residual {eq.residual:g} exceeds tolerance"),
             (spec.nullity == 1, f"stress matrix kernel dimension {spec.nullity} != 1"),
             (spec.is_psd, f"stress matrix not PSD (min eigenvalue {spec.min_eigenvalue:g})"),

@@ -22,7 +22,6 @@ from .framework import (
     Realization,
     fixed_rigidity_matrix,
     point_matrix,
-    rep_matrix,
     rigidity_matrix,
     volume_rigidity_matrix,
 )
@@ -114,21 +113,28 @@ def lambda_stress_space(graph: GainGraph, real: Realization, tol: ToleranceVault
     """Basis (columns) of (w, lambda) pairs satisfying force balance and the
     volume-coupled moment condition; lambda is the last coordinate.
 
-    The left kernel of the extended rigidity matrix carries 2*lambda in its
-    last slot (the extended matrix halves the measurement derivative but the
-    moment condition does not); the returned basis is re-parametrized so the
-    last coordinate is the multiplier that verifies the moment condition
-    directly, then orthonormalized.
+    The left kernel of the balanced volume rigidity matrix carries 2*lambda/c
+    in its last slot (that matrix halves the measurement derivative, the
+    moment condition does not); the basis is re-parametrized to lambda, then
+    orthonormalized.
     """
     if not real.non_flat(tol):
         raise FlatLattice("lambda stresses need a nonsingular lattice")
-    kernel = nullspace(volume_rigidity_matrix(graph, real, tol), "left", tol)
-    if kernel.shape[1] == 0:
-        return kernel
-    scaled = kernel.copy()
-    scaled[-1, :] *= 0.5
-    q, _ = np.linalg.qr(scaled)
+    matrix, balance = _balanced_volume_rigidity(graph, real, tol)
+    kernel = nullspace(matrix, "left", tol)
+    kernel[-1, :] *= 0.5 * balance
+    q, _ = np.linalg.qr(kernel)
     return q
+
+
+def _balanced_volume_rigidity(graph, real, tol) -> tuple[np.ndarray, float]:
+    """The volume rigidity matrix with its last row (~1/scale, R ~ scale)
+    scaled by c to the size of R, and c; scaling a left-kernel vector's last
+    coordinate by c gives one of the unbalanced matrix."""
+    matrix = volume_rigidity_matrix(graph, real, tol)
+    balance = float(np.abs(matrix[:-1]).max(initial=0.0) / np.abs(matrix[-1]).max()) or 1.0
+    matrix[-1] *= balance
+    return matrix, balance
 
 
 class EquilibriumReport(NamedTuple):
@@ -149,8 +155,8 @@ def verify_equilibrium(
     """Residual check of the equilibrium conditions in the requested mode.
 
     flexible: |[P L] Lzd|_max,  fixed: |P Omega + L M diag(w) I|_max,
-    volume:   |[P L] Lzd - lam [0  L^-T]|_max.  The fixed-mode gate scale is
-    max(|P| |Omega| + |L| |M| |diag(w)| |I|), the size of the residual's terms.
+    volume:   |[P L] Lzd - lam [0  L^-T]|_max.  The gate scale is the max of
+    the same products taken term by term in absolute values (scale-free).
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
     if mode not in ("flexible", "fixed", "volume"):
@@ -159,32 +165,34 @@ def verify_equilibrium(
 
 
 def _equilibrium(graph, real, w, laps: WeightedLaplacians, mode, tol, lam=None):
-    """:func:`verify_equilibrium` on the already assembled Laplacians of ``w``."""
-    if mode == "fixed":
-        # the lattice block (~ w g^2) does not enter this residual, so the
-        # gate is scaled by the residual's own two terms
-        P, L = point_matrix(graph, real), real.lattice
-        residual = float(np.abs(P @ laps.laplacian + L @ laps.cross_block.T).max(initial=0.0))
-        abs_cross = _vertex_scatter(graph, np.abs(w)[:, None] * np.abs(graph.gain_array), 1.0)
-        bound = np.abs(P) @ np.abs(laps.laplacian) + np.abs(L) @ abs_cross.T
-        scale = float(bound.max(initial=0.0))
-        return EquilibriumReport(mode, residual, scale, residual <= tol.residual_tol * scale)
-    pl = rep_matrix(graph, real)
-    # scale tracks the stress magnitude so the gate is invariant under
-    # rescaling of w, without collapsing when the stress matrix cancels
-    magnitude = max(laps.weight_scale, float(np.abs(laps.zd_laplacian).max(initial=0.0)))
-    scale = magnitude * max(1.0, float(np.abs(pl).max(initial=0.0)))
-    resid_mat = pl @ laps.zd_laplacian
+    """:func:`verify_equilibrium` on the already assembled Laplacians of ``w``.
+
+    The gate's terms: |P| |Lap| + |L| |C|+^T on the vertex columns of [P L] Lzd,
+    |P| |C|+ + |L| |G|+ (+ |lam L^-T|) on its lattice columns, where |C|+ and
+    |G|+ are the cross and lattice blocks assembled from |w| and |g|.
+    """
     if mode == "volume":
         if lam is None:
             raise ValueError("volume mode needs the multiplier lam")
         if not real.non_flat(tol):
             raise FlatLattice("volume equilibrium needs a nonsingular lattice")
-        target = np.zeros_like(pl)
-        target[:, graph.num_vertices :] = lam * np.linalg.inv(real.lattice).T
-        resid_mat -= target
-        scale = max(scale, float(np.abs(target).max(initial=0.0)))
-    residual = float(np.abs(resid_mat).max(initial=0.0))
+    P, L = point_matrix(graph, real), real.lattice
+    if mode == "fixed":
+        resid = P @ laps.laplacian + L @ laps.cross_block.T
+    else:
+        resid = np.hstack([P, L]) @ laps.zd_laplacian
+    abs_gains = np.abs(graph.gain_array)
+    abs_cross = _vertex_scatter(graph, np.abs(w)[:, None] * abs_gains, 1.0)
+    bound = np.abs(P) @ np.abs(laps.laplacian) + np.abs(L) @ abs_cross.T
+    if mode != "fixed":
+        lattice_bound = np.abs(P) @ abs_cross + np.abs(L) @ (abs_gains.T * np.abs(w)) @ abs_gains
+        if mode == "volume":
+            target = lam * np.linalg.inv(L).T
+            resid[:, graph.num_vertices :] -= target
+            lattice_bound += np.abs(target)
+        bound = np.hstack([bound, lattice_bound])
+    residual = float(np.abs(resid).max(initial=0.0))
+    scale = float(bound.max(initial=0.0))
     return EquilibriumReport(mode, residual, scale, residual <= tol.residual_tol * scale)
 
 
@@ -311,10 +319,12 @@ def normalized_stress(basis: np.ndarray) -> np.ndarray:
 
 
 def is_proper(graph: GainGraph, weights, tol: ToleranceVault) -> bool:
-    """Sign conditions against the marking: cables >= 0, struts <= 0, zero-band allowed."""
+    """Sign conditions against the marking: cables >= 0, struts <= 0, with a
+    zero band of ``residual_tol * max|w|``."""
     w = np.asarray(weights, dtype=float).reshape(-1)
+    band = tol.residual_tol * float(np.abs(w).max(initial=0.0))
     for value, edge in zip(w, graph.edges):
-        if abs(value) <= tol.residual_tol:
+        if abs(value) <= band:
             continue
         if edge.marking == "cable" and value < 0:
             return False

@@ -7,21 +7,22 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class ToleranceVault:
-    """Single source of truth for rank cuts, PSD slack, residual gates and RNG seeding.
+    """Single source of truth for rank cuts, residual gates and RNG seeding.
 
-    Every operation that makes a floating-point decision takes a vault instead
-    of ad-hoc keyword thresholds, so a whole run can be tightened or loosened
-    coherently and reproduced from the seed.
+    Every floating-point decision is one of two relative rules, so a verdict
+    does not change when the stress or the realization is rescaled:
+    ``rank_rel_tol`` cuts singular values and eigenvalues (the same cut makes
+    each eigenvalue zero, positive or negative), and ``residual_tol`` gates a
+    quantity that should vanish against the size of its own terms.
     """
 
     rank_rel_tol: float = 1e-9
-    psd_slack: float = 1e-9
     residual_tol: float = 1e-9
     rng_seed: int = 2024
     generic_trials: int = 3
 
     def __post_init__(self) -> None:
-        for name in ("rank_rel_tol", "psd_slack", "residual_tol"):
+        for name in ("rank_rel_tol", "residual_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.generic_trials < 1:

@@ -7,6 +7,7 @@ per criterion.
 import functools
 import io
 import math
+import re
 import time
 from contextlib import redirect_stdout
 
@@ -18,7 +19,9 @@ from perigid import (
     Realization,
     ToleranceVault,
     certify_fixed_lattice,
+    certify_spiderweb,
     certify_super_stable,
+    certify_volume_constrained,
     congruence_check,
     conic_at_infinity,
     energy,
@@ -35,7 +38,7 @@ from perigid import (
 from perigid.certify import Verdict
 from perigid.cli import cli
 from perigid.construct import conjugation_identity_check
-from perigid.errors import ImproperStress
+from perigid.errors import ImproperStress, PerigidError
 
 from oracles import conic_deformation, realization_from_vector, realization_vector
 
@@ -404,3 +407,40 @@ def test_criterion_10_cli_determinism(tmp_path):
         assert outputs[0] == outputs[1] and outputs[0]
         if svg_bytes:
             assert svg_bytes[0] == svg_bytes[1]
+
+
+@criterion(11, "verdicts are scale-free: fixtures and near misses at c, s in {1e-6, 1, 1e6}")
+def test_criterion_11_scale_free_verdicts(catalog, tol):
+    """w -> c w (lam -> c lam) and p, L -> s p, s L leave every verdict, failing
+    clause (values aside: they scale) and kernel dimension where it was."""
+
+    def outcome(certify, graph, real, *stress):
+        try:
+            cert = certify(graph, real, *stress, tol)
+        except PerigidError as exc:
+            return type(exc).__name__
+        failing = re.sub(r"-?\d+(\.\d+)?(e[-+]?\d+)?", "#", cert.failing or "")
+        return cert.verdict, failing, cert.kernel_dims
+
+    factors = (1e-6, 1.0, 1e6)
+    for fix in catalog.values():
+        # each fixture as given, with its last vertex moved off equilibrium,
+        # and with its stress negated
+        points = dict(fix.realization.points)
+        points[fix.graph.vertices[-1]] = points[fix.graph.vertices[-1]] + [3e-4, -2e-4]
+        moved = Realization(points, fix.realization.lattice)
+        variants = (
+            (fix.realization, fix.stress), (moved, fix.stress), (fix.realization, -fix.stress)
+        )
+        for certify in (certify_super_stable, certify_fixed_lattice, certify_spiderweb):
+            for real, w in variants:
+                base = outcome(certify, fix.graph, real, w)
+                for c in factors:
+                    for s in factors:
+                        scaled = outcome(certify, fix.graph, real.scaled(s), c * w)
+                        assert scaled == base, (fix.name, certify.__name__, c, s)
+    hexes = catalog["hex"]
+    real, report = standard_realization(hexes.graph, hexes.stress, tol)
+    for c in factors:  # the unit volume fixes the realization's scale
+        cert = certify_volume_constrained(hexes.graph, real, c * hexes.stress, c * report.lam, tol)
+        assert cert.verdict == Verdict.VOLUME_SUPER_STABLE

@@ -1,3 +1,4 @@
+import json
 import sys
 
 import numpy as np
@@ -364,6 +365,41 @@ def test_generic_trial_one_lstsq_one_eigvalsh_no_svd(flex2, tol, count_factorisa
         assert generic_fixed_global_rigidity_test(graph, tol).positive
         per_trial = [("lstsq", (e, d * n)), ("eigvalsh", (n, n))]
     assert calls == per_trial * tol.generic_trials
+
+
+def _perfbench_generic_d3_neg() -> bytes:
+    """``in/d3_neg.json`` of the benchmark's ``generic`` workload at seed 0,
+    regenerated with its own generator (the workload's rng is seeded with
+    [seed, 0] and draws the d = 2 graphs and their switched copies first)."""
+    import importlib.util
+    from pathlib import Path
+
+    from perigid import fileformat
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = np.random.default_rng([0, 0])
+    for d, n in ((2, 160), (3, 100)):
+        graphs = gen.out_degree_graph(rng, d, n, d + 1), gen.sparse_graph(rng, d, n, d * n - d - 1)
+        if d == 3:
+            return fileformat.loads(json.dumps(gen.to_document(graphs[1])).encode())
+        for g in graphs:
+            gen.switched_copy(rng, g)
+
+
+def test_generic_trial_reports_its_marginal_rank_cut():
+    """Trial seed 9 of this fixed-lattice test cuts its 296 x 300 rigidity
+    matrix between singular values 5.5e-4 and 1.7e-6 (a ratio below the
+    1e3 gap guard); the trial and the certificate say so."""
+    graph = _perfbench_generic_d3_neg().graph
+    assert (graph.dimension, graph.num_vertices, graph.num_edges) == (3, 100, 296)
+    tol = ToleranceVault(rng_seed=7, generic_trials=5)
+    cert = generic_fixed_global_rigidity_test(graph, tol)
+    marginal = {t["seed"]: t["marginal"] for t in cert.trial_log}
+    assert marginal[9] and cert.marginal
+    assert cert.verdict == Verdict.FIXED_GENERIC_NOT_GLOBALLY_RIGID
 
 
 def test_generic_trials_match_public_rank_and_stress_space(tol):

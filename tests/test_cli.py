@@ -436,7 +436,6 @@ def test_cli_tol_flag(fixture_file, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["tolerances"] == {
         "rank_rel_tol": 1e-6,
-        "psd_slack": 1e-6,
         "residual_tol": 1e-6,
         "generic_trials": 3,
     }
@@ -513,15 +512,19 @@ def test_cli_stresses_fixed_mode(fixture_file, capsys):
 @pytest.mark.parametrize(
     "name, mode, keys",
     [
-        ("flex1", "flexible", ["seed", "infinitesimally_rigid", "positive", "branch"]),
-        ("hex", "flexible", ["seed", "infinitesimally_rigid", "positive", "branch"]),
+        ("flex1", "flexible", ["seed", "infinitesimally_rigid", "positive", "branch", "marginal"]),
+        ("hex", "flexible", ["seed", "infinitesimally_rigid", "positive", "branch", "marginal"]),
         (
             "flex2",
             "flexible",
-            ["seed", "infinitesimally_rigid", "stress_space_dim", "positive", "branch"],
+            ["seed", "infinitesimally_rigid", "stress_space_dim", "positive", "branch", "marginal"],
         ),
-        ("flex1", "fixed", ["seed", "stress_space_dim", "stress_kernel_dim", "positive", "branch"]),
-        ("hex", "fixed", ["seed", "stress_space_dim", "positive", "branch"]),
+        (
+            "flex1",
+            "fixed",
+            ["seed", "stress_space_dim", "stress_kernel_dim", "positive", "branch", "marginal"],
+        ),
+        ("hex", "fixed", ["seed", "stress_space_dim", "positive", "branch", "marginal"]),
     ],
 )
 def test_cli_generic_test_trial_log_key_order(fixture_file, capsys, name, mode, keys):
@@ -544,6 +547,34 @@ def test_cli_info_huge_gain_exact_rank(fixture_file, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)["report"]
     assert report["connected"] and report["gain_rank"] == 2
     assert report["full_rank_condition"] == {"holds": True, "rank_incidence_zd": 7}
+
+
+def test_cli_rank_huge_gain_exact_incidence_ranks(tmp_path, capsys):
+    """A 10^30 loop gain swamps a float SVD of I_zd (it ranked 1); the
+    incidence ranks come from the spanning forest and the cycle gains."""
+    doc = {
+        "dimension": 2,
+        "vertices": [
+            {"name": name, "position": pos}
+            for name, pos in (("a", [0.0, 0.0]), ("b", [0.5, 0.1]), ("c", [0.2, 0.6]))
+        ],
+        "lattice": [[1.0, 0.0], [0.0, 1.0]],
+        "edges": [
+            {"tail": "a", "head": "b", "gain": [0, 0]},
+            {"tail": "b", "head": "c", "gain": [0, 1]},
+            {"tail": "c", "head": "a", "gain": [0, 0]},
+            {"tail": "a", "head": "a", "gain": [10**30, 0]},
+        ],
+    }
+    path = tmp_path / "huge_loop.json"
+    path.write_text(json.dumps(doc))
+    assert cli(["info", str(path), "--json"]) == 0
+    info = json.loads(capsys.readouterr().out)["report"]
+    assert info["full_rank_condition"] == {"holds": True, "rank_incidence_zd": 4}
+    assert cli(["rank", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["incidence"] == {"shape": [4, 3], "rank": 2, "marginal": False}
+    assert report["incidence_zd"] == {"shape": [4, 5], "rank": 4, "marginal": False}
 
 
 def _three_dim_document():

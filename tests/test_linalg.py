@@ -210,8 +210,9 @@ def test_left_kernel_sample_matches_numeric_rank_and_nullspace(rows, cols, kind,
         m = u @ np.diag(rng.uniform(1.0, 10.0, r)) @ v.T
     else:
         m = rng.standard_normal((rows, cols))
-    rank, vec = _left_kernel_sample(m, np.random.default_rng(seed + 1), tol)
+    rank, marginal, vec = _left_kernel_sample(m, np.random.default_rng(seed + 1), tol)
     x = np.random.default_rng(seed + 1).standard_normal(rows)
-    assert rank == numeric_rank(m, tol).rank
+    expected = numeric_rank(m, tol)
+    assert (rank, marginal) == (expected.rank, expected.marginal)
     kernel = nullspace(m, "left", tol)
     assert np.linalg.norm(vec - kernel @ (kernel.T @ x)) <= 1e-10 * np.linalg.norm(x)

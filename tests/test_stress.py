@@ -267,8 +267,10 @@ def test_is_proper_zero_band(flex2, tol):
     marked = flex2.graph.with_markings(["cable", "cable", "cable", "strut", "strut"])
     assert is_proper(marked, flex2.stress, tol)
     assert not is_proper(marked, -flex2.stress, tol)
-    tiny = np.array([1e-12, -1e-12, 0.0, 0.0, 0.0])
-    assert is_proper(marked, tiny, tol)
+    # the zero band is relative to max|w|: a negative cable weight as large
+    # as the largest weight is a sign violation at any scale
+    assert not is_proper(marked, np.array([1e-12, -1e-12, 0.0, 0.0, 0.0]), tol)
+    assert is_proper(marked, np.array([1.0, -1e-12, 0.0, 0.0, 0.0]), tol)
 
 
 def test_flat_but_affinely_spanning_laplacian_kernel(tol):
