@@ -232,6 +232,17 @@ def test_cli_cover_svg(fixture_file, tmp_path, capsys):
     assert out.read_bytes() == body
 
 
+def test_cli_output_overwrites_longer_file(fixture_file, tmp_path):
+    # outputs are written in place and cut to length, so nothing of a longer
+    # earlier file is left behind
+    out = tmp_path / "hex.svg"
+    assert cli(["cover", fixture_file("hex"), "--window", "1", "--svg", str(out)]) == 0
+    body = out.read_bytes()
+    out.write_bytes(b"x" * (3 * len(body)))
+    assert cli(["cover", fixture_file("hex"), "--window", "1", "--svg", str(out)]) == 0
+    assert out.read_bytes() == body
+
+
 def test_svg_styles(fixture_file, tmp_path):
     from perigid import ToleranceVault, fixtures
 
