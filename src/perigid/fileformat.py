@@ -29,37 +29,39 @@ class ParsedFramework:
     lam: Optional[float]
 
 
-def _fail(path: str, message: str) -> ParseError:
-    return ParseError(f"{path}: {message}")
+def _fail(path: str, message: str, *index) -> ParseError:
+    """``path`` is a template whose ``{}`` slots take ``index``; the checks
+    format it only when they fail, so a valid document formats no path."""
+    return ParseError(f"{path.format(*index)}: {message}")
 
 
-def _require(data: dict, key: str, path: str):
+def _require(data: dict, key: str, path: str, *index):
     if key not in data:
-        raise _fail(f"{path}.{key}", "missing required field")
+        raise _fail(f"{path}.{key}", "missing required field", *index)
     return data[key]
 
 
-def _as_strict_int(value, path: str) -> int:
+def _as_strict_int(value, path: str, *index) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(path, f"must be an integer (floats are rejected), got {value!r}")
+        raise _fail(path, f"must be an integer (floats are rejected), got {value!r}", *index)
     return value
 
 
-def _as_real(value, path: str) -> float:
+def _as_real(value, path: str, *index) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(path, f"must be a real number, got {value!r}")
+        raise _fail(path, f"must be a real number, got {value!r}", *index)
     try:
         real = float(value)
     except OverflowError:
         real = math.inf
     if not math.isfinite(real):
-        raise _fail(path, f"must be a finite real number, got {value!r}")
+        raise _fail(path, f"must be a finite real number, got {value!r}", *index)
     return real
 
 
-def _as_name(value, path: str) -> str:
+def _as_name(value, path: str, *index) -> str:
     if not isinstance(value, str) or not value:
-        raise _fail(path, f"must be a non-empty string, got {value!r}")
+        raise _fail(path, f"must be a non-empty string, got {value!r}", *index)
     return value
 
 
@@ -90,20 +92,19 @@ def _vertices(data: dict, dim: int, need_position: bool) -> tuple[list, dict]:
         raise _fail("$.vertices", "must be a non-empty list")
     names, name_set, positions = [], set(), {}
     for i, entry in enumerate(raw_vertices):
-        path = f"$.vertices[{i}]"
         if not isinstance(entry, dict):
-            raise _fail(path, "must be an object")
-        name = _as_name(_require(entry, "name", path), f"{path}.name")
+            raise _fail("$.vertices[{}]", "must be an object", i)
+        name = _as_name(_require(entry, "name", "$.vertices[{}]", i), "$.vertices[{}].name", i)
         if name in name_set:
-            raise _fail(f"{path}.name", f"duplicate vertex name {name!r}")
+            raise _fail("$.vertices[{}].name", f"duplicate vertex name {name!r}", i)
         names.append(name)
         name_set.add(name)
         if need_position or "position" in entry:
-            pos = _require(entry, "position", path)
+            pos = _require(entry, "position", "$.vertices[{}]", i)
             if not isinstance(pos, list) or len(pos) != dim:
-                raise _fail(f"{path}.position", f"must be a list of {dim} reals")
+                raise _fail("$.vertices[{}].position", f"must be a list of {dim} reals", i)
             positions[name] = np.array(
-                [_as_real(x, f"{path}.position[{k}]") for k, x in enumerate(pos)]
+                [_as_real(x, "$.vertices[{}].position[{}]", i, k) for k, x in enumerate(pos)]
             )
     return names, positions
 
@@ -116,26 +117,25 @@ def _edges(data: dict, dim: int, names: list, with_gains: bool) -> tuple[list, l
     name_set = set(names)
     edges, weights = [], []
     for i, entry in enumerate(raw_edges):
-        path = f"$.edges[{i}]"
         if not isinstance(entry, dict):
-            raise _fail(path, "must be an object")
-        tail = _as_name(_require(entry, "tail", path), f"{path}.tail")
-        head = _as_name(_require(entry, "head", path), f"{path}.head")
+            raise _fail("$.edges[{}]", "must be an object", i)
+        tail = _as_name(_require(entry, "tail", "$.edges[{}]", i), "$.edges[{}].tail", i)
+        head = _as_name(_require(entry, "head", "$.edges[{}]", i), "$.edges[{}].head", i)
         if tail not in name_set or head not in name_set:
-            raise _fail(path, f"edge references unknown vertex {tail!r} or {head!r}")
+            raise _fail("$.edges[{}]", f"edge references unknown vertex {tail!r} or {head!r}", i)
         gain = None
         if with_gains:
-            gain_raw = _require(entry, "gain", path)
+            gain_raw = _require(entry, "gain", "$.edges[{}]", i)
             if not isinstance(gain_raw, list) or len(gain_raw) != dim:
-                raise _fail(f"{path}.gain", f"must be a list of {dim} integers")
+                raise _fail("$.edges[{}].gain", f"must be a list of {dim} integers", i)
             gain = tuple(
-                _as_strict_int(x, f"{path}.gain[{k}]") for k, x in enumerate(gain_raw)
+                _as_strict_int(x, "$.edges[{}].gain[{}]", i, k) for k, x in enumerate(gain_raw)
             )
         elif "gain" in entry:
-            raise _fail(f"{path}.gain", "finite frameworks carry no gains")
+            raise _fail("$.edges[{}].gain", "finite frameworks carry no gains", i)
         marking = entry.get("type", "bar")
         if marking not in MARKINGS:
-            raise _fail(f"{path}.type", f"must be one of {MARKINGS}")
+            raise _fail("$.edges[{}].type", f"must be one of {MARKINGS}", i)
         edges.append((tail, head, gain, marking))
         weights.append(entry.get("weight"))
     return edges, weights
@@ -148,8 +148,8 @@ def _stress(weights: list) -> Optional[np.ndarray]:
         return None
     if not all(with_weight):
         missing = with_weight.index(False)
-        raise _fail(f"$.edges[{missing}].weight", "all edges need weights or none")
-    return np.array([_as_real(w, f"$.edges[{i}].weight") for i, w in enumerate(weights)])
+        raise _fail("$.edges[{}].weight", "all edges need weights or none", missing)
+    return np.array([_as_real(w, "$.edges[{}].weight", i) for i, w in enumerate(weights)])
 
 
 def loads(data) -> ParsedFramework:
@@ -165,8 +165,8 @@ def loads(data) -> ParsedFramework:
         cols = []
         for i, col in enumerate(raw):
             if not isinstance(col, list) or len(col) != dim:
-                raise _fail(f"$.lattice[{i}]", f"must be a list of {dim} reals")
-            cols.append([_as_real(x, f"$.lattice[{i}][{k}]") for k, x in enumerate(col)])
+                raise _fail("$.lattice[{}]", f"must be a list of {dim} reals", i)
+            cols.append([_as_real(x, "$.lattice[{}][{}]", i, k) for k, x in enumerate(col)])
         lattice = np.array(cols).T  # columns of L are the stored columns
 
     edges, weights = _edges(data, dim, names, with_gains=True)

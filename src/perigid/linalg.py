@@ -8,7 +8,6 @@ at all.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -120,23 +119,27 @@ def symmetric_spectrum(matrix, tol: ToleranceVault, scale_floor: float = 0.0) ->
     """Rank, marginal flag and PSD verdict of a (nearly) symmetric matrix from
     one eigenvalue decomposition.
 
-    Raises :class:`AsymmetricInput` when the asymmetry exceeds
-    ``residual_tol * (1 + |S|)``; otherwise symmetrizes before the eigensolve.
-    The rank applies :func:`numeric_rank`'s cut, floor and gap guard to the
-    eigenvalue magnitudes, which are the singular values of a symmetric
-    matrix.  PSD means no eigenvalue below minus that cut's threshold, so
-    each eigenvalue is zero, positive or negative by the same one number.
+    An exactly symmetric matrix goes to the eigensolver as it is.  Otherwise
+    this raises :class:`AsymmetricInput` when the asymmetry exceeds
+    ``residual_tol * (1 + |S|)`` and symmetrizes a copy before the
+    eigensolve.  The rank applies :func:`numeric_rank`'s cut, floor and gap
+    guard to the eigenvalue magnitudes, which are the singular values of a
+    symmetric matrix.  PSD means no eigenvalue below minus that cut's
+    threshold, so each eigenvalue is zero, positive or negative by the same
+    one number.
     """
     m = _as_float_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise ValueError("symmetric_spectrum needs a square matrix")
     if m.size == 0:
         return SpectrumResult(0, np.zeros(0), False, True, 0.0)
-    scale = 1.0 + float(np.abs(m).max())
-    asym = float(np.abs(m - m.T).max())
-    if asym > tol.residual_tol * scale:
-        raise AsymmetricInput(f"asymmetry {asym:g} exceeds tolerance")
-    eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
+    if not np.array_equal(m, m.T):  # 0.5 (m + m^T) is m itself when it is symmetric
+        scale = 1.0 + max(float(m.max()), -float(m.min()))
+        asym = float(np.abs(m - m.T).max())
+        if asym > tol.residual_tol * scale:
+            raise AsymmetricInput(f"asymmetry {asym:g} exceeds tolerance")
+        m = 0.5 * (m + m.T)
+    eigs = np.linalg.eigvalsh(m)
     rank, marginal, threshold = _rank_cut(np.sort(np.abs(eigs))[::-1], m.shape, tol, scale_floor)
     lam_min = float(eigs[0])
     return SpectrumResult(rank, eigs, marginal, lam_min >= -threshold, lam_min)
@@ -158,30 +161,31 @@ def _as_int_rows(matrix) -> list[list[int]]:
 def smith_rank(matrix) -> int:
     """Exact rank of an integer matrix over the rationals.
 
-    Gaussian elimination over arbitrary-precision rationals; no tolerance is
-    involved, which is what makes gain-group ranks trustworthy.
+    Fraction-free (Bareiss) elimination on Python integers: each update
+    ``(pivot * x - factor * top) / previous pivot`` is a minor of the input,
+    so the division is exact.  No tolerance is involved, which is what makes
+    gain-group ranks trustworthy.
     """
-    rows = _as_int_rows(matrix)
-    if not rows:
+    work = _as_int_rows(matrix)
+    if not work:
         return 0
-    work = [[Fraction(x) for x in row] for row in rows]
     nrows, ncols = len(work), len(work[0])
     rank = 0
-    pivot_col = 0
-    while rank < nrows and pivot_col < ncols:
-        pivot_row = next(
-            (r for r in range(rank, nrows) if work[r][pivot_col] != 0), None
-        )
+    previous = 1
+    for pivot_col in range(ncols):
+        if rank == nrows:
+            break
+        pivot_row = next((r for r in range(rank, nrows) if work[r][pivot_col] != 0), None)
         if pivot_row is None:
-            pivot_col += 1
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][pivot_col]
+        top = work[rank]
+        pivot = top[pivot_col]
         for r in range(rank + 1, nrows):
-            factor = work[r][pivot_col] / pivot
-            if factor:
-                for c in range(pivot_col, ncols):
-                    work[r][c] -= factor * work[rank][c]
+            row, factor = work[r], work[r][pivot_col]
+            for c in range(pivot_col + 1, ncols):
+                row[c] = (pivot * row[c] - factor * top[c]) // previous
+            row[pivot_col] = 0
+        previous = pivot
         rank += 1
-        pivot_col += 1
     return rank

@@ -74,29 +74,34 @@ def weighted_laplacians(graph: GainGraph, weights) -> WeightedLaplacians:
 
     Blocks of the lattice-extended matrix: the Laplacian, the cross block
     sum_e w_e (e_h - e_t) g_e^T (loops cancel) and the lattice block
-    sum_e w_e g_e g_e^T (loops included).  Both matrices are exactly symmetric.
+    sum_e w_e g_e g_e^T (loops included).  The lattice-extended matrix is the
+    one (|V|+d)^2 array: one scatter sums each off-diagonal entry's -w_e in
+    edge order, and the Laplacian is a view of its vertex block.  Both are
+    exactly symmetric and read-only.
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size != graph.num_edges:
         raise ValueError("need one weight per edge")
     n, d = graph.num_vertices, graph.dimension
+    size = n + d
     keep = ~graph.loop_mask
     tails, heads, wk = graph.tail_idx[keep], graph.head_idx[keep], w[keep]
-    upper = np.bincount(
-        np.minimum(tails, heads) * n + np.maximum(tails, heads), wk, n * n
-    ).reshape(n, n)
-    lap = np.diag(np.bincount(tails, wk, n) + np.bincount(heads, wk, n))
-    lap -= upper
-    lap -= upper.T
+    lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
+    lap_zd = np.bincount(
+        np.concatenate([lo * size + hi, hi * size + lo]), np.concatenate([-wk, -wk]), size * size
+    )
+    if not wk.size:  # bincount gives int64 zeros when it has no weight to sum
+        lap_zd = np.zeros(size * size)
+    lap_zd = lap_zd.reshape(size, size)
+    np.fill_diagonal(lap_zd[:n, :n], np.bincount(tails, wk, n) + np.bincount(heads, wk, n))
     gains = graph.gain_array
     weighted_gains = w[:, None] * gains
     lattice = weighted_gains.T @ gains
-    lap_zd = np.empty((n + d, n + d))
-    lap_zd[:n, :n] = lap
     lap_zd[:n, n:] = _vertex_scatter(graph, weighted_gains, -1.0)
     lap_zd[n:, :n] = lap_zd[:n, n:].T
     lap_zd[n:, n:] = 0.5 * (lattice + lattice.T)
-    return WeightedLaplacians(lap, lap_zd, d, float(np.abs(w).max(initial=0.0)))
+    lap_zd.flags.writeable = False
+    return WeightedLaplacians(lap_zd[:n, :n], lap_zd, d, float(np.abs(w).max(initial=0.0)))
 
 
 def stress_space(graph: GainGraph, real: Realization, tol: ToleranceVault) -> np.ndarray:
@@ -169,7 +174,8 @@ def _equilibrium(graph, real, w, laps: WeightedLaplacians, mode, tol, lam=None):
 
     The gate's terms: |P| |Lap| + |L| |C|+^T on the vertex columns of [P L] Lzd,
     |P| |C|+ + |L| |G|+ (+ |lam L^-T|) on its lattice columns, where |C|+ and
-    |G|+ are the cross and lattice blocks assembled from |w| and |g|.
+    |G|+ are the cross and lattice blocks assembled from |w| and |g|.  In fixed
+    mode a loop e at v adds |w_e| |L| |g_e| per end to v's column.
     """
     if mode == "volume":
         if lam is None:
@@ -184,7 +190,12 @@ def _equilibrium(graph, real, w, laps: WeightedLaplacians, mode, tol, lam=None):
     abs_gains = np.abs(graph.gain_array)
     abs_cross = _vertex_scatter(graph, np.abs(w)[:, None] * abs_gains, 1.0)
     bound = np.abs(P) @ np.abs(laps.laplacian) + np.abs(L) @ abs_cross.T
-    if mode != "fixed":
+    if mode == "fixed":
+        # a loop's two ends cancel in the residual, yet each is a term of its vertex's sum
+        loops = graph.loop_mask
+        loop_terms = 2.0 * np.abs(w[loops])[:, None] * (abs_gains[loops] @ np.abs(L).T)
+        np.add.at(bound.T, graph.head_idx[loops], loop_terms)
+    else:
         lattice_bound = np.abs(P) @ abs_cross + np.abs(L) @ (abs_gains.T * np.abs(w)) @ abs_gains
         if mode == "volume":
             target = lam * np.linalg.inv(L).T

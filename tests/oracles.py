@@ -1,14 +1,17 @@
 """Reference helpers that only the tests use: vector forms of a realization,
-the conic deformation and a projected-gradient refiner."""
+the conic deformation, a projected-gradient refiner, seeded cable frameworks
+and an exact rank by elimination over the rationals."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from perigid.framework import Realization
 from perigid.gain import GainGraph
+from perigid.linalg import _as_int_rows
 from perigid.optimize import energy, energy_gradient
 from perigid.tolerances import ToleranceVault
 
@@ -92,3 +95,47 @@ def projected_gradient_refine(
         if not improved:
             break
     return current
+
+
+def cable_framework(seed: int, n: int = 40, d: int = 2):
+    """Seeded connected all-cable gain graph with positive weights: a random
+    tree plus chords, gains in {-1, 0, 1}^d, so Lzd is PSD with kernel 1-hat."""
+    rng = np.random.default_rng(seed)
+    edges = {}  # tail < head throughout, so distinct keys are distinct edges
+    for head in range(1, n):
+        edges[(int(rng.integers(head)), head, tuple(rng.integers(-1, 2, d).tolist()))] = None
+    while len(edges) < 2 * n + 1:
+        tail, head = sorted(rng.choice(n, 2, replace=False).tolist())
+        edges[(tail, head, tuple(rng.integers(-1, 2, d).tolist()))] = None
+    graph = GainGraph(
+        d, [f"v{i}" for i in range(n)], [(f"v{t}", f"v{h}", g, "cable") for t, h, g in edges]
+    )
+    return graph, rng.uniform(0.5, 1.5, graph.num_edges)
+
+
+def fraction_rank(matrix) -> int:
+    """Exact rank of an integer matrix by Gaussian elimination over ``Fraction``."""
+    rows = _as_int_rows(matrix)
+    if not rows:
+        return 0
+    work = [[Fraction(x) for x in row] for row in rows]
+    nrows, ncols = len(work), len(work[0])
+    rank = 0
+    pivot_col = 0
+    while rank < nrows and pivot_col < ncols:
+        pivot_row = next(
+            (r for r in range(rank, nrows) if work[r][pivot_col] != 0), None
+        )
+        if pivot_row is None:
+            pivot_col += 1
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        pivot = work[rank][pivot_col]
+        for r in range(rank + 1, nrows):
+            factor = work[r][pivot_col] / pivot
+            if factor:
+                for c in range(pivot_col, ncols):
+                    work[r][c] -= factor * work[rank][c]
+        rank += 1
+        pivot_col += 1
+    return rank

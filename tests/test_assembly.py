@@ -1,7 +1,7 @@
 """Scatter/gather assembly against dense edge-by-edge oracles.
 
 The oracles below are the plain definitions (incidence rows, I^T diag(w) I,
-P Omega + L M diag(w) I); the library builds the same matrices from cached
+P Omega + L M diag(w) I, with each edge end a term of the fixed gate); the library builds the same matrices from cached
 index arrays.  Entries that are single gathered values must match exactly;
 sums may differ in the last bits because the summation order changed, so
 they are compared against a bound of a few ulps of the summed magnitudes,
@@ -35,6 +35,15 @@ def dense_incidence(graph):
         if not e.is_loop:
             mat[row, graph.vertex_index(e.tail)] = -1.0
             mat[row, graph.vertex_index(e.head)] = 1.0
+    return mat
+
+
+def dense_edge_ends(graph):
+    """One 1 per edge end at its vertex: |I| for a bar, 2 at its vertex for a loop."""
+    mat = np.zeros((graph.num_edges, graph.num_vertices))
+    for row, e in enumerate(graph.edges):
+        mat[row, graph.vertex_index(e.tail)] += 1.0
+        mat[row, graph.vertex_index(e.head)] += 1.0
     return mat
 
 
@@ -148,7 +157,9 @@ def test_assembly_matches_dense_oracles(tol, case):
     P, L = point_matrix(graph, real), real.lattice
     lap_dense = inc.T @ (w[:, None] * inc)
     resid = P @ lap_dense + L @ gm @ (w[:, None] * inc)
-    bound = np.abs(P) @ np.abs(lap_dense) + np.abs(L) @ np.abs(gm) @ (abs_w * np.abs(inc))
+    # a loop's ends cancel in the residual but are two terms of its vertex's sum
+    ends = dense_edge_ends(graph)
+    bound = np.abs(P) @ np.abs(lap_dense) + np.abs(L) @ np.abs(gm) @ (abs_w * ends)
     report = verify_equilibrium(graph, real, w, "fixed", tol)
     scale = float(bound.max(initial=0.0))
     assert report.scale == pytest.approx(scale, rel=ULPS * EPS, abs=UNDERFLOW)

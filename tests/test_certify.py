@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from perigid.framework import (
 from perigid.gain import GainEdge, GainGraph, canonicalize_edge
 from perigid.tolerances import ToleranceVault
 
-from oracles import conic_deformation
+from oracles import cable_framework, conic_deformation
 
 
 def test_conic_examples(flex1, flex2, tol):
@@ -154,6 +155,34 @@ def test_each_certificate_factorises_its_laplacian_once(
     assert [c for c in calls if c[0] == "eigvalsh"] == [("eigvalsh", (size, size))]
     assert not [c for c in calls if c[0] != "eigvalsh" and c[1] == (size, size)]
     assert len(assemblies) == 1
+
+
+def test_certificates_allocate_one_stress_matrix(tol):
+    """The stress matrix is the one (|V|+d)^2 array a certificate or the
+    minimiser allocates; the eigensolver's working copy is outside the trace.
+    Allowing for the |V|^2 temporaries of the equilibrium bound and the
+    pinned solve, the peak stays under 2.5 such arrays (it was about 4)."""
+    from perigid.optimize import certify_volume_constrained, standard_realization
+
+    graph, w = cable_framework(11, n=400)
+    real, report = standard_realization(graph, w, tol)
+    size = graph.num_vertices + graph.dimension
+    runs = {
+        "fixed": lambda: certify_fixed_lattice(graph, real, w, tol).verdict,
+        "volume": lambda: certify_volume_constrained(graph, real, w, report.lam, tol).verdict,
+        "minimize": lambda: standard_realization(graph, w, tol)[1].passed,
+    }
+    expected = {"fixed": Verdict.FIXED_SUPER_STABLE, "volume": Verdict.VOLUME_SUPER_STABLE}
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            outcome = run()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert outcome == expected.get(name, True)
+        assert peak <= 2.5 * size * size * 8, (name, peak / (size * size * 8))
 
 
 def _counting_assemblies(monkeypatch) -> list:

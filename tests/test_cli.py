@@ -94,6 +94,44 @@ def test_parse_error_paths():
         )
 
 
+_DELETE = object()
+
+
+def _set(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    if value is _DELETE:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("edges", 3, "gain", 1), 1.0, "$.edges[3].gain[1]: must be an integer (floats are rejected), got 1.0"),
+        (("edges", 0, "gain", 0), True, "$.edges[0].gain[0]: must be an integer (floats are rejected), got True"),
+        (("edges", 2, "gain"), [0], "$.edges[2].gain: must be a list of 2 integers"),
+        (("edges", 2, "head"), _DELETE, "$.edges[2].head: missing required field"),
+        (("edges", 1, "tail"), "", "$.edges[1].tail: must be a non-empty string, got ''"),
+        (("edges", 4, "weight"), "1", "$.edges[4].weight: must be a real number, got '1'"),
+        (("edges", 4, "weight"), _DELETE, "$.edges[4].weight: all edges need weights or none"),
+        (("vertices", 1, "position", 0), "x", "$.vertices[1].position[0]: must be a real number, got 'x'"),
+        (("vertices", 1, "name"), "v1", "$.vertices[1].name: duplicate vertex name 'v1'"),
+        (("lattice", 1, 0), float("nan"), "$.lattice[1][0]: must be a finite real number, got nan"),
+        (("lattice", 0), [1.0], "$.lattice[0]: must be a list of 2 reals"),
+    ],
+)
+def test_parse_error_messages_name_the_deep_path(path, value, message):
+    """Paths are formatted only when a check fails; the messages stay exact."""
+    doc = flex2_document()
+    _set(doc, path, value)
+    with pytest.raises(ParseError) as raised:
+        fileformat.loads(doc)
+    assert str(raised.value) == message
+
+
 def test_roundtrip_stability():
     raw = json.dumps(flex2_document()).encode()
     once = fileformat.loads(raw)

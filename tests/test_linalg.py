@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from perigid.linalg import (
     symmetric_spectrum,
 )
 from perigid.tolerances import ToleranceVault
+
+from oracles import fraction_rank
 
 SQRT2 = math.sqrt(2.0)
 
@@ -125,6 +128,19 @@ def test_symmetric_spectrum_matches_numeric_rank_and_psd(tol):
     assert symmetric_spectrum(np.zeros((0, 0)), tol).nullity == 0
 
 
+def test_symmetric_spectrum_of_a_symmetric_matrix_is_eigvalsh_itself(tol):
+    """An exactly symmetric matrix goes to eigvalsh uncopied: the same
+    eigenvalues bit for bit, also for a strided view."""
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((40, 40))
+    m = a + a.T
+    assert np.array_equal(symmetric_spectrum(m, tol).eigenvalues, np.linalg.eigvalsh(m))
+    view = np.zeros((45, 45))
+    view[:40, :40] = m
+    block = view[:40, :40]
+    assert np.array_equal(symmetric_spectrum(block, tol).eigenvalues, np.linalg.eigvalsh(m))
+
+
 def test_psd_check_basics(tol):
     zero = symmetric_spectrum(np.zeros((2, 2)), tol)
     assert (zero.is_psd, zero.min_eigenvalue) == (True, 0.0)
@@ -155,6 +171,8 @@ def test_psd_check_conjugation_invariance(tol):
         ([[1, 0], [1, 1], [-1, 1]], 2),
         ([[0, 0, 0]], 0),
         ([[2, 4], [1, 2]], 1),
+        # a zero below the first pivot: fraction-free elimination still scales its row
+        ([[0, 2, 0], [3, 0, 2], [0, 2, 1], [1, -1, 1]], 3),
     ],
 )
 def test_smith_rank_cases(rows, expected):
@@ -186,6 +204,39 @@ def test_numeric_rank_agrees_with_smith_rank(rows, cols, seed):
     m = rng.integers(-10, 11, size=(rows, cols))
     tol = ToleranceVault()
     assert numeric_rank(m.astype(float), tol).rank == smith_rank(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.sampled_from(["zero", "rank-deficient", "random", "sparse"]),
+    st.sampled_from([1, 10**3, 10**15, 10**30]),
+    st.integers(0, 2**32 - 1),
+)
+def test_smith_rank_matches_rational_elimination(rows, cols, kind, bound, seed):
+    """Fraction-free elimination gives the rank elimination over the
+    rationals gives, on empty, zero, rank-deficient, random and sparse
+    matrices with entries up to 3 * 10^30."""
+    rnd = random.Random(seed)
+
+    def draw(r, c):
+        return [[rnd.randint(-3, 3) * rnd.randint(1, bound) for _ in range(c)] for _ in range(r)]
+
+    if kind == "zero":
+        m = [[0] * cols for _ in range(rows)]
+    elif kind == "rank-deficient":
+        inner = rnd.randrange(max(min(rows, cols), 1))
+        a, b = draw(rows, inner), draw(inner, cols)
+        m = [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)] for i in range(rows)]
+    else:
+        m = draw(rows, cols)
+    if kind == "sparse":
+        m = [[x if rnd.random() < 0.5 else 0 for x in row] for row in m]
+    matrix = np.array(m, dtype=object).reshape(rows, cols)
+    assert smith_rank(matrix) == fraction_rank(matrix)
+    if kind == "rank-deficient":
+        assert smith_rank(matrix) <= inner
 
 
 @settings(max_examples=150, deadline=None)

@@ -26,7 +26,12 @@ from perigid.optimize import (
 )
 from perigid.stress import lambda_stress_space, normalized_stress
 
-from oracles import projected_gradient_refine, realization_from_vector, realization_vector
+from oracles import (
+    cable_framework,
+    projected_gradient_refine,
+    realization_from_vector,
+    realization_vector,
+)
 
 
 def test_energy_flex2_vanishes(flex2, tol):
@@ -228,27 +233,11 @@ def test_standard_realization_single_orbit(flex1, tol):
     assert np.abs(real.points["v1"]).max() <= 1e-12
 
 
-def _cable_framework(seed: int, n: int = 40, d: int = 2):
-    """Seeded connected all-cable gain graph with positive weights: a random
-    tree plus chords, gains in {-1, 0, 1}^d, so Lzd is PSD with kernel 1-hat."""
-    rng = np.random.default_rng(seed)
-    edges = {}  # tail < head throughout, so distinct keys are distinct edges
-    for head in range(1, n):
-        edges[(int(rng.integers(head)), head, tuple(rng.integers(-1, 2, d).tolist()))] = None
-    while len(edges) < 2 * n + 1:
-        tail, head = sorted(rng.choice(n, 2, replace=False).tolist())
-        edges[(tail, head, tuple(rng.integers(-1, 2, d).tolist()))] = None
-    graph = GainGraph(
-        d, [f"v{i}" for i in range(n)], [(f"v{t}", f"v{h}", g, "cable") for t, h, g in edges]
-    )
-    return graph, rng.uniform(0.5, 1.5, graph.num_edges)
-
-
 @pytest.mark.parametrize("case", ["hex", "cable40"])
 def test_standard_realization_one_eigvalsh_one_eigh_no_svd(
     hexes, tol, count_factorisations, case
 ):
-    graph, weights = (hexes.graph, hexes.stress) if case == "hex" else _cable_framework(5)
+    graph, weights = (hexes.graph, hexes.stress) if case == "hex" else cable_framework(5)
     n, d = graph.num_vertices, graph.dimension
     calls = count_factorisations()
     _, report = standard_realization(graph, weights, tol)
@@ -259,7 +248,7 @@ def test_standard_realization_one_eigvalsh_one_eigh_no_svd(
 @pytest.mark.parametrize("case", ["hex", "cable40"])
 def test_standard_realization_normal_form(hexes, tol, case):
     """p(v1) = 0 exactly and a symmetric positive-definite lattice."""
-    graph, weights = (hexes.graph, hexes.stress) if case == "hex" else _cable_framework(5)
+    graph, weights = (hexes.graph, hexes.stress) if case == "hex" else cable_framework(5)
     real, report = standard_realization(graph, weights, tol)
     assert report.passed
     assert np.array_equal(real.points[graph.vertices[0]], np.zeros(graph.dimension))

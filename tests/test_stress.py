@@ -41,6 +41,27 @@ def test_weighted_laplacian_zero_stress(flex2):
     assert not laps.laplacian.any() and not laps.zd_laplacian.any()
 
 
+def test_weighted_laplacians_share_one_read_only_buffer(hexes):
+    laps = weighted_laplacians(hexes.graph, hexes.stress)
+    assert np.shares_memory(laps.laplacian, laps.zd_laplacian)
+    for matrix in (laps.laplacian, laps.zd_laplacian):
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("edges", [[], [("v", "v", (1, 0))]], ids=["edge-free", "loop-only"])
+def test_weighted_laplacians_without_non_loop_edges_are_float(edges):
+    """With no non-loop edge the scatter has no weight to sum, and bincount
+    would give int64 zeros."""
+    graph = GainGraph(2, ("v", "u"), edges)
+    laps = weighted_laplacians(graph, np.full(len(edges), 2.0))
+    assert laps.zd_laplacian.dtype == laps.laplacian.dtype == np.float64
+    assert not laps.laplacian.any() and not laps.cross_block.any()
+    expected = np.array([[2.0, 0.0], [0.0, 0.0]]) if edges else np.zeros((2, 2))
+    assert np.array_equal(laps.lattice_block, expected)
+
+
 def test_weighted_laplacian_hex_is_graph_laplacian(hexes):
     laps = weighted_laplacians(hexes.graph, hexes.stress)
     expected = np.zeros((6, 6))
