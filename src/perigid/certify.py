@@ -255,14 +255,26 @@ def certify_spiderweb(
     )
 
 
-def _trial_loop(tol: ToleranceVault, salt: int, trial, verdicts: tuple[str, str]) -> Certificate:
+def _trial_loop(
+    graph: GainGraph, count: int, tol: ToleranceVault, salt: int, trial, verdicts: tuple[str, str]
+) -> Certificate:
     """Majority over ``tol.generic_trials`` seeded trials.
 
-    ``trial(seed, rng)`` returns the trial's log entry, whose ``positive`` key
-    votes; ``rng`` is seeded with ``seed ^ salt``.  The verdict is
-    ``verdicts[0]`` on a strict majority, else ``verdicts[1]``; the marginal
-    flag records any disagreement between trials and any marginal trial.
+    A graph with fewer than ``count`` edges, the rank its rigidity matrix
+    needs for infinitesimal rigidity, gets ``verdicts[1]`` from the count
+    alone: no trial runs, the log is empty and ``failing`` names the count.
+    Otherwise ``trial(seed, rng)`` returns the trial's log entry, whose
+    ``positive`` key votes; ``rng`` is seeded with ``seed ^ salt``.  The
+    verdict is ``verdicts[0]`` on a strict majority, else ``verdicts[1]``; the
+    marginal flag records any disagreement between trials and any marginal
+    trial.
     """
+    if graph.num_edges < count:
+        return Certificate(
+            verdict=verdicts[1],
+            failing=f"edge count {graph.num_edges} < {count}: "
+            "no realization is infinitesimally rigid",
+        )
     seeds = range(tol.rng_seed, tol.rng_seed + tol.generic_trials)
     trials = [trial(seed, np.random.default_rng(seed ^ salt)) for seed in seeds]
     positives = sum(1 for t in trials if t["positive"])
@@ -300,7 +312,9 @@ def generic_global_rigidity_test(graph: GainGraph, tol: ToleranceVault) -> Certi
     matrix of that stress must have kernel dimension exactly d+1.
     Single-orbit graphs reduce to infinitesimal rigidity alone.  The verdict
     is the majority over the trials and the marginal flag records any
-    disagreement or marginal rank cut.
+    disagreement or marginal rank cut.  R has |E| rows, so with fewer than
+    d|V| + d(d-1)/2 edges it cannot reach the rank d|V| + d^2 - d(d+1)/2
+    that this needs, and the verdict is negative with no trial.
     """
     d = graph.dimension
 
@@ -316,7 +330,8 @@ def generic_global_rigidity_test(graph: GainGraph, tol: ToleranceVault) -> Certi
         return _sample_stress(entry, graph, rank, marginal, stress, tol, "zd_laplacian", d + 1)
 
     verdicts = (Verdict.GENERIC_GLOBALLY_RIGID, Verdict.GENERIC_NOT_GLOBALLY_RIGID)
-    return _trial_loop(tol, 0x9E3779B9, trial, verdicts)
+    count = d * graph.num_vertices + d * (d - 1) // 2
+    return _trial_loop(graph, count, tol, 0x9E3779B9, trial, verdicts)
 
 
 def generic_fixed_global_rigidity_test(
@@ -331,6 +346,9 @@ def generic_fixed_global_rigidity_test(
     its left kernel from one least-squares solve, and test whether the
     weighted Laplacian has kernel dimension exactly one.  With no nonzero
     stress only a single vertex orbit passes: it can only be translated.
+    With fewer than d(|V| - 1) edges every realization has an infinitesimal
+    motion other than a translation, which at generic positions extends to a
+    flex, and the verdict is negative with no trial.
     """
     if lattice is not None:
         lattice = np.asarray(lattice, dtype=float)
@@ -346,7 +364,8 @@ def generic_fixed_global_rigidity_test(
         return _sample_stress(entry, graph, rank, marginal, stress, tol, "laplacian", 1)
 
     verdicts = (Verdict.FIXED_GENERIC_GLOBALLY_RIGID, Verdict.FIXED_GENERIC_NOT_GLOBALLY_RIGID)
-    return _trial_loop(tol, 0x517CC1B7, trial, verdicts)
+    count = graph.dimension * (graph.num_vertices - 1)
+    return _trial_loop(graph, count, tol, 0x517CC1B7, trial, verdicts)
 
 
 def _certify_volume(graph, real, weights, lam, tol) -> Certificate:

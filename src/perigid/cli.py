@@ -189,8 +189,11 @@ def _pick_stress(
     info["stress_space_dim"] = int(basis.shape[1])
     if basis.shape[1] == 0:
         raise ParseError("computed stress space is trivial; nothing to certify")
-    if basis.shape[1] > 1:  # a seeded random combination
-        basis = basis @ np.random.default_rng(vault.rng_seed).standard_normal(basis.shape[1])
+    if basis.shape[1] > 1:
+        # a seeded Gaussian projected onto the space (the basis is
+        # orthonormal), so the draw does not depend on the basis's rotation
+        draw = np.random.default_rng(vault.rng_seed).standard_normal(basis.shape[0])
+        basis = basis @ (basis.T @ draw)
     vec = stress.normalized_stress(basis)
     if mode == "volume":
         return vec[:-1], float(vec[-1]), info

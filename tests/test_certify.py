@@ -419,26 +419,53 @@ def _perfbench_generic_d3_neg() -> bytes:
 
 
 def test_generic_trial_reports_its_marginal_rank_cut():
-    """Trial seed 9 of this fixed-lattice test cuts its 296 x 300 rigidity
-    matrix between singular values 5.5e-4 and 1.7e-6 (a ratio below the
-    1e3 gap guard); the trial and the certificate say so."""
+    """With one seeded edge added (297 edges, the fixed-lattice count), trial
+    seed 9 of this fixed-lattice test makes a marginal rank cut of its
+    297 x 300 rigidity matrix (stress space 9 against 8 on the other trials);
+    the trial and the certificate say so.  The benchmark graph itself, one
+    edge short of the count, is decided by the count with no trial."""
     graph = _perfbench_generic_d3_neg().graph
     assert (graph.dimension, graph.num_vertices, graph.num_edges) == (3, 100, 296)
     tol = ToleranceVault(rng_seed=7, generic_trials=5)
     cert = generic_fixed_global_rigidity_test(graph, tol)
+    assert cert.verdict == Verdict.FIXED_GENERIC_NOT_GLOBALLY_RIGID
+    assert (cert.trial_log, cert.marginal) == ([], False)
+    assert cert.failing == "edge count 296 < 297: no realization is infinitesimally rigid"
+
+    rng = np.random.default_rng(5)
+    tail, head = (graph.vertices[int(i)] for i in rng.integers(100, size=2))
+    extra = (tail, head, tuple(int(x) for x in rng.integers(-1, 2, 3)))
+    edges = [(e.tail, e.head, e.gain) for e in graph.edges]
+    graph = GainGraph(3, graph.vertices, edges + [extra])
+    assert graph.num_edges == 297
+    cert = generic_fixed_global_rigidity_test(graph, tol)
     marginal = {t["seed"]: t["marginal"] for t in cert.trial_log}
-    assert marginal[9] and cert.marginal
+    dims = {t["seed"]: t["stress_space_dim"] for t in cert.trial_log}
+    assert marginal[9] and cert.marginal and cert.failing is None
+    assert dims == {7: 8, 8: 8, 9: 9, 10: 8, 11: 8}
     assert cert.verdict == Verdict.FIXED_GENERIC_NOT_GLOBALLY_RIGID
 
 
 def test_generic_trials_match_public_rank_and_stress_space(tol):
     """Each trial's rigidity and stress-space dimension equal those of the
-    public functions at the trial's realization, on seeded gain graphs."""
-    from perigid.framework import is_infinitesimally_rigid
+    public functions at the trial's realization, on seeded gain graphs.  A
+    graph below its mode's edge count is decided by the count, and the
+    public rigidity test fails at every trial seed's realization."""
+    from perigid.framework import is_fixed_lattice_inf_rigid, is_infinitesimally_rigid
     from perigid.stress import fixed_stress_space, stress_space
+
+    def count_decided(cert, graph, verdict, count) -> bool:
+        if graph.num_edges >= count:
+            return False
+        assert (cert.verdict, cert.trial_log, cert.marginal) == (verdict, [], False)
+        assert cert.failing == (
+            f"edge count {graph.num_edges} < {count}: no realization is infinitesimally rigid"
+        )
+        return True
 
     rng = np.random.default_rng(11)
     branches = set()
+    seeds = range(tol.rng_seed, tol.rng_seed + tol.generic_trials)
     for _ in range(60):
         d, n = int(rng.integers(2, 4)), int(rng.integers(1, 9))
         verts = tuple(f"v{i}" for i in range(n))
@@ -449,22 +476,50 @@ def test_generic_trials_match_public_rank_and_stress_space(tol):
             if tail != head or any(gain):
                 edges[canonicalize_edge(verts[tail], verts[head], gain, verts)[:3]] = None
         graph = GainGraph(d, verts, list(edges))
-        for entry in generic_global_rigidity_test(graph, tol).trial_log:
+        cert = generic_global_rigidity_test(graph, tol)
+        flexible_count = d * n + d * (d - 1) // 2
+        if count_decided(cert, graph, Verdict.GENERIC_NOT_GLOBALLY_RIGID, flexible_count):
+            for seed in seeds:
+                real = random_realization(graph, tol, seed=seed)
+                assert not is_infinitesimally_rigid(graph, real, tol)
+            branches.add(("flexible", "edge count"))
+        for entry in cert.trial_log:
             real = random_realization(graph, tol, seed=entry["seed"])
             assert entry["infinitesimally_rigid"] == is_infinitesimally_rigid(graph, real, tol)
             if "stress_space_dim" in entry:
                 assert entry["stress_space_dim"] == stress_space(graph, real, tol).shape[1]
             branches.add(("flexible", entry["branch"]))
-        for entry in generic_fixed_global_rigidity_test(graph, tol).trial_log:
+        cert = generic_fixed_global_rigidity_test(graph, tol)
+        if count_decided(cert, graph, Verdict.FIXED_GENERIC_NOT_GLOBALLY_RIGID, d * (n - 1)):
+            for seed in seeds:
+                real = random_realization(graph, tol, seed=seed)
+                assert not is_fixed_lattice_inf_rigid(graph, real, tol)
+            branches.add(("fixed", "edge count"))
+        for entry in cert.trial_log:
             real = random_realization(graph, tol, seed=entry["seed"])
             assert entry["stress_space_dim"] == fixed_stress_space(graph, real, tol).shape[1]
             branches.add(("fixed", entry["branch"]))
     assert branches >= {
+        ("flexible", "edge count"),
         ("flexible", "not infinitesimally rigid"),
         ("flexible", "stress sampling"),
+        ("fixed", "edge count"),
         ("fixed", "stress-free"),
         ("fixed", "stress sampling"),
     }
+
+
+@pytest.mark.parametrize("mode", ["flexible", "fixed"])
+def test_generic_test_below_count_makes_no_factorisation(hexes, tol, count_factorisations, mode):
+    """hex (6 vertices, 9 edges) is below both edge counts: the verdict comes
+    from the count, with no numpy.linalg factorisation or solve."""
+    calls = count_factorisations()
+    if mode == "flexible":
+        cert = generic_global_rigidity_test(hexes.graph, tol)
+    else:
+        cert = generic_fixed_global_rigidity_test(hexes.graph, tol)
+    assert not cert.positive and cert.trial_log == []
+    assert calls == []
 
 
 def test_generic_tests_deterministic_and_stable(hexes, tol):

@@ -521,6 +521,40 @@ def test_cli_compute_stress_multidimensional_space(fixture_file, capsys):
     assert json.loads(first)["report"]["stress_space_dim"] == 4
 
 
+@pytest.mark.parametrize(
+    "mode, space, verdict, failing",
+    [
+        ("fixed", "fixed_stress_space", "Inconclusive", "Laplacian not PSD"),
+        ("volume", "lambda_stress_space", "Inconclusive", "multiplier -0.30"),
+    ],
+)
+def test_cli_compute_stress_ignores_basis_rotation(
+    fixture_file, monkeypatch, capsys, mode, space, verdict, failing
+):
+    """``--stress compute`` projects a seeded Gaussian onto the stress space,
+    so rotating the space's orthonormal basis leaves the report as it was."""
+    path = fixture_file("flex2")
+    argv = ["certify", path, "--mode", mode, "--stress", "compute", "--json"]
+    code = cli(argv)
+    report = json.loads(capsys.readouterr().out)["report"]
+    certify = importlib.import_module("perigid.certify")
+    original = getattr(certify, space)
+
+    def rotated(*args):
+        basis = original(*args)
+        turn, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((basis.shape[1],) * 2))
+        return basis @ turn
+
+    monkeypatch.setattr(certify, space, rotated)
+    assert cli(argv) == code == 1
+    again = json.loads(capsys.readouterr().out)["report"]
+    cert, cert_again = report["certificate"], again["certificate"]
+    assert report["stress_space_dim"] == again["stress_space_dim"] >= 2
+    assert cert["verdict"] == cert_again["verdict"] == verdict
+    assert cert["failing"].startswith(failing) and cert_again["failing"].startswith(failing)
+    assert np.allclose(cert["witness_stress"], cert_again["witness_stress"], atol=1e-12)
+
+
 def test_cli_octagon_from_finite_end_to_end(tmp_path, capsys):
     """Finite octagon file -> rolled-up framework -> SuperStable certificate."""
     from perigid import fixtures
@@ -558,11 +592,25 @@ def test_cli_stresses_fixed_mode(fixture_file, capsys):
     assert np.allclose(data["normalized"], np.ones(9))
 
 
+# gain graphs at their edge count, on vertices v1 and v2, whose trials take
+# the branches that hex (6 vertices, 9 edges, below both counts) no longer
+# reaches: each trial's branch and the (tail, head, gain) triples
+_AT_COUNT = {
+    # five edges reach the flexible count 2*2 + 1, but v2 hangs on one edge
+    "loops+pendant": (
+        "not infinitesimally rigid",
+        [("v1", "v1", g) for g in ((1, 0), (0, 1), (1, 1), (1, -1))] + [("v1", "v2", (0, 0))],
+    ),
+    # two edges reach the fixed count 2*(2 - 1) and carry no stress
+    "double-edge": ("stress-free", [("v1", "v2", (0, 0)), ("v1", "v2", (1, 0))]),
+}
+
+
 @pytest.mark.parametrize(
     "name, mode, keys",
     [
         ("flex1", "flexible", ["seed", "infinitesimally_rigid", "positive", "branch", "marginal"]),
-        ("hex", "flexible", ["seed", "infinitesimally_rigid", "positive", "branch", "marginal"]),
+        ("hex", "flexible", []),
         (
             "flex2",
             "flexible",
@@ -573,17 +621,46 @@ def test_cli_stresses_fixed_mode(fixture_file, capsys):
             "fixed",
             ["seed", "stress_space_dim", "stress_kernel_dim", "positive", "branch", "marginal"],
         ),
-        ("hex", "fixed", ["seed", "stress_space_dim", "positive", "branch", "marginal"]),
+        ("hex", "fixed", []),
+        (
+            "loops+pendant",
+            "flexible",
+            ["seed", "infinitesimally_rigid", "positive", "branch", "marginal"],
+        ),
+        ("double-edge", "fixed", ["seed", "stress_space_dim", "positive", "branch", "marginal"]),
     ],
 )
-def test_cli_generic_test_trial_log_key_order(fixture_file, capsys, name, mode, keys):
-    """Text reports print trial entries as dicts, so their key order is output."""
-    cli(["generic-test", fixture_file(name), "--mode", mode])
+def test_cli_generic_test_trial_log_key_order(fixture_file, tmp_path, capsys, name, mode, keys):
+    """Text reports print trial entries as dicts, so their key order is output.
+    hex is decided by its edge count: no trial, an empty log, and ``failing``
+    names the count."""
+    branch, edges = _AT_COUNT.get(name, (None, None))
+    if edges:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "dimension": 2,
+            "vertices": [{"name": "v1"}, {"name": "v2"}],
+            "edges": [{"tail": t, "head": h, "gain": list(g)} for t, h, g in edges],
+        }))
+        path = str(path)
+    else:
+        path = fixture_file(name)
+    cli(["generic-test", path, "--mode", mode])
+    lines = capsys.readouterr().out.splitlines()
     prefix = "report.certificate.trial_log: "
-    line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith(prefix))
-    entries = ast.literal_eval(line[len(prefix):])
+    entries = ast.literal_eval(next(x for x in lines if x.startswith(prefix))[len(prefix):])
+    if not keys:
+        count = {"flexible": 13, "fixed": 10}[mode]
+        assert entries == []
+        assert "report.certificate.marginal: False" in lines
+        assert (
+            f"report.certificate.failing: edge count 9 < {count}: "
+            "no realization is infinitesimally rigid"
+        ) in lines
+        return
     assert [e["seed"] for e in entries] == [2024, 2025, 2026]
     assert all(list(e) == keys for e in entries)
+    assert all(e["branch"] == (branch or e["branch"]) for e in entries)
 
 
 def test_cli_info_huge_gain_exact_rank(fixture_file, tmp_path, capsys):
