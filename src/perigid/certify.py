@@ -5,7 +5,9 @@ from their witness data; the randomized tests decide properties of *generic*
 realizations of a graph and never judge one special input realization.
 
 Each certificate assembles its stress Laplacians once and checks an ordered
-list of clauses; the first failing clause is reported and gives Inconclusive:
+list of clauses; the first failing clause is reported and gives Inconclusive.
+The kernel and PSD clauses of a strictly positive stress are decided from the
+graph, with no eigensolve (``stress._stress_spectrum``):
 
 - flexible: equilibrium, nullity(Lzd) = d+1, Lzd PSD, no conic at infinity;
 - fixed: fixed equilibrium, nullity(L) = 1, L PSD;
@@ -40,6 +42,8 @@ from .gain import GainGraph
 from .linalg import _left_kernel_sample, nullspace, symmetric_spectrum
 from .stress import (
     _equilibrium,
+    _strictly_positive,
+    _stress_spectrum,
     fixed_stress_space,
     is_proper,
     lambda_stress_space,
@@ -179,7 +183,7 @@ def certify_super_stable(
     d = graph.dimension
     laps = weighted_laplacians(graph, w)
     eq = _equilibrium(graph, real, w, laps, "flexible", tol)
-    spec = symmetric_spectrum(laps.zd_laplacian, tol, laps.weight_scale)
+    spec = _stress_spectrum(graph, w, laps, "zd_laplacian", tol)
     conic = conic_at_infinity(graph, real, tol)
     return _decide(
         Verdict.SUPER_STABLE,
@@ -204,7 +208,7 @@ def _fixed_certificate(
     """Fixed-lattice clauses (equilibrium, ``extra``, kernel 1, PSD) on one assembly."""
     laps = weighted_laplacians(graph, w)
     eq = _equilibrium(graph, real, w, laps, "fixed", tol)
-    spec = symmetric_spectrum(laps.laplacian, tol, laps.weight_scale)
+    spec = _stress_spectrum(graph, w, laps, "laplacian", tol)
     return _decide(
         Verdict.FIXED_SUPER_STABLE,
         [
@@ -235,10 +239,15 @@ def certify_spiderweb(
 ) -> Certificate:
     """Spiderweb shortcut: strictly positive stress on an all-cable rank-d graph.
 
-    The fixed-lattice clauses with strict positivity checked right after
-    equilibrium; connectivity plus positivity already force the PSD and
-    kernel conditions.  A strictly positive stress on cables is proper, so
-    this never raises :class:`ImproperStress`.
+    The gates (all cables, connected, gain rank d, non-flat) raise
+    :class:`NotSpiderweb`.  Then the fixed-lattice clauses run with strict
+    positivity checked right after equilibrium, by the rule that also picks
+    the exact stress-matrix path: every weight above the zero band
+    ``residual_tol * max|w|``.  A stress that passes has its Laplacian decided
+    from the graph, PSD with kernel 1 since the graph is connected, so no
+    eigensolve runs; one that fails is Inconclusive at that clause, and one
+    ``eigvalsh`` still fills in its kernel and least eigenvalue.  No stress
+    is checked for proper signs: one that passes is proper on cables.
     """
     if any(e.marking != "cable" for e in graph.edges):
         raise NotSpiderweb("spiderwebs have every edge marked cable")
@@ -249,9 +258,12 @@ def certify_spiderweb(
     if not real.non_flat(tol):
         raise NotSpiderweb("spiderwebs are non-flat")
     w = np.asarray(weights, dtype=float).reshape(-1)
-    positive = bool(np.all(w > tol.residual_tol * np.abs(w).max(initial=0.0)))
     return _fixed_certificate(
-        graph, real, w, tol, [(positive, "stress is not strictly positive on every cable")]
+        graph,
+        real,
+        w,
+        tol,
+        [(_strictly_positive(w, tol), "stress is not strictly positive on every cable")],
     )
 
 

@@ -25,7 +25,7 @@ from .framework import (
     rigidity_matrix,
 )
 from .gain import GainGraph
-from .linalg import numeric_rank, symmetric_spectrum
+from .linalg import numeric_rank
 from .tolerances import ToleranceVault
 
 ENV_SEED = "PERIGID_SEED"
@@ -245,9 +245,9 @@ def _run_rank(parsed, vault, args) -> tuple[dict, int]:
         payload["volume_rigidity"] = {"rank": res.rank, "marginal": res.marginal}
     if parsed.stress is not None:
         laps = stress.weighted_laplacians(graph, parsed.stress)
-        for name, matrix in (("laplacian", laps.laplacian), ("zd_laplacian", laps.zd_laplacian)):
-            res = symmetric_spectrum(matrix, vault, laps.weight_scale)
-            payload[name] = entry(matrix.shape, res.rank, res.marginal)
+        for name in ("laplacian", "zd_laplacian"):
+            res = stress._stress_spectrum(graph, parsed.stress, laps, name, vault)
+            payload[name] = entry(getattr(laps, name).shape, res.rank, res.marginal)
     return payload, EXIT_OK
 
 

@@ -8,7 +8,7 @@ at all.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,14 +27,11 @@ class RankResult(NamedTuple):
 
 class SpectrumResult(NamedTuple):
     rank: int
-    eigenvalues: np.ndarray  # ascending
+    nullity: int
+    eigenvalues: Optional[np.ndarray]  # ascending; None when decided with no eigensolve
     marginal: bool
     is_psd: bool
     min_eigenvalue: float
-
-    @property
-    def nullity(self) -> int:
-        return self.eigenvalues.size - self.rank
 
 
 def _as_float_matrix(matrix) -> np.ndarray:
@@ -132,7 +129,7 @@ def symmetric_spectrum(matrix, tol: ToleranceVault, scale_floor: float = 0.0) ->
     if m.shape[0] != m.shape[1]:
         raise ValueError("symmetric_spectrum needs a square matrix")
     if m.size == 0:
-        return SpectrumResult(0, np.zeros(0), False, True, 0.0)
+        return SpectrumResult(0, 0, np.zeros(0), False, True, 0.0)
     if not np.array_equal(m, m.T):  # 0.5 (m + m^T) is m itself when it is symmetric
         scale = 1.0 + max(float(m.max()), -float(m.min()))
         asym = float(np.abs(m - m.T).max())
@@ -142,7 +139,7 @@ def symmetric_spectrum(matrix, tol: ToleranceVault, scale_floor: float = 0.0) ->
     eigs = np.linalg.eigvalsh(m)
     rank, marginal, threshold = _rank_cut(np.sort(np.abs(eigs))[::-1], m.shape, tol, scale_floor)
     lam_min = float(eigs[0])
-    return SpectrumResult(rank, eigs, marginal, lam_min >= -threshold, lam_min)
+    return SpectrumResult(rank, eigs.size - rank, eigs, marginal, lam_min >= -threshold, lam_min)
 
 
 def _as_int_rows(matrix) -> list[list[int]]:

@@ -4,9 +4,10 @@ The energy of a weighted framework is a quadratic form in the realization
 vector; under a positive-semidefinite stress matrix with one-dimensional
 kernel, the program "minimize energy subject to unit fundamental-domain
 volume" has a closed-form solution, unique up to isometries, and every KKT
-point is a global minimizer.  The solution takes one eigenvalue check of the
-stress matrix, one linear solve of its pinned vertex block and a d x d
-whitening; no singular value decomposition is needed.
+point is a global minimizer.  The solution takes the hypothesis check of the
+stress matrix (from the graph for a strictly positive stress, else one
+eigenvalue decomposition), one linear solve of its pinned vertex block and a
+d x d whitening; no singular value decomposition is needed.
 """
 
 from __future__ import annotations
@@ -33,8 +34,14 @@ from .framework import (
     rigidity_matrix,
 )
 from .gain import GainGraph
-from .linalg import _rank_cut, symmetric_spectrum
-from .stress import WeightedLaplacians, _equilibrium, is_proper, weighted_laplacians
+from .linalg import _rank_cut
+from .stress import (
+    WeightedLaplacians,
+    _equilibrium,
+    _stress_spectrum,
+    is_proper,
+    weighted_laplacians,
+)
 from .tolerances import ToleranceVault
 
 
@@ -149,7 +156,7 @@ def standard_realization(
     n = graph.num_vertices
     laps = weighted_laplacians(graph, w)
     lap_zd = laps.zd_laplacian
-    spec = symmetric_spectrum(lap_zd, tol, laps.weight_scale)
+    spec = _stress_spectrum(graph, w, laps, "zd_laplacian", tol)
     if spec.nullity != 1 or not spec.is_psd:
         raise HypothesisFailed(
             f"need PSD stress matrix with kernel dimension 1, got kernel "
@@ -199,7 +206,7 @@ def certify_volume_constrained(
         raise ImproperStress("stress violates the cable/strut sign conditions")
     w = np.asarray(weights, dtype=float).reshape(-1)
     laps = weighted_laplacians(graph, w)
-    spec = symmetric_spectrum(laps.zd_laplacian, tol, laps.weight_scale)
+    spec = _stress_spectrum(graph, w, laps, "zd_laplacian", tol)
     eq = _equilibrium(graph, real, w, laps, "volume", tol, lam)
     # positive: the multiplier's term lam L^-T does not vanish in the balance
     lam_term = lam * float(np.abs(np.linalg.inv(real.lattice)).max())

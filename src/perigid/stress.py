@@ -26,7 +26,7 @@ from .framework import (
     volume_rigidity_matrix,
 )
 from .gain import GainGraph, Vertex
-from .linalg import nullspace, numeric_rank, symmetric_spectrum
+from .linalg import SpectrumResult, nullspace, numeric_rank, symmetric_spectrum
 from .tolerances import ToleranceVault
 
 
@@ -102,6 +102,38 @@ def weighted_laplacians(graph: GainGraph, weights) -> WeightedLaplacians:
     lap_zd[n:, n:] = 0.5 * (lattice + lattice.T)
     lap_zd.flags.writeable = False
     return WeightedLaplacians(lap_zd[:n, :n], lap_zd, d, float(np.abs(w).max(initial=0.0)))
+
+
+def _strictly_positive(w: np.ndarray, tol: ToleranceVault) -> bool:
+    """Every weight above the zero band ``residual_tol * max|w|`` of
+    :func:`is_proper`; false when any weight is NaN."""
+    return bool(np.all(w > tol.residual_tol * np.abs(w).max(initial=0.0)))
+
+
+def _stress_spectrum(
+    graph: GainGraph, w: np.ndarray, laps: WeightedLaplacians, block: str, tol: ToleranceVault
+) -> SpectrumResult:
+    """Rank, nullity, marginal flag and PSD verdict of the stress matrix
+    ``block`` ("laplacian" or "zd_laplacian") that ``laps`` assembled from ``w``.
+
+    A strictly positive stress is decided from the graph, exactly and with no
+    eigensolve: L = sum_e w_e b_e b_e^T and Lzd = sum_e w_e a_e a_e^T (b_e, a_e
+    the rows of the incidence matrix and of I_zd) are sums of PSD rank-one
+    terms, so each is PSD with the kernel of its incidence matrix.  The
+    Laplacian's nullity is the number of components and Lzd's is
+    |V| + d - rank I_zd, both exact integers from the spanning forest.  The
+    all-ones vectors 1 and 1-hat lie in those kernels, so the least
+    eigenvalue is exactly 0.0 and no cut is marginal.  Every other stress goes
+    to :func:`~perigid.linalg.symmetric_spectrum`.
+    """
+    if not _strictly_positive(w, tol):
+        return symmetric_spectrum(getattr(laps, block), tol, laps.weight_scale)
+    n = graph.num_vertices
+    if block == "laplacian":
+        order, rank = n, n - len(graph.components())
+    else:
+        order, rank = n + graph.dimension, graph.full_rank_condition()[1]
+    return SpectrumResult(rank, order - rank, None, False, True, 0.0)
 
 
 def stress_space(graph: GainGraph, real: Realization, tol: ToleranceVault) -> np.ndarray:
@@ -300,9 +332,9 @@ def strip_loops(
     w_stripped = w[keep]
     laps_stripped = weighted_laplacians(stripped, w_stripped)
     report = StripReport(
-        symmetric_spectrum(laps.zd_laplacian, tol, laps.weight_scale).rank,
-        symmetric_spectrum(laps.laplacian, tol, laps.weight_scale).rank,
-        symmetric_spectrum(laps_stripped.laplacian, tol, laps_stripped.weight_scale).rank,
+        _stress_spectrum(graph, w, laps, "zd_laplacian", tol).rank,
+        _stress_spectrum(graph, w, laps, "laplacian", tol).rank,
+        _stress_spectrum(stripped, w_stripped, laps_stripped, "laplacian", tol).rank,
     )
     if not (report.rank_zd == report.rank_laplacian == report.rank_stripped):
         raise RankMismatch(f"loop stripping rank equalities failed: {report}")

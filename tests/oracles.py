@@ -1,6 +1,6 @@
 """Reference helpers that only the tests use: vector forms of a realization,
 the conic deformation, a projected-gradient refiner, seeded cable frameworks
-and an exact rank by elimination over the rationals."""
+(one with a strut chord) and an exact rank by elimination over the rationals."""
 
 from __future__ import annotations
 
@@ -111,6 +111,18 @@ def cable_framework(seed: int, n: int = 40, d: int = 2):
         d, [f"v{i}" for i in range(n)], [(f"v{t}", f"v{h}", g, "cable") for t, h, g in edges]
     )
     return graph, rng.uniform(0.5, 1.5, graph.num_edges)
+
+
+def strut_chord(graph: GainGraph, weights):
+    """A :func:`cable_framework` with the chord at edge index |V| turned into a
+    strut of weight -0.01: a stress of mixed signs whose Lzd stays PSD with
+    kernel 1-hat, since the strut is weak."""
+    k = graph.num_vertices
+    edges = list(graph.edges)
+    edges[k] = edges[k]._replace(marking="strut")
+    w = np.array(weights, dtype=float)
+    w[k] = -0.01
+    return GainGraph(graph.dimension, graph.vertices, edges), w
 
 
 def fraction_rank(matrix) -> int:

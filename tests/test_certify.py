@@ -26,7 +26,7 @@ from perigid.framework import (
 from perigid.gain import GainEdge, GainGraph, canonicalize_edge
 from perigid.tolerances import ToleranceVault
 
-from oracles import cable_framework, conic_deformation
+from oracles import cable_framework, conic_deformation, strut_chord
 
 
 def test_conic_examples(flex1, flex2, tol):
@@ -130,36 +130,95 @@ def test_certify_fixed_lattice_huge_gain_out_of_equilibrium(hexes, tol, gain):
 def test_each_certificate_factorises_its_laplacian_once(
     monkeypatch, count_factorisations, catalog, tol, mode
 ):
-    from perigid.optimize import certify_volume_constrained
+    """One assembly per certificate.  A strictly positive stress (the all-cable
+    hex) is decided from the graph with no eigvalsh; a stress of mixed signs
+    makes exactly one, of its stress matrix."""
+    from perigid.optimize import certify_volume_constrained, standard_realization
     from perigid.stress import lambda_stress_space, normalized_stress
 
+    hexes = catalog["hex"]
+    cable_hex = hexes.graph.with_markings(["cable"] * hexes.graph.num_edges)
+    octagon = catalog["octagon"]
+    # (graph, eigvalsh calls, positive verdict, certificate call)
     if mode == "flexible":
-        fix = catalog["octagon"]
-        run = lambda: certify_super_stable(fix.graph, fix.realization, fix.stress, tol)  # noqa: E731
+        cases = [  # all-ones is no flexible stress of hex: Inconclusive, with no eigvalsh
+            (octagon.graph, 1, True, lambda: certify_super_stable(
+                octagon.graph, octagon.realization, octagon.stress, tol)),
+            (cable_hex, 0, False, lambda: certify_super_stable(
+                cable_hex, hexes.realization, hexes.stress, tol)),
+        ]
+    elif mode == "fixed":
+        cases = [(cable_hex, 0, True, lambda: certify_fixed_lattice(
+            cable_hex, hexes.realization, hexes.stress, tol))]
+        for fix in (catalog["flex1"], catalog["flex2"], octagon):
+            cases.append((fix.graph, 1, True, lambda fix=fix: certify_fixed_lattice(
+                fix.graph, fix.realization, fix.stress, tol)))
+    elif mode == "spiderweb":
+        cable_octagon = octagon.graph.with_markings(["cable"] * octagon.graph.num_edges)
+        cases = [  # octagon's struts carry negative weights: Inconclusive at positivity
+            (cable_hex, 0, True, lambda: certify_spiderweb(
+                cable_hex, hexes.realization, hexes.stress, tol)),
+            (cable_octagon, 1, False, lambda: certify_spiderweb(
+                cable_octagon, octagon.realization, octagon.stress, tol)),
+        ]
     else:
-        fix = catalog["hex"]
-        graph = fix.graph.with_markings(["cable"] * fix.graph.num_edges)
-        if mode == "fixed":
-            run = lambda: certify_fixed_lattice(graph, fix.realization, fix.stress, tol)  # noqa: E731
-        elif mode == "spiderweb":
-            run = lambda: certify_spiderweb(graph, fix.realization, fix.stress, tol)  # noqa: E731
-        else:
-            unit = fix.realization.scaled(abs(np.linalg.det(fix.realization.lattice)) ** -0.5)
-            vec = normalized_stress(lambda_stress_space(graph, unit, tol))
-            run = lambda: certify_volume_constrained(graph, unit, vec[:-1], vec[-1], tol)  # noqa: E731
-    n, d = fix.graph.num_vertices, fix.graph.dimension
-    size = n if mode in ("fixed", "spiderweb") else n + d
+        unit = hexes.realization.scaled(abs(np.linalg.det(hexes.realization.lattice)) ** -0.5)
+        vec = normalized_stress(lambda_stress_space(cable_hex, unit, tol))
+        strut, w = strut_chord(*cable_framework(5))
+        real, report = standard_realization(strut, w, tol)
+        cases = [
+            (cable_hex, 0, True, lambda: certify_volume_constrained(
+                cable_hex, unit, vec[:-1], vec[-1], tol)),
+            (strut, 1, True, lambda: certify_volume_constrained(
+                strut, real, w, report.lam, tol)),
+        ]
     calls = count_factorisations()
     assemblies = _counting_assemblies(monkeypatch)
-    assert run().positive
-    assert [c for c in calls if c[0] == "eigvalsh"] == [("eigvalsh", (size, size))]
-    assert not [c for c in calls if c[0] != "eigvalsh" and c[1] == (size, size)]
-    assert len(assemblies) == 1
+    for graph, eigensolves, positive, run in cases:
+        n, d = graph.num_vertices, graph.dimension
+        size = n if mode in ("fixed", "spiderweb") else n + d
+        del calls[:], assemblies[:]
+        cert = run()
+        assert cert.positive == positive
+        eigvalsh = [c for c in calls if c[0] == "eigvalsh"]
+        assert eigvalsh == [("eigvalsh", (size, size))] * eigensolves
+        assert not [c for c in calls if c[0] != "eigvalsh" and c[1] == (size, size)]
+        assert len(assemblies) == 1
+        if eigensolves == 0:
+            assert cert.min_eigenvalue == 0.0 and not cert.marginal
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e-6])
+def test_positive_stress_kernel_is_exact_below_the_eigenvalue_cut(tol, tmp_path, capsys, scale):
+    """Scaled by 1e-7, the weights at v39 put the Laplacian's second eigenvalue
+    under the rank cut, unmarked since the gap to the zero eigenvalue is wide
+    (at 1e-6 the cut still sees it), yet a strictly positive stress on a
+    connected graph has kernel 1 exactly.  ``rank`` ranks the Laplacian by the
+    same rule as the certificate."""
+    from perigid import fileformat
+    from perigid.cli import cli
+
+    graph, w = cable_framework(3, n=40)
+    w[(graph.tail_idx == 39) | (graph.head_idx == 39)] *= scale
+    lattice = np.array([[1.0, 0.3], [0.2, 1.1]])
+    laps = stress.weighted_laplacians(graph, w)
+    points = np.zeros((2, 40))  # v0 pinned: P L + lattice C^T = 0 on the other columns
+    points[:, 1:] = np.linalg.solve(laps.laplacian[1:, 1:], -laps.cross_block[1:] @ lattice.T).T
+    real = Realization({v: points[:, i] for i, v in enumerate(graph.vertices)}, lattice)
+    cert = certify_fixed_lattice(graph, real, w, tol)
+    assert cert.verdict == Verdict.FIXED_SUPER_STABLE
+    assert cert.kernel_dims == {"laplacian": 1}
+    assert cert.min_eigenvalue == 0.0 and not cert.marginal
+    path = tmp_path / "cable.json"
+    path.write_bytes(fileformat.dumps(graph, real, w))
+    assert cli(["rank", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["laplacian"] == {"shape": [40, 40], "rank": 39, "marginal": False}
 
 
 def test_certificates_allocate_one_stress_matrix(tol):
     """The stress matrix is the one (|V|+d)^2 array a certificate or the
-    minimiser allocates; the eigensolver's working copy is outside the trace.
+    minimiser allocates; this stress is positive, so no eigensolver runs.
     Allowing for the |V|^2 temporaries of the equilibrium bound and the
     pinned solve, the peak stays under 2.5 such arrays (it was about 4)."""
     from perigid.optimize import certify_volume_constrained, standard_realization

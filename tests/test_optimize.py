@@ -31,6 +31,7 @@ from oracles import (
     projected_gradient_refine,
     realization_from_vector,
     realization_vector,
+    strut_chord,
 )
 
 
@@ -233,16 +234,22 @@ def test_standard_realization_single_orbit(flex1, tol):
     assert np.abs(real.points["v1"]).max() <= 1e-12
 
 
-@pytest.mark.parametrize("case", ["hex", "cable40"])
-def test_standard_realization_one_eigvalsh_one_eigh_no_svd(
-    hexes, tol, count_factorisations, case
-):
-    graph, weights = (hexes.graph, hexes.stress) if case == "hex" else cable_framework(5)
+@pytest.mark.parametrize("case", ["hex", "cable40", "strut-chord"])
+def test_standard_realization_factorisations(hexes, tol, count_factorisations, case):
+    """The whole cost: one pinned solve and one d x d eigh, plus one eigvalsh of
+    Lzd only for a stress of mixed signs; no SVD."""
+    if case == "hex":
+        graph, weights = hexes.graph, hexes.stress
+    elif case == "cable40":
+        graph, weights = cable_framework(5)
+    else:
+        graph, weights = strut_chord(*cable_framework(5))
     n, d = graph.num_vertices, graph.dimension
     calls = count_factorisations()
     _, report = standard_realization(graph, weights, tol)
     assert report.passed
-    assert calls == [("eigvalsh", (n + d, n + d)), ("eigh", (d, d))]
+    eigensolve = [("eigvalsh", (n + d, n + d))] if case == "strut-chord" else []
+    assert calls == eigensolve + [("solve", (n - 1, n - 1)), ("eigh", (d, d))]
 
 
 @pytest.mark.parametrize("case", ["hex", "cable40"])

@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from perigid.errors import FlatLattice, NotFixedLatticeStress, SingularGainBasis
+from perigid.errors import FlatLattice, NonFiniteEntry, NotFixedLatticeStress, SingularGainBasis
 from perigid.framework import (
     Realization,
     point_matrix,
     random_realization,
     rigidity_matrix,
 )
+from perigid.errors import DuplicateEdge
 from perigid.gain import GainGraph
-from perigid.linalg import numeric_rank
+from perigid.linalg import numeric_rank, symmetric_spectrum
 from perigid.stress import (
+    _stress_spectrum,
     default_loop_gains,
     extend_with_loops,
     fixed_stress_space,
@@ -355,3 +359,63 @@ def test_extend_with_loops_stress_space_bijection(hexes, flex2, tol):
         == fixed_stress_space(flex2.graph, flex2.realization, tol).shape[1]
         == 4
     )
+
+
+@st.composite
+def stressed_gain_graphs(draw):
+    """Small gain graphs (d = 1-3, loops, often several components) with one
+    weight per edge on [0.5, 1.5], and a copy of those weights with mixed signs."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    gain = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    names = [f"v{i}" for i in range(n)]
+    kept = []
+    for t, h, g in draw(st.lists(st.tuples(vertex, vertex, gain), max_size=12)):
+        edge = (names[t], names[h], tuple(g))
+        if t == h and not any(g):
+            continue
+        try:
+            GainGraph(d, names, kept + [edge])
+        except DuplicateEdge:
+            continue
+        kept.append(edge)
+    graph = GainGraph(d, names, kept)
+    unit = st.floats(0.5, 1.5)
+    weights = np.array(draw(st.lists(unit, min_size=len(kept), max_size=len(kept))))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=len(kept),
+                                   max_size=len(kept))))
+    if kept:
+        signs[draw(st.integers(0, len(kept) - 1))] = draw(st.sampled_from([-1.0, 0.0]))
+    return graph, weights, signs * weights
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=stressed_gain_graphs())
+def test_stress_spectrum_agrees_with_the_eigenvalue_cut(tol, case):
+    """A positive stress's exact nullity and PSD verdict are the eigenvalue
+    cut's on these well-scaled inputs; any other stress gets the cut's result."""
+    graph, weights, mixed = case
+    laps = weighted_laplacians(graph, weights)
+    for block in ("laplacian", "zd_laplacian"):
+        exact = _stress_spectrum(graph, weights, laps, block, tol)
+        cut = symmetric_spectrum(getattr(laps, block), tol, laps.weight_scale)
+        assert (exact.nullity, exact.is_psd) == (cut.nullity, cut.is_psd)
+        assert (exact.rank, exact.eigenvalues) == (cut.rank, None)
+        assert exact.min_eigenvalue == 0.0 and not exact.marginal
+    if not mixed.size:
+        return
+    laps = weighted_laplacians(graph, mixed)
+    for block in ("laplacian", "zd_laplacian"):
+        got = _stress_spectrum(graph, mixed, laps, block, tol)
+        cut = symmetric_spectrum(getattr(laps, block), tol, laps.weight_scale)
+        assert np.array_equal(got.eigenvalues, cut.eigenvalues)
+        assert got._replace(eigenvalues=None) == cut._replace(eigenvalues=None)
+
+
+def test_stress_spectrum_sends_non_finite_weights_to_the_eigensolver(hexes, tol):
+    weights = hexes.stress.copy()
+    weights[3] = np.nan
+    laps = weighted_laplacians(hexes.graph, weights)
+    with pytest.raises(NonFiniteEntry):
+        _stress_spectrum(hexes.graph, weights, laps, "laplacian", tol)
