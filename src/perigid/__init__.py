@@ -38,13 +38,13 @@ from .certify import (
     certify_fixed_lattice,
     certify_spiderweb,
     certify_super_stable,
+    certify_volume_constrained,
     conic_at_infinity,
     generic_fixed_global_rigidity_test,
     generic_global_rigidity_test,
 )
 from .optimize import (
     KktReport,
-    certify_volume_constrained,
     energy,
     energy_gradient,
     standard_realization,

@@ -4,16 +4,16 @@ Positive stress-matrix verdicts are sufficiency certificates that re-verify
 from their witness data; the randomized tests decide properties of *generic*
 realizations of a graph and never judge one special input realization.
 
-Each certificate assembles its stress Laplacians once and checks an ordered
-list of clauses; the first failing clause is reported and gives Inconclusive.
-The kernel and PSD clauses of a strictly positive stress are decided from the
-graph, with no eigensolve (``stress._stress_spectrum``):
+Each certificate assembles its stress Laplacians once (``_assess``) and checks
+an ordered list of clauses (``_decide``); the first failing clause is reported
+and gives Inconclusive.  The kernel and PSD clauses of a strictly positive
+stress are decided from the graph, with no eigensolve
+(``stress._stress_spectrum``):
 
 - flexible: equilibrium, nullity(Lzd) = d+1, Lzd PSD, no conic at infinity;
 - fixed: fixed equilibrium, nullity(L) = 1, L PSD;
 - spiderweb: fixed equilibrium, stress strictly positive, nullity(L) = 1, L PSD;
-- volume (``optimize.certify_volume_constrained``): multiplier positive,
-  volume equilibrium, nullity(Lzd) = 1, Lzd PSD.
+- volume: multiplier positive, volume equilibrium, nullity(Lzd) = 1, Lzd PSD.
 
 Input gates raise before any clause: affinely spanning (flexible), proper
 signs (flexible, fixed, volume), the spiderweb preconditions, and a non-flat
@@ -23,11 +23,18 @@ unit-volume lattice (volume).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateEdge, FlatLattice, ImproperStress, NotAffinelySpanning, NotSpiderweb
+from .errors import (
+    DegenerateEdge,
+    FlatLattice,
+    ImproperStress,
+    NotAffinelySpanning,
+    NotSpiderweb,
+    VolumeNotOne,
+)
 from .framework import (
     Realization,
     _non_flat,
@@ -44,10 +51,7 @@ from .stress import (
     _equilibrium,
     _strictly_positive,
     _stress_spectrum,
-    fixed_stress_space,
     is_proper,
-    lambda_stress_space,
-    stress_space,
     weighted_laplacians,
 )
 from .tolerances import ToleranceVault
@@ -111,28 +115,6 @@ class Certificate:
         }
 
 
-def _sym_basis_row(nu: np.ndarray) -> np.ndarray:
-    """Coordinates of nu^T Q nu in the basis E_ii, (E_ij + E_ji), i<j."""
-    d = nu.size
-    row = [nu[i] * nu[i] for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            row.append(2.0 * nu[i] * nu[j])
-    return np.array(row)
-
-
-def _q_from_coords(coords: np.ndarray, d: int) -> np.ndarray:
-    q = np.zeros((d, d))
-    for i in range(d):
-        q[i, i] = coords[i]
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            q[i, j] = q[j, i] = coords[k]
-            k += 1
-    return q
-
-
 def conic_at_infinity(
     graph: GainGraph, real: Realization, tol: ToleranceVault
 ) -> Optional[np.ndarray]:
@@ -147,23 +129,47 @@ def conic_at_infinity(
     terms = pts[graph.head_idx] + np.linalg.norm(graph.gain_array @ real.lattice.T, axis=1)
     if np.any(np.linalg.norm(nu, axis=1) <= tol.residual_tol * (terms + pts[graph.tail_idx])):
         raise DegenerateEdge("conic test needs nonzero edge vectors")
-    system = np.vstack([_sym_basis_row(v) for v in nu]) if graph.num_edges else np.zeros(
-        (0, graph.dimension * (graph.dimension + 1) // 2)
-    )
+    # coordinates of nu^T Q nu in the basis E_ii, then E_ij + E_ji for i < j
+    d = graph.dimension
+    i, j = np.triu_indices(d, 1)
+    system = np.hstack([nu * nu, 2.0 * nu[:, i] * nu[:, j]])
     kernel = nullspace(system, "right", tol)
     if kernel.shape[1] == 0:
         return None
-    coords = kernel[:, 0]
-    q = _q_from_coords(coords, graph.dimension)
+    q = np.diag(kernel[:d, 0])
+    q[i, j] = q[j, i] = kernel[d:, 0]
     return q / np.linalg.norm(q)
 
 
-def _decide(verdict_on_pass: str, clauses, **witness) -> Certificate:
+_BLOCKS = {"flexible": "zd_laplacian", "fixed": "laplacian", "volume": "zd_laplacian"}
+
+
+def _assess(graph, real, w, tol, mode, lam=None):
+    """One assembly of ``w``'s stress Laplacians: the ``mode`` equilibrium report
+    and the spectrum of the mode's stress matrix (L in fixed mode, else Lzd)."""
+    laps = weighted_laplacians(graph, w)
+    eq = _equilibrium(graph, real, w, laps, mode, tol, lam)
+    return eq, _stress_spectrum(graph, w, laps, _BLOCKS[mode], tol)
+
+
+def _decide(verdict_on_pass: str, clauses, w, eq, spec, **extra) -> Certificate:
     """``verdict_on_pass`` when every ``(holds, message)`` clause holds, else
-    Inconclusive naming the first failing clause; ``witness`` fills the rest."""
+    Inconclusive naming the first failing clause.  The witness is the stress
+    ``w`` with its kernel, least eigenvalue and marginal flag from ``spec`` and
+    its equilibrium residual from ``eq``, keyed by ``eq.mode``; ``extra`` fills
+    the rest."""
     failing = next((message for holds, message in clauses if not holds), None)
-    verdict = verdict_on_pass if failing is None else Verdict.INCONCLUSIVE
-    return Certificate(verdict=verdict, failing=failing, **witness)
+    residual_key = "equilibrium" if eq.mode == "flexible" else f"{eq.mode}_equilibrium"
+    return Certificate(
+        verdict=verdict_on_pass if failing is None else Verdict.INCONCLUSIVE,
+        failing=failing,
+        witness_stress=w.copy(),
+        kernel_dims={_BLOCKS[eq.mode]: spec.nullity},
+        min_eigenvalue=spec.min_eigenvalue,
+        marginal=spec.marginal,
+        residuals={residual_key: eq.residual},
+        **extra,
+    )
 
 
 def certify_super_stable(
@@ -181,48 +187,15 @@ def certify_super_stable(
         raise ImproperStress("stress violates the cable/strut sign conditions")
     w = np.asarray(weights, dtype=float).reshape(-1)
     d = graph.dimension
-    laps = weighted_laplacians(graph, w)
-    eq = _equilibrium(graph, real, w, laps, "flexible", tol)
-    spec = _stress_spectrum(graph, w, laps, "zd_laplacian", tol)
+    eq, spec = _assess(graph, real, w, tol, "flexible")
     conic = conic_at_infinity(graph, real, tol)
-    return _decide(
-        Verdict.SUPER_STABLE,
-        [
-            (eq.passed, f"equilibrium residual {eq.residual:g} exceeds tolerance"),
-            (spec.nullity == d + 1, f"kernel dimension {spec.nullity} != d+1 = {d + 1}"),
-            (spec.is_psd, f"stress matrix not PSD (min eigenvalue {spec.min_eigenvalue:g})"),
-            (conic is None, "edge directions lie on a conic at infinity"),
-        ],
-        witness_stress=w.copy(),
-        kernel_dims={"zd_laplacian": spec.nullity},
-        min_eigenvalue=spec.min_eigenvalue,
-        conic_witness=conic,
-        marginal=spec.marginal,
-        residuals={"equilibrium": eq.residual},
-    )
-
-
-def _fixed_certificate(
-    graph: GainGraph, real: Realization, w: np.ndarray, tol: ToleranceVault, extra=()
-) -> Certificate:
-    """Fixed-lattice clauses (equilibrium, ``extra``, kernel 1, PSD) on one assembly."""
-    laps = weighted_laplacians(graph, w)
-    eq = _equilibrium(graph, real, w, laps, "fixed", tol)
-    spec = _stress_spectrum(graph, w, laps, "laplacian", tol)
-    return _decide(
-        Verdict.FIXED_SUPER_STABLE,
-        [
-            (eq.passed, f"fixed equilibrium residual {eq.residual:g} exceeds tolerance"),
-            *extra,
-            (spec.nullity == 1, f"Laplacian kernel dimension {spec.nullity} != 1"),
-            (spec.is_psd, f"Laplacian not PSD (min eigenvalue {spec.min_eigenvalue:g})"),
-        ],
-        witness_stress=w.copy(),
-        kernel_dims={"laplacian": spec.nullity},
-        min_eigenvalue=spec.min_eigenvalue,
-        marginal=spec.marginal,
-        residuals={"fixed_equilibrium": eq.residual},
-    )
+    clauses = [
+        (eq.passed, f"equilibrium residual {eq.residual:g} exceeds tolerance"),
+        (spec.nullity == d + 1, f"kernel dimension {spec.nullity} != d+1 = {d + 1}"),
+        (spec.is_psd, f"stress matrix not PSD (min eigenvalue {spec.min_eigenvalue:g})"),
+        (conic is None, "edge directions lie on a conic at infinity"),
+    ]
+    return _decide(Verdict.SUPER_STABLE, clauses, w, eq, spec, conic_witness=conic)
 
 
 def certify_fixed_lattice(
@@ -231,7 +204,14 @@ def certify_fixed_lattice(
     """Fixed-lattice super-stability certificate (kernel 1 + PSD Laplacian)."""
     if not is_proper(graph, weights, tol):
         raise ImproperStress("stress violates the cable/strut sign conditions")
-    return _fixed_certificate(graph, real, np.asarray(weights, dtype=float).reshape(-1), tol)
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    eq, spec = _assess(graph, real, w, tol, "fixed")
+    clauses = [
+        (eq.passed, f"fixed equilibrium residual {eq.residual:g} exceeds tolerance"),
+        (spec.nullity == 1, f"Laplacian kernel dimension {spec.nullity} != 1"),
+        (spec.is_psd, f"Laplacian not PSD (min eigenvalue {spec.min_eigenvalue:g})"),
+    ]
+    return _decide(Verdict.FIXED_SUPER_STABLE, clauses, w, eq, spec)
 
 
 def certify_spiderweb(
@@ -258,13 +238,38 @@ def certify_spiderweb(
     if not real.non_flat(tol):
         raise NotSpiderweb("spiderwebs are non-flat")
     w = np.asarray(weights, dtype=float).reshape(-1)
-    return _fixed_certificate(
-        graph,
-        real,
-        w,
-        tol,
-        [(_strictly_positive(w, tol), "stress is not strictly positive on every cable")],
-    )
+    eq, spec = _assess(graph, real, w, tol, "fixed")
+    clauses = [
+        (eq.passed, f"fixed equilibrium residual {eq.residual:g} exceeds tolerance"),
+        (_strictly_positive(w, tol), "stress is not strictly positive on every cable"),
+        (spec.nullity == 1, f"Laplacian kernel dimension {spec.nullity} != 1"),
+        (spec.is_psd, f"Laplacian not PSD (min eigenvalue {spec.min_eigenvalue:g})"),
+    ]
+    return _decide(Verdict.FIXED_SUPER_STABLE, clauses, w, eq, spec)
+
+
+def certify_volume_constrained(
+    graph: GainGraph, real: Realization, weights, lam: float, tol: ToleranceVault
+) -> Certificate:
+    """Volume-constrained super-stability certificate at a unit-volume tensegrity."""
+    if not real.non_flat(tol):
+        raise FlatLattice("volume certificate needs a nonsingular lattice")
+    volume = abs(float(np.linalg.det(real.lattice)))
+    if abs(np.log(volume)) > tol.residual_tol:
+        raise VolumeNotOne(f"lattice volume {volume!r} is not one")
+    if not is_proper(graph, weights, tol):
+        raise ImproperStress("stress violates the cable/strut sign conditions")
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    eq, spec = _assess(graph, real, w, tol, "volume", lam)
+    # positive: the multiplier's term lam L^-T does not vanish in the balance
+    lam_term = lam * float(np.abs(np.linalg.inv(real.lattice)).max())
+    clauses = [
+        (lam_term > tol.residual_tol * eq.scale, f"multiplier {lam!r} is not positive"),
+        (eq.passed, f"volume equilibrium residual {eq.residual:g} exceeds tolerance"),
+        (spec.nullity == 1, f"stress matrix kernel dimension {spec.nullity} != 1"),
+        (spec.is_psd, f"stress matrix not PSD (min eigenvalue {spec.min_eigenvalue:g})"),
+    ]
+    return _decide(Verdict.VOLUME_SUPER_STABLE, clauses, w, eq, spec, witness_lambda=float(lam))
 
 
 def _trial_loop(
@@ -378,64 +383,3 @@ def generic_fixed_global_rigidity_test(
     verdicts = (Verdict.FIXED_GENERIC_GLOBALLY_RIGID, Verdict.FIXED_GENERIC_NOT_GLOBALLY_RIGID)
     count = graph.dimension * (graph.num_vertices - 1)
     return _trial_loop(graph, count, tol, 0x517CC1B7, trial, verdicts)
-
-
-def _certify_volume(graph, real, weights, lam, tol) -> Certificate:
-    from .optimize import certify_volume_constrained  # optimize imports this module
-
-    return certify_volume_constrained(graph, real, weights, lam, tol)
-
-
-class _Mode(NamedTuple):
-    stress_space: Callable  # (graph, real, tol)
-    certify: Callable  # (graph, real, weights, lam, tol)
-    generic_test: Optional[Callable]  # (graph, real or None, tol)
-
-
-# Entries look their functions up when called, so a wrapper installed on a
-# module attribute (a profiler's, a test's) sees every call made through here.
-_MODES = {
-    "flexible": _Mode(
-        lambda g, r, t: stress_space(g, r, t),
-        lambda g, r, w, lam, t: certify_super_stable(g, r, w, t),
-        lambda g, r, t: generic_global_rigidity_test(g, t),
-    ),
-    "fixed": _Mode(
-        lambda g, r, t: fixed_stress_space(g, r, t),
-        lambda g, r, w, lam, t: certify_fixed_lattice(g, r, w, t),
-        lambda g, r, t: generic_fixed_global_rigidity_test(
-            g, t, lattice=None if r is None else r.lattice
-        ),
-    ),
-    "volume": _Mode(
-        lambda g, r, t: lambda_stress_space(g, r, t),
-        lambda g, r, w, lam, t: _certify_volume(g, r, w, lam, t),
-        None,
-    ),
-    "spiderweb": _Mode(
-        lambda g, r, t: fixed_stress_space(g, r, t),
-        lambda g, r, w, lam, t: certify_spiderweb(g, r, w, t),
-        None,
-    ),
-}
-
-
-def reverify(
-    certificate: Certificate, graph: GainGraph, real: Realization, tol: ToleranceVault
-) -> bool:
-    """Re-run the checks behind a positive stress certificate from its witness.
-
-    A fixed-lattice verdict re-runs the fixed-lattice certificate, also when a
-    spiderweb check issued it.
-    """
-    mode = {
-        Verdict.SUPER_STABLE: "flexible",
-        Verdict.FIXED_SUPER_STABLE: "fixed",
-        Verdict.VOLUME_SUPER_STABLE: "volume",
-    }.get(certificate.verdict)
-    if mode is None:
-        raise ValueError("reverify handles positive stress-certificate verdicts only")
-    again = _MODES[mode].certify(
-        graph, real, certificate.witness_stress, certificate.witness_lambda, tol
-    )
-    return again.verdict == certificate.verdict

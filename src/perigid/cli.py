@@ -12,12 +12,11 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import construct, fileformat, optimize, stress, svg
-from .certify import _MODES
+from . import certify, construct, fileformat, optimize, stress, svg
 from .errors import InternalInconsistency, ParseError, PerigidError
 from .framework import (
     Realization,
@@ -36,6 +35,40 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 BATCH_COMMANDS = ("info", "rank", "stresses", "certify", "generic-test", "minimize")
+
+
+class _Mode(NamedTuple):
+    stress_space: Callable  # (graph, real, tol)
+    certify: Callable  # (graph, real, weights, lam, tol)
+    generic_test: Optional[Callable]  # (graph, real or None, tol)
+
+
+# Entries look their functions up when called, so a wrapper installed on a
+# module attribute (a profiler's, a test's) sees every call made through here.
+_MODES = {
+    "flexible": _Mode(
+        lambda g, r, t: stress.stress_space(g, r, t),
+        lambda g, r, w, lam, t: certify.certify_super_stable(g, r, w, t),
+        lambda g, r, t: certify.generic_global_rigidity_test(g, t),
+    ),
+    "fixed": _Mode(
+        lambda g, r, t: stress.fixed_stress_space(g, r, t),
+        lambda g, r, w, lam, t: certify.certify_fixed_lattice(g, r, w, t),
+        lambda g, r, t: certify.generic_fixed_global_rigidity_test(
+            g, t, lattice=None if r is None else r.lattice
+        ),
+    ),
+    "volume": _Mode(
+        lambda g, r, t: stress.lambda_stress_space(g, r, t),
+        lambda g, r, w, lam, t: certify.certify_volume_constrained(g, r, w, lam, t),
+        None,
+    ),
+    "spiderweb": _Mode(
+        lambda g, r, t: stress.fixed_stress_space(g, r, t),
+        lambda g, r, w, lam, t: certify.certify_spiderweb(g, r, w, t),
+        None,
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:

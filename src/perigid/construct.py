@@ -19,7 +19,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .framework import Realization, _non_flat
-from .gain import GainEdge, GainGraph, Vertex
+from .gain import MARKINGS, GainEdge, GainGraph, Vertex
 from .stress import weighted_laplacians
 from .tolerances import DEFAULT_TOL, ToleranceVault
 
@@ -37,8 +37,6 @@ class FiniteFramework:
     markings: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        from .gain import MARKINGS
-
         seen = set()
         for u, v in self.edges:
             if u == v:

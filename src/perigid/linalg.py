@@ -75,14 +75,11 @@ def _left_kernel_sample(matrix, rng, tol: ToleranceVault) -> tuple[int, bool, np
     return rank, marginal, x - m @ fit
 
 
-def numeric_rank(matrix, tol: ToleranceVault, scale_floor: float = 0.0) -> RankResult:
+def numeric_rank(matrix, tol: ToleranceVault) -> RankResult:
     """Rank of a real matrix from its singular values.
 
     A singular value counts toward the rank when it exceeds
-    ``rank_rel_tol * max(rows, cols) * max(sigma_1, scale_floor)``.  The floor
-    defaults to zero (purely relative rule); callers that know the natural
-    scale of the assembly pass it so matrices that cancel to zero up to
-    floating noise rank as zero instead of as noise.  The result is flagged
+    ``rank_rel_tol * max(rows, cols) * sigma_1``.  The result is flagged
     marginal when the ratio across the rank cut is below ``RANK_GAP_GUARD``,
     since a near-degenerate cut should be surfaced rather than silently
     decided.
@@ -91,13 +88,13 @@ def numeric_rank(matrix, tol: ToleranceVault, scale_floor: float = 0.0) -> RankR
     if m.size == 0:
         return RankResult(0, np.zeros(0), False)
     svals = np.linalg.svd(m, compute_uv=False)
-    rank, marginal, _ = _rank_cut(svals, m.shape, tol, scale_floor)
+    rank, marginal, _ = _rank_cut(svals, m.shape, tol, 0.0)
     return RankResult(rank, svals, marginal)
 
 
 def nullspace(matrix, side: str, tol: ToleranceVault) -> np.ndarray:
     """Orthonormal basis (as columns) of the right or left kernel of ``matrix``,
-    cut where :func:`numeric_rank` cuts with no floor."""
+    cut where :func:`numeric_rank` cuts."""
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     m = _as_float_matrix(matrix)
@@ -119,11 +116,13 @@ def symmetric_spectrum(matrix, tol: ToleranceVault, scale_floor: float = 0.0) ->
     An exactly symmetric matrix goes to the eigensolver as it is.  Otherwise
     this raises :class:`AsymmetricInput` when the asymmetry exceeds
     ``residual_tol * (1 + |S|)`` and symmetrizes a copy before the
-    eigensolve.  The rank applies :func:`numeric_rank`'s cut, floor and gap
-    guard to the eigenvalue magnitudes, which are the singular values of a
-    symmetric matrix.  PSD means no eigenvalue below minus that cut's
-    threshold, so each eigenvalue is zero, positive or negative by the same
-    one number.
+    eigensolve.  The rank applies :func:`numeric_rank`'s cut and gap guard to
+    the eigenvalue magnitudes, which are the singular values of a symmetric
+    matrix, with ``max(sigma_1, scale_floor)`` in place of sigma_1: a caller
+    that knows the natural scale of the assembly passes it, so a matrix that
+    cancels to zero up to floating noise ranks as zero.  PSD means no
+    eigenvalue below minus that cut's threshold, so each eigenvalue is zero,
+    positive or negative by the same one number.
     """
     m = _as_float_matrix(matrix)
     if m.shape[0] != m.shape[1]:

@@ -17,15 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .certify import Certificate, Verdict, _decide
-from .errors import (
-    DegenerateKernel,
-    FlatLattice,
-    FormMismatch,
-    HypothesisFailed,
-    ImproperStress,
-    VolumeNotOne,
-)
+from .errors import DegenerateKernel, FlatLattice, FormMismatch, HypothesisFailed
 from .framework import (
     Realization,
     _non_flat,
@@ -35,13 +27,7 @@ from .framework import (
 )
 from .gain import GainGraph
 from .linalg import _rank_cut
-from .stress import (
-    WeightedLaplacians,
-    _equilibrium,
-    _stress_spectrum,
-    is_proper,
-    weighted_laplacians,
-)
+from .stress import WeightedLaplacians, _equilibrium, _stress_spectrum, weighted_laplacians
 from .tolerances import ToleranceVault
 
 
@@ -192,36 +178,3 @@ def standard_realization(
     real = Realization(points, pl[:, n:])
     return real, _kkt(graph, w, real, lam, laps, tol)
 
-
-def certify_volume_constrained(
-    graph: GainGraph, real: Realization, weights, lam: float, tol: ToleranceVault
-) -> Certificate:
-    """Volume-constrained super-stability certificate at a unit-volume tensegrity."""
-    if not real.non_flat(tol):
-        raise FlatLattice("volume certificate needs a nonsingular lattice")
-    volume = abs(float(np.linalg.det(real.lattice)))
-    if abs(np.log(volume)) > tol.residual_tol:
-        raise VolumeNotOne(f"lattice volume {volume!r} is not one")
-    if not is_proper(graph, weights, tol):
-        raise ImproperStress("stress violates the cable/strut sign conditions")
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    laps = weighted_laplacians(graph, w)
-    spec = _stress_spectrum(graph, w, laps, "zd_laplacian", tol)
-    eq = _equilibrium(graph, real, w, laps, "volume", tol, lam)
-    # positive: the multiplier's term lam L^-T does not vanish in the balance
-    lam_term = lam * float(np.abs(np.linalg.inv(real.lattice)).max())
-    return _decide(
-        Verdict.VOLUME_SUPER_STABLE,
-        [
-            (lam_term > tol.residual_tol * eq.scale, f"multiplier {lam!r} is not positive"),
-            (eq.passed, f"volume equilibrium residual {eq.residual:g} exceeds tolerance"),
-            (spec.nullity == 1, f"stress matrix kernel dimension {spec.nullity} != 1"),
-            (spec.is_psd, f"stress matrix not PSD (min eigenvalue {spec.min_eigenvalue:g})"),
-        ],
-        witness_stress=w.copy(),
-        witness_lambda=float(lam),
-        kernel_dims={"zd_laplacian": spec.nullity},
-        min_eigenvalue=spec.min_eigenvalue,
-        marginal=spec.marginal,
-        residuals={"volume_equilibrium": eq.residual},
-    )

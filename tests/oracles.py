@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use: vector forms of a realization,
 the conic deformation, a projected-gradient refiner, seeded cable frameworks
-(one with a strut chord) and an exact rank by elimination over the rationals."""
+(one with a strut chord), an exact rank by elimination over the rationals and
+the re-verification of a positive stress certificate from its witness."""
 
 from __future__ import annotations
 
@@ -9,6 +10,13 @@ from typing import Optional
 
 import numpy as np
 
+from perigid.certify import (
+    Certificate,
+    Verdict,
+    certify_fixed_lattice,
+    certify_super_stable,
+    certify_volume_constrained,
+)
 from perigid.framework import Realization
 from perigid.gain import GainGraph
 from perigid.linalg import _as_int_rows
@@ -151,3 +159,22 @@ def fraction_rank(matrix) -> int:
         rank += 1
         pivot_col += 1
     return rank
+
+
+def reverify(
+    certificate: Certificate, graph: GainGraph, real: Realization, tol: ToleranceVault
+) -> bool:
+    """Re-run the checks behind a positive stress certificate from its witness.
+
+    A fixed-lattice verdict re-runs the fixed-lattice certificate, also when a
+    spiderweb check issued it.
+    """
+    w, lam = certificate.witness_stress, certificate.witness_lambda
+    again = {
+        Verdict.SUPER_STABLE: lambda: certify_super_stable(graph, real, w, tol),
+        Verdict.FIXED_SUPER_STABLE: lambda: certify_fixed_lattice(graph, real, w, tol),
+        Verdict.VOLUME_SUPER_STABLE: lambda: certify_volume_constrained(graph, real, w, lam, tol),
+    }.get(certificate.verdict)
+    if again is None:
+        raise ValueError("reverify handles positive stress-certificate verdicts only")
+    return again().verdict == certificate.verdict

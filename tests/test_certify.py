@@ -14,19 +14,20 @@ from perigid.certify import (
     conic_at_infinity,
     generic_fixed_global_rigidity_test,
     generic_global_rigidity_test,
-    reverify,
 )
 from perigid.errors import DegenerateEdge, ImproperStress, NotSpiderweb
 from perigid.framework import (
     Realization,
     congruence_check,
+    edge_vectors,
     measurement,
     random_realization,
 )
 from perigid.gain import GainEdge, GainGraph, canonicalize_edge
+from perigid.linalg import nullspace
 from perigid.tolerances import ToleranceVault
 
-from oracles import cable_framework, conic_deformation, strut_chord
+from oracles import cable_framework, conic_deformation, reverify, strut_chord
 
 
 def test_conic_examples(flex1, flex2, tol):
@@ -133,7 +134,8 @@ def test_each_certificate_factorises_its_laplacian_once(
     """One assembly per certificate.  A strictly positive stress (the all-cable
     hex) is decided from the graph with no eigvalsh; a stress of mixed signs
     makes exactly one, of its stress matrix."""
-    from perigid.optimize import certify_volume_constrained, standard_realization
+    from perigid.certify import certify_volume_constrained
+    from perigid.optimize import standard_realization
     from perigid.stress import lambda_stress_space, normalized_stress
 
     hexes = catalog["hex"]
@@ -221,7 +223,8 @@ def test_certificates_allocate_one_stress_matrix(tol):
     minimiser allocates; this stress is positive, so no eigensolver runs.
     Allowing for the |V|^2 temporaries of the equilibrium bound and the
     pinned solve, the peak stays under 2.5 such arrays (it was about 4)."""
-    from perigid.optimize import certify_volume_constrained, standard_realization
+    from perigid.certify import certify_volume_constrained
+    from perigid.optimize import standard_realization
 
     graph, w = cable_framework(11, n=400)
     real, report = standard_realization(graph, w, tol)
@@ -629,6 +632,48 @@ def test_conic_deformation_duality(tol):
                 image = r.transformed(a)
                 assert np.abs(measurement(g, image) - base).max() > 1e-9
     assert some_seen and none_seen  # both branches exercised
+
+
+def _conic_entrywise(graph, real, tol):
+    """conic_at_infinity's system and witness built entry by entry, in its
+    coordinate order: E_ii, then E_ij + E_ji for i < j."""
+    d = graph.dimension
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    rows = [
+        [v[i] * v[i] for i in range(d)] + [2.0 * v[i] * v[j] for i, j in pairs]
+        for v in edge_vectors(graph, real)
+    ]
+    kernel = nullspace(np.array(rows), "right", tol)
+    if kernel.shape[1] == 0:
+        return None
+    q = np.zeros((d, d))
+    for k in range(d):
+        q[k, k] = kernel[k, 0]
+    for k, (i, j) in enumerate(pairs, start=d):
+        q[i, j] = q[j, i] = kernel[k, 0]
+    return q / np.linalg.norm(q)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_conic_matches_entrywise_reference(tol, d):
+    """The vectorised conic system and witness equal the entry-by-entry ones
+    bit for bit, with a conic (fewer loops than coordinates) and without."""
+    rng = np.random.default_rng(d)
+    outcomes = set()
+    for trial in range(12):
+        count, gains, seen = int(rng.integers(1, d * (d + 1) // 2 + 2)), [], set()
+        while len(gains) < count:
+            g = tuple(int(x) for x in rng.integers(-2, 3, size=d))
+            if any(g) and g not in seen:
+                seen.update((g, tuple(-x for x in g)))
+                gains.append(g)
+        graph = GainGraph(d, ("a",), [("a", "a", g) for g in gains])
+        real = random_realization(graph, tol, seed=trial)
+        q, ref = conic_at_infinity(graph, real, tol), _conic_entrywise(graph, real, tol)
+        assert (q is None) == (ref is None)
+        assert q is None or np.array_equal(q, ref)
+        outcomes.add(q is None)
+    assert outcomes == {True, False} or d == 1
 
 
 def test_generic_tests_trial_stable_on_fixtures(catalog):

@@ -537,15 +537,15 @@ def test_cli_compute_stress_ignores_basis_rotation(
     argv = ["certify", path, "--mode", mode, "--stress", "compute", "--json"]
     code = cli(argv)
     report = json.loads(capsys.readouterr().out)["report"]
-    certify = importlib.import_module("perigid.certify")
-    original = getattr(certify, space)
+    stress = importlib.import_module("perigid.stress")
+    original = getattr(stress, space)
 
     def rotated(*args):
         basis = original(*args)
         turn, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((basis.shape[1],) * 2))
         return basis @ turn
 
-    monkeypatch.setattr(certify, space, rotated)
+    monkeypatch.setattr(stress, space, rotated)
     assert cli(argv) == code == 1
     again = json.loads(capsys.readouterr().out)["report"]
     cert, cert_again = report["certificate"], again["certificate"]
@@ -760,11 +760,11 @@ def test_cli_unwritable_output_is_input_error(fixture_file, tmp_path, capsys, co
         (["certify", "--mode", "flexible"], "certify", "certify_super_stable"),
         (["certify", "--mode", "fixed"], "certify", "certify_fixed_lattice"),
         (["certify", "--mode", "spiderweb"], "certify", "certify_spiderweb"),
-        (["certify", "--mode", "fixed", "--stress", "compute"], "certify", "fixed_stress_space"),
-        (["stresses", "--mode", "volume"], "certify", "lambda_stress_space"),
+        (["certify", "--mode", "fixed", "--stress", "compute"], "stress", "fixed_stress_space"),
+        (["stresses", "--mode", "volume"], "stress", "lambda_stress_space"),
         (["generic-test", "--mode", "flexible"], "certify", "generic_global_rigidity_test"),
         (["generic-test", "--mode", "fixed"], "certify", "generic_fixed_global_rigidity_test"),
-        (["certify", "--mode", "volume"], "optimize", "certify_volume_constrained"),
+        (["certify", "--mode", "volume"], "certify", "certify_volume_constrained"),
     ],
 )
 def test_cli_mode_table_calls_module_attributes(

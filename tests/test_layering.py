@@ -1,0 +1,38 @@
+"""The package's modules form layers: every intra-package import is made at
+module level and the graph of those imports has no cycle."""
+
+import ast
+import graphlib
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "perigid"
+
+
+def _relative_imports(path: Path) -> tuple[set, list]:
+    """(modules imported, line numbers of the imports made below module level)
+    for the ``from .x import`` and ``from . import x`` statements of ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    top = {id(node) for node in tree.body}
+    targets, nested = set(), []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        if id(node) not in top:
+            nested.append(node.lineno)
+        if node.module is None:
+            targets.update(alias.name for alias in node.names)
+        else:
+            targets.add(node.module.split(".")[0])
+    return targets, nested
+
+
+def test_package_imports_are_module_level_and_acyclic():
+    graph, nested = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        graph[path.stem], lines = _relative_imports(path)
+        if lines:
+            nested[path.name] = lines
+    assert nested == {}, "function-local package imports"
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError naming the cycle

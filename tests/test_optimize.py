@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from perigid.certify import Verdict
+from perigid.certify import Verdict, certify_volume_constrained
 from perigid.errors import (
     DegenerateKernel,
     FlatLattice,
@@ -18,7 +18,6 @@ from perigid.framework import (
 )
 from perigid.gain import GainGraph
 from perigid.optimize import (
-    certify_volume_constrained,
     energy,
     energy_gradient,
     standard_realization,
@@ -31,6 +30,7 @@ from oracles import (
     projected_gradient_refine,
     realization_from_vector,
     realization_vector,
+    reverify,
     strut_chord,
 )
 
@@ -205,8 +205,6 @@ def test_lambda_space_feeds_kkt(hexes, tol):
 
 
 def test_volume_certificate_reverifies(hexes, tol):
-    from perigid.certify import reverify
-
     real, report = standard_realization(hexes.graph, hexes.stress, tol)
     cert = certify_volume_constrained(hexes.graph, real, hexes.stress, report.lam, tol)
     assert cert.verdict == Verdict.VOLUME_SUPER_STABLE
@@ -214,7 +212,7 @@ def test_volume_certificate_reverifies(hexes, tol):
 
 
 def test_reverify_rejects_generic_verdicts(hexes, tol):
-    from perigid.certify import Certificate, reverify
+    from perigid.certify import Certificate
 
     with pytest.raises(ValueError):
         reverify(

@@ -10,7 +10,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from perigid import stress
-from perigid.certify import Verdict, certify_fixed_lattice, certify_super_stable
+from perigid.certify import (
+    Verdict,
+    certify_fixed_lattice,
+    certify_super_stable,
+    certify_volume_constrained,
+)
 from perigid.errors import PerigidError
 from perigid.framework import (
     Realization,
@@ -20,7 +25,7 @@ from perigid.framework import (
 )
 from perigid.gain import GainGraph
 from perigid.linalg import nullspace, numeric_rank
-from perigid.optimize import certify_volume_constrained, standard_realization
+from perigid.optimize import standard_realization
 from perigid.tolerances import DEFAULT_TOL
 
 CERTIFY = {"flexible": certify_super_stable, "fixed": certify_fixed_lattice}
