@@ -8,6 +8,7 @@ same file, seed and tolerances give identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -71,6 +72,7 @@ _MODES = {
 }
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perigid",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -65,6 +65,15 @@ def _as_name(value, path: str, *index) -> str:
     return value
 
 
+def _reals(values: list, path: str, *index) -> list:
+    """``values`` with each entry checked by :func:`_as_real`, the last slot
+    of ``path`` taking its position.  Finite floats, all that JSON decoding
+    gives for a valid list, pass in one step."""
+    if all(type(x) is float for x in values) and math.isfinite(sum(values)):
+        return values
+    return [_as_real(x, path, *index, k) for k, x in enumerate(values)]
+
+
 def _document(data) -> tuple[dict, int]:
     """The top-level object of a document (bytes, text or decoded) and its dimension."""
     if isinstance(data, (bytes, bytearray)):
@@ -85,60 +94,100 @@ def _document(data) -> tuple[dict, int]:
     return data, dim
 
 
-def _vertices(data: dict, dim: int, need_position: bool) -> tuple[list, dict]:
-    """Distinct vertex names in file order and the positions given for them."""
+def _vertices(data: dict, dim: int, need_position: bool) -> tuple[dict, dict]:
+    """Each distinct vertex name's position in file order, and the
+    coordinates given for them as lists of floats."""
     raw_vertices = _require(data, "vertices", "$")
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise _fail("$.vertices", "must be a non-empty list")
-    names, name_set, positions = [], set(), {}
+    index, positions = {}, {}
     for i, entry in enumerate(raw_vertices):
         if not isinstance(entry, dict):
             raise _fail("$.vertices[{}]", "must be an object", i)
-        name = _as_name(_require(entry, "name", "$.vertices[{}]", i), "$.vertices[{}].name", i)
-        if name in name_set:
+        # a quick test first; a field that fails it is checked again in full,
+        # which raises its error or accepts a str (or int) subclass
+        name = entry.get("name")
+        if not (type(name) is str and name):
+            name = _as_name(_require(entry, "name", "$.vertices[{}]", i), "$.vertices[{}].name", i)
+        if name in index:
             raise _fail("$.vertices[{}].name", f"duplicate vertex name {name!r}", i)
-        names.append(name)
-        name_set.add(name)
+        index[name] = i
         if need_position or "position" in entry:
             pos = _require(entry, "position", "$.vertices[{}]", i)
             if not isinstance(pos, list) or len(pos) != dim:
                 raise _fail("$.vertices[{}].position", f"must be a list of {dim} reals", i)
-            positions[name] = np.array(
-                [_as_real(x, "$.vertices[{}].position[{}]", i, k) for k, x in enumerate(pos)]
-            )
-    return names, positions
+            positions[name] = _reals(pos, "$.vertices[{}].position[{}]", i)
+    return index, positions
 
 
-def _edges(data: dict, dim: int, names: list, with_gains: bool) -> tuple[list, list]:
-    """(tail, head, gain or None, marking) per edge entry, and the raw weights."""
+def _lattice(data: dict, dim: int) -> Optional[np.ndarray]:
+    raw = data.get("lattice")
+    if raw is None:
+        return None
+    if not isinstance(raw, list) or len(raw) != dim:
+        raise _fail("$.lattice", f"must be a list of {dim} columns")
+    cols = []
+    for i, col in enumerate(raw):
+        if not isinstance(col, list) or len(col) != dim:
+            raise _fail("$.lattice[{}]", f"must be a list of {dim} reals", i)
+        cols.append(_reals(col, "$.lattice[{}][{}]", i))
+    return np.array(cols).T  # columns of L are the stored columns
+
+
+class _Edges(NamedTuple):
+    """Per edge entry: tail and head vertex positions, exact gain (only with
+    gains), marking and raw weight (None when absent)."""
+
+    tails: list[int]
+    heads: list[int]
+    gains: list[tuple[int, ...]]
+    markings: list[str]
+    weights: list
+
+
+def _edges(data: dict, dim: int, index: dict, with_gains: bool) -> _Edges:
     raw_edges = _require(data, "edges", "$")
     if not isinstance(raw_edges, list):
         raise _fail("$.edges", "must be a list")
-    name_set = set(names)
-    edges, weights = [], []
+    edges = _Edges([], [], [], [], [])
+    tails, heads, gains, markings, weights = edges
     for i, entry in enumerate(raw_edges):
         if not isinstance(entry, dict):
             raise _fail("$.edges[{}]", "must be an object", i)
-        tail = _as_name(_require(entry, "tail", "$.edges[{}]", i), "$.edges[{}].tail", i)
-        head = _as_name(_require(entry, "head", "$.edges[{}]", i), "$.edges[{}].head", i)
-        if tail not in name_set or head not in name_set:
-            raise _fail("$.edges[{}]", f"edge references unknown vertex {tail!r} or {head!r}", i)
-        gain = None
+        # quick tests as in _vertices
+        tail, head = entry.get("tail"), entry.get("head")
+        if not (type(tail) is str and type(head) is str and tail in index and head in index):
+            tail, head = _ends(entry, index, i)
         if with_gains:
-            gain_raw = _require(entry, "gain", "$.edges[{}]", i)
-            if not isinstance(gain_raw, list) or len(gain_raw) != dim:
-                raise _fail("$.edges[{}].gain", f"must be a list of {dim} integers", i)
-            gain = tuple(
-                _as_strict_int(x, "$.edges[{}].gain[{}]", i, k) for k, x in enumerate(gain_raw)
-            )
+            gain = entry.get("gain")
+            if not (type(gain) is list and len(gain) == dim and all(type(x) is int for x in gain)):
+                gain = _gain(entry, dim, i)
+            gains.append(tuple(gain))
         elif "gain" in entry:
             raise _fail("$.edges[{}].gain", "finite frameworks carry no gains", i)
         marking = entry.get("type", "bar")
         if marking not in MARKINGS:
             raise _fail("$.edges[{}].type", f"must be one of {MARKINGS}", i)
-        edges.append((tail, head, gain, marking))
+        tails.append(index[tail])
+        heads.append(index[head])
+        markings.append(marking)
         weights.append(entry.get("weight"))
-    return edges, weights
+    return edges
+
+
+def _ends(entry: dict, index: dict, i: int) -> tuple[str, str]:
+    tail = _as_name(_require(entry, "tail", "$.edges[{}]", i), "$.edges[{}].tail", i)
+    head = _as_name(_require(entry, "head", "$.edges[{}]", i), "$.edges[{}].head", i)
+    if tail not in index or head not in index:
+        raise _fail("$.edges[{}]", f"edge references unknown vertex {tail!r} or {head!r}", i)
+    return tail, head
+
+
+def _gain(entry: dict, dim: int, i: int) -> list[int]:
+    gain = _require(entry, "gain", "$.edges[{}]", i)
+    if not isinstance(gain, list) or len(gain) != dim:
+        raise _fail("$.edges[{}].gain", f"must be a list of {dim} integers", i)
+    return [_as_strict_int(x, "$.edges[{}].gain[{}]", i, k) for k, x in enumerate(gain)]
 
 
 def _stress(weights: list) -> Optional[np.ndarray]:
@@ -149,45 +198,42 @@ def _stress(weights: list) -> Optional[np.ndarray]:
     if not all(with_weight):
         missing = with_weight.index(False)
         raise _fail("$.edges[{}].weight", "all edges need weights or none", missing)
-    return np.array([_as_real(w, "$.edges[{}].weight", i) for i, w in enumerate(weights)])
+    return np.array(_reals(weights, "$.edges[{}].weight"))
 
 
 def loads(data) -> ParsedFramework:
-    """Parse a framework document from bytes, text, or an already-decoded dict."""
+    """Parse a framework document from bytes, text, or an already-decoded dict.
+
+    Every field is checked once, in the order dimension, vertices, lattice,
+    edges, weights, positions against vertices and lattice, lambda; the first
+    that fails raises a ParseError naming its path.  Zero loops and duplicate
+    edges are graph errors, raised only once every field has passed.
+    """
     data, dim = _document(data)
-    names, positions = _vertices(data, dim, need_position=False)
-
-    lattice = None
-    if data.get("lattice") is not None:
-        raw = data["lattice"]
-        if not isinstance(raw, list) or len(raw) != dim:
-            raise _fail("$.lattice", f"must be a list of {dim} columns")
-        cols = []
-        for i, col in enumerate(raw):
-            if not isinstance(col, list) or len(col) != dim:
-                raise _fail("$.lattice[{}]", f"must be a list of {dim} reals", i)
-            cols.append([_as_real(x, "$.lattice[{}][{}]", i, k) for k, x in enumerate(col)])
-        lattice = np.array(cols).T  # columns of L are the stored columns
-
-    edges, weights = _edges(data, dim, names, with_gains=True)
-    try:
-        graph = GainGraph(dim, names, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    stress = _stress(weights)
+    index, positions = _vertices(data, dim, need_position=False)
+    lattice = _lattice(data, dim)
+    edges = _edges(data, dim, index, with_gains=True)
+    stress = _stress(edges.weights)
 
     realization = None
-    if positions and lattice is not None:
-        missing = [n for n in names if n not in positions]
+    if positions:
+        missing = [n for n in index if n not in positions]
         if missing:
             raise _fail("$.vertices", f"positions missing for {missing}")
+        if lattice is None:
+            raise _fail("$.lattice", "positions given but lattice missing")
         realization = Realization(positions, lattice)
-    elif positions and lattice is None and len(positions) == len(names):
-        raise _fail("$.lattice", "positions given but lattice missing")
 
     lam = None
     if data.get("lambda") is not None:
         lam = _as_real(data["lambda"], "$.lambda")
+
+    try:
+        graph = GainGraph._from_indices(
+            dim, tuple(index), edges.tails, edges.heads, edges.gains, edges.markings
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     return ParsedFramework(graph, realization, stress, lam)
 
 
@@ -242,15 +288,16 @@ def dumps(
 def loads_finite(data) -> tuple[FiniteFramework, Optional[np.ndarray]]:
     """Parse a finite framework: same schema minus lattice and gains."""
     data, dim = _document(data)
-    names, points = _vertices(data, dim, need_position=True)
-    edges, weights = _edges(data, dim, names, with_gains=False)
+    index, positions = _vertices(data, dim, need_position=True)
+    edges = _edges(data, dim, index, with_gains=False)
+    names = tuple(index)
     try:
         finite = FiniteFramework(
-            tuple(names),
-            tuple((t, h) for t, h, _, _ in edges),
-            points,
-            tuple(m for _, _, _, m in edges),
+            names,
+            tuple((names[t], names[h]) for t, h in zip(edges.tails, edges.heads)),
+            {name: np.array(p) for name, p in positions.items()},
+            tuple(edges.markings),
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    return finite, _stress(weights)
+    return finite, _stress(edges.weights)

@@ -27,14 +27,20 @@ class Realization:
     lattice: np.ndarray
 
     def __post_init__(self) -> None:
-        self.points = {v: np.asarray(p, dtype=float).reshape(-1) for v, p in self.points.items()}
         self.lattice = np.asarray(self.lattice, dtype=float)
         d = self.lattice.shape[0]
         if self.lattice.shape != (d, d):
             raise ValueError("lattice must be a square d x d matrix")
-        for v, p in self.points.items():
-            if p.shape != (d,):
-                raise ValueError(f"point for {v!r} has wrong dimension")
+        # one |V| x d array holds every point; each point is a row of it
+        try:
+            rows = np.array(list(self.points.values()), dtype=float).reshape(len(self.points), d)
+        except ValueError:  # ragged or mis-sized: flatten point by point
+            flat = {v: np.asarray(p, dtype=float).reshape(-1) for v, p in self.points.items()}
+            for v, p in flat.items():
+                if p.shape != (d,):
+                    raise ValueError(f"point for {v!r} has wrong dimension") from None
+            rows = np.array(list(flat.values())).reshape(len(flat), d)
+        self.points = dict(zip(self.points, rows))
 
     @property
     def dimension(self) -> int:

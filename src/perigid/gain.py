@@ -48,6 +48,11 @@ class GainEdge(NamedTuple):
         return GainEdge(self.head, self.tail, tuple(-g for g in self.gain), self.marking)
 
 
+def _check_marking(marking) -> None:
+    if marking not in MARKINGS:
+        raise ValueError(f"marking must be one of {MARKINGS}, got {marking!r}")
+
+
 def _gain_tuple(gain) -> tuple[int, ...]:
     if isinstance(gain, (tuple, list)) and all(
         isinstance(g, int) and not isinstance(g, bool) for g in gain
@@ -61,18 +66,19 @@ def _gain_tuple(gain) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _canonical(tail, head, gain: tuple[int, ...], index) -> GainEdge:
-    """The rule behind :func:`canonicalize_edge`; ``index`` maps vertex -> position."""
+def _canonical(tail, head, gain: tuple[int, ...], index) -> tuple:
+    """(tail, head, gain) of the canonical representative, the rule behind
+    :func:`canonicalize_edge`; ``index`` maps vertex -> position."""
     if tail == head:
         if not any(gain):
             raise ZeroLoop(f"loop at {tail!r} must have a nonzero gain")
         first = next(g for g in gain if g != 0)
         if first < 0:
             gain = tuple(-g for g in gain)
-        return GainEdge(tail, head, gain)
+        return tail, head, gain
     if index[tail] > index[head]:
-        return GainEdge(head, tail, tuple(-g for g in gain))
-    return GainEdge(tail, head, gain)
+        return head, tail, tuple(-g for g in gain)
+    return tail, head, gain
 
 
 def canonicalize_edge(tail, head, gain, order: Sequence[Vertex]) -> GainEdge:
@@ -81,7 +87,8 @@ def canonicalize_edge(tail, head, gain, order: Sequence[Vertex]) -> GainEdge:
     Non-loops are oriented tail-before-head in ``order``; loops flip so the
     first nonzero gain entry is positive.  Idempotent.
     """
-    return _canonical(tail, head, _gain_tuple(gain), {v: i for i, v in enumerate(order)})
+    index = {v: i for i, v in enumerate(order)}
+    return GainEdge(*_canonical(tail, head, _gain_tuple(gain), index))
 
 
 def _covering_neighbors(graph: "GainGraph", v: Vertex, shift: tuple[int, ...]):
@@ -126,27 +133,14 @@ class GainGraph:
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("vertex names must be distinct")
         self._index: dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
-
-        normalized: list[GainEdge] = []
-        seen: set[tuple] = set()
-        for raw in edges:
-            edge = self._coerce_edge(raw)
-            key = _canonical(edge.tail, edge.head, edge.gain, self._index)[:3]
-            if key in seen:
-                raise DuplicateEdge(f"edge {edge} duplicates an earlier edge under ~")
-            seen.add(key)
-            normalized.append(edge)
-        self.edges: tuple[GainEdge, ...] = tuple(normalized)
-
+        coerced = [self._coerce_edge(raw) for raw in edges]
         index = self._index
-        self.tail_idx = _frozen(np.array([index[e.tail] for e in normalized], dtype=np.intp))
-        self.head_idx = _frozen(np.array([index[e.head] for e in normalized], dtype=np.intp))
-        self.loop_mask = _frozen(self.tail_idx == self.head_idx)
-        try:
-            gains = np.array([e.gain for e in normalized], dtype=float)
-        except OverflowError as exc:
-            raise ValueError("gain entries must fit in a float64") from exc
-        self.gain_array = _frozen(gains.reshape(len(normalized), self.dimension))
+        self._assemble(
+            [index[e.tail] for e in coerced],
+            [index[e.head] for e in coerced],
+            [e.gain for e in coerced],
+            [e.marking for e in coerced],
+        )
 
     def _coerce_edge(self, raw) -> GainEdge:
         if isinstance(raw, GainEdge):
@@ -162,16 +156,60 @@ class GainGraph:
                 raise ValueError(f"edge must be (tail, head, gain[, marking]), got {raw!r}")
         if tail not in self._index or head not in self._index:
             raise ValueError(f"edge {raw!r} references an unknown vertex")
-        if marking not in MARKINGS:
-            raise ValueError(f"marking must be one of {MARKINGS}, got {marking!r}")
+        _check_marking(marking)
         gain = _gain_tuple(gain)
         if len(gain) != self.dimension:
             raise GainDimensionMismatch(
                 f"gain {gain} has length {len(gain)}, expected {self.dimension}"
             )
-        if tail == head and not any(gain):
-            raise ZeroLoop(f"loop at {tail!r} must have a nonzero gain")
         return GainEdge(tail, head, gain, marking)
+
+    @classmethod
+    def _from_indices(
+        cls,
+        dimension: int,
+        vertices: tuple[Vertex, ...],
+        tails: list[int],
+        heads: list[int],
+        gains: list[tuple[int, ...]],
+        markings: list[str],
+    ) -> "GainGraph":
+        """The graph whose edge e runs from ``vertices[tails[e]]`` to
+        ``vertices[heads[e]]`` with gain ``gains[e]`` and marking
+        ``markings[e]``.  Each field must already be checked: distinct
+        vertices, gains as exact integer tuples of length ``dimension``,
+        markings from MARKINGS.  Only the graph invariants are checked here."""
+        graph = cls.__new__(cls)
+        graph.dimension = dimension
+        graph.vertices = vertices
+        graph._index = {v: i for i, v in enumerate(vertices)}
+        graph._assemble(tails, heads, gains, markings)
+        return graph
+
+    def _assemble(self, tails: list, heads: list, gains: list, markings: list) -> None:
+        """Raise ZeroLoop and DuplicateEdge in edge order, then keep the edges
+        and their arrays."""
+        vertices, index = self.vertices, self._index
+        edges: list[GainEdge] = []
+        seen: set[tuple] = set()
+        for t, h, gain, marking in zip(tails, heads, gains, markings):
+            edge = GainEdge(vertices[t], vertices[h], gain, marking)
+            # an edge that runs forward in vertex order is its own representative
+            key = edge[:3] if t < h else _canonical(edge.tail, edge.head, gain, index)
+            if key in seen:
+                raise DuplicateEdge(f"edge {edge} duplicates an earlier edge under ~")
+            seen.add(key)
+            edges.append(edge)
+        self.edges: tuple[GainEdge, ...] = tuple(edges)
+
+        self.tail_idx = _frozen(np.array(tails, dtype=np.intp))
+        self.head_idx = _frozen(np.array(heads, dtype=np.intp))
+        self.loop_mask = _frozen(self.tail_idx == self.head_idx)
+        try:
+            array = np.array(gains, dtype=float)
+        except OverflowError as exc:
+            raise ValueError("gain entries must fit in a float64") from exc
+        self.gain_array = _frozen(array.reshape(len(edges), self.dimension))
 
     # -- basic accessors -------------------------------------------------
 
@@ -206,17 +244,42 @@ class GainGraph:
     def with_markings(self, markings: Sequence[str]) -> "GainGraph":
         if len(markings) != self.num_edges:
             raise ValueError("need one marking per edge")
-        edges = [GainEdge(e.tail, e.head, e.gain, m) for e, m in zip(self.edges, markings)]
-        return GainGraph(self.dimension, self.vertices, edges)
+        for marking in markings:
+            _check_marking(marking)
+        return self._from_indices(
+            self.dimension,
+            self.vertices,
+            self.tail_idx.tolist(),
+            self.head_idx.tolist(),
+            [e.gain for e in self.edges],
+            list(markings),
+        )
 
     def without_loops(self) -> tuple["GainGraph", list[int]]:
         """Loop-free copy plus the indices of the surviving edges."""
-        keep = [i for i, e in enumerate(self.edges) if not e.is_loop]
-        return GainGraph(self.dimension, self.vertices, [self.edges[i] for i in keep]), keep
+        keep = np.flatnonzero(~self.loop_mask).tolist()
+        graph = self._from_indices(
+            self.dimension,
+            self.vertices,
+            self.tail_idx[keep].tolist(),
+            self.head_idx[keep].tolist(),
+            [self.edges[i].gain for i in keep],
+            [self.edges[i].marking for i in keep],
+        )
+        return graph, keep
 
     def with_extra_loops(self, vertex: Vertex, gains, marking: str = "bar") -> "GainGraph":
-        extra = [GainEdge(vertex, vertex, _gain_tuple(g), marking) for g in gains]
-        return GainGraph(self.dimension, self.vertices, list(self.edges) + extra)
+        extra = tuple(self._coerce_edge((vertex, vertex, g, marking)) for g in gains)
+        loops = [self._index[e.tail] for e in extra]
+        edges = self.edges + extra
+        return self._from_indices(
+            self.dimension,
+            self.vertices,
+            self.tail_idx.tolist() + loops,
+            self.head_idx.tolist() + loops,
+            [e.gain for e in edges],
+            [e.marking for e in edges],
+        )
 
     # -- incidence structure ---------------------------------------------
 
@@ -332,16 +395,20 @@ class GainGraph:
         mu = _gain_tuple(mu)
         if len(mu) != self.dimension:
             raise GainDimensionMismatch("switching vector has the wrong dimension")
-        edges = []
-        for e in self.edges:
+        v = self._index[vertex]
+        tails, heads = self.tail_idx.tolist(), self.head_idx.tolist()
+        gains = []
+        for t, h, e in zip(tails, heads, self.edges):
             gain = e.gain
-            if not e.is_loop:
-                if e.head == vertex:
+            if t != h:
+                if h == v:
                     gain = tuple(g + m for g, m in zip(gain, mu))
-                elif e.tail == vertex:
+                elif t == v:
                     gain = tuple(g - m for g, m in zip(gain, mu))
-            edges.append(GainEdge(e.tail, e.head, gain, e.marking))
-        return GainGraph(self.dimension, self.vertices, edges)
+            gains.append(gain)
+        return self._from_indices(
+            self.dimension, self.vertices, tails, heads, gains, list(self.markings())
+        )
 
 
 @dataclass(frozen=True)

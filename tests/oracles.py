@@ -1,7 +1,8 @@
 """Reference helpers that only the tests use: vector forms of a realization,
 the conic deformation, a projected-gradient refiner, seeded cable frameworks
-(one with a strut chord), an exact rank by elimination over the rationals and
-the re-verification of a positive stress certificate from its witness."""
+(one with a strut chord), an exact rank by elimination over the rationals,
+the re-verification of a positive stress certificate from its witness and a
+two-pass reference reader of framework files."""
 
 from __future__ import annotations
 
@@ -17,8 +18,19 @@ from perigid.certify import (
     certify_super_stable,
     certify_volume_constrained,
 )
+from perigid.construct import FiniteFramework
+from perigid.errors import ParseError
+from perigid.fileformat import (
+    ParsedFramework,
+    _as_name,
+    _as_real,
+    _as_strict_int,
+    _document,
+    _fail,
+    _require,
+)
 from perigid.framework import Realization
-from perigid.gain import GainGraph
+from perigid.gain import MARKINGS, GainGraph
 from perigid.linalg import _as_int_rows
 from perigid.optimize import energy, energy_gradient
 from perigid.tolerances import ToleranceVault
@@ -178,3 +190,133 @@ def reverify(
     if again is None:
         raise ValueError("reverify handles positive stress-certificate verdicts only")
     return again().verdict == certificate.verdict
+
+
+# -- reference reader ----------------------------------------------------------
+#
+# The two-pass reader that ``perigid.fileformat`` replaced: the field checks
+# collect names and (tail, head, gain, marking) tuples, then ``GainGraph``
+# coerces and checks every edge again.  The one-pass reader must agree with it
+# on every input: the same graph and geometry, or the same error.
+
+
+def _reference_vertices(data: dict, dim: int, need_position: bool) -> tuple[list, dict]:
+    raw_vertices = _require(data, "vertices", "$")
+    if not isinstance(raw_vertices, list) or not raw_vertices:
+        raise _fail("$.vertices", "must be a non-empty list")
+    names, name_set, positions = [], set(), {}
+    for i, entry in enumerate(raw_vertices):
+        if not isinstance(entry, dict):
+            raise _fail("$.vertices[{}]", "must be an object", i)
+        name = _as_name(_require(entry, "name", "$.vertices[{}]", i), "$.vertices[{}].name", i)
+        if name in name_set:
+            raise _fail("$.vertices[{}].name", f"duplicate vertex name {name!r}", i)
+        names.append(name)
+        name_set.add(name)
+        if need_position or "position" in entry:
+            pos = _require(entry, "position", "$.vertices[{}]", i)
+            if not isinstance(pos, list) or len(pos) != dim:
+                raise _fail("$.vertices[{}].position", f"must be a list of {dim} reals", i)
+            positions[name] = np.array(
+                [_as_real(x, "$.vertices[{}].position[{}]", i, k) for k, x in enumerate(pos)]
+            )
+    return names, positions
+
+
+def _reference_edges(data: dict, dim: int, names: list, with_gains: bool) -> tuple[list, list]:
+    raw_edges = _require(data, "edges", "$")
+    if not isinstance(raw_edges, list):
+        raise _fail("$.edges", "must be a list")
+    name_set = set(names)
+    edges, weights = [], []
+    for i, entry in enumerate(raw_edges):
+        if not isinstance(entry, dict):
+            raise _fail("$.edges[{}]", "must be an object", i)
+        tail = _as_name(_require(entry, "tail", "$.edges[{}]", i), "$.edges[{}].tail", i)
+        head = _as_name(_require(entry, "head", "$.edges[{}]", i), "$.edges[{}].head", i)
+        if tail not in name_set or head not in name_set:
+            raise _fail("$.edges[{}]", f"edge references unknown vertex {tail!r} or {head!r}", i)
+        gain = None
+        if with_gains:
+            gain_raw = _require(entry, "gain", "$.edges[{}]", i)
+            if not isinstance(gain_raw, list) or len(gain_raw) != dim:
+                raise _fail("$.edges[{}].gain", f"must be a list of {dim} integers", i)
+            gain = tuple(
+                _as_strict_int(x, "$.edges[{}].gain[{}]", i, k) for k, x in enumerate(gain_raw)
+            )
+        elif "gain" in entry:
+            raise _fail("$.edges[{}].gain", "finite frameworks carry no gains", i)
+        marking = entry.get("type", "bar")
+        if marking not in MARKINGS:
+            raise _fail("$.edges[{}].type", f"must be one of {MARKINGS}", i)
+        edges.append((tail, head, gain, marking))
+        weights.append(entry.get("weight"))
+    return edges, weights
+
+
+def _reference_stress(weights: list) -> Optional[np.ndarray]:
+    with_weight = [w is not None for w in weights]
+    if not any(with_weight):
+        return None
+    if not all(with_weight):
+        missing = with_weight.index(False)
+        raise _fail("$.edges[{}].weight", "all edges need weights or none", missing)
+    return np.array([_as_real(w, "$.edges[{}].weight", i) for i, w in enumerate(weights)])
+
+
+def reference_loads(data) -> ParsedFramework:
+    """``fileformat.loads`` by two passes.  Positions on some vertices only
+    are an error with or without a lattice, and the graph is built (zero
+    loops and duplicates raised) after the last field check."""
+    data, dim = _document(data)
+    names, positions = _reference_vertices(data, dim, need_position=False)
+
+    lattice = None
+    if data.get("lattice") is not None:
+        raw = data["lattice"]
+        if not isinstance(raw, list) or len(raw) != dim:
+            raise _fail("$.lattice", f"must be a list of {dim} columns")
+        cols = []
+        for i, col in enumerate(raw):
+            if not isinstance(col, list) or len(col) != dim:
+                raise _fail("$.lattice[{}]", f"must be a list of {dim} reals", i)
+            cols.append([_as_real(x, "$.lattice[{}][{}]", i, k) for k, x in enumerate(col)])
+        lattice = np.array(cols).T
+
+    edges, weights = _reference_edges(data, dim, names, with_gains=True)
+    stress = _reference_stress(weights)
+
+    realization = None
+    if positions:
+        missing = [n for n in names if n not in positions]
+        if missing:
+            raise _fail("$.vertices", f"positions missing for {missing}")
+        if lattice is None:
+            raise _fail("$.lattice", "positions given but lattice missing")
+        realization = Realization(positions, lattice)
+
+    lam = None
+    if data.get("lambda") is not None:
+        lam = _as_real(data["lambda"], "$.lambda")
+    try:
+        graph = GainGraph(dim, names, edges)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    return ParsedFramework(graph, realization, stress, lam)
+
+
+def reference_loads_finite(data) -> tuple[FiniteFramework, Optional[np.ndarray]]:
+    """``fileformat.loads_finite`` by the same two passes."""
+    data, dim = _document(data)
+    names, points = _reference_vertices(data, dim, need_position=True)
+    edges, weights = _reference_edges(data, dim, names, with_gains=False)
+    try:
+        finite = FiniteFramework(
+            tuple(names),
+            tuple((t, h) for t, h, _, _ in edges),
+            points,
+            tuple(m for _, _, _, m in edges),
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    return finite, _reference_stress(weights)

@@ -13,6 +13,8 @@ from perigid.cli import cli
 from perigid.errors import DuplicateEdge, ParseError, PerigidError, ZeroLoop
 from perigid.svg import render_covering
 
+from oracles import reference_loads, reference_loads_finite
+
 
 @pytest.fixture()
 def fixture_file(tmp_path, capsys):
@@ -130,6 +132,19 @@ def test_parse_error_messages_name_the_deep_path(path, value, message):
     with pytest.raises(ParseError) as raised:
         fileformat.loads(doc)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("lattice", [True, False], ids=["with-lattice", "without-lattice"])
+def test_parse_rejects_positions_on_some_vertices(lattice):
+    """Positions on some vertices only are an error whether or not a lattice
+    is given; without one they used to be dropped in silence."""
+    doc = flex2_document()
+    del doc["vertices"][1]["position"]
+    if not lattice:
+        del doc["lattice"]
+    with pytest.raises(ParseError) as raised:
+        fileformat.loads(doc)
+    assert str(raised.value) == "$.vertices: positions missing for ['v2']"
 
 
 def test_roundtrip_stability():
@@ -447,7 +462,7 @@ _edge_entries = st.fixed_dictionaries(
         "weight": _or_any(_reals),
     },
 )
-_framework_like = st.fixed_dictionaries(
+_garbled_framework = st.fixed_dictionaries(
     {},
     optional={
         "dimension": _or_any(st.integers(-1, 3)),
@@ -459,16 +474,103 @@ _framework_like = st.fixed_dictionaries(
 )
 
 
+@st.composite
+def _well_formed_framework(draw):
+    """Documents whose every field is well formed, so that many parse; the
+    rest fail on a zero loop, a duplicate edge, an unknown vertex, or
+    positions or weights on only some entries."""
+    d = draw(st.integers(1, 3))
+    reals = st.floats(-2, 2) | st.integers(-2, 2)
+    point = st.lists(reals, min_size=d, max_size=d)
+    names = st.sampled_from("abc")
+
+    def on_entries():  # a field carried by every entry, by none, or by some
+        share = draw(st.sampled_from(["all", "none", "some"]))
+        return lambda: share == "all" or (share == "some" and draw(st.booleans()))
+
+    has_position, has_weight = on_entries(), on_entries()
+    vertices = []
+    for name in draw(st.lists(names, min_size=2, max_size=3, unique=True)):
+        vertices.append({"name": name, **({"position": draw(point)} if has_position() else {})})
+    edges = []
+    for _ in range(draw(st.integers(0, 5))):
+        edge = {
+            "tail": draw(names),
+            "head": draw(names),
+            "gain": draw(st.lists(st.integers(-1, 1), min_size=d, max_size=d)),
+            "type": draw(st.sampled_from(["bar", "cable", "strut"])),
+        }
+        if has_weight():
+            edge["weight"] = draw(reals)
+        edges.append(edge)
+    doc = {"dimension": d, "vertices": vertices, "edges": edges}
+    if draw(st.booleans()):
+        doc["lattice"] = draw(st.lists(point, min_size=d, max_size=d))
+    if draw(st.booleans()):
+        doc["lambda"] = draw(reals)
+    return doc
+
+
+_framework_like = st.one_of(_garbled_framework, _well_formed_framework())
+
+
+def _outcome(reader, raw):
+    try:
+        return reader(raw), None
+    except PerigidError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _same_points(points, expected):
+    assert list(points) == list(expected)
+    assert all(np.array_equal(points[v], expected[v]) for v in expected)
+
+
+def _same_stress(stress, expected):
+    assert (stress is None) == (expected is None)
+    assert stress is None or np.array_equal(stress, expected)
+
+
+def _same_framework(parsed, expected):
+    graph, want = parsed.graph, expected.graph
+    assert graph == want
+    for name in ("tail_idx", "head_idx", "loop_mask", "gain_array"):
+        assert np.array_equal(getattr(graph, name), getattr(want, name)), name
+    assert (parsed.realization is None) == (expected.realization is None)
+    if expected.realization is not None:
+        _same_points(parsed.realization.points, expected.realization.points)
+        assert np.array_equal(parsed.realization.lattice, expected.realization.lattice)
+    _same_stress(parsed.stress, expected.stress)
+    assert parsed.lam == expected.lam
+
+
+def _same_finite(parsed, expected):
+    (finite, stress), (want, want_stress) = parsed, expected
+    assert (finite.vertices, finite.edges, finite.markings) == (
+        want.vertices,
+        want.edges,
+        want.markings,
+    )
+    _same_points(finite.points, want.points)
+    _same_stress(stress, want_stress)
+
+
 @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(value=st.one_of(_json_values, _framework_like, st.binary(max_size=24)))
 def test_readers_parse_or_raise_perigid_error(value):
-    """Any file content either parses or raises a PerigidError (exit 2 in the CLI)."""
+    """Any file content either parses or raises a PerigidError (exit 2 in the
+    CLI), and the one-pass readers agree with the two-pass reference: the same
+    graph, arrays and geometry, or the same error type and message."""
     raw = value if isinstance(value, bytes) else json.dumps(value).encode("utf-8")
-    for reader in (fileformat.loads, fileformat.loads_finite):
-        try:
-            reader(raw)
-        except PerigidError:
-            pass
+    for reader, reference, same in (
+        (fileformat.loads, reference_loads, _same_framework),
+        (fileformat.loads_finite, reference_loads_finite, _same_finite),
+    ):
+        parsed, error = _outcome(reader, raw)
+        expected, expected_error = _outcome(reference, raw)
+        assert error == expected_error
+        if error is None:
+            same(parsed, expected)
 
 
 @pytest.mark.parametrize(
@@ -478,6 +580,23 @@ def test_cli_bad_numeric_option_is_usage_error(fixture_file, capsys, option):
     assert cli(["generic-test", fixture_file("hex"), *option]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError:") and err.count("\n") == 1
+
+
+def test_cli_calls_share_one_parser_and_no_state(fixture_file, capsys):
+    """One process builds the argument parser once; no option of one call
+    leaks into the next, and a repeated call gives the same bytes."""
+    from perigid import cli as cli_mod
+
+    path = fixture_file("hex")
+    assert cli_mod._build_parser() is cli_mod._build_parser()
+    first_code = cli(["certify", path, "--mode", "fixed"])
+    first = capsys.readouterr().out
+    cli(["generic-test", path, "--trials", "1", "--json"])
+    assert json.loads(capsys.readouterr().out)["tolerances"]["generic_trials"] == 1
+    cli(["generic-test", path, "--json"])
+    assert json.loads(capsys.readouterr().out)["tolerances"]["generic_trials"] == 3
+    assert cli(["certify", path, "--mode", "fixed"]) == first_code
+    assert capsys.readouterr().out == first
 
 
 def test_cli_tol_flag(fixture_file, capsys):

@@ -222,3 +222,13 @@ def test_vector_roundtrip(hexes):
         np.array_equal(back.points[v], hexes.realization.points[v])
         for v in hexes.graph.vertices
     )
+
+
+def test_realization_stacks_points_and_names_a_misfit():
+    """Points of any shape with d entries become rows of one array; a point
+    with another count is named."""
+    real = Realization({"u": (0.0, 1.0), "v": np.array([[2.0], [3.0]])}, np.eye(2))
+    assert real.points["u"].shape == real.points["v"].shape == (2,)
+    assert np.array_equal(real.points["v"], [2.0, 3.0])
+    with pytest.raises(ValueError, match="point for 'v' has wrong dimension"):
+        Realization({"u": (0.0, 1.0), "v": (1.0, 2.0, 3.0)}, np.eye(2))

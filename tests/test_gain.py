@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perigid import fileformat
 from perigid.errors import DuplicateEdge, GainDimensionMismatch, ZeroLoop
 from perigid.gain import GainGraph, canonicalize_edge
 from perigid.linalg import numeric_rank
@@ -58,6 +59,26 @@ def test_graph_rejects_bad_gains():
         GainGraph(2, ("a", "b"), [("a", "b", (1,))])
     with pytest.raises(GainDimensionMismatch):
         GainGraph(2, ("a", "b"), [("a", "b", (1.5, 0))])
+
+
+def test_checked_edges_are_not_coerced_again(catalog, monkeypatch):
+    """The reader checks each edge of a file once, and a graph derived from a
+    checked graph (new markings, loops dropped, switched) takes its edges as
+    they are."""
+    documents = [fileformat.dumps(f.graph, f.realization, f.stress) for f in catalog.values()]
+
+    def coerce(self, raw):
+        raise AssertionError(f"edge {raw!r} coerced again")
+
+    monkeypatch.setattr(GainGraph, "_coerce_edge", coerce)
+    for fixture, document in zip(catalog.values(), documents):
+        graph = fileformat.loads(document).graph
+        assert graph == fixture.graph
+        assert graph.with_markings(graph.markings()) == graph
+        stripped, keep = graph.without_loops()
+        assert stripped.edges == tuple(graph.edges[i] for i in keep)
+        mu = (1,) * graph.dimension
+        assert graph.switch(graph.vertices[0], mu).switch(graph.vertices[0], [-m for m in mu]) == graph
 
 
 def test_incidence_single_edge():
