@@ -23,6 +23,7 @@ unit-volume lattice (volume).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -37,6 +38,7 @@ from .errors import (
 )
 from .framework import (
     Realization,
+    _motion_basis,
     _non_flat,
     edge_vectors,
     fixed_rigidity_matrix,
@@ -46,7 +48,7 @@ from .framework import (
     rigidity_matrix,
 )
 from .gain import GainGraph
-from .linalg import _left_kernel_sample, nullspace, symmetric_spectrum
+from .linalg import _certified_left_kernel_sample, nullspace, symmetric_spectrum
 from .stress import (
     _equilibrium,
     _strictly_positive,
@@ -322,9 +324,12 @@ def _sample_stress(entry: dict, graph, rank, marginal, stress, tol, block, kerne
 def generic_global_rigidity_test(graph: GainGraph, tol: ToleranceVault) -> Certificate:
     """Randomized decision of generic global rigidity (flexible lattice).
 
-    Per trial: one least-squares solve of the rigidity matrix R at a fresh
-    seeded realization gives its rank and a random stress (a Gaussian
-    projected onto the left kernel of R).  The framework must be
+    Per trial: the rigidity matrix R at a fresh seeded realization gives its
+    rank and a random stress (a Gaussian projected onto the left kernel of R)
+    from one Gram product and Cholesky that prove the rank, with the trivial
+    motions as the known kernel, or from one least-squares solve where that
+    proof does not go through (:func:`~perigid.linalg._certified_left_kernel_sample`).
+    The framework must be
     infinitesimally rigid (nullity of R equal to d(d+1)/2) and the stress
     matrix of that stress must have kernel dimension exactly d+1.
     Single-orbit graphs reduce to infinitesimal rigidity alone.  The verdict
@@ -337,7 +342,10 @@ def generic_global_rigidity_test(graph: GainGraph, tol: ToleranceVault) -> Certi
 
     def trial(seed: int, rng) -> dict:
         real = random_realization(graph, tol, seed=seed)
-        rank, marginal, stress = _left_kernel_sample(rigidity_matrix(graph, real), rng, tol)
+        motions = partial(_motion_basis, graph, real, fixed=False)
+        rank, marginal, stress = _certified_left_kernel_sample(
+            rigidity_matrix(graph, real), motions, rng, tol
+        )
         rigid = d * graph.num_vertices + d * d - rank == d * (d + 1) // 2
         entry = {"seed": seed, "infinitesimally_rigid": rigid}
         if graph.num_vertices == 1 or not rigid:
@@ -360,7 +368,8 @@ def generic_fixed_global_rigidity_test(
 
     Per trial: sample positions (and the lattice unless one is supplied),
     take the rank of the fixed-lattice rigidity matrix and a random stress of
-    its left kernel from one least-squares solve, and test whether the
+    its left kernel, proved with the translations as the known kernel or from
+    one least-squares solve, as in the flexible test, and test whether the
     weighted Laplacian has kernel dimension exactly one.  With no nonzero
     stress only a single vertex orbit passes: it can only be translated.
     With fewer than d(|V| - 1) edges every realization has an infinitesimal
@@ -376,7 +385,10 @@ def generic_fixed_global_rigidity_test(
         real = random_realization(graph, tol, seed=seed)
         if lattice is not None:
             real = Realization(real.points, lattice)
-        rank, marginal, stress = _left_kernel_sample(fixed_rigidity_matrix(graph, real), rng, tol)
+        motions = partial(_motion_basis, graph, real, fixed=True)
+        rank, marginal, stress = _certified_left_kernel_sample(
+            fixed_rigidity_matrix(graph, real), motions, rng, tol
+        )
         entry = {"seed": seed}
         return _sample_stress(entry, graph, rank, marginal, stress, tol, "laplacian", 1)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FlatLattice, NotAffinelySpanning
 from .gain import GainGraph, Vertex
-from .linalg import numeric_rank
+from .linalg import _pivot_rows, numeric_rank
 from .tolerances import ToleranceVault
 
 
@@ -149,20 +149,42 @@ def trivial_motions(graph: GainGraph, real: Realization, tol: ToleranceVault) ->
     """Basis (columns) of the d(d+1)/2 trivial motions: translations and rotations."""
     if not is_affinely_spanning(graph, real, tol):
         raise NotAffinelySpanning("trivial motions need an affinely spanning framework")
-    d = graph.dimension
-    n = graph.num_vertices
-    cols = []
-    for i in range(d):
-        vec = np.zeros(d * n + d * d)
-        vec[i : d * n : d] = 1.0
-        cols.append(vec)
-    for i in range(d):
-        for j in range(i + 1, d):
-            skew = np.zeros((d, d))
-            skew[i, j], skew[j, i] = 1.0, -1.0
-            moved = np.concatenate([skew @ real.points[v] for v in graph.vertices])
-            cols.append(np.concatenate([moved, (skew @ real.lattice).flatten(order="F")]))
-    return np.column_stack(cols)
+    return _trivial_motion_columns(graph, real)
+
+
+def _trivial_motion_columns(graph: GainGraph, real: Realization) -> np.ndarray:
+    """The d translations of the points, then for each i < j the rotation
+    p -> Sp, L -> SL by the skew S = E_ij - E_ji, as vectors in the layout of
+    the rigidity matrix's columns."""
+    d, n = graph.dimension, graph.num_vertices
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    cols = np.zeros((d * n + d * d, d + len(pairs)))
+    cols[: d * n, :d] = np.tile(np.eye(d), (n, 1))
+    points, lattice = point_matrix(graph, real), real.lattice
+    for col, (i, j) in enumerate(pairs, start=d):
+        # (Sq)_i = q_j and (Sq)_j = -q_i for each point and each lattice column q
+        cols[i : d * n : d, col] = points[j]
+        cols[j : d * n : d, col] = -points[i]
+        cols[d * n + i :: d, col] = lattice[j]
+        cols[d * n + j :: d, col] = -lattice[i]
+    return cols
+
+
+def _motion_basis(
+    graph: GainGraph, real: Realization, fixed: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """An orthonormal basis (columns) of the trivial motions that the
+    rigidity matrix annihilates, and one vertex coordinate per basis column,
+    picked by partial pivoting on the vertex rows.  Under a fixed lattice the
+    motions are the d translations; otherwise they also rotate the points and
+    the lattice."""
+    d, n = graph.dimension, graph.num_vertices
+    motions = _trivial_motion_columns(graph, real)
+    if fixed:
+        basis = motions[: d * n, :d] / np.sqrt(n)
+    else:
+        basis = np.linalg.qr(motions)[0]
+    return basis, _pivot_rows(basis[: d * n])
 
 
 def is_infinitesimally_rigid(graph: GainGraph, real: Realization, tol: ToleranceVault) -> bool:
@@ -194,7 +216,7 @@ def random_realization(
     """
     rng = np.random.default_rng(tol.rng_seed if seed is None else seed)
     d = graph.dimension
-    points = {v: rng.uniform(1.0, 2.0, size=d) for v in graph.vertices}
+    points = dict(zip(graph.vertices, rng.uniform(1.0, 2.0, size=(graph.num_vertices, d))))
     lattice = rng.uniform(1.0, 2.0, size=(d, d))
     while not _non_flat(lattice, tol):
         lattice = rng.uniform(1.0, 2.0, size=(d, d))

@@ -18,6 +18,22 @@ from .tolerances import ToleranceVault
 # Singular-value ratio below which a rank cut is reported as marginal.
 RANK_GAP_GUARD = 1e3
 
+# Columns of R below which :func:`_certified_left_kernel_sample` leaves the
+# trial to ``lstsq``: there the Gram path's fixed cost (about 20 numpy calls
+# and the motion basis, 0.3-0.5 ms) is more than the SVD it saves.  On rigidity
+# matrices of out-degree d+1 gain graphs (one BLAS thread, pinned) the two
+# paths cost the same between 48 and 57 columns.
+_GRAM_MIN_COLS = 56
+# A certified trial also proves sigma_min(R_Q) >= |R|_F / _GRAM_MAX_COND and
+# >= |R Y|_F / _GRAM_STRESS_RTOL, so that its stress is as accurate as the one
+# ``lstsq`` gives: the corrected semi-normal equations lose accuracy as
+# u cond(R_Q)^2 nears one (on planted spectra they matched ``lstsq`` up to
+# cond 1e5 and were worse above it), and the stress departs from ``lstsq``'s
+# by about |R Y| / sigma_min(R_Q) |x|.  Generic trials at 100-160 vertices have
+# |R|_F / sigma_min(R_Q) of 2e3-5e3 and |R Y|_F / |R|_F below 1e-16.
+_GRAM_MAX_COND = 1e5
+_GRAM_STRESS_RTOL = 1e-10
+
 
 class RankResult(NamedTuple):
     rank: int
@@ -73,6 +89,114 @@ def _left_kernel_sample(matrix, rng, tol: ToleranceVault) -> tuple[int, bool, np
     fit, _, _, svals = np.linalg.lstsq(m, x, rcond=tol.rank_rel_tol * max(m.shape))
     rank, marginal, _ = _rank_cut(svals, m.shape, tol, 0.0)
     return rank, marginal, x - m @ fit
+
+
+def _pivot_rows(matrix) -> np.ndarray:
+    """Rows that Gaussian elimination with partial pivoting picks, one per
+    column in column order; it stops at the first column with no nonzero
+    pivot left, so a rank-deficient ``matrix`` gets fewer rows than columns."""
+    work = np.array(np.transpose(matrix), dtype=float)  # one contiguous row per column
+    rows = []
+    for j, col in enumerate(work):
+        p = int(np.argmax(np.abs(col)))
+        if col[p] == 0.0:
+            break
+        rows.append(p)
+        work[j + 1 :] -= np.outer(work[j + 1 :, p] / col[p], col)
+        work[j + 1 :, p] = 0.0  # exactly, so no row is picked twice
+    return np.array(rows, dtype=np.intp)
+
+
+def _certified_left_kernel_sample(
+    matrix, motions, rng, tol: ToleranceVault
+) -> tuple[int, bool, np.ndarray]:
+    """:func:`_left_kernel_sample` of a matrix R with k known kernel vectors,
+    decided by one Gram product and one shifted Cholesky whenever these prove
+    what the SVD cut of R would say, and by :func:`_left_kernel_sample`
+    otherwise.
+
+    ``motions()`` returns an n x k matrix Y with orthonormal columns that R
+    should annihilate (a framework's trivial motions) and k pivot columns of
+    R; it is called only when R has at least ``_GRAM_MIN_COLS`` columns.
+    R_Q is R without the pivot columns, m x (n-k).  Let c =
+    ``rank_rel_tol * max(m, n)``, u the unit roundoff and eta = m n u |R|_F.
+    The answer is rank n - k, not marginal, with no SVD, when
+
+    1. rho := |fl(R Y)|_F + 2 eta <= c (|R|_F / sqrt(n) - eta), and
+    2. ``cholesky(fl(R_Q^T R_Q) - tau I)`` succeeds, where
+       tau = (s + eta)^2 + 2 (m + n + 3) u |R|_F^2 and s is the largest of
+       c (|R|_F + eta), RANK_GAP_GUARD rho, |R|_F / ``_GRAM_MAX_COND`` and
+       |fl(R Y)|_F / ``_GRAM_STRESS_RTOL`` (the last two only keep the
+       stress accurate; the proof needs the first two).
+
+    Proof.  A backward-stable SVD (the one ``lstsq`` runs included) returns
+    the singular values of some R + E with |E|_2 <= eta (Householder
+    bidiagonalisation; Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Thm 19.4), so by Weyl each returned value s'_i is within eta
+    of sigma_i(R), and
+
+    - |R|_F / sqrt(n) - eta <= s'_1 <= |R|_F + eta, since
+      |R|_F / sqrt(n) <= sigma_1 <= |R|_F;
+    - s'_(n-k+1) <= rho: Courant-Fischer gives sigma_(n-k+1) <= |R Y|_2 for
+      the k orthonormal columns of Y, and eta also covers the rounding of
+      R Y and of Y's orthonormality;
+    - s'_(n-k) > s: Cauchy interlacing for deleted columns gives
+      sigma_(n-k)(R) >= sigma_min(R_Q), and condition 2 proves
+      sigma_min(R_Q) > s + eta.  The computed Gram matrix is within
+      gamma_m |R|_F^2 of R_Q^T R_Q (Higham section 3.5), and a Cholesky that
+      completes factors its input plus a perturbation below
+      gamma_(n-k+1) |R|_F^2 (Higham Thm 10.3); tau's second term covers
+      both and the rounding of the shift, so lambda_min(R_Q^T R_Q) >
+      (s + eta)^2.
+
+    So s'_(n-k) > c s'_1 >= s'_(n-k+1) by condition 1, and :func:`_rank_cut`
+    keeps exactly n - k values; and s'_(n-k) > RANK_GAP_GUARD s'_(n-k+1), so
+    the cut is not marginal.  The pivot columns only make condition 2 likely
+    to hold: interlacing holds for any k deleted columns.  When R is small,
+    there are fewer than k pivots, no column is left, R_Q is wider than tall
+    or either condition fails, the answer is :func:`_left_kernel_sample`'s.
+
+    The stress: once rank R = n - k, range(R) = range(R_Q), so the residual
+    x - R_Q f of the normal equations R_Q^T R_Q f = R_Q^T x is the projection
+    of the Gaussian x onto the left kernel.  One corrected semi-normal step
+    (Bjorck, *Numerical Methods for Least Squares Problems*, 1996) solves
+    again with the residual computed from R_Q, which brings |R^T omega| to
+    the level ``lstsq`` leaves.  Either way x is the one draw from ``rng``
+    that :func:`_left_kernel_sample` makes, so the stream of draws does not
+    depend on the path.
+    """
+    m = _as_float_matrix(matrix)
+    rows, n = m.shape
+    if n < _GRAM_MIN_COLS:
+        return _left_kernel_sample(m, rng, tol)
+    basis, drop = motions()
+    keep = np.delete(np.arange(n), drop)
+    if len(drop) != basis.shape[1] or not 0 < keep.size <= rows:
+        return _left_kernel_sample(m, rng, tol)
+    c = tol.rank_rel_tol * max(rows, n)
+    u = np.finfo(float).eps / 2
+    norm = float(np.linalg.norm(m))
+    eta = rows * n * u * norm
+    leak = float(np.linalg.norm(m @ basis))
+    rho = leak + 2.0 * eta
+    if not rho <= c * (norm / np.sqrt(n) - eta):
+        return _left_kernel_sample(m, rng, tol)
+    s = max(c * (norm + eta), RANK_GAP_GUARD * rho)
+    s = max(s, norm / _GRAM_MAX_COND, leak / _GRAM_STRESS_RTOL)
+    tau = (s + eta) ** 2 + 2.0 * (rows + n + 3) * u * norm**2
+    kept = m[:, keep]
+    gram = kept.T @ kept
+    diagonal = gram.diagonal().copy()
+    gram.flat[:: keep.size + 1] -= tau
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return _left_kernel_sample(m, rng, tol)
+    gram.flat[:: keep.size + 1] = diagonal
+    x = rng.standard_normal(rows)
+    fit = np.linalg.solve(gram, kept.T @ x)
+    fit += np.linalg.solve(gram, kept.T @ (x - kept @ fit))
+    return keep.size, False, x - kept @ fit
 
 
 def numeric_rank(matrix, tol: ToleranceVault) -> RankResult:

@@ -41,7 +41,7 @@ def count_factorisations(monkeypatch):
 
     def start() -> list:
         calls = []
-        for name in ("svd", "eigh", "eigvalsh", "qr", "solve", "lstsq"):
+        for name in ("svd", "eigh", "eigvalsh", "qr", "cholesky", "solve", "lstsq"):
             original = getattr(np.linalg, name)
 
             def counted(a, *args, _name=name, _original=original, **kwargs):

@@ -1,8 +1,10 @@
 """Reference helpers that only the tests use: vector forms of a realization,
 the conic deformation, a projected-gradient refiner, seeded cable frameworks
 (one with a strut chord), an exact rank by elimination over the rationals,
-the re-verification of a positive stress certificate from its witness and a
-two-pass reference reader of framework files."""
+the re-verification of a positive stress certificate from its witness, a
+two-pass reference reader of framework files, seeded out-degree gain graphs
+(one with a degree-1 vertex), and the per-vertex trivial motions and
+realization draws that the vectorised ones must reproduce."""
 
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from perigid.fileformat import (
     _require,
 )
 from perigid.framework import Realization
-from perigid.gain import MARKINGS, GainGraph
+from perigid.gain import MARKINGS, GainGraph, canonicalize_edge
 from perigid.linalg import _as_int_rows
 from perigid.optimize import energy, energy_gradient
 from perigid.tolerances import ToleranceVault
@@ -320,3 +322,56 @@ def reference_loads_finite(data) -> tuple[FiniteFramework, Optional[np.ndarray]]
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return finite, _reference_stress(weights)
+
+
+def out_degree_graph(seed: int, n: int = 40, out: int = 3, d: int = 2) -> GainGraph:
+    """Seeded gain graph: each vertex sends ``out`` edges to random other
+    vertices, with gains in {-1, 0, 1}^d."""
+    rng = np.random.default_rng(seed)
+    verts = tuple(f"v{i}" for i in range(n))
+    edges = {}  # keyed by edge class, so no two edges are equivalent
+    for tail in range(n):
+        sent = 0
+        while sent < out:
+            head, gain = int(rng.integers(n)), tuple(rng.integers(-1, 2, d).tolist())
+            if head == tail:
+                continue
+            key = canonicalize_edge(verts[tail], verts[head], gain, verts)[:3]
+            if key not in edges:
+                edges[key] = None
+                sent += 1
+    return GainGraph(d, verts, list(edges))
+
+
+def degree_one_graph() -> GainGraph:
+    """``out_degree_graph(0)`` (d = 2, 40 vertices, 120 edges) plus a vertex
+    joined by one edge: above both edge counts, yet that vertex can turn about
+    its edge, so no realization is infinitesimally rigid."""
+    base = out_degree_graph(0)
+    edges = [(e.tail, e.head, e.gain) for e in base.edges] + [("v0", "w", (0, 0))]
+    return GainGraph(2, base.vertices + ("w",), edges)
+
+
+def reference_trivial_motions(graph: GainGraph, real: Realization) -> np.ndarray:
+    """The trivial motions built vertex by vertex: the d translations, then a
+    rotation p -> Sp, L -> SL for each skew S = E_ij - E_ji, i < j."""
+    d = graph.dimension
+    n = graph.num_vertices
+    cols = []
+    for i in range(d):
+        vec = np.zeros(d * n + d * d)
+        vec[i : d * n : d] = 1.0
+        cols.append(vec)
+    for i in range(d):
+        for j in range(i + 1, d):
+            skew = np.zeros((d, d))
+            skew[i, j], skew[j, i] = 1.0, -1.0
+            moved = np.concatenate([skew @ real.points[v] for v in graph.vertices])
+            cols.append(np.concatenate([moved, (skew @ real.lattice).flatten(order="F")]))
+    return np.column_stack(cols)
+
+
+def reference_random_points(graph: GainGraph, seed: int) -> dict:
+    """The points of ``random_realization(graph, tol, seed)``, drawn one vertex at a time."""
+    rng = np.random.default_rng(seed)
+    return {v: rng.uniform(1.0, 2.0, size=graph.dimension) for v in graph.vertices}

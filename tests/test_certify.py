@@ -27,7 +27,14 @@ from perigid.gain import GainEdge, GainGraph, canonicalize_edge
 from perigid.linalg import nullspace
 from perigid.tolerances import ToleranceVault
 
-from oracles import cable_framework, conic_deformation, reverify, strut_chord
+from oracles import (
+    cable_framework,
+    conic_deformation,
+    degree_one_graph,
+    out_degree_graph,
+    reverify,
+    strut_chord,
+)
 
 
 def test_conic_examples(flex1, flex2, tol):
@@ -419,34 +426,13 @@ def test_generic_fixed_single_orbit_positive_with_or_without_loop(tmp_path, tol)
     assert branches == ["stress-free"] * tol.generic_trials
 
 
-def _out_degree_graph(seed: int, n: int = 40, out: int = 3, d: int = 2) -> GainGraph:
-    """Seeded gain graph: each vertex sends ``out`` edges to random other
-    vertices, with gains in {-1, 0, 1}^d."""
-    rng = np.random.default_rng(seed)
-    verts = tuple(f"v{i}" for i in range(n))
-    edges = {}  # keyed by edge class, so no two edges are equivalent
-    for tail in range(n):
-        sent = 0
-        while sent < out:
-            head, gain = int(rng.integers(n)), tuple(rng.integers(-1, 2, d).tolist())
-            if head == tail:
-                continue
-            key = canonicalize_edge(verts[tail], verts[head], gain, verts)[:3]
-            if key not in edges:
-                edges[key] = None
-                sent += 1
-    return GainGraph(d, verts, list(edges))
-
-
 @pytest.mark.parametrize("mode", ["flexible", "fixed"])
-@pytest.mark.parametrize("case", ["flex2+orbit", "out3-40"])
+@pytest.mark.parametrize("case", ["flex2+orbit"])
 def test_generic_trial_one_lstsq_one_eigvalsh_no_svd(flex2, tol, count_factorisations, mode, case):
-    """Each trial: one least-squares solve of R and one eigvalsh of the stress Laplacian."""
-    if case == "flex2+orbit":
-        edges = [(e.tail, e.head, e.gain) for e in flex2.graph.edges]
-        graph = GainGraph(2, flex2.graph.vertices, edges + [("v1", "v2", (0, 1))])
-    else:
-        graph = _out_degree_graph(0)
+    """Below the Gram path's size gate each trial is one least-squares solve
+    of R and one eigvalsh of the stress Laplacian."""
+    edges = [(e.tail, e.head, e.gain) for e in flex2.graph.edges]
+    graph = GainGraph(2, flex2.graph.vertices, edges + [("v1", "v2", (0, 1))])
     n, d, e = graph.num_vertices, graph.dimension, graph.num_edges
     calls = count_factorisations()
     if mode == "flexible":
@@ -456,6 +442,43 @@ def test_generic_trial_one_lstsq_one_eigvalsh_no_svd(flex2, tol, count_factorisa
         assert generic_fixed_global_rigidity_test(graph, tol).positive
         per_trial = [("lstsq", (e, d * n)), ("eigvalsh", (n, n))]
     assert calls == per_trial * tol.generic_trials
+
+
+@pytest.mark.parametrize("mode", ["flexible", "fixed"])
+@pytest.mark.parametrize("case", ["out3-40", "out3-100"])
+def test_generic_trial_gram_path_makes_no_svd(tol, count_factorisations, mode, case):
+    """Above the size gate a rigid trial is proved by one shifted Cholesky of
+    R_Q^T R_Q, and its stress takes two solves of R_Q^T R_Q (one corrected
+    semi-normal step): no lstsq and no SVD.  The flexible motion basis is one
+    QR of the d(d+1)/2 trivial motions."""
+    graph = out_degree_graph(0, n=int(case.split("-")[1]))
+    n, d = graph.num_vertices, graph.dimension
+    calls = count_factorisations()
+    if mode == "flexible":
+        assert generic_global_rigidity_test(graph, tol).positive
+        q = d * n + d * d - d * (d + 1) // 2
+        per_trial = [("qr", (d * n + d * d, 3)), ("cholesky", (q, q)), ("solve", (q, q))]
+        per_trial += [("solve", (q, q)), ("eigvalsh", (n + d, n + d))]
+    else:
+        assert generic_fixed_global_rigidity_test(graph, tol).positive
+        q = d * n - d
+        per_trial = [("cholesky", (q, q)), ("solve", (q, q)), ("solve", (q, q))]
+        per_trial += [("eigvalsh", (n, n))]
+    assert calls == per_trial * tol.generic_trials
+
+
+@pytest.mark.parametrize("mode", ["flexible", "fixed"])
+def test_generic_trial_falls_back_to_lstsq_on_a_flex(tol, count_factorisations, mode):
+    """On a graph above the count with a degree-1 vertex, which can turn about
+    its one edge, each trial's Cholesky fails and the trial runs lstsq once,
+    as before.  (A positive graph runs no lstsq: see the Gram path test.)"""
+    graph = degree_one_graph()
+    calls = count_factorisations()
+    if mode == "flexible":
+        assert not generic_global_rigidity_test(graph, tol).positive
+    else:
+        assert not generic_fixed_global_rigidity_test(graph, tol).positive
+    assert [name for name, _ in calls].count("lstsq") == tol.generic_trials
 
 
 def _perfbench_generic_d3_neg() -> bytes:

@@ -17,7 +17,12 @@ from perigid.framework import (
 )
 from perigid.gain import GainGraph
 
-from oracles import realization_from_vector, realization_vector
+from oracles import (
+    realization_from_vector,
+    realization_vector,
+    reference_random_points,
+    reference_trivial_motions,
+)
 
 
 def single_edge():
@@ -140,6 +145,56 @@ def test_trivial_motions_d3_count(tol):
     g = GainGraph(3, ("a",), [("a", "a", (1, 0, 0))])
     r = Realization({"a": (0.0, 0.0, 0.0)}, np.eye(3))
     assert trivial_motions(g, r, tol).shape[1] == 6
+
+
+def _random_graph(d: int, n: int, seed: int) -> GainGraph:
+    rng = np.random.default_rng(seed)
+    verts = tuple(f"v{i}" for i in range(n))
+    edges = {}
+    for t in range(n):
+        h = int(rng.integers(n))
+        gain = tuple(int(x) for x in rng.integers(-2, 3, d))
+        if h != t or any(gain):
+            edges[(t, h, gain)] = None
+    return GainGraph(d, verts, [(verts[t], verts[h], g) for t, h, g in edges])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_trivial_motions_equal_the_per_vertex_columns(catalog, d, tol):
+    """The vectorised motions equal the columns built vertex by vertex, also
+    at realizations with negative and zero coordinates."""
+    cases = [(fix.graph, fix.realization) for fix in catalog.values() if fix.graph.dimension == d]
+    for seed in range(3):
+        graph = _random_graph(d, 2 + 3 * seed, seed)
+        real = random_realization(graph, tol, seed=seed)
+        cases.append((graph, real))
+        cases.append((graph, real.transformed(-np.eye(d), np.full(d, 1.5))))
+    for graph, real in cases:
+        motions = trivial_motions(graph, real, tol)
+        assert np.array_equal(motions, reference_trivial_motions(graph, real))
+        assert motions.shape == (d * graph.num_vertices + d * d, d * (d + 1) // 2)
+
+
+def test_random_realization_draws_every_point_in_one_call(tol):
+    """All points come from one uniform draw, in the order the per-vertex
+    draws made them; the first trial's points of a fixed seed are pinned."""
+    g = GainGraph(2, ("a", "b", "c"), [("a", "b", (0, 0)), ("b", "c", (1, 0)), ("c", "a", (0, 1))])
+    r = random_realization(g, tol, seed=tol.rng_seed)
+    pinned = {
+        "a": [1.6758313379812817, 1.2143232012382577],
+        "b": [1.3094520308816917, 1.7994660967748333],
+        "c": [1.9958020988654668, 1.1422318152800517],
+    }
+    assert {v: r.points[v].tolist() for v in g.vertices} == pinned
+    assert r.lattice.tolist() == [
+        [1.078725533761999, 1.1808238136968545],
+        [1.359646891689351, 1.1696192497070483],
+    ]
+    for d, n in ((2, 160), (3, 100)):
+        graph = _random_graph(d, n, n)
+        expected = reference_random_points(graph, 2024 + n)
+        real = random_realization(graph, tol, seed=2024 + n)
+        assert all(np.array_equal(real.points[v], expected[v]) for v in graph.vertices)
 
 
 def test_infinitesimal_rigidity_fixtures(flex1, flex2, hexes, tol):

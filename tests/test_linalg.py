@@ -6,9 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perigid import linalg
 from perigid.errors import AsymmetricInput, NonFiniteEntry
+from perigid.framework import (
+    _motion_basis,
+    fixed_rigidity_matrix,
+    random_realization,
+    rigidity_matrix,
+)
+from perigid.gain import GainGraph
 from perigid.linalg import (
+    RANK_GAP_GUARD,
+    _certified_left_kernel_sample,
     _left_kernel_sample,
+    _pivot_rows,
     numeric_rank,
     nullspace,
     smith_rank,
@@ -16,7 +27,7 @@ from perigid.linalg import (
 )
 from perigid.tolerances import ToleranceVault
 
-from oracles import fraction_rank
+from oracles import degree_one_graph, fraction_rank, out_degree_graph
 
 SQRT2 = math.sqrt(2.0)
 
@@ -266,3 +277,166 @@ def test_left_kernel_sample_matches_numeric_rank_and_nullspace(rows, cols, kind,
     assert (rank, marginal) == (expected.rank, expected.marginal)
     kernel = nullspace(m, "left", tol)
     assert np.linalg.norm(vec - kernel @ (kernel.T @ x)) <= 1e-10 * np.linalg.norm(x)
+
+
+def _certified_run(matrix, motions, seed: int, gate: int = 0) -> tuple:
+    """``_certified_left_kernel_sample`` with the size gate at ``gate``:
+    (its result, whether it fell back to ``_left_kernel_sample``, the number
+    of Cholesky factorisations it tried, whether it asked for the motions)."""
+    fallbacks, choleskys, asked = [], [], []
+    cholesky = np.linalg.cholesky
+
+    def spy_cholesky(a):
+        choleskys.append(a.shape)
+        return cholesky(a)
+
+    def spy_motions():
+        asked.append(True)
+        return motions()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_GRAM_MIN_COLS", gate)
+        mp.setattr(
+            linalg, "_left_kernel_sample", lambda *a: fallbacks.append(a) or _left_kernel_sample(*a)
+        )
+        mp.setattr(np.linalg, "cholesky", spy_cholesky)
+        rng = np.random.default_rng(seed)
+        got = _certified_left_kernel_sample(matrix, spy_motions, rng, ToleranceVault())
+    return got, bool(fallbacks), len(choleskys), bool(asked)
+
+
+def _assert_same_sample(got, matrix, seed: int) -> None:
+    """Rank and marginal flag of ``_left_kernel_sample`` with the same seed, and
+    its stress within 1e-10 |x|."""
+    expected = _left_kernel_sample(matrix, np.random.default_rng(seed), ToleranceVault())
+    x = np.random.default_rng(seed).standard_normal(np.shape(matrix)[0])
+    assert got[:2] == expected[:2]
+    assert np.linalg.norm(got[2] - expected[2]) <= 1e-10 * np.linalg.norm(x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.integers(1, 14),
+    st.integers(1, 5),
+    st.booleans(),
+    st.integers(-8, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_certified_sample_equals_lstsq_on_rigidity_matrices(d, n, out, fixed, scale, seed):
+    """On rigidity matrices of random gain graphs at any scale, with the size
+    gate off, the Gram path and its fallback give ``lstsq``'s rank and
+    marginal flag, and a stress within 1e-10 |x| of its stress."""
+    if n == 1:
+        graph = GainGraph(d, ("v",), [])
+    else:
+        graph = out_degree_graph(seed, n=n, out=min(out, n - 1), d=d)
+    real = random_realization(graph, ToleranceVault(), seed=seed).scaled(10.0**scale)
+    matrix = (fixed_rigidity_matrix if fixed else rigidity_matrix)(graph, real)
+    got, _, _, _ = _certified_run(matrix, lambda: _motion_basis(graph, real, fixed), seed)
+    _assert_same_sample(got, matrix, seed)
+
+
+def _planted(seed: int, rows: int, cols: int, k: int, low: float, leak: float):
+    """(R, Y): R has k orthonormal near-kernel columns Y, with |R y_1| = ``leak``,
+    and n - k singular values in [1, 2) except the least, ``low``."""
+    rng = np.random.default_rng(seed)
+    y = np.linalg.qr(rng.standard_normal((cols, k)))[0]
+    rest = np.linalg.qr(np.hstack([y, rng.standard_normal((cols, cols - k))]))[0][:, k:]
+    u = np.linalg.qr(rng.standard_normal((rows, cols - k + 1)))[0]
+    values = rng.uniform(1.0, 2.0, cols - k)
+    values[-1] = low
+    return (u[:, :-1] * values) @ rest.T + leak * np.outer(u[:, -1], y[:, 0]), y
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(6, 60),
+    st.integers(2, 60),
+    st.integers(1, 3),
+    st.floats(-12.0, 0.0),
+    st.floats(-18.0, -2.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_certified_sample_equals_lstsq_on_planted_spectra(rows, cols, k, low, leak, seed):
+    """Near every border of the proof (a least value near the cut, known
+    motions that R does not quite annihilate), whenever the Gram path answers
+    it gives ``lstsq``'s rank and marginal flag and a stress within 1e-10 |x|."""
+    cols = max(min(cols, rows), k + 1)
+    matrix, y = _planted(seed, rows, cols, k, 10.0**low, 10.0**leak)
+    got, _, _, _ = _certified_run(matrix, lambda: (y, _pivot_rows(y)), seed)
+    _assert_same_sample(got, matrix, seed)
+
+
+def _fallback_case(case: str):
+    """(matrix, motions, gate) of each way the Gram path leaves a trial to ``lstsq``."""
+    tol = ToleranceVault()
+    if case in ("small", "degree-1"):
+        graph = out_degree_graph(0, n=8) if case == "small" else degree_one_graph()
+        real = random_realization(graph, tol, seed=1)
+        return rigidity_matrix(graph, real), lambda: _motion_basis(graph, real, False), 56
+    if case.startswith("single-orbit"):
+        fixed = case.endswith("fixed")
+        graph = GainGraph(2, ("v",), [("v", "v", (1, 0)), ("v", "v", (0, 1)), ("v", "v", (1, 1))])
+        real = random_realization(graph, tol, seed=1)
+        matrix = (fixed_rigidity_matrix if fixed else rigidity_matrix)(graph, real)
+        return matrix, lambda: _motion_basis(graph, real, fixed), 0
+    if case == "not-annihilated":
+        rng = np.random.default_rng(3)
+        y = np.linalg.qr(rng.standard_normal((60, 3)))[0]
+        return rng.standard_normal((80, 60)), lambda: (y, _pivot_rows(y)), 0
+    if case == "ill-conditioned":
+        # cond(R_Q) near 1e6: the cut is clear, but the normal equations
+        # would give a stress less accurate than lstsq's
+        matrix, y = _planted(5, 40, 30, 2, 1e-5, 0.0)
+        return matrix, lambda: (y, _pivot_rows(y)), 0
+    # a least value 10x above the cut (sigma_1 < 2) and a motion leaking 10x
+    # below it: the cut keeps n - k values, but with a gap of 100 it is
+    # marginal, and only the gap guard stops the Cholesky
+    cut = tol.rank_rel_tol * 20 * 2.0
+    matrix, y = _planted(5, 20, 12, 3, 10 * cut, cut / 10)
+    return matrix, lambda: (y, _pivot_rows(y)), 0
+
+
+# case: (whether the motions are built, Cholesky factorisations tried)
+_FALLBACKS = {
+    "small": (False, 0),
+    "single-orbit-fixed": (True, 0),
+    "single-orbit-flexible": (True, 0),
+    "not-annihilated": (True, 0),
+    "degree-1": (True, 1),
+    "planted-marginal": (True, 1),
+    "ill-conditioned": (True, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_FALLBACKS))
+def test_certified_sample_falls_back_to_lstsq(case):
+    """Each branch that cannot prove the cut returns ``_left_kernel_sample``'s
+    answer with the same draw: below the size gate (motions never built), no
+    column left after the pivots, fewer pivots than motions, motions that R
+    does not annihilate (no Cholesky), and a Cholesky that fails: on a graph
+    that is not infinitesimally rigid, on a marginal cut (stopped by the gap
+    guard and the stress terms of the shift) and on an R_Q too ill-conditioned
+    for the normal equations."""
+    matrix, motions, gate = _fallback_case(case)
+    got, fell_back, tried, asked = _certified_run(matrix, motions, 7, gate)
+    assert fell_back and (asked, tried) == _FALLBACKS[case]
+    expected = _left_kernel_sample(matrix, np.random.default_rng(7), ToleranceVault())
+    assert got[:2] == expected[:2] and np.array_equal(got[2], expected[2])
+    if case == "planted-marginal":
+        singular = np.linalg.svd(matrix, compute_uv=False)
+        assert got[:2] == (9, True) and singular[8] / singular[9] < RANK_GAP_GUARD
+    if case == "degree-1":
+        assert got[0] < matrix.shape[1] - 3
+    if case == "ill-conditioned":
+        assert got[:2] == (28, False)
+
+
+def test_pivot_rows_partial_pivoting():
+    """Largest remaining entry per column, no row twice, and a stop at a
+    column that elimination zeroes."""
+    m = np.array([[1.0, 2.0], [3.0, 1.0], [0.0, 5.0]])
+    assert _pivot_rows(m).tolist() == [1, 2]
+    assert _pivot_rows(np.array([[1.0, 2.0], [2.0, 4.0]])).tolist() == [1]
+    assert _pivot_rows(np.zeros((3, 2))).tolist() == []
