@@ -40,12 +40,11 @@ from .framework import (
     Realization,
     _motion_basis,
     _non_flat,
+    _rigidity_entries,
     edge_vectors,
-    fixed_rigidity_matrix,
     is_affinely_spanning,
     point_matrix,
     random_realization,
-    rigidity_matrix,
 )
 from .gain import GainGraph
 from .linalg import _certified_left_kernel_sample, nullspace, symmetric_spectrum
@@ -324,14 +323,16 @@ def _sample_stress(entry: dict, graph, rank, marginal, stress, tol, block, kerne
 def generic_global_rigidity_test(graph: GainGraph, tol: ToleranceVault) -> Certificate:
     """Randomized decision of generic global rigidity (flexible lattice).
 
-    Per trial: the rigidity matrix R at a fresh seeded realization gives its
-    rank and a random stress (a Gaussian projected onto the left kernel of R)
-    from one Gram product and Cholesky that prove the rank, with the trivial
-    motions as the known kernel, or from one least-squares solve where that
-    proof does not go through (:func:`~perigid.linalg._certified_left_kernel_sample`).
-    The framework must be
-    infinitesimally rigid (nullity of R equal to d(d+1)/2) and the stress
-    matrix of that stress must have kernel dimension exactly d+1.
+    Per trial: the rigidity matrix R at a fresh seeded realization, given
+    as its entries row by row, yields its rank and a random stress (a
+    Gaussian projected onto the left kernel of R).  A Gram matrix summed
+    from the entries and one shifted Cholesky of it prove the rank, with the
+    trivial motions as the known kernel, and conjugate gradients
+    preconditioned by that factor give the stress; where the proof does not
+    go through, one least-squares solve of the dense R gives both
+    (:func:`~perigid.linalg._certified_left_kernel_sample`).  The framework
+    must be infinitesimally rigid (nullity of R equal to d(d+1)/2) and the
+    stress matrix of that stress must have kernel dimension exactly d+1.
     Single-orbit graphs reduce to infinitesimal rigidity alone.  The verdict
     is the majority over the trials and the marginal flag records any
     disagreement or marginal rank cut.  R has |E| rows, so with fewer than
@@ -343,10 +344,10 @@ def generic_global_rigidity_test(graph: GainGraph, tol: ToleranceVault) -> Certi
     def trial(seed: int, rng) -> dict:
         real = random_realization(graph, tol, seed=seed)
         motions = partial(_motion_basis, graph, real, fixed=False)
-        rank, marginal, stress = _certified_left_kernel_sample(
-            rigidity_matrix(graph, real), motions, rng, tol
-        )
-        rigid = d * graph.num_vertices + d * d - rank == d * (d + 1) // 2
+        cols, vals = _rigidity_entries(graph, real, fixed=False)
+        n = d * graph.num_vertices + d * d
+        rank, marginal, stress = _certified_left_kernel_sample(cols, vals, n, motions, rng, tol)
+        rigid = n - rank == d * (d + 1) // 2
         entry = {"seed": seed, "infinitesimally_rigid": rigid}
         if graph.num_vertices == 1 or not rigid:
             branch = "single-orbit" if graph.num_vertices == 1 else "not infinitesimally rigid"
@@ -368,9 +369,10 @@ def generic_fixed_global_rigidity_test(
 
     Per trial: sample positions (and the lattice unless one is supplied),
     take the rank of the fixed-lattice rigidity matrix and a random stress of
-    its left kernel, proved with the translations as the known kernel or from
-    one least-squares solve, as in the flexible test, and test whether the
-    weighted Laplacian has kernel dimension exactly one.  With no nonzero
+    its left kernel from the matrix's entries, proved with the translations
+    as the known kernel, or from one least-squares solve of the dense matrix,
+    as in the flexible test, and test whether the weighted Laplacian has
+    kernel dimension exactly one.  With no nonzero
     stress only a single vertex orbit passes: it can only be translated.
     With fewer than d(|V| - 1) edges every realization has an infinitesimal
     motion other than a translation, which at generic positions extends to a
@@ -386,9 +388,9 @@ def generic_fixed_global_rigidity_test(
         if lattice is not None:
             real = Realization(real.points, lattice)
         motions = partial(_motion_basis, graph, real, fixed=True)
-        rank, marginal, stress = _certified_left_kernel_sample(
-            fixed_rigidity_matrix(graph, real), motions, rng, tol
-        )
+        cols, vals = _rigidity_entries(graph, real, fixed=True)
+        n = graph.dimension * graph.num_vertices
+        rank, marginal, stress = _certified_left_kernel_sample(cols, vals, n, motions, rng, tol)
         entry = {"seed": seed}
         return _sample_stress(entry, graph, rank, marginal, stress, tol, "laplacian", 1)
 

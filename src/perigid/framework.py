@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FlatLattice, NotAffinelySpanning
 from .gain import GainGraph, Vertex
-from .linalg import _pivot_rows, numeric_rank
+from .linalg import _pivot_rows, _scatter_rows, numeric_rank
 from .tolerances import ToleranceVault
 
 
@@ -103,34 +103,42 @@ def measurement(graph: GainGraph, real: Realization) -> np.ndarray:
     return np.einsum("ij,ij->i", nu, nu)
 
 
-def _vertex_blocks(graph: GainGraph, nu: np.ndarray, mat: np.ndarray) -> None:
-    """Write -nu / +nu into the tail / head coordinate blocks of each non-loop row."""
-    d = graph.dimension
-    rows = np.flatnonzero(~graph.loop_mask)[:, None]
+def _rigidity_entries(
+    graph: GainGraph, real: Realization, fixed: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rigidity matrix's entries row by row: an |E| x K array of column
+    indices and an |E| x K array of values.  K is 2d (-nu at the tail's
+    coordinates, then +nu at the head's), plus the d^2 lattice entries
+    gain_i nu_j unless ``fixed``.  A loop's vertex entries and a zero gain's
+    lattice entries are +0.0, so a dense scatter of the entries is the matrix
+    and a product with an absent entry adds nothing to a sum."""
+    d, n, e = graph.dimension, graph.num_vertices, graph.num_edges
+    nu = edge_vectors(graph, real)
     coords = np.arange(d)
-    mat[rows, d * graph.tail_idx[rows] + coords] = -nu[rows[:, 0]]
-    mat[rows, d * graph.head_idx[rows] + coords] = nu[rows[:, 0]]
+    cols = np.empty((e, 2 * d if fixed else 2 * d + d * d), dtype=np.intp)
+    vals = np.empty(cols.shape)
+    cols[:, :d] = d * graph.tail_idx[:, None] + coords
+    cols[:, d : 2 * d] = d * graph.head_idx[:, None] + coords
+    vals[:, :d] = -nu
+    vals[:, d : 2 * d] = nu
+    vals[graph.loop_mask, : 2 * d] = 0.0
+    if not fixed:
+        gains = graph.gain_array[:, :, None]
+        cols[:, 2 * d :] = d * n + np.arange(d * d)
+        vals[:, 2 * d :] = np.where(gains != 0.0, gains * nu[:, None, :], 0.0).reshape(e, d * d)
+    return cols, vals
 
 
 def rigidity_matrix(graph: GainGraph, real: Realization) -> np.ndarray:
     """|E| x (d|V| + d^2) rigidity matrix; rows are half-derivatives of the measurement."""
     d = graph.dimension
-    n = graph.num_vertices
-    nu = edge_vectors(graph, real)
-    mat = np.zeros((graph.num_edges, d * n + d * d))
-    _vertex_blocks(graph, nu, mat)
-    gains = graph.gain_array[:, :, None]
-    # zero gains leave their lattice block at +0.0 (a product would give -0.0)
-    lattice = np.where(gains != 0.0, gains * nu[:, None, :], 0.0)
-    mat[:, d * n :] = lattice.reshape(graph.num_edges, d * d)
-    return mat
+    return _scatter_rows(*_rigidity_entries(graph, real, False), d * graph.num_vertices + d * d)
 
 
 def fixed_rigidity_matrix(graph: GainGraph, real: Realization) -> np.ndarray:
     """|E| x d|V| fixed-lattice rigidity matrix; loop rows vanish by cancellation."""
-    mat = np.zeros((graph.num_edges, graph.dimension * graph.num_vertices))
-    _vertex_blocks(graph, edge_vectors(graph, real), mat)
-    return mat
+    cols, vals = _rigidity_entries(graph, real, True)
+    return _scatter_rows(cols, vals, graph.dimension * graph.num_vertices)
 
 
 def volume_rigidity_matrix(graph: GainGraph, real: Realization, tol: ToleranceVault) -> np.ndarray:

@@ -19,20 +19,28 @@ from .tolerances import ToleranceVault
 RANK_GAP_GUARD = 1e3
 
 # Columns of R below which :func:`_certified_left_kernel_sample` leaves the
-# trial to ``lstsq``: there the Gram path's fixed cost (about 20 numpy calls
-# and the motion basis, 0.3-0.5 ms) is more than the SVD it saves.  On rigidity
-# matrices of out-degree d+1 gain graphs (one BLAS thread, pinned) the two
-# paths cost the same between 48 and 57 columns.
-_GRAM_MIN_COLS = 56
+# trial to ``lstsq``: there the Gram path's fixed cost (the motion basis, the
+# Gram scatter, the block inverses and 3-7 conjugate-gradient steps of about
+# ten numpy calls each, 0.5-0.7 ms) is more than the SVD it saves.  On
+# rigidity matrices of out-degree d+1 gain graphs (one BLAS thread, pinned)
+# the two paths cost the same between 56 and 64 columns under a fixed
+# lattice and between 64 and 80 with a flexible one.
+_GRAM_MIN_COLS = 64
 # A certified trial also proves sigma_min(R_Q) >= |R|_F / _GRAM_MAX_COND and
 # >= |R Y|_F / _GRAM_STRESS_RTOL, so that its stress is as accurate as the one
-# ``lstsq`` gives: the corrected semi-normal equations lose accuracy as
-# u cond(R_Q)^2 nears one (on planted spectra they matched ``lstsq`` up to
-# cond 1e5 and were worse above it), and the stress departs from ``lstsq``'s
-# by about |R Y| / sigma_min(R_Q) |x|.  Generic trials at 100-160 vertices have
+# ``lstsq`` gives: the rounding of the conjugate-gradient residuals leaves an
+# error of about u cond(R_Q) |x|, and the stress departs from ``lstsq``'s by
+# about |R Y| / sigma_min(R_Q) |x|.  Generic trials at 100-160 vertices have
 # |R|_F / sigma_min(R_Q) of 2e3-5e3 and |R Y|_F / |R|_F below 1e-16.
 _GRAM_MAX_COND = 1e5
 _GRAM_STRESS_RTOL = 1e-10
+# The stress's conjugate-gradient run stops once the residual is within
+# _CG_RTOL |x| of the projection, and gives up after _CG_MAX_STEPS steps.
+# Generic trials take 3-7 steps, switched graphs with gains up to 5 included.
+_CG_RTOL = 1e-12
+_CG_MAX_STEPS = 30
+# Largest order of the diagonal blocks of the triangular substitutions.
+_BLOCK = 64
 
 
 class RankResult(NamedTuple):
@@ -74,21 +82,29 @@ def _rank_cut(
     return rank, marginal, threshold
 
 
-def _left_kernel_sample(matrix, rng, tol: ToleranceVault) -> tuple[int, bool, np.ndarray]:
-    """Rank, marginal flag and a random left-kernel vector of ``matrix`` from
-    one least-squares solve.
+def _left_kernel_sample(matrix, x: np.ndarray, tol: ToleranceVault) -> tuple[int, bool, np.ndarray]:
+    """Rank, marginal flag and the projection of ``x`` onto the left kernel of
+    ``matrix`` from one least-squares solve.
 
     LAPACK zeroes the singular values at or below ``rcond * sigma_1``:
     :func:`_rank_cut`'s rule with no floor, which reads the cut again from the
-    singular values the solve returns.  The residual ``x - R fit`` of a
-    standard Gaussian ``x`` is its projection onto the left kernel, so it is
-    an isotropic Gaussian there.
+    singular values the solve returns.  The residual ``x - R fit`` is the
+    projection, so for a standard Gaussian ``x`` it is an isotropic Gaussian
+    on the left kernel.
     """
     m = _as_float_matrix(matrix)
-    x = rng.standard_normal(m.shape[0])
     fit, _, _, svals = np.linalg.lstsq(m, x, rcond=tol.rank_rel_tol * max(m.shape))
     rank, marginal, _ = _rank_cut(svals, m.shape, tol, 0.0)
     return rank, marginal, x - m @ fit
+
+
+def _scatter_rows(cols: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """The dense rows x n matrix whose row i holds ``vals[i]`` at ``cols[i]``.
+    A row's columns are distinct, except that absent entries, exact zeros,
+    may repeat a column."""
+    mat = np.zeros((cols.shape[0], n))
+    mat[np.arange(cols.shape[0])[:, None], cols] = vals
+    return mat
 
 
 def _pivot_rows(matrix) -> np.ndarray:
@@ -108,19 +124,21 @@ def _pivot_rows(matrix) -> np.ndarray:
 
 
 def _certified_left_kernel_sample(
-    matrix, motions, rng, tol: ToleranceVault
+    cols: np.ndarray, vals: np.ndarray, n: int, motions, rng, tol: ToleranceVault
 ) -> tuple[int, bool, np.ndarray]:
-    """:func:`_left_kernel_sample` of a matrix R with k known kernel vectors,
-    decided by one Gram product and one shifted Cholesky whenever these prove
-    what the SVD cut of R would say, and by :func:`_left_kernel_sample`
-    otherwise.
+    """:func:`_left_kernel_sample` of one standard Gaussian x from ``rng`` and
+    the m x n matrix R whose row i holds ``vals[i]`` at the columns
+    ``cols[i]`` (:func:`_scatter_rows`), for R with k known kernel vectors:
+    decided from the entries by one Gram matrix and one shifted Cholesky
+    whenever these prove what the SVD cut of R would say, and by
+    :func:`_left_kernel_sample` of the dense R otherwise.
 
     ``motions()`` returns an n x k matrix Y with orthonormal columns that R
     should annihilate (a framework's trivial motions) and k pivot columns of
-    R; it is called only when R has at least ``_GRAM_MIN_COLS`` columns.
-    R_Q is R without the pivot columns, m x (n-k).  Let c =
-    ``rank_rel_tol * max(m, n)``, u the unit roundoff and eta = m n u |R|_F.
-    The answer is rank n - k, not marginal, with no SVD, when
+    R; it is called only when n is at least ``_GRAM_MIN_COLS``.  R_Q is R
+    without the pivot columns, m x (n-k).  Let c = ``rank_rel_tol * max(m,
+    n)``, u the unit roundoff and eta = m n u |R|_F.  The answer is rank
+    n - k, not marginal, with no SVD, when
 
     1. rho := |fl(R Y)|_F + 2 eta <= c (|R|_F / sqrt(n) - eta), and
     2. ``cholesky(fl(R_Q^T R_Q) - tau I)`` succeeds, where
@@ -142,11 +160,17 @@ def _certified_left_kernel_sample(
       R Y and of Y's orthonormality;
     - s'_(n-k) > s: Cauchy interlacing for deleted columns gives
       sigma_(n-k)(R) >= sigma_min(R_Q), and condition 2 proves
-      sigma_min(R_Q) > s + eta.  The computed Gram matrix is within
-      gamma_m |R|_F^2 of R_Q^T R_Q (Higham section 3.5), and a Cholesky that
-      completes factors its input plus a perturbation below
-      gamma_(n-k+1) |R|_F^2 (Higham Thm 10.3); tau's second term covers
-      both and the rounding of the shift, so lambda_min(R_Q^T R_Q) >
+      sigma_min(R_Q) > s + eta.  Each computed entry of the Gram matrix
+      (its lower triangle, the part ``cholesky`` reads) is an inner product
+      of two columns of R_Q, within gamma_m times the sum of its terms'
+      absolute values (Higham section 3.5).  That bound holds for any order
+      of summation, so also for the row order in which ``bincount`` adds the
+      products; a product with an absent entry is an exact zero, adds
+      nothing and rounds nothing, so no entry sums more than m nonzero
+      terms.  So the Gram matrix is within gamma_m |R|_F^2 of R_Q^T R_Q,
+      and a Cholesky that completes factors its input plus a perturbation
+      below gamma_(n-k+1) |R|_F^2 (Higham Thm 10.3); tau's second term
+      covers both and the rounding of the shift, so lambda_min(R_Q^T R_Q) >
       (s + eta)^2.
 
     So s'_(n-k) > c s'_1 >= s'_(n-k+1) by condition 1, and :func:`_rank_cut`
@@ -157,46 +181,142 @@ def _certified_left_kernel_sample(
     or either condition fails, the answer is :func:`_left_kernel_sample`'s.
 
     The stress: once rank R = n - k, range(R) = range(R_Q), so the residual
-    x - R_Q f of the normal equations R_Q^T R_Q f = R_Q^T x is the projection
-    of the Gaussian x onto the left kernel.  One corrected semi-normal step
-    (Bjorck, *Numerical Methods for Least Squares Problems*, 1996) solves
-    again with the residual computed from R_Q, which brings |R^T omega| to
-    the level ``lstsq`` leaves.  Either way x is the one draw from ``rng``
-    that :func:`_left_kernel_sample` makes, so the stream of draws does not
-    depend on the path.
+    x - R_Q f at the least-squares f is the projection of x onto the left
+    kernel.  :func:`_preconditioned_residual` reaches it by conjugate
+    gradients preconditioned by the Cholesky factor already computed; a run
+    that does not converge within ``_CG_MAX_STEPS`` steps also falls back.
+    The fallback solves with the same x, so the stream of draws from ``rng``
+    does not depend on the path, and the dense R exists only there.
     """
-    m = _as_float_matrix(matrix)
-    rows, n = m.shape
+    rows = cols.shape[0]
+    x = rng.standard_normal(rows)
+
+    def fallback() -> tuple[int, bool, np.ndarray]:
+        return _left_kernel_sample(_scatter_rows(cols, vals, n), x, tol)
+
     if n < _GRAM_MIN_COLS:
-        return _left_kernel_sample(m, rng, tol)
+        return fallback()
     basis, drop = motions()
-    keep = np.delete(np.arange(n), drop)
-    if len(drop) != basis.shape[1] or not 0 < keep.size <= rows:
-        return _left_kernel_sample(m, rng, tol)
+    kept = np.ones(n, dtype=bool)
+    kept[drop] = False
+    q = int(kept.sum())
+    if len(drop) != basis.shape[1] or not 0 < q <= rows:
+        return fallback()
     c = tol.rank_rel_tol * max(rows, n)
     u = np.finfo(float).eps / 2
-    norm = float(np.linalg.norm(m))
+    norm = float(np.linalg.norm(vals))
     eta = rows * n * u * norm
-    leak = float(np.linalg.norm(m @ basis))
+    leak = float(np.linalg.norm(np.einsum("ik,ikj->ij", vals, basis[cols])))
     rho = leak + 2.0 * eta
     if not rho <= c * (norm / np.sqrt(n) - eta):
-        return _left_kernel_sample(m, rng, tol)
+        return fallback()
     s = max(c * (norm + eta), RANK_GAP_GUARD * rho)
     s = max(s, norm / _GRAM_MAX_COND, leak / _GRAM_STRESS_RTOL)
     tau = (s + eta) ** 2 + 2.0 * (rows + n + 3) * u * norm**2
-    kept = m[:, keep]
-    gram = kept.T @ kept
-    diagonal = gram.diagonal().copy()
-    gram.flat[:: keep.size + 1] -= tau
+    # R_Q's entries, each row sorted by its column of R_Q; a pivot column's
+    # entries are zeroed and sent to column 0, where they add nothing
+    place = np.where(kept, np.cumsum(kept) - 1, 0)[cols]
+    order = np.argsort(place, axis=1, kind="stable")
+    place = np.take_along_axis(place, order, 1)
+    entries = np.take_along_axis(np.where(kept[cols], vals, 0.0), order, 1)
+    # each row's products for a <= b land in the lower triangle, the part
+    # that cholesky reads
+    a, b = np.triu_indices(cols.shape[1])
+    gram = np.bincount(
+        (place[:, b] * q + place[:, a]).ravel(),
+        (entries[:, a] * entries[:, b]).ravel(),
+        minlength=q * q,
+    ).reshape(q, q)
+    gram.flat[:: q + 1] -= tau
     try:
-        np.linalg.cholesky(gram)
+        factor = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        return _left_kernel_sample(m, rng, tol)
-    gram.flat[:: keep.size + 1] = diagonal
-    x = rng.standard_normal(rows)
-    fit = np.linalg.solve(gram, kept.T @ x)
-    fit += np.linalg.solve(gram, kept.T @ (x - kept @ fit))
-    return keep.size, False, x - kept @ fit
+        return fallback()
+    del gram  # the iteration needs only the factor and the entries
+    stress = _preconditioned_residual(place, entries, factor, x)
+    if stress is None:
+        return fallback()
+    return q, False, stress
+
+
+def _preconditioned_residual(
+    place: np.ndarray, entries: np.ndarray, factor: np.ndarray, x: np.ndarray
+) -> Optional[np.ndarray]:
+    """x - A f at the least-squares f, for the full-column-rank A whose row i
+    holds ``entries[i]`` at the columns ``place[i]``, or None when
+    ``_CG_MAX_STEPS`` steps do not reach it.
+
+    Conjugate gradients on the normal equations (CGLS; Bjorck, *Numerical
+    Methods for Least Squares Problems*, 1996, section 7.4) for B = A L^-T,
+    where L = ``factor`` is the Cholesky factor of A^T A - tau I with tau >= 0.
+    B^T B = I + tau L^-1 L^-T has every eigenvalue at least 1 and close to 1
+    when tau is small against lambda_min(A^T A), so few steps are needed.
+    Since B^T B >= I and B^T annihilates the projection, the residual r is
+    within |B^T r| = |L^-1 A^T r| of it, and the run stops once that is at
+    most ``_CG_RTOL`` |x|.  Each residual is computed afresh from the
+    entries, and L^-1 and L^-T are applied by blocked substitution
+    (:func:`_block_inverses`).
+    """
+    q = factor.shape[0]
+    inverses = _block_inverses(factor)
+
+    def gradient(r: np.ndarray) -> np.ndarray:  # L^-1 A^T r
+        image = np.bincount(place.ravel(), (entries * r[:, None]).ravel(), minlength=q)
+        return _lower_solve(factor, inverses, image)
+
+    f = np.zeros(q)
+    residual = x
+    g = gradient(residual)
+    direction, gamma = g, float(g @ g)
+    bound = (_CG_RTOL * float(np.linalg.norm(x))) ** 2
+    for _ in range(_CG_MAX_STEPS):
+        if gamma <= bound:
+            return residual
+        step = _upper_solve(factor, inverses, direction)
+        image = np.einsum("ik,ik->i", entries, step[place])
+        f += gamma / float(image @ image) * step
+        residual = x - np.einsum("ik,ik->i", entries, f[place])
+        g = gradient(residual)
+        gamma, previous = float(g @ g), gamma
+        direction = g + gamma / previous * direction
+    return residual if gamma <= bound else None
+
+
+def _block_inverses(factor: np.ndarray) -> np.ndarray:
+    """The inverses of the diagonal blocks of the lower triangular
+    ``factor``: as few blocks as keep each one's order at most ``_BLOCK``, of
+    equal order but the last, which is padded with the identity; one batched
+    ``inv``."""
+    q = factor.shape[0]
+    count = -(-q // _BLOCK)
+    size = -(-q // count)
+    blocks = np.tile(np.eye(size), (count, 1, 1))
+    for i, a in enumerate(range(0, q, size)):
+        b = min(a + size, q)
+        blocks[i, : b - a, : b - a] = factor[a:b, a:b]
+    return np.linalg.inv(blocks)
+
+
+def _lower_solve(factor: np.ndarray, inverses: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^-1 rhs for the lower triangular L = ``factor``, by blocked forward
+    substitution with the inverses of its diagonal blocks."""
+    size = inverses.shape[1]
+    out = np.empty_like(rhs)
+    for i, a in enumerate(range(0, rhs.size, size)):
+        b = min(a + size, rhs.size)
+        out[a:b] = inverses[i, : b - a, : b - a] @ (rhs[a:b] - factor[a:b, :a] @ out[:a])
+    return out
+
+
+def _upper_solve(factor: np.ndarray, inverses: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^-T rhs for the lower triangular L = ``factor``, by blocked back
+    substitution with the inverses of its diagonal blocks."""
+    size = inverses.shape[1]
+    out = np.empty_like(rhs)
+    for i in reversed(range(inverses.shape[0])):
+        a, b = i * size, min((i + 1) * size, rhs.size)
+        out[a:b] = inverses[i, : b - a, : b - a].T @ (rhs[a:b] - factor[b:, a:b].T @ out[b:])
+    return out
 
 
 def numeric_rank(matrix, tol: ToleranceVault) -> RankResult:

@@ -37,11 +37,11 @@ def octagon(catalog):
 @pytest.fixture()
 def count_factorisations(monkeypatch):
     """Start recording (name, operand shape) of every numpy.linalg factorisation,
-    linear solve and least-squares solve."""
+    inverse, linear solve and least-squares solve."""
 
     def start() -> list:
         calls = []
-        for name in ("svd", "eigh", "eigvalsh", "qr", "cholesky", "solve", "lstsq"):
+        for name in ("svd", "eigh", "eigvalsh", "qr", "cholesky", "inv", "solve", "lstsq"):
             original = getattr(np.linalg, name)
 
             def counted(a, *args, _name=name, _original=original, **kwargs):

@@ -324,16 +324,16 @@ def reference_loads_finite(data) -> tuple[FiniteFramework, Optional[np.ndarray]]
     return finite, _reference_stress(weights)
 
 
-def out_degree_graph(seed: int, n: int = 40, out: int = 3, d: int = 2) -> GainGraph:
+def out_degree_graph(seed: int, n: int = 40, out: int = 3, d: int = 2, span: int = 1) -> GainGraph:
     """Seeded gain graph: each vertex sends ``out`` edges to random other
-    vertices, with gains in {-1, 0, 1}^d."""
+    vertices, with gains in {-span, ..., span}^d."""
     rng = np.random.default_rng(seed)
     verts = tuple(f"v{i}" for i in range(n))
     edges = {}  # keyed by edge class, so no two edges are equivalent
     for tail in range(n):
         sent = 0
         while sent < out:
-            head, gain = int(rng.integers(n)), tuple(rng.integers(-1, 2, d).tolist())
+            head, gain = int(rng.integers(n)), tuple(rng.integers(-span, span + 1, d).tolist())
             if head == tail:
                 continue
             key = canonicalize_edge(verts[tail], verts[head], gain, verts)[:3]

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from perigid.errors import DuplicateEdge
 from perigid.framework import (
     Realization,
+    _rigidity_entries,
     edge_vectors,
     fixed_rigidity_matrix,
     point_matrix,
@@ -166,6 +167,32 @@ def test_assembly_matches_dense_oracles(tol, case):
     # the residual is a max of cancelling sums: compare on the scale of its terms
     residual = float(np.abs(resid).max(initial=0.0))
     assert abs(report.residual - residual) <= ULPS * EPS * scale + UNDERFLOW
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=gain_graphs())
+def test_rigidity_entries_scatter_to_the_rigidity_matrices(case):
+    """The entries that generic trials read are the rigidity matrices bit for
+    bit, signs of zero included: written entry by entry into a zero matrix
+    they give ``rigidity_matrix`` and ``fixed_rigidity_matrix``, which equal
+    the edge-by-edge definition; and added entry by entry they give the same
+    values, so a column repeated within a row (a loop's) only adds zeros."""
+    graph, real, _ = case
+    nu = edge_vectors(graph, real)
+    matrices = {False: rigidity_matrix(graph, real), True: fixed_rigidity_matrix(graph, real)}
+    for fixed, mat in matrices.items():
+        cols, vals = _rigidity_entries(graph, real, fixed)
+        width = 2 * graph.dimension + (0 if fixed else graph.dimension**2)
+        assert cols.shape == vals.shape == (graph.num_edges, width)
+        written, added = np.zeros(mat.shape), np.zeros(mat.shape)
+        for row, (where, values) in enumerate(zip(cols.tolist(), vals.tolist())):
+            for col, value in zip(where, values):
+                written[row, col] = value
+                added[row, col] += value
+        expected = dense_rigidity(graph, real, nu, not fixed)
+        for other in (written, expected):
+            assert np.array_equal(mat, other) and np.array_equal(np.signbit(mat), np.signbit(other))
+        assert np.array_equal(mat, added)
 
 
 def test_graph_caches_index_arrays():

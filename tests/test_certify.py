@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from perigid import stress
+from perigid import framework, linalg, stress
 from perigid.certify import (
     Verdict,
     certify_fixed_lattice,
@@ -444,27 +444,66 @@ def test_generic_trial_one_lstsq_one_eigvalsh_no_svd(flex2, tol, count_factorisa
     assert calls == per_trial * tol.generic_trials
 
 
+def _diagonal_blocks(q: int) -> tuple:
+    """Shape of the stack of diagonal blocks of a q x q factor: the fewest
+    blocks of order at most 64, of equal order."""
+    count = -(-q // 64)
+    return (count, -(-q // count), -(-q // count))
+
+
 @pytest.mark.parametrize("mode", ["flexible", "fixed"])
 @pytest.mark.parametrize("case", ["out3-40", "out3-100"])
 def test_generic_trial_gram_path_makes_no_svd(tol, count_factorisations, mode, case):
     """Above the size gate a rigid trial is proved by one shifted Cholesky of
-    R_Q^T R_Q, and its stress takes two solves of R_Q^T R_Q (one corrected
-    semi-normal step): no lstsq and no SVD.  The flexible motion basis is one
-    QR of the d(d+1)/2 trivial motions."""
+    R_Q^T R_Q, built from R's entries, and its stress reuses that factor: one
+    batched inv of its diagonal blocks (the fewest of order at most 64), then
+    substitution only.  No solve, no lstsq and no SVD.  The flexible motion
+    basis is one QR of the d(d+1)/2 trivial motions."""
     graph = out_degree_graph(0, n=int(case.split("-")[1]))
     n, d = graph.num_vertices, graph.dimension
     calls = count_factorisations()
     if mode == "flexible":
         assert generic_global_rigidity_test(graph, tol).positive
         q = d * n + d * d - d * (d + 1) // 2
-        per_trial = [("qr", (d * n + d * d, 3)), ("cholesky", (q, q)), ("solve", (q, q))]
-        per_trial += [("solve", (q, q)), ("eigvalsh", (n + d, n + d))]
+        per_trial = [("qr", (d * n + d * d, 3)), ("cholesky", (q, q))]
+        per_trial += [("inv", _diagonal_blocks(q)), ("eigvalsh", (n + d, n + d))]
     else:
         assert generic_fixed_global_rigidity_test(graph, tol).positive
         q = d * n - d
-        per_trial = [("cholesky", (q, q)), ("solve", (q, q)), ("solve", (q, q))]
+        per_trial = [("cholesky", (q, q)), ("inv", _diagonal_blocks(q))]
         per_trial += [("eigvalsh", (n, n))]
     assert calls == per_trial * tol.generic_trials
+
+
+@pytest.mark.parametrize("mode", ["flexible", "fixed"])
+def test_certified_trial_holds_no_dense_rigidity_matrix(monkeypatch, mode):
+    """One certified trial on ``out_degree_graph(0, n=100)`` never scatters R
+    into a dense matrix.  Apart from the q x q Gram matrix and its Cholesky
+    factor, which the factorisation holds at once, its tracemalloc peak stays
+    below the bytes of one dense R, so a trial that also held R or a column
+    copy of it while factoring would fail."""
+    graph = out_degree_graph(0, n=100)
+    d, n, flexible = graph.dimension, graph.num_vertices, mode == "flexible"
+    run = generic_global_rigidity_test if flexible else generic_fixed_global_rigidity_test
+    cols = d * n + (d * d if flexible else 0)
+    q = cols - (d * (d + 1) // 2 if flexible else d)
+    one = ToleranceVault(generic_trials=1)
+    assert run(graph, one).positive  # imports and caches before the count
+
+    def no_dense(*args):
+        raise AssertionError("a certified trial scattered R into a dense matrix")
+
+    for module in (linalg, framework):
+        monkeypatch.setattr(module, "_scatter_rows", no_dense)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cert = run(graph, one)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert cert.positive
+    assert peak - 2 * q * q * 8 < graph.num_edges * cols * 8
 
 
 @pytest.mark.parametrize("mode", ["flexible", "fixed"])

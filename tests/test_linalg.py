@@ -10,6 +10,7 @@ from perigid import linalg
 from perigid.errors import AsymmetricInput, NonFiniteEntry
 from perigid.framework import (
     _motion_basis,
+    _rigidity_entries,
     fixed_rigidity_matrix,
     random_realization,
     rigidity_matrix,
@@ -20,6 +21,7 @@ from perigid.linalg import (
     _certified_left_kernel_sample,
     _left_kernel_sample,
     _pivot_rows,
+    _scatter_rows,
     numeric_rank,
     nullspace,
     smith_rank,
@@ -271,18 +273,32 @@ def test_left_kernel_sample_matches_numeric_rank_and_nullspace(rows, cols, kind,
         m = u @ np.diag(rng.uniform(1.0, 10.0, r)) @ v.T
     else:
         m = rng.standard_normal((rows, cols))
-    rank, marginal, vec = _left_kernel_sample(m, np.random.default_rng(seed + 1), tol)
     x = np.random.default_rng(seed + 1).standard_normal(rows)
+    rank, marginal, vec = _left_kernel_sample(m, x, tol)
     expected = numeric_rank(m, tol)
     assert (rank, marginal) == (expected.rank, expected.marginal)
     kernel = nullspace(m, "left", tol)
     assert np.linalg.norm(vec - kernel @ (kernel.T @ x)) <= 1e-10 * np.linalg.norm(x)
 
 
-def _certified_run(matrix, motions, seed: int, gate: int = 0) -> tuple:
-    """``_certified_left_kernel_sample`` with the size gate at ``gate``:
-    (its result, whether it fell back to ``_left_kernel_sample``, the number
-    of Cholesky factorisations it tried, whether it asked for the motions)."""
+def _dense_entries(matrix) -> tuple:
+    """(cols, vals, n) of a dense matrix: every row holds all n columns."""
+    rows, n = np.shape(matrix)
+    return np.broadcast_to(np.arange(n), (rows, n)), np.asarray(matrix, dtype=float), n
+
+
+def _graph_entries(graph, real, fixed: bool) -> tuple:
+    """(cols, vals, n) of a rigidity matrix, as generic trials pass them."""
+    d = graph.dimension
+    n = d * graph.num_vertices + (0 if fixed else d * d)
+    return (*_rigidity_entries(graph, real, fixed), n)
+
+
+def _certified_run(entries, motions, seed: int, gate: int = 0) -> tuple:
+    """``_certified_left_kernel_sample`` of ``entries`` (cols, vals, n) with
+    the size gate at ``gate``: (its result, whether it fell back to
+    ``_left_kernel_sample``, the number of Cholesky factorisations it tried,
+    whether it asked for the motions)."""
     fallbacks, choleskys, asked = [], [], []
     cholesky = np.linalg.cholesky
 
@@ -301,15 +317,15 @@ def _certified_run(matrix, motions, seed: int, gate: int = 0) -> tuple:
         )
         mp.setattr(np.linalg, "cholesky", spy_cholesky)
         rng = np.random.default_rng(seed)
-        got = _certified_left_kernel_sample(matrix, spy_motions, rng, ToleranceVault())
+        got = _certified_left_kernel_sample(*entries, spy_motions, rng, ToleranceVault())
     return got, bool(fallbacks), len(choleskys), bool(asked)
 
 
 def _assert_same_sample(got, matrix, seed: int) -> None:
-    """Rank and marginal flag of ``_left_kernel_sample`` with the same seed, and
-    its stress within 1e-10 |x|."""
-    expected = _left_kernel_sample(matrix, np.random.default_rng(seed), ToleranceVault())
+    """Rank and marginal flag of ``_left_kernel_sample`` with the same draw,
+    and its stress within 1e-10 |x|."""
     x = np.random.default_rng(seed).standard_normal(np.shape(matrix)[0])
+    expected = _left_kernel_sample(matrix, x, ToleranceVault())
     assert got[:2] == expected[:2]
     assert np.linalg.norm(got[2] - expected[2]) <= 1e-10 * np.linalg.norm(x)
 
@@ -321,19 +337,23 @@ def _assert_same_sample(got, matrix, seed: int) -> None:
     st.integers(1, 5),
     st.booleans(),
     st.integers(-8, 8),
+    st.sampled_from([1, 5]),
     st.integers(0, 2**32 - 1),
 )
-def test_certified_sample_equals_lstsq_on_rigidity_matrices(d, n, out, fixed, scale, seed):
-    """On rigidity matrices of random gain graphs at any scale, with the size
-    gate off, the Gram path and its fallback give ``lstsq``'s rank and
-    marginal flag, and a stress within 1e-10 |x| of its stress."""
+def test_certified_sample_equals_lstsq_on_rigidity_matrices(d, n, out, fixed, scale, span, seed):
+    """On the entries of rigidity matrices of random gain graphs at any
+    scale, with gains up to 1 or up to 5 (where the Gram matrix is worse
+    conditioned) and the size gate off, the Gram path and its fallback give
+    ``lstsq``'s rank and marginal flag on the dense matrix, and a stress
+    within 1e-10 |x| of its stress."""
     if n == 1:
         graph = GainGraph(d, ("v",), [])
     else:
-        graph = out_degree_graph(seed, n=n, out=min(out, n - 1), d=d)
+        graph = out_degree_graph(seed, n=n, out=min(out, n - 1), d=d, span=span)
     real = random_realization(graph, ToleranceVault(), seed=seed).scaled(10.0**scale)
     matrix = (fixed_rigidity_matrix if fixed else rigidity_matrix)(graph, real)
-    got, _, _, _ = _certified_run(matrix, lambda: _motion_basis(graph, real, fixed), seed)
+    entries = _graph_entries(graph, real, fixed)
+    got, _, _, _ = _certified_run(entries, lambda: _motion_basis(graph, real, fixed), seed)
     _assert_same_sample(got, matrix, seed)
 
 
@@ -364,38 +384,40 @@ def test_certified_sample_equals_lstsq_on_planted_spectra(rows, cols, k, low, le
     it gives ``lstsq``'s rank and marginal flag and a stress within 1e-10 |x|."""
     cols = max(min(cols, rows), k + 1)
     matrix, y = _planted(seed, rows, cols, k, 10.0**low, 10.0**leak)
-    got, _, _, _ = _certified_run(matrix, lambda: (y, _pivot_rows(y)), seed)
+    got, _, _, _ = _certified_run(_dense_entries(matrix), lambda: (y, _pivot_rows(y)), seed)
     _assert_same_sample(got, matrix, seed)
 
 
 def _fallback_case(case: str):
-    """(matrix, motions, gate) of each way the Gram path leaves a trial to ``lstsq``."""
+    """(entries, motions, gate) of each way the Gram path leaves a trial to ``lstsq``."""
     tol = ToleranceVault()
-    if case in ("small", "degree-1"):
-        graph = out_degree_graph(0, n=8) if case == "small" else degree_one_graph()
+    if case in ("small", "degree-1", "cg-cap"):
+        graph = {"small": out_degree_graph(0, n=8), "degree-1": degree_one_graph()}.get(
+            case, out_degree_graph(0)
+        )
         real = random_realization(graph, tol, seed=1)
-        return rigidity_matrix(graph, real), lambda: _motion_basis(graph, real, False), 56
+        gate = 56 if case == "small" else 0
+        return _graph_entries(graph, real, False), lambda: _motion_basis(graph, real, False), gate
     if case.startswith("single-orbit"):
         fixed = case.endswith("fixed")
         graph = GainGraph(2, ("v",), [("v", "v", (1, 0)), ("v", "v", (0, 1)), ("v", "v", (1, 1))])
         real = random_realization(graph, tol, seed=1)
-        matrix = (fixed_rigidity_matrix if fixed else rigidity_matrix)(graph, real)
-        return matrix, lambda: _motion_basis(graph, real, fixed), 0
+        return _graph_entries(graph, real, fixed), lambda: _motion_basis(graph, real, fixed), 0
     if case == "not-annihilated":
         rng = np.random.default_rng(3)
         y = np.linalg.qr(rng.standard_normal((60, 3)))[0]
-        return rng.standard_normal((80, 60)), lambda: (y, _pivot_rows(y)), 0
+        return _dense_entries(rng.standard_normal((80, 60))), lambda: (y, _pivot_rows(y)), 0
     if case == "ill-conditioned":
-        # cond(R_Q) near 1e6: the cut is clear, but the normal equations
-        # would give a stress less accurate than lstsq's
+        # cond(R_Q) near 1e6: the cut is clear, but the iteration's rounding
+        # would leave a stress less accurate than lstsq's
         matrix, y = _planted(5, 40, 30, 2, 1e-5, 0.0)
-        return matrix, lambda: (y, _pivot_rows(y)), 0
+        return _dense_entries(matrix), lambda: (y, _pivot_rows(y)), 0
     # a least value 10x above the cut (sigma_1 < 2) and a motion leaking 10x
     # below it: the cut keeps n - k values, but with a gap of 100 it is
     # marginal, and only the gap guard stops the Cholesky
     cut = tol.rank_rel_tol * 20 * 2.0
     matrix, y = _planted(5, 20, 12, 3, 10 * cut, cut / 10)
-    return matrix, lambda: (y, _pivot_rows(y)), 0
+    return _dense_entries(matrix), lambda: (y, _pivot_rows(y)), 0
 
 
 # case: (whether the motions are built, Cholesky factorisations tried)
@@ -407,22 +429,28 @@ _FALLBACKS = {
     "degree-1": (True, 1),
     "planted-marginal": (True, 1),
     "ill-conditioned": (True, 1),
+    "cg-cap": (True, 1),
 }
 
 
 @pytest.mark.parametrize("case", list(_FALLBACKS))
-def test_certified_sample_falls_back_to_lstsq(case):
-    """Each branch that cannot prove the cut returns ``_left_kernel_sample``'s
-    answer with the same draw: below the size gate (motions never built), no
-    column left after the pivots, fewer pivots than motions, motions that R
-    does not annihilate (no Cholesky), and a Cholesky that fails: on a graph
-    that is not infinitesimally rigid, on a marginal cut (stopped by the gap
-    guard and the stress terms of the shift) and on an R_Q too ill-conditioned
-    for the normal equations."""
-    matrix, motions, gate = _fallback_case(case)
-    got, fell_back, tried, asked = _certified_run(matrix, motions, 7, gate)
+def test_certified_sample_falls_back_to_lstsq(case, monkeypatch):
+    """Each branch that cannot prove the cut or reach the stress returns
+    ``_left_kernel_sample``'s answer with the same draw: below the size gate
+    (motions never built), no column left after the pivots, fewer pivots
+    than motions, motions that R does not annihilate (no Cholesky), a
+    Cholesky that fails (on a graph that is not infinitesimally rigid, on a
+    marginal cut, stopped by the gap guard and the stress terms of the shift,
+    and on an R_Q too ill-conditioned for an accurate stress), and a rigid
+    graph whose conjugate-gradient run is cut to one step."""
+    entries, motions, gate = _fallback_case(case)
+    if case == "cg-cap":
+        monkeypatch.setattr(linalg, "_CG_MAX_STEPS", 1)
+    got, fell_back, tried, asked = _certified_run(entries, motions, 7, gate)
     assert fell_back and (asked, tried) == _FALLBACKS[case]
-    expected = _left_kernel_sample(matrix, np.random.default_rng(7), ToleranceVault())
+    matrix = _scatter_rows(*entries)
+    x = np.random.default_rng(7).standard_normal(matrix.shape[0])
+    expected = _left_kernel_sample(matrix, x, ToleranceVault())
     assert got[:2] == expected[:2] and np.array_equal(got[2], expected[2])
     if case == "planted-marginal":
         singular = np.linalg.svd(matrix, compute_uv=False)
@@ -431,6 +459,8 @@ def test_certified_sample_falls_back_to_lstsq(case):
         assert got[0] < matrix.shape[1] - 3
     if case == "ill-conditioned":
         assert got[:2] == (28, False)
+    if case == "cg-cap":
+        assert got[:2] == (matrix.shape[1] - 3, False)
 
 
 def test_pivot_rows_partial_pivoting():

@@ -235,7 +235,8 @@ def test_standard_realization_single_orbit(flex1, tol):
 @pytest.mark.parametrize("case", ["hex", "cable40", "strut-chord"])
 def test_standard_realization_factorisations(hexes, tol, count_factorisations, case):
     """The whole cost: one pinned solve and one d x d eigh, plus one eigvalsh of
-    Lzd only for a stress of mixed signs; no SVD."""
+    Lzd only for a stress of mixed signs, and the KKT check's d x d inverse of
+    the lattice; no SVD."""
     if case == "hex":
         graph, weights = hexes.graph, hexes.stress
     elif case == "cable40":
@@ -247,7 +248,7 @@ def test_standard_realization_factorisations(hexes, tol, count_factorisations, c
     _, report = standard_realization(graph, weights, tol)
     assert report.passed
     eigensolve = [("eigvalsh", (n + d, n + d))] if case == "strut-chord" else []
-    assert calls == eigensolve + [("solve", (n - 1, n - 1)), ("eigh", (d, d))]
+    assert calls == eigensolve + [("solve", (n - 1, n - 1)), ("eigh", (d, d)), ("inv", (d, d))]
 
 
 @pytest.mark.parametrize("case", ["hex", "cable40"])
