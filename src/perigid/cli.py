@@ -237,7 +237,7 @@ def _pick_stress(
 
 def _run_info(parsed, vault, args) -> tuple[dict, int]:
     graph = parsed.graph
-    holds, rank_izd = graph.full_rank_condition(vault)
+    holds, rank_izd = graph.full_rank_condition()
     payload = {
         "dimension": graph.dimension,
         "vertices": graph.num_vertices,
@@ -347,7 +347,7 @@ def _run_minimize(parsed, vault, args) -> tuple[dict, int]:
 def _run_cover(parsed, vault, args) -> tuple[dict, int]:
     graph = parsed.graph
     real = _need_realization(parsed)
-    cover, image = svg._render(graph, real, args.window, vault)
+    cover, image = svg.render_covering(graph, real, args.window, vault)
     _write(args.svg, image)
     payload = {
         "window": args.window,

@@ -184,14 +184,12 @@ def _motion_basis(
     """An orthonormal basis (columns) of the trivial motions that the
     rigidity matrix annihilates, and one vertex coordinate per basis column,
     picked by partial pivoting on the vertex rows.  Under a fixed lattice the
-    motions are the d translations; otherwise they also rotate the points and
-    the lattice."""
+    motions are the d translations, whose pivots are the first vertex's d
+    coordinates; otherwise they also rotate the points and the lattice."""
     d, n = graph.dimension, graph.num_vertices
-    motions = _trivial_motion_columns(graph, real)
     if fixed:
-        basis = motions[: d * n, :d] / np.sqrt(n)
-    else:
-        basis = np.linalg.qr(motions)[0]
+        return np.tile(np.eye(d), (n, 1)) / np.sqrt(n), np.arange(d)
+    basis = np.linalg.qr(_trivial_motion_columns(graph, real))[0]
     return basis, _pivot_rows(basis[: d * n])
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .errors import (
     ZeroLoop,
 )
 from .linalg import smith_rank
-from .tolerances import ToleranceVault
 
 Vertex = Hashable
 
@@ -291,10 +290,6 @@ class GainGraph:
         mat[rows, self.head_idx[rows]] = 1.0
         return mat
 
-    def gain_matrix(self) -> np.ndarray:
-        """d x |E| matrix whose column for edge e is its gain vector."""
-        return self.gain_array.T.copy()
-
     def incidence_zd(self) -> np.ndarray:
         """|E| x (|V|+d) incidence matrix with gains in the last d columns."""
         return np.hstack([self.incidence(), self.gain_array])
@@ -363,7 +358,7 @@ class GainGraph:
         """Rank of the gain group, maximised over connected components."""
         return max(self._cycle_ranks)
 
-    def full_rank_condition(self, tol: Optional[ToleranceVault] = None) -> tuple[bool, int]:
+    def full_rank_condition(self) -> tuple[bool, int]:
         """Check connected + gain rank d through the exact rank of I_zd.
 
         Shifting each vertex column by its spanning-forest potential times the
@@ -371,8 +366,7 @@ class GainGraph:
         every other row into its cycle gain, so
         rank I_zd = (|V| - #components) + rank of all cycle gains stacked.
         The stacked rank is at most d, so rank I_zd = |V|-1+d exactly when the
-        graph is connected with gain rank d; one pass gives both.  ``tol`` is
-        unused: no cut is made.
+        graph is connected with gain rank d; one pass gives both, exactly.
         """
         per_component = self._forest.cycle_gains
         rank = self.num_vertices - len(per_component)

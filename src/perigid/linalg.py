@@ -45,7 +45,6 @@ _BLOCK = 64
 
 class RankResult(NamedTuple):
     rank: int
-    singular_values: np.ndarray
     marginal: bool
 
 
@@ -330,23 +329,28 @@ def numeric_rank(matrix, tol: ToleranceVault) -> RankResult:
     """
     m = _as_float_matrix(matrix)
     if m.size == 0:
-        return RankResult(0, np.zeros(0), False)
+        return RankResult(0, False)
     svals = np.linalg.svd(m, compute_uv=False)
     rank, marginal, _ = _rank_cut(svals, m.shape, tol, 0.0)
-    return RankResult(rank, svals, marginal)
+    return RankResult(rank, marginal)
 
 
 def nullspace(matrix, side: str, tol: ToleranceVault) -> np.ndarray:
     """Orthonormal basis (as columns) of the right or left kernel of ``matrix``,
-    cut where :func:`numeric_rank` cuts."""
+    cut where :func:`numeric_rank` cuts.
+
+    The factor of the requested side is square only when that side is the
+    matrix's longer one (the right kernel of a wide matrix, the left kernel
+    of a tall one), since only there can the kernel hold vectors that the
+    thin factor lacks.  Every other case takes the thin SVD, so the right
+    kernel of a tall |E| x k system builds no |E| x |E| factor."""
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     m = _as_float_matrix(matrix)
-    rows, cols = m.shape
-    dim = cols if side == "right" else rows
+    dim = m.shape[1] if side == "right" else m.shape[0]
     if m.size == 0 or not np.any(m):
         return np.eye(dim)
-    u, svals, vt = np.linalg.svd(m, full_matrices=True)
+    u, svals, vt = np.linalg.svd(m, full_matrices=dim > min(m.shape))
     rank, _, _ = _rank_cut(svals, m.shape, tol, 0.0)
     if side == "right":
         return vt[rank:].T

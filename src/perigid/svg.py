@@ -30,15 +30,9 @@ def _fmt(x: float) -> str:
 
 def render_covering(
     graph: GainGraph, real: Realization, window: int, tol: ToleranceVault
-) -> bytes:
-    """SVG bytes for the covering restricted to lattice shifts in [-w, w]^d."""
-    return _render(graph, real, window, tol)[1]
-
-
-def _render(
-    graph: GainGraph, real: Realization, window: int, tol: ToleranceVault
 ) -> tuple[CoveringWindow, bytes]:
-    """The covering window and its SVG bytes, from one window build."""
+    """The covering restricted to lattice shifts in [-w, w]^d and its SVG
+    bytes, from one window build."""
     if not real.non_flat(tol):
         raise FlatLattice("rendering needs a nonsingular lattice")
     if graph.dimension != 2:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,6 @@ class ToleranceVault:
                 raise ValueError(f"{name} must be strictly positive")
         if self.generic_trials < 1:
             raise ValueError("generic_trials must be at least 1")
-
-    def with_seed(self, seed: int) -> "ToleranceVault":
-        return replace(self, rng_seed=int(seed))
 
 
 DEFAULT_TOL = ToleranceVault()

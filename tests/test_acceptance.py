@@ -232,7 +232,7 @@ def test_criterion_5_rank_equivalence(tol):
             seen.add(key)
             edges.append((a, b, gain))
         graph = GainGraph(d, verts, edges)
-        holds, rank = graph.full_rank_condition(tol)
+        holds, rank = graph.full_rank_condition()
         assert holds == (rank == n - 1 + d)
         # gains in [-2, 2]: the float rank is exact and checks the exact one
         assert holds == (graph.is_connected() and graph.gain_rank() == d)

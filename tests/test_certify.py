@@ -55,6 +55,24 @@ def test_conic_degenerate_edge(tol):
         conic_at_infinity(g, r, tol)
 
 
+def test_conic_system_builds_no_square_edge_factor(monkeypatch, tol):
+    """The conic system is tall, |E| x d(d+1)/2, and its right kernel needs
+    only V^T: no SVD of the conic test returns an |E| x |E| factor."""
+    graph, _ = cable_framework(2, n=40)
+    real = random_realization(graph, tol)
+    original, shapes = np.linalg.svd, []
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        shapes.extend(np.shape(part) for part in (out if isinstance(out, tuple) else (out,)))
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    assert conic_at_infinity(graph, real, tol) is None
+    edges = graph.num_edges
+    assert shapes and (edges, edges) not in shapes
+
+
 def test_certify_super_stable_flex2(flex2, tol):
     cert = certify_super_stable(flex2.graph, flex2.realization, flex2.stress, tol)
     assert cert.verdict == Verdict.SUPER_STABLE

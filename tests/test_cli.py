@@ -300,7 +300,7 @@ def test_svg_styles(fixture_file, tmp_path):
     from perigid import ToleranceVault, fixtures
 
     octagon = fixtures()["octagon"]
-    image = render_covering(octagon.graph, octagon.realization, 0, ToleranceVault())
+    _, image = render_covering(octagon.graph, octagon.realization, 0, ToleranceVault())
     text = image.decode()
     assert "stroke-dasharray" in text  # cables dashed
     assert 'stroke-width="3.4"' in text  # struts thick

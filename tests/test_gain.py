@@ -149,21 +149,21 @@ def test_gain_rank_disconnected_max_rule():
     assert g.gain_rank() == 2
 
 
-def test_full_rank_condition_hex(hexes, tol):
-    assert hexes.graph.full_rank_condition(tol) == (True, 7)
+def test_full_rank_condition_hex(hexes):
+    assert hexes.graph.full_rank_condition() == (True, 7)
 
 
-def test_full_rank_condition_disconnected(tol):
+def test_full_rank_condition_disconnected():
     g = GainGraph(2, ("a", "b"), [])
-    holds, _ = g.full_rank_condition(tol)
+    holds, _ = g.full_rank_condition()
     assert not holds
 
 
-def test_full_rank_condition_single_vertex(tol):
+def test_full_rank_condition_single_vertex():
     g = GainGraph(
         2, ("a",), [("a", "a", (1, 0)), ("a", "a", (0, 1)), ("a", "a", (1, 1))]
     )
-    assert g.full_rank_condition(tol) == (True, 2)
+    assert g.full_rank_condition() == (True, 2)
 
 
 def test_covering_window_counts(flex2, hexes):
@@ -250,7 +250,7 @@ def test_rank_equivalence_random_graphs(tol):
     rng = np.random.default_rng(20240817)
     for _ in range(1000):
         g = _random_gain_graph(rng)
-        holds, rank = g.full_rank_condition(tol)
+        holds, rank = g.full_rank_condition()
         assert holds == (rank == g.num_vertices - 1 + g.dimension)
         assert holds == (g.is_connected() and g.gain_rank() == g.dimension)
         assert rank == numeric_rank(g.incidence_zd(), tol).rank

@@ -33,7 +33,7 @@ def test_render_covering_golden_bytes():
     catalog = fixtures()
     for (name, window), digest in GOLDEN_SVG.items():
         fix = catalog[name]
-        image = render_covering(fix.graph, fix.realization, window, ToleranceVault())
+        _, image = render_covering(fix.graph, fix.realization, window, ToleranceVault())
         assert hashlib.sha256(image).hexdigest() == digest, (name, window)
 
 

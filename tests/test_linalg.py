@@ -112,17 +112,24 @@ def test_nullspace_flex2_stress_matrix_dimension(tol):
 
 
 def test_nullspace_residual_property(tol):
+    """On each side the basis is orthonormal, as wide as that side's dimension
+    less numeric_rank, and annihilated by the matrix: small random shapes, and
+    tall ones (the conic system's shape) at full rank and rank deficient."""
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        m = rng.standard_normal((rng.integers(1, 7), rng.integers(1, 7)))
-        basis = nullspace(m, "right", tol)
-        if basis.size:
-            smax = np.linalg.svd(m, compute_uv=False)[0]
-            assert np.abs(m @ basis).max() <= tol.residual_tol * smax * np.sqrt(m.shape[1])
-        left = nullspace(m, "left", tol)
-        if left.size:
-            smax = np.linalg.svd(m, compute_uv=False)[0]
-            assert np.abs(left.T @ m).max() <= tol.residual_tol * smax * np.sqrt(m.shape[0])
+    cases = [rng.standard_normal((rng.integers(1, 7), rng.integers(1, 7))) for _ in range(50)]
+    for rows, cols in ((40, 3), (40, 6)):
+        cases.append(rng.standard_normal((rows, cols)))
+        for rank in range(cols):  # a product through `rank` columns has that rank
+            cases.append(rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols)))
+    for m in cases:
+        rank = numeric_rank(m, tol).rank
+        smax = np.linalg.svd(m, compute_uv=False)[0]
+        for side, dim in (("right", m.shape[1]), ("left", m.shape[0])):
+            basis = nullspace(m, side, tol)
+            assert basis.shape == (dim, dim - rank), (m.shape, side)
+            assert np.abs(basis.T @ basis - np.eye(dim - rank)).max(initial=0.0) <= 1e-12
+            residual = m @ basis if side == "right" else basis.T @ m
+            assert np.abs(residual).max(initial=0.0) <= tol.residual_tol * smax * np.sqrt(dim)
 
 
 def test_symmetric_spectrum_matches_numeric_rank_and_psd(tol):
