@@ -4,10 +4,13 @@ Positive stress-matrix verdicts are sufficiency certificates that re-verify
 from their witness data; the randomized tests decide properties of *generic*
 realizations of a graph and never judge one special input realization.
 
-Each certificate assembles its stress Laplacians once (``_assess``) and checks
-an ordered list of clauses (``_decide``); the first failing clause is reported
-and gives Inconclusive.  The kernel and PSD clauses of a strictly positive
-stress are decided from the graph, with no eigensolve
+Each certificate checks equilibrium from the edges and takes the spectrum of
+its stress matrix (``_assess``), then checks an ordered list of clauses
+(``_decide``); the first failing clause is reported and gives Inconclusive.
+The equilibrium residual and its gate are summed over the edges in O(|E|),
+with no matrix of order |V|.  The kernel and PSD clauses of a strictly
+positive stress are decided from the graph, with no matrix at all; any other
+stress assembles its stress matrix once, for one ``eigvalsh``
 (``stress._stress_spectrum``):
 
 - flexible: equilibrium, nullity(Lzd) = d+1, Lzd PSD, no conic at infinity;
@@ -146,11 +149,10 @@ _BLOCKS = {"flexible": "zd_laplacian", "fixed": "laplacian", "volume": "zd_lapla
 
 
 def _assess(graph, real, w, tol, mode, lam=None):
-    """One assembly of ``w``'s stress Laplacians: the ``mode`` equilibrium report
-    and the spectrum of the mode's stress matrix (L in fixed mode, else Lzd)."""
-    laps = weighted_laplacians(graph, w)
-    eq = _equilibrium(graph, real, w, laps, mode, tol, lam)
-    return eq, _stress_spectrum(graph, w, laps, _BLOCKS[mode], tol)
+    """The ``mode`` equilibrium report of ``w`` and the spectrum of the mode's
+    stress matrix (L in fixed mode, else Lzd)."""
+    eq = _equilibrium(graph, real, w, mode, tol, lam)
+    return eq, _stress_spectrum(graph, w, _BLOCKS[mode], tol)
 
 
 def _decide(verdict_on_pass: str, clauses, w, eq, spec, **extra) -> Certificate:

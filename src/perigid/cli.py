@@ -281,7 +281,7 @@ def _run_rank(parsed, vault, args) -> tuple[dict, int]:
     if parsed.stress is not None:
         laps = stress.weighted_laplacians(graph, parsed.stress)
         for name in ("laplacian", "zd_laplacian"):
-            res = stress._stress_spectrum(graph, parsed.stress, laps, name, vault)
+            res = stress._stress_spectrum(graph, parsed.stress, name, vault, laps)
             payload[name] = entry(getattr(laps, name).shape, res.rank, res.marginal)
     return payload, EXIT_OK
 

@@ -21,7 +21,12 @@ from .tolerances import ToleranceVault
 
 @dataclass
 class Realization:
-    """Vertex positions plus a lattice matrix (columns are period vectors)."""
+    """Vertex positions plus a lattice matrix (columns are period vectors).
+
+    Construction reads the points into one |V| x d array, whose rows the
+    ``points`` values are; :func:`point_matrix` views that array, so move a
+    framework by making a new realization, not by replacing its points.
+    """
 
     points: Mapping[Vertex, np.ndarray]
     lattice: np.ndarray
@@ -41,6 +46,7 @@ class Realization:
                     raise ValueError(f"point for {v!r} has wrong dimension") from None
             rows = np.array(list(flat.values())).reshape(len(flat), d)
         self.points = dict(zip(self.points, rows))
+        self._rows = rows
 
     @property
     def dimension(self) -> int:
@@ -72,8 +78,16 @@ def _non_flat(lattice: np.ndarray, tol: ToleranceVault) -> bool:
 
 
 def point_matrix(graph: GainGraph, real: Realization) -> np.ndarray:
-    """d x |V| coordinate matrix in graph vertex order."""
-    return np.column_stack([real.points[v] for v in graph.vertices])
+    """d x |V| coordinate matrix in graph vertex order, read-only: a view of the
+    points' array, gathered once when the realization lists its vertices in
+    another order."""
+    rows = real._rows
+    if tuple(real.points) != graph.vertices:
+        index = {v: i for i, v in enumerate(real.points)}
+        rows = rows[[index[v] for v in graph.vertices]]
+    matrix = rows.T
+    matrix.flags.writeable = False
+    return matrix
 
 
 def rep_matrix(graph: GainGraph, real: Realization) -> np.ndarray:

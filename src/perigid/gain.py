@@ -102,6 +102,22 @@ class _Forest(NamedTuple):
     cycle_gains: list[list[tuple[int, ...]]]  # per component, exact integers
 
 
+class _LaplacianSupport(NamedTuple):
+    """The non-loop edges, the distinct vertex pairs {lo, hi} they join, and
+    the flat (vertex, coordinate) slots of a row-major |V| x d array that
+    their ends scatter into."""
+
+    edges: np.ndarray  # positions of the non-loop edges, in edge order
+    tails: np.ndarray  # their tail and head positions
+    heads: np.ndarray
+    pair: np.ndarray  # each one's pair index
+    ends: np.ndarray  # every pair's hi end, then every pair's lo end
+    others: np.ndarray  # the far end of each: lo, then hi
+    end_slots: np.ndarray  # the near end's (vertex, coordinate) slots of a |V| x d array
+    head_slots: np.ndarray  # each edge's head slots
+    tail_slots: np.ndarray  # and tail slots
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -119,7 +135,8 @@ class GainGraph:
     the exact integers stay on the edges).  A per-vertex incidence table and
     a breadth-first spanning forest are built from them on first use; the
     components, the gain rank, the rank condition and the covering windows
-    all read those two.
+    all read those two.  The weighted Laplacians and the equilibrium sums read
+    a grouping of the non-loop edges by vertex pair, also built on first use.
     """
 
     def __init__(self, dimension: int, vertices: Sequence[Vertex], edges: Iterable):
@@ -293,6 +310,30 @@ class GainGraph:
     def incidence_zd(self) -> np.ndarray:
         """|E| x (|V|+d) incidence matrix with gains in the last d columns."""
         return np.hstack([self.incidence(), self.gain_array])
+
+    @cached_property
+    def _laplacian_support(self) -> "_LaplacianSupport":
+        """Index arrays of the non-loop edges, which carry the weighted
+        Laplacian and the cross block: built on first use, then kept.  Edges
+        that join the same pair {lo, hi} are grouped by a stable sort of the
+        keys lo |V| + hi, so each pair's edges keep their edge order."""
+        edges = (~self.loop_mask).nonzero()[0]
+        tails, heads = self.tail_idx[edges], self.head_idx[edges]
+        n, d = self.num_vertices, self.dimension
+        keys = np.minimum(tails, heads) * n + np.maximum(tails, heads)
+        order = keys.argsort(kind="stable")
+        first = np.empty(keys.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[order[1:]], keys[order[:-1]], out=first[1:])
+        pair = np.empty_like(order)
+        pair[order] = first.cumsum() - 1
+        lo, hi = np.divmod(keys[order[first]], n)
+        coords = np.arange(d)
+        ends = np.concatenate([hi, lo])
+        return _LaplacianSupport(
+            edges, tails, heads, pair, ends, np.concatenate([lo, hi]),
+            *((at[:, None] * d + coords).ravel() for at in (ends, heads, tails)),
+        )
 
     # -- connectivity and gain rank ---------------------------------------
 

@@ -7,7 +7,9 @@ volume" has a closed-form solution, unique up to isometries, and every KKT
 point is a global minimizer.  The solution takes the hypothesis check of the
 stress matrix (from the graph for a strictly positive stress, else one
 eigenvalue decomposition), one linear solve of its pinned vertex block and a
-d x d whitening; no singular value decomposition is needed.
+d x d whitening; no singular value decomposition is needed.  Those read the
+one assembled stress matrix; the KKT check and the energy's two forms are
+summed over the edges.
 """
 
 from __future__ import annotations
@@ -21,34 +23,40 @@ from .errors import DegenerateKernel, FlatLattice, FormMismatch, HypothesisFaile
 from .framework import (
     Realization,
     _non_flat,
+    _rigidity_entries,
+    edge_vectors,
     measurement,
     rep_matrix,
-    rigidity_matrix,
 )
 from .gain import GainGraph
 from .linalg import _rank_cut
-from .stress import WeightedLaplacians, _equilibrium, _stress_spectrum, weighted_laplacians
+from .stress import _equilibrium, _stress_spectrum, _zd_terms, weighted_laplacians
 from .tolerances import ToleranceVault
 
 
 def _form(graph: GainGraph, w: np.ndarray, pl: np.ndarray) -> np.ndarray:
-    """Lzd [P L]^T: in realization-vector order, kron(Lzd, I_d) times [p; l]."""
-    return weighted_laplacians(graph, w).zd_laplacian @ pl.T
+    """Lzd [P L]^T and its terms, stacked, summed over the edges: in
+    realization-vector order, kron(Lzd, I_d) times [p; l]."""
+    n = graph.num_vertices
+    return np.array(_zd_terms(graph, w, pl[:, :n].T, pl[:, n:]))
 
 
 def energy(graph: GainGraph, weights, real: Realization, tol: ToleranceVault) -> float:
     """Stress energy, cross-checked between its two formulations.
 
     Computed once as half the weighted sum of squared edge lengths and once as
-    the quadratic form trace([P L] Lzd [P L]^T); disagreement
-    beyond tolerance is a bug and raises :class:`FormMismatch`.
+    the quadratic form trace([P L] Lzd [P L]^T); a disagreement beyond
+    ``residual_tol`` times the absolute terms of both sums is a bug and
+    raises :class:`FormMismatch`.
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
-    direct = 0.5 * float(w @ measurement(graph, real))
+    lengths = measurement(graph, real)
+    direct = 0.5 * float(w @ lengths)
     pl = rep_matrix(graph, real)
-    quadratic = 0.5 * float(np.sum(pl.T * _form(graph, w, pl)))
-    scale = max(1.0, abs(direct), abs(quadratic))
-    if abs(direct - quadratic) > tol.residual_tol * scale:
+    form, form_terms = _form(graph, w, pl)
+    quadratic = 0.5 * float(np.sum(pl.T * form))
+    terms = float(np.abs(w) @ lengths) + float(np.sum(np.abs(pl.T) * form_terms))
+    if abs(direct - quadratic) > tol.residual_tol * 0.5 * terms:
         raise FormMismatch(
             f"energy formulations disagree: {direct!r} vs {quadratic!r}"
         )
@@ -58,12 +66,16 @@ def energy(graph: GainGraph, weights, real: Realization, tol: ToleranceVault) ->
 def energy_gradient(
     graph: GainGraph, weights, real: Realization, tol: ToleranceVault
 ) -> np.ndarray:
-    """Gradient of the stress energy, cross-checked between its two formulations."""
+    """Gradient of the stress energy, cross-checked between its two
+    formulations, the quadratic form's Lzd [P L]^T and R^T w from the rigidity
+    matrix's entries, against the absolute terms of both sums."""
     w = np.asarray(weights, dtype=float).reshape(-1)
-    from_form = _form(graph, w, rep_matrix(graph, real)).reshape(-1)
-    from_rows = rigidity_matrix(graph, real).T @ w
-    scale = max(1.0, float(np.abs(from_form).max(initial=0.0)))
-    if float(np.abs(from_form - from_rows).max(initial=0.0)) > tol.residual_tol * scale:
+    from_form, terms = _form(graph, w, rep_matrix(graph, real)).reshape(2, -1)
+    cols, vals = _rigidity_entries(graph, real, False)
+    row_terms = w[:, None] * vals
+    from_rows = np.bincount(cols.ravel(), row_terms.ravel(), from_form.size)
+    terms = terms + np.bincount(cols.ravel(), np.abs(row_terms).ravel(), from_form.size)
+    if float(np.abs(from_form - from_rows).max(initial=0.0)) > tol.residual_tol * terms.max():
         raise FormMismatch("energy gradient formulations disagree")
     return from_form
 
@@ -93,20 +105,16 @@ class KktReport:
 def verify_kkt(
     graph: GainGraph, weights, real: Realization, lam: float, tol: ToleranceVault
 ) -> KktReport:
-    """Pure checker of stationarity, complementary slackness, sign and Gram identity."""
+    """Pure checker of stationarity, complementary slackness, sign and Gram
+    identity, each summed over the edges with no matrix of order |V|."""
     w = np.asarray(weights, dtype=float).reshape(-1)
-    return _kkt(graph, w, real, lam, weighted_laplacians(graph, w), tol)
-
-
-def _kkt(graph, w, real, lam, laps: WeightedLaplacians, tol) -> KktReport:
-    """:func:`verify_kkt` on weighted Laplacians already assembled from ``w``."""
     if not real.non_flat(tol):
         raise FlatLattice("KKT verification needs a nonsingular lattice")
-    eq = _equilibrium(graph, real, w, laps, "volume", tol, lam)
+    eq = _equilibrium(graph, real, w, "volume", tol, lam)
     volume = abs(float(np.linalg.det(real.lattice)))
     slackness = abs(lam * float(np.log(volume)))
-    pl = rep_matrix(graph, real)
-    form = pl @ laps.zd_laplacian @ pl.T
+    nu = edge_vectors(graph, real)
+    form = (w[:, None] * nu).T @ nu  # [P L] Lzd [P L]^T, summed over the edges
     form_scale = float(np.abs(form).max())
     gram_residual = float(np.abs(form - lam * np.eye(graph.dimension)).max())
     # each gate against its own terms; the multiplier's sign against the form it equals
@@ -142,7 +150,7 @@ def standard_realization(
     n = graph.num_vertices
     laps = weighted_laplacians(graph, w)
     lap_zd = laps.zd_laplacian
-    spec = _stress_spectrum(graph, w, laps, "zd_laplacian", tol)
+    spec = _stress_spectrum(graph, w, "zd_laplacian", tol, laps)
     if spec.nullity != 1 or not spec.is_psd:
         raise HypothesisFailed(
             f"need PSD stress matrix with kernel dimension 1, got kernel "
@@ -176,5 +184,5 @@ def standard_realization(
     lam = factor * factor
     points = {v: pl[:, i].copy() for i, v in enumerate(graph.vertices)}
     real = Realization(points, pl[:, n:])
-    return real, _kkt(graph, w, real, lam, laps, tol)
+    return real, verify_kkt(graph, w, real, lam, tol)
 

@@ -2,7 +2,9 @@
 
 The weighted Laplacian pair plays the role of the classical stress matrix:
 force balance at the vertices and the lattice moment condition both read off
-from products against the matrix representation [P L].
+from products against the matrix representation [P L].  Those products are
+summed over the edges (:func:`_zd_terms`); the dense matrices are assembled
+only for a caller that factorises or reads them.
 """
 
 from __future__ import annotations
@@ -56,17 +58,13 @@ class WeightedLaplacians:
 
 
 def _vertex_scatter(graph: GainGraph, values: np.ndarray, tail_sign: float) -> np.ndarray:
-    """|V| x k matrix: row v sums ``values`` over the non-loop edges with head v,
-    plus ``tail_sign`` times the sum over those with tail v."""
-    keep = ~graph.loop_mask
-    heads, tails, vals = graph.head_idx[keep], graph.tail_idx[keep], values[keep]
-    n = graph.num_vertices
-    return np.column_stack(
-        [
-            np.bincount(heads, vals[:, k], n) + tail_sign * np.bincount(tails, vals[:, k], n)
-            for k in range(vals.shape[1])
-        ]
-    )
+    """|V| x d matrix: row v sums the rows of the |E| x d ``values`` over the
+    non-loop edges with head v, plus ``tail_sign`` times their sum over those
+    with tail v, each sum in edge order."""
+    support, d = graph._laplacian_support, graph.dimension
+    vals, size = values[support.edges].ravel(), graph.num_vertices * d
+    heads = np.bincount(support.head_slots, vals, size)
+    return (heads + tail_sign * np.bincount(support.tail_slots, vals, size)).reshape(-1, d)
 
 
 def weighted_laplacians(graph: GainGraph, weights) -> WeightedLaplacians:
@@ -75,25 +73,22 @@ def weighted_laplacians(graph: GainGraph, weights) -> WeightedLaplacians:
     Blocks of the lattice-extended matrix: the Laplacian, the cross block
     sum_e w_e (e_h - e_t) g_e^T (loops cancel) and the lattice block
     sum_e w_e g_e g_e^T (loops included).  The lattice-extended matrix is the
-    one (|V|+d)^2 array: one scatter sums each off-diagonal entry's -w_e in
-    edge order, and the Laplacian is a view of its vertex block.  Both are
-    exactly symmetric and read-only.
+    one (|V|+d)^2 array: each off-diagonal entry sums the -w_e of the edges
+    joining its pair in edge order, written at both of its places, and the
+    Laplacian is a view of its vertex block.  Both are exactly symmetric and
+    read-only.
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size != graph.num_edges:
         raise ValueError("need one weight per edge")
     n, d = graph.num_vertices, graph.dimension
-    size = n + d
-    keep = ~graph.loop_mask
-    tails, heads, wk = graph.tail_idx[keep], graph.head_idx[keep], w[keep]
-    lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
-    lap_zd = np.bincount(
-        np.concatenate([lo * size + hi, hi * size + lo]), np.concatenate([-wk, -wk]), size * size
-    )
-    if not wk.size:  # bincount gives int64 zeros when it has no weight to sum
-        lap_zd = np.zeros(size * size)
-    lap_zd = lap_zd.reshape(size, size)
-    np.fill_diagonal(lap_zd[:n, :n], np.bincount(tails, wk, n) + np.bincount(heads, wk, n))
+    support = graph._laplacian_support
+    wk = w[support.edges]
+    lap_zd = np.zeros((n + d, n + d))
+    entries = np.bincount(support.pair, -wk)
+    lap_zd[support.ends, support.others] = np.concatenate([entries, entries])
+    diagonal = np.bincount(support.tails, wk, n) + np.bincount(support.heads, wk, n)
+    np.fill_diagonal(lap_zd[:n, :n], diagonal)
     gains = graph.gain_array
     weighted_gains = w[:, None] * gains
     lattice = weighted_gains.T @ gains
@@ -111,22 +106,28 @@ def _strictly_positive(w: np.ndarray, tol: ToleranceVault) -> bool:
 
 
 def _stress_spectrum(
-    graph: GainGraph, w: np.ndarray, laps: WeightedLaplacians, block: str, tol: ToleranceVault
+    graph: GainGraph,
+    w: np.ndarray,
+    block: str,
+    tol: ToleranceVault,
+    laps: Optional[WeightedLaplacians] = None,
 ) -> SpectrumResult:
-    """Rank, nullity, marginal flag and PSD verdict of the stress matrix
-    ``block`` ("laplacian" or "zd_laplacian") that ``laps`` assembled from ``w``.
+    """Rank, nullity, marginal flag and PSD verdict of ``w``'s stress matrix
+    ``block`` ("laplacian" or "zd_laplacian").
 
     A strictly positive stress is decided from the graph, exactly and with no
-    eigensolve: L = sum_e w_e b_e b_e^T and Lzd = sum_e w_e a_e a_e^T (b_e, a_e
+    matrix: L = sum_e w_e b_e b_e^T and Lzd = sum_e w_e a_e a_e^T (b_e, a_e
     the rows of the incidence matrix and of I_zd) are sums of PSD rank-one
     terms, so each is PSD with the kernel of its incidence matrix.  The
     Laplacian's nullity is the number of components and Lzd's is
     |V| + d - rank I_zd, both exact integers from the spanning forest.  The
     all-ones vectors 1 and 1-hat lie in those kernels, so the least
     eigenvalue is exactly 0.0 and no cut is marginal.  Every other stress goes
-    to :func:`~perigid.linalg.symmetric_spectrum`.
+    to :func:`~perigid.linalg.symmetric_spectrum`, on ``laps`` when the
+    caller has assembled them and on a fresh assembly otherwise.
     """
     if not _strictly_positive(w, tol):
+        laps = weighted_laplacians(graph, w) if laps is None else laps
         return symmetric_spectrum(getattr(laps, block), tol, laps.weight_scale)
     n = graph.num_vertices
     if block == "laplacian":
@@ -198,42 +199,78 @@ def verify_equilibrium(
     w = np.asarray(weights, dtype=float).reshape(-1)
     if mode not in ("flexible", "fixed", "volume"):
         raise ValueError(f"unknown mode {mode!r}")
-    return _equilibrium(graph, real, w, weighted_laplacians(graph, w), mode, tol, lam)
+    return _equilibrium(graph, real, w, mode, tol, lam)
 
 
-def _equilibrium(graph, real, w, laps: WeightedLaplacians, mode, tol, lam=None):
-    """:func:`verify_equilibrium` on the already assembled Laplacians of ``w``.
+def _zd_terms(graph: GainGraph, w: np.ndarray, points: np.ndarray, L: np.ndarray):
+    """Lzd [P L]^T for the lattice-extended Laplacian Lzd of ``w`` and the
+    |V| x d ``points`` P^T, and its terms, each (|V|+d) x d, summed over the
+    edges in O(|E|).
 
-    The gate's terms: |P| |Lap| + |L| |C|+^T on the vertex columns of [P L] Lzd,
-    |P| |C|+ + |L| |G|+ (+ |lam L^-T|) on its lattice columns, where |C|+ and
-    |G|+ are the cross and lattice blocks assembled from |w| and |g|.  In fixed
-    mode a loop e at v adds |w_e| |L| |g_e| per end to v's column.
+    The product is Omega P^T + C L^T on the vertex rows and C^T P^T + G L^T on
+    the lattice rows, with the Laplacian Omega, the cross block C and the
+    lattice block G of :func:`weighted_laplacians`.  Its terms are
+    |Omega| |P|^T + |C|+ |L|^T and |C|+^T |P|^T + |G|+ |L|^T, where |C|+ and
+    |G|+ are summed from |w| and |g|.  Row v of Omega P^T is p_v times the
+    diagonal entry (the weights of the non-loop edges at v) minus p_u times
+    the summed weight of the edges joining u and v, for each neighbour u.
+    Omega and C are summed in edge order, as the dense matrices are, so
+    parallel weights cancel before they meet P, and the product rounds within
+    its terms as the dense product does.
+    """
+    if w.size != graph.num_edges:
+        raise ValueError("need one weight per edge")
+    n, d = graph.num_vertices, graph.dimension
+    support = graph._laplacian_support
+    wk = w[support.edges]
+    diagonal = (np.bincount(support.tails, wk, n) + np.bincount(support.heads, wk, n))[:, None]
+    entries = np.bincount(support.pair, -wk)  # Omega's off-diagonal entries, pair by pair
+    met = points[support.others] * np.concatenate([entries, entries])[:, None]
+    laplacian = points * diagonal + np.bincount(support.end_slots, met.ravel(), n * d).reshape(n, d)
+    abs_points = np.abs(points)
+    abs_laplacian = abs_points * np.abs(diagonal) + np.bincount(
+        support.end_slots, np.abs(met).ravel(), n * d).reshape(n, d)
+    gains = graph.gain_array
+    weighted = w[:, None] * gains
+    abs_weighted = np.abs(weighted)
+    cross = _vertex_scatter(graph, weighted, -1.0)
+    abs_cross = _vertex_scatter(graph, abs_weighted, 1.0)
+    lattice = weighted.T @ gains
+    abs_lt = np.abs(L).T
+    product = np.concatenate(
+        [laplacian + cross @ L.T, cross.T @ points + (0.5 * (lattice + lattice.T)) @ L.T])
+    terms = np.concatenate([abs_laplacian + abs_cross @ abs_lt,
+                            abs_cross.T @ abs_points + (abs_weighted.T @ np.abs(gains)) @ abs_lt])
+    return product, terms
+
+
+def _equilibrium(graph, real, w, mode, tol, lam=None):
+    """:func:`verify_equilibrium` on a weight array, summed over the edges with
+    no matrix of order |V|: [P L] Lzd and its terms are the transposes of
+    :func:`_zd_terms`, and fixed mode reads their vertex columns.
+
+    The gate's terms: |P| |Omega| + |L| |C|+^T on the vertex columns,
+    |P| |C|+ + |L| |G|+ (+ |lam L^-T|) on the lattice columns.  In fixed mode
+    a loop e at v adds |w_e| |L| |g_e| per end to v's column.
     """
     if mode == "volume":
         if lam is None:
             raise ValueError("volume mode needs the multiplier lam")
         if not real.non_flat(tol):
             raise FlatLattice("volume equilibrium needs a nonsingular lattice")
-    P, L = point_matrix(graph, real), real.lattice
+    n, L = graph.num_vertices, real.lattice
+    resid, bound = _zd_terms(graph, w, point_matrix(graph, real).T, L)
     if mode == "fixed":
-        resid = P @ laps.laplacian + L @ laps.cross_block.T
-    else:
-        resid = np.hstack([P, L]) @ laps.zd_laplacian
-    abs_gains = np.abs(graph.gain_array)
-    abs_cross = _vertex_scatter(graph, np.abs(w)[:, None] * abs_gains, 1.0)
-    bound = np.abs(P) @ np.abs(laps.laplacian) + np.abs(L) @ abs_cross.T
-    if mode == "fixed":
-        # a loop's two ends cancel in the residual, yet each is a term of its vertex's sum
+        resid, bound = resid[:n], bound[:n]
         loops = graph.loop_mask
-        loop_terms = 2.0 * np.abs(w[loops])[:, None] * (abs_gains[loops] @ np.abs(L).T)
-        np.add.at(bound.T, graph.head_idx[loops], loop_terms)
-    else:
-        lattice_bound = np.abs(P) @ abs_cross + np.abs(L) @ (abs_gains.T * np.abs(w)) @ abs_gains
-        if mode == "volume":
-            target = lam * np.linalg.inv(L).T
-            resid[:, graph.num_vertices :] -= target
-            lattice_bound += np.abs(target)
-        bound = np.hstack([bound, lattice_bound])
+        if loops.any():
+            # a loop's two ends cancel in the residual, yet each is a term of its vertex's sum
+            ends = np.abs(graph.gain_array[loops]) @ np.abs(L).T
+            np.add.at(bound, graph.head_idx[loops], 2.0 * np.abs(w[loops])[:, None] * ends)
+    elif mode == "volume":
+        target = lam * np.linalg.inv(L)  # lam L^-T, transposed
+        resid[n:] -= target
+        bound[n:] += np.abs(target)
     residual = float(np.abs(resid).max(initial=0.0))
     scale = float(bound.max(initial=0.0))
     return EquilibriumReport(mode, residual, scale, residual <= tol.residual_tol * scale)
@@ -277,8 +314,7 @@ def extend_with_loops(
     w = np.asarray(weights, dtype=float).reshape(-1)
     if not real.non_flat(tol):
         raise FlatLattice("loop extension needs a nonsingular lattice")
-    laps = weighted_laplacians(graph, w)
-    base = _equilibrium(graph, real, w, laps, "fixed", tol)
+    base = _equilibrium(graph, real, w, "fixed", tol)
     if not base.passed:
         raise NotFixedLatticeStress(
             f"fixed-lattice equilibrium residual {base.residual:g} fails"
@@ -296,7 +332,9 @@ def extend_with_loops(
         columns.append(_sym_coords(L @ np.outer(gv, gv) @ L.T))
     system = np.column_stack(columns)
     P = point_matrix(graph, real)
-    rhs_mat = P @ laps.laplacian @ P.T - L @ laps.lattice_block @ L.T
+    # [P -L] Lzd [P L]^T = P Omega P^T - L G L^T + (P C L^T - L C^T P^T), and the
+    # bracket is antisymmetric, so the symmetric part is the right-hand side
+    rhs_mat = np.hstack([P, -L]) @ _zd_terms(graph, w, P.T, L)[0]
     rhs = _sym_coords(0.5 * (rhs_mat + rhs_mat.T))
     sys_rank = numeric_rank(system, tol).rank
     if sys_rank < system.shape[1]:
@@ -324,21 +362,19 @@ def strip_loops(
     w = np.asarray(weights, dtype=float).reshape(-1)
     if not real.non_flat(tol):
         raise FlatLattice("loop stripping is stated for non-flat frameworks")
-    laps = weighted_laplacians(graph, w)
-    full = _equilibrium(graph, real, w, laps, "flexible", tol)
+    full = _equilibrium(graph, real, w, "flexible", tol)
     if not full.passed:
         raise NotFixedLatticeStress(f"equilibrium residual {full.residual:g} fails")
     stripped, keep = graph.without_loops()
     w_stripped = w[keep]
-    laps_stripped = weighted_laplacians(stripped, w_stripped)
     report = StripReport(
-        _stress_spectrum(graph, w, laps, "zd_laplacian", tol).rank,
-        _stress_spectrum(graph, w, laps, "laplacian", tol).rank,
-        _stress_spectrum(stripped, w_stripped, laps_stripped, "laplacian", tol).rank,
+        _stress_spectrum(graph, w, "zd_laplacian", tol).rank,
+        _stress_spectrum(graph, w, "laplacian", tol).rank,
+        _stress_spectrum(stripped, w_stripped, "laplacian", tol).rank,
     )
     if not (report.rank_zd == report.rank_laplacian == report.rank_stripped):
         raise RankMismatch(f"loop stripping rank equalities failed: {report}")
-    check = _equilibrium(stripped, real, w_stripped, laps_stripped, "fixed", tol)
+    check = _equilibrium(stripped, real, w_stripped, "fixed", tol)
     if not check.passed:
         raise RankMismatch(
             f"stripped stress is not a fixed-lattice equilibrium stress "

@@ -3,8 +3,9 @@ the conic deformation, a projected-gradient refiner, seeded cable frameworks
 (one with a strut chord), an exact rank by elimination over the rationals,
 the re-verification of a positive stress certificate from its witness, a
 two-pass reference reader of framework files, seeded out-degree gain graphs
-(one with a degree-1 vertex), and the per-vertex trivial motions and
-realization draws that the vectorised ones must reproduce."""
+(one with a degree-1 vertex), the per-vertex trivial motions and
+realization draws that the vectorised ones must reproduce, and the
+equilibrium check on the dense stress matrices that the edge sums replaced."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from perigid.certify import (
     certify_volume_constrained,
 )
 from perigid.construct import FiniteFramework
-from perigid.errors import ParseError
+from perigid.errors import FlatLattice, ParseError
 from perigid.fileformat import (
     ParsedFramework,
     _as_name,
@@ -31,10 +32,11 @@ from perigid.fileformat import (
     _fail,
     _require,
 )
-from perigid.framework import Realization
+from perigid.framework import Realization, point_matrix
 from perigid.gain import MARKINGS, GainGraph, canonicalize_edge
 from perigid.linalg import _as_int_rows
 from perigid.optimize import energy, energy_gradient
+from perigid.stress import EquilibriumReport, _vertex_scatter, weighted_laplacians
 from perigid.tolerances import ToleranceVault
 
 
@@ -375,3 +377,38 @@ def reference_random_points(graph: GainGraph, seed: int) -> dict:
     """The points of ``random_realization(graph, tol, seed)``, drawn one vertex at a time."""
     rng = np.random.default_rng(seed)
     return {v: rng.uniform(1.0, 2.0, size=graph.dimension) for v in graph.vertices}
+
+
+def dense_equilibrium(graph: GainGraph, real: Realization, w, mode: str, tol: ToleranceVault,
+                      lam: Optional[float] = None) -> EquilibriumReport:
+    """``verify_equilibrium`` on the assembled Laplacians: the residual is the
+    dense product [P L] Lzd (P Omega + L C^T in fixed mode), and the gate's
+    terms are |P| |Omega| + |L| |C|+^T on the vertex columns and
+    |P| |C|+ + |L| |G|+ (+ |lam L^-T|) on the lattice columns; in fixed mode a
+    loop e at v adds |w_e| |L| |g_e| per end to v's column."""
+    w = np.asarray(w, dtype=float).reshape(-1)
+    if mode == "volume" and not real.non_flat(tol):
+        raise FlatLattice("volume equilibrium needs a nonsingular lattice")
+    laps = weighted_laplacians(graph, w)
+    P, L = point_matrix(graph, real), real.lattice
+    if mode == "fixed":
+        resid = P @ laps.laplacian + L @ laps.cross_block.T
+    else:
+        resid = np.hstack([P, L]) @ laps.zd_laplacian
+    abs_gains = np.abs(graph.gain_array)
+    abs_cross = _vertex_scatter(graph, np.abs(w)[:, None] * abs_gains, 1.0)
+    bound = np.abs(P) @ np.abs(laps.laplacian) + np.abs(L) @ abs_cross.T
+    if mode == "fixed":
+        loops = graph.loop_mask
+        loop_terms = 2.0 * np.abs(w[loops])[:, None] * (abs_gains[loops] @ np.abs(L).T)
+        np.add.at(bound.T, graph.head_idx[loops], loop_terms)
+    else:
+        lattice_bound = np.abs(P) @ abs_cross + np.abs(L) @ (abs_gains.T * np.abs(w)) @ abs_gains
+        if mode == "volume":
+            target = lam * np.linalg.inv(L).T
+            resid[:, graph.num_vertices :] -= target
+            lattice_bound += np.abs(target)
+        bound = np.hstack([bound, lattice_bound])
+    residual = float(np.abs(resid).max(initial=0.0))
+    scale = float(bound.max(initial=0.0))
+    return EquilibriumReport(mode, residual, scale, residual <= tol.residual_tol * scale)

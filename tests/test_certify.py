@@ -156,9 +156,9 @@ def test_certify_fixed_lattice_huge_gain_out_of_equilibrium(hexes, tol, gain):
 def test_each_certificate_factorises_its_laplacian_once(
     monkeypatch, count_factorisations, catalog, tol, mode
 ):
-    """One assembly per certificate.  A strictly positive stress (the all-cable
-    hex) is decided from the graph with no eigvalsh; a stress of mixed signs
-    makes exactly one, of its stress matrix."""
+    """A strictly positive stress (the all-cable hex) is decided from the graph
+    with no assembly and no eigvalsh; a stress of mixed signs assembles its
+    stress matrix once, for exactly one eigvalsh."""
     from perigid.certify import certify_volume_constrained
     from perigid.optimize import standard_realization
     from perigid.stress import lambda_stress_space, normalized_stress
@@ -210,7 +210,7 @@ def test_each_certificate_factorises_its_laplacian_once(
         eigvalsh = [c for c in calls if c[0] == "eigvalsh"]
         assert eigvalsh == [("eigvalsh", (size, size))] * eigensolves
         assert not [c for c in calls if c[0] != "eigvalsh" and c[1] == (size, size)]
-        assert len(assemblies) == 1
+        assert len(assemblies) == eigensolves
         if eigensolves == 0:
             assert cert.min_eigenvalue == 0.0 and not cert.marginal
 
@@ -244,10 +244,10 @@ def test_positive_stress_kernel_is_exact_below_the_eigenvalue_cut(tol, tmp_path,
 
 
 def test_certificates_allocate_one_stress_matrix(tol):
-    """The stress matrix is the one (|V|+d)^2 array a certificate or the
-    minimiser allocates; this stress is positive, so no eigensolver runs.
-    Allowing for the |V|^2 temporaries of the equilibrium bound and the
-    pinned solve, the peak stays under 2.5 such arrays (it was about 4)."""
+    """At most one (|V|+d)^2 array: the minimiser's stress matrix, which its
+    pinned solve and whitening read; this stress is positive, so no
+    eigensolver runs.  Allowing for the |V|^2 temporaries of the pinned
+    solve, the peak stays under 2.5 such arrays (it was about 4)."""
     from perigid.certify import certify_volume_constrained
     from perigid.optimize import standard_realization
 
@@ -272,6 +272,36 @@ def test_certificates_allocate_one_stress_matrix(tol):
         assert peak <= 2.5 * size * size * 8, (name, peak / (size * size * 8))
 
 
+def test_positive_certificates_build_no_stress_matrix(monkeypatch, tol):
+    """A certificate on a strictly positive stress sums its equilibrium over the
+    edges and decides its stress matrix from the graph: no assembly, and a
+    peak under a tenth of one (|V|+d)^2 array at |V| = 640."""
+    from perigid.certify import certify_volume_constrained
+    from perigid.optimize import standard_realization
+
+    graph, w = cable_framework(0, n=640)
+    real, report = standard_realization(graph, w, tol)
+    size = graph.num_vertices + graph.dimension
+    runs = {
+        Verdict.FIXED_SUPER_STABLE: (certify_fixed_lattice, certify_spiderweb),
+        Verdict.VOLUME_SUPER_STABLE: (
+            lambda *args: certify_volume_constrained(*args[:3], report.lam, tol),),
+    }
+    assemblies = _counting_assemblies(monkeypatch)
+    for verdict, certificates in runs.items():
+        for certificate in certificates:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                outcome = certificate(graph, real, w, tol).verdict
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert outcome == verdict
+            assert peak < 0.1 * size * size * 8, peak / (size * size * 8)
+    assert assemblies == []
+
+
 def _counting_assemblies(monkeypatch) -> list:
     """Count stress.weighted_laplacians calls through every perigid module that holds it."""
     calls = []
@@ -287,8 +317,9 @@ def _counting_assemblies(monkeypatch) -> list:
     return calls
 
 
-def test_minimize_assembles_laplacians_twice(hexes, tmp_path, monkeypatch, capsys):
-    """One assembly serves the minimiser and its KKT check, one the energy."""
+def test_minimize_assembles_laplacians_once(hexes, tmp_path, monkeypatch, capsys):
+    """One assembly serves the minimiser's pinned solve and whitening; its KKT
+    check and the energy are summed over the edges."""
     from perigid import fileformat
     from perigid.cli import cli
 
@@ -296,7 +327,7 @@ def test_minimize_assembles_laplacians_twice(hexes, tmp_path, monkeypatch, capsy
     path.write_bytes(fileformat.dumps(hexes.graph, hexes.realization, hexes.stress))
     assemblies = _counting_assemblies(monkeypatch)
     assert cli(["minimize", str(path)]) == 0
-    assert len(assemblies) == 2
+    assert len(assemblies) == 1
 
 
 def test_certify_spiderweb_hex(hexes, tol):

@@ -10,6 +10,7 @@ from perigid.framework import (
     is_fixed_lattice_inf_rigid,
     is_infinitesimally_rigid,
     measurement,
+    point_matrix,
     random_realization,
     rigidity_matrix,
     trivial_motions,
@@ -287,3 +288,21 @@ def test_realization_stacks_points_and_names_a_misfit():
     assert np.array_equal(real.points["v"], [2.0, 3.0])
     with pytest.raises(ValueError, match="point for 'v' has wrong dimension"):
         Realization({"u": (0.0, 1.0), "v": (1.0, 2.0, 3.0)}, np.eye(2))
+
+
+def test_point_matrix_views_the_points_in_graph_order():
+    """In the realization's own vertex order the point matrix is a read-only
+    view of its points' array; in another order, or with extra points, it
+    gathers the graph's vertices once; a missing vertex is a KeyError."""
+    graph = GainGraph(2, ("a", "b", "c"), [("a", "b", (0, 0)), ("b", "c", (1, 0))])
+    points = {"a": (0.0, 1.0), "b": (2.0, 3.0), "c": (4.0, 5.0)}
+    expected = np.array([[0.0, 2.0, 4.0], [1.0, 3.0, 5.0]])
+    same = Realization(points, np.eye(2))
+    P = point_matrix(graph, same)
+    assert np.array_equal(P, expected) and not P.flags.writeable
+    assert np.shares_memory(P, same.points["b"])
+    reordered = Realization({"x": (9.0, 9.0), **dict(reversed(points.items()))}, np.eye(2))
+    P = point_matrix(graph, reordered)
+    assert np.array_equal(P, expected) and not P.flags.writeable
+    with pytest.raises(KeyError):
+        point_matrix(graph, Realization({"a": (0.0, 1.0), "b": (2.0, 3.0)}, np.eye(2)))

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from perigid.certify import Verdict, certify_volume_constrained
+from perigid import optimize
 from perigid.errors import (
     DegenerateKernel,
     FlatLattice,
+    FormMismatch,
     HypothesisFailed,
     ImproperStress,
     VolumeNotOne,
@@ -50,6 +52,36 @@ def test_energy_gradient_zero_at_equilibrium(flex2, tol):
     grad = energy_gradient(flex2.graph, flex2.stress, flex2.realization, tol)
     assert np.abs(grad).max() <= 1e-12
     assert np.abs(energy_gradient(flex2.graph, np.zeros(5), flex2.realization, tol)).max() == 0.0
+
+
+def test_energy_cross_checks_hold_on_a_translated_framework(tol):
+    """Translating a framework moves neither formulation of the energy or its
+    gradient beyond the rounding of its own terms, so neither check fails: the
+    quadratic form sums terms of size |p|^2 |w| that cancel to the energy."""
+    graph, w = cable_framework(0)
+    real, _ = standard_realization(graph, w, tol)
+    base = energy(graph, w, real, tol)
+    gradient = energy_gradient(graph, w, real, tol)
+    for shift in (1e5, 1e7):
+        moved = real.transformed(np.eye(2), shift=(shift, -shift))
+        assert energy(graph, w, moved, tol) == pytest.approx(base, rel=1e-6)
+        assert np.abs(energy_gradient(graph, w, moved, tol) - gradient).max() <= 1e-6
+
+
+def test_energy_cross_checks_catch_an_error_at_tiny_weights(monkeypatch, tol):
+    """A relative error of 1e-3 in the quadratic form is caught however small
+    the weights: each check is gated against its own terms, with no floor."""
+    graph, w = cable_framework(0)
+    real = random_realization(graph, tol, seed=3)
+    tiny = 1e-12 * w
+    energy(graph, tiny, real, tol)
+    energy_gradient(graph, tiny, real, tol)
+    original = optimize._form
+    monkeypatch.setattr(optimize, "_form", lambda *args: original(*args) * (1.0 + 1e-3))
+    with pytest.raises(FormMismatch):
+        energy(graph, tiny, real, tol)
+    with pytest.raises(FormMismatch):
+        energy_gradient(graph, tiny, real, tol)
 
 
 def test_energy_gradient_finite_differences(tol):

@@ -15,6 +15,7 @@ from perigid.framework import (
 from perigid.errors import DuplicateEdge
 from perigid.gain import GainGraph
 from perigid.linalg import numeric_rank, symmetric_spectrum
+from perigid.tolerances import ToleranceVault
 from perigid.stress import (
     _stress_spectrum,
     default_loop_gains,
@@ -28,6 +29,8 @@ from perigid.stress import (
     verify_equilibrium,
     weighted_laplacians,
 )
+
+from oracles import dense_equilibrium
 
 GOLDEN_FLEX2_LZD = np.array(
     [[8, -8, 4, 0], [-8, 8, -4, 0], [4, -4, 2, 0], [0, 0, 0, 0]], dtype=float
@@ -398,7 +401,7 @@ def test_stress_spectrum_agrees_with_the_eigenvalue_cut(tol, case):
     graph, weights, mixed = case
     laps = weighted_laplacians(graph, weights)
     for block in ("laplacian", "zd_laplacian"):
-        exact = _stress_spectrum(graph, weights, laps, block, tol)
+        exact = _stress_spectrum(graph, weights, block, tol)
         cut = symmetric_spectrum(getattr(laps, block), tol, laps.weight_scale)
         assert (exact.nullity, exact.is_psd) == (cut.nullity, cut.is_psd)
         assert (exact.rank, exact.eigenvalues) == (cut.rank, None)
@@ -407,7 +410,7 @@ def test_stress_spectrum_agrees_with_the_eigenvalue_cut(tol, case):
         return
     laps = weighted_laplacians(graph, mixed)
     for block in ("laplacian", "zd_laplacian"):
-        got = _stress_spectrum(graph, mixed, laps, block, tol)
+        got = _stress_spectrum(graph, mixed, block, tol)
         cut = symmetric_spectrum(getattr(laps, block), tol, laps.weight_scale)
         assert np.array_equal(got.eigenvalues, cut.eigenvalues)
         assert got._replace(eigenvalues=None) == cut._replace(eigenvalues=None)
@@ -416,6 +419,71 @@ def test_stress_spectrum_agrees_with_the_eigenvalue_cut(tol, case):
 def test_stress_spectrum_sends_non_finite_weights_to_the_eigensolver(hexes, tol):
     weights = hexes.stress.copy()
     weights[3] = np.nan
-    laps = weighted_laplacians(hexes.graph, weights)
     with pytest.raises(NonFiniteEntry):
-        _stress_spectrum(hexes.graph, weights, laps, "laplacian", tol)
+        _stress_spectrum(hexes.graph, weights, "laplacian", tol)
+
+
+@st.composite
+def equilibrium_cases(draw):
+    """Small gain graphs (d = 1-3, loops, often several components) where some
+    edges have a parallel twin of the opposite weight, at a realization
+    translated by up to 1e8, with random weights or, in the drawn mode, a
+    stress from that mode's stress space (and its multiplier in volume mode)."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    gain = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    weight = st.floats(-10.0, 10.0, allow_subnormal=False).map(lambda x: 0.0 if abs(x) < 1e-6 else x)
+    names = [f"v{i}" for i in range(n)]
+    kept, weights = [], []
+    edges = st.lists(st.tuples(vertex, vertex, gain, st.booleans()), max_size=10)
+    for t, h, g, twin in draw(edges):
+        w = draw(weight)
+        candidates = [((names[t], names[h], tuple(g)), w)]
+        if twin:  # a parallel edge (another gain on the same pair) of the opposite weight
+            candidates.append(((names[t], names[h], tuple(x + 1 for x in g)), -w))
+        for edge, value in candidates:
+            if edge[0] == edge[1] and not any(edge[2]):
+                continue
+            try:
+                GainGraph(d, names, kept + [edge])
+            except DuplicateEdge:
+                continue
+            kept.append(edge)
+            weights.append(value)
+    graph = GainGraph(d, names, kept)
+    coord = st.floats(-5.0, 5.0, allow_subnormal=False)
+    shift = draw(st.sampled_from([0.0, 1e3, -1e5, 1e8])) * np.array(
+        draw(st.lists(st.floats(0.5, 1.0), min_size=d, max_size=d)))
+    points = {v: np.array(draw(st.lists(coord, min_size=d, max_size=d))) + shift for v in names}
+    lattice = np.array(draw(st.lists(coord, min_size=d * d, max_size=d * d))).reshape(d, d)
+    real = Realization(points, lattice)
+    mode = draw(st.sampled_from(["flexible", "fixed", "volume"]))
+    w, lam = np.array(weights), draw(st.floats(-2.0, 2.0))
+    if draw(st.booleans()) and kept and (mode != "volume" or real.non_flat(ToleranceVault())):
+        tol = ToleranceVault()
+        space = {"flexible": stress_space, "fixed": fixed_stress_space,
+                 "volume": lambda_stress_space}[mode](graph, real, tol)
+        if space.shape[1]:
+            stress = space @ np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=space.shape[1],
+                                                    max_size=space.shape[1])))
+            w, lam = (stress[:-1], float(stress[-1])) if mode == "volume" else (stress, lam)
+    return graph, real, w, mode, lam
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=equilibrium_cases())
+def test_edge_equilibrium_matches_the_dense_stress_matrices(tol, case):
+    """The residual and gate summed over the edges are the dense products'
+    within 1e-12 of the gate, and pass or fail alike."""
+    graph, real, w, mode, lam = case
+    try:
+        dense = dense_equilibrium(graph, real, w, mode, tol, lam)
+    except FlatLattice:
+        with pytest.raises(FlatLattice):
+            verify_equilibrium(graph, real, w, mode, tol, lam)
+        return
+    edges = verify_equilibrium(graph, real, w, mode, tol, lam)
+    assert abs(edges.residual - dense.residual) <= 1e-12 * dense.scale
+    assert abs(edges.scale - dense.scale) <= 1e-12 * dense.scale
+    assert edges.passed == dense.passed
