@@ -11,7 +11,8 @@ The equilibrium residual and its gate are summed over the edges in O(|E|),
 with no matrix of order |V|.  The kernel and PSD clauses of a strictly
 positive stress are decided from the graph, with no matrix at all; any other
 stress assembles its stress matrix once, for one ``eigvalsh``
-(``stress._stress_spectrum``):
+(``stress._stress_spectrum``, which decides each generic trial's stress
+too):
 
 - flexible: equilibrium, nullity(Lzd) = d+1, Lzd PSD, no conic at infinity;
 - fixed: fixed equilibrium, nullity(L) = 1, L PSD;
@@ -50,14 +51,8 @@ from .framework import (
     random_realization,
 )
 from .gain import GainGraph
-from .linalg import _certified_left_kernel_sample, nullspace, symmetric_spectrum
-from .stress import (
-    _equilibrium,
-    _strictly_positive,
-    _stress_spectrum,
-    is_proper,
-    weighted_laplacians,
-)
+from .linalg import _certified_left_kernel_sample, nullspace
+from .stress import _equilibrium, _strictly_positive, _stress_spectrum, is_proper
 from .tolerances import ToleranceVault
 
 
@@ -305,6 +300,18 @@ def _trial_loop(
     )
 
 
+def _sample(graph: GainGraph, real: Realization, fixed: bool, rng, tol: ToleranceVault):
+    """Column count, rank and marginal flag of the rigidity matrix at
+    ``real`` (the fixed-lattice one when ``fixed``) and a random stress of its
+    left kernel, from the matrix's entries row by row with the trivial
+    motions as the known kernel."""
+    d = graph.dimension
+    n = d * graph.num_vertices + (0 if fixed else d * d)
+    cols, vals = _rigidity_entries(graph, real, fixed)
+    motions = partial(_motion_basis, graph, real, fixed=fixed)
+    return (n, *_certified_left_kernel_sample(cols, vals, n, motions, rng, tol))
+
+
 def _sample_stress(entry: dict, graph, rank, marginal, stress, tol, block, kernel) -> dict:
     """Finish a trial entry from its rigidity matrix's rank and marginal flag
     and a random ``stress``: positive when the stress's ``block`` Laplacian has
@@ -315,8 +322,7 @@ def _sample_stress(entry: dict, graph, rank, marginal, stress, tol, block, kerne
         order = graph.num_vertices + (graph.dimension if block == "zd_laplacian" else 0)
         entry.update(positive=order == kernel, branch="stress-free", marginal=marginal)
         return entry
-    laps = weighted_laplacians(graph, stress)
-    spec = symmetric_spectrum(getattr(laps, block), tol, laps.weight_scale)
+    spec = _stress_spectrum(graph, stress, block, tol)
     entry.update(stress_kernel_dim=spec.nullity, positive=spec.nullity == kernel)
     entry.update(branch="stress sampling", marginal=marginal or spec.marginal)
     return entry
@@ -345,10 +351,7 @@ def generic_global_rigidity_test(graph: GainGraph, tol: ToleranceVault) -> Certi
 
     def trial(seed: int, rng) -> dict:
         real = random_realization(graph, tol, seed=seed)
-        motions = partial(_motion_basis, graph, real, fixed=False)
-        cols, vals = _rigidity_entries(graph, real, fixed=False)
-        n = d * graph.num_vertices + d * d
-        rank, marginal, stress = _certified_left_kernel_sample(cols, vals, n, motions, rng, tol)
+        n, rank, marginal, stress = _sample(graph, real, False, rng, tol)
         rigid = n - rank == d * (d + 1) // 2
         entry = {"seed": seed, "infinitesimally_rigid": rigid}
         if graph.num_vertices == 1 or not rigid:
@@ -389,10 +392,7 @@ def generic_fixed_global_rigidity_test(
         real = random_realization(graph, tol, seed=seed)
         if lattice is not None:
             real = Realization(real.points, lattice)
-        motions = partial(_motion_basis, graph, real, fixed=True)
-        cols, vals = _rigidity_entries(graph, real, fixed=True)
-        n = graph.dimension * graph.num_vertices
-        rank, marginal, stress = _certified_left_kernel_sample(cols, vals, n, motions, rng, tol)
+        _, rank, marginal, stress = _sample(graph, real, True, rng, tol)
         entry = {"seed": seed}
         return _sample_stress(entry, graph, rank, marginal, stress, tol, "laplacian", 1)
 

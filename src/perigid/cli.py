@@ -279,10 +279,10 @@ def _run_rank(parsed, vault, args) -> tuple[dict, int]:
         res = numeric_rank(stress._balanced_volume_rigidity(graph, real, vault)[0], vault)
         payload["volume_rigidity"] = {"rank": res.rank, "marginal": res.marginal}
     if parsed.stress is not None:
-        laps = stress.weighted_laplacians(graph, parsed.stress)
-        for name in ("laplacian", "zd_laplacian"):
-            res = stress._stress_spectrum(graph, parsed.stress, name, vault, laps)
-            payload[name] = entry(getattr(laps, name).shape, res.rank, res.marginal)
+        # a strictly positive stress builds neither matrix, any other one each in turn
+        for name, order in (("laplacian", n), ("zd_laplacian", n + graph.dimension)):
+            res = stress._stress_spectrum(graph, parsed.stress, name, vault)
+            payload[name] = entry((order, order), res.rank, res.marginal)
     return payload, EXIT_OK
 
 

@@ -114,27 +114,15 @@ def finite_to_periodic(
 
     head_index = {v: i for i, v in enumerate(heads)}
     merged = {v: u for u, v in pairs}
-
-    def unit(i: int) -> tuple[int, ...]:
-        g = [0] * d
-        g[i] = 1
-        return tuple(g)
+    # row i is e_i and the last row, index -1, is zero: an end that heads no pair adds nothing
+    unit = np.eye(d + 1, d, dtype=int)
 
     gained = []
     for (a, b), marking in zip(finite.edges, finite.markings):
-        if a in head_index and b in head_index:
-            i, j = head_index[a], head_index[b]
-            if i > j:
-                a, b = b, a
-                i, j = j, i
-            gain = tuple(ej - ei for ei, ej in zip(unit(i), unit(j)))
-        elif b in head_index:
-            gain = unit(head_index[b])
-        elif a in head_index:
-            a, b = b, a
-            gain = unit(head_index[b])
-        else:
-            gain = (0,) * d
+        i, j = head_index.get(a, -1), head_index.get(b, -1)
+        if i > j:  # orient each edge towards its larger pair index
+            a, b, i, j = b, a, j, i
+        gain = tuple((unit[j] - unit[i]).tolist())
         gained.append(GainEdge(merged.get(a, a), merged.get(b, b), gain, marking))
 
     surviving = tuple(v for v in finite.vertices if v not in head_index)

@@ -90,11 +90,6 @@ def point_matrix(graph: GainGraph, real: Realization) -> np.ndarray:
     return matrix
 
 
-def rep_matrix(graph: GainGraph, real: Realization) -> np.ndarray:
-    """The d x (|V|+d) matrix [P L]."""
-    return np.hstack([point_matrix(graph, real), real.lattice])
-
-
 def is_affinely_spanning(graph: GainGraph, real: Realization, tol: ToleranceVault) -> bool:
     """True when the lattice translates of the points affinely span d-space.
 

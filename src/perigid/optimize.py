@@ -7,9 +7,10 @@ volume" has a closed-form solution, unique up to isometries, and every KKT
 point is a global minimizer.  The solution takes the hypothesis check of the
 stress matrix (from the graph for a strictly positive stress, else one
 eigenvalue decomposition), one linear solve of its pinned vertex block and a
-d x d whitening; no singular value decomposition is needed.  Those read the
-one assembled stress matrix; the KKT check and the energy's two forms are
-summed over the edges.
+d x d whitening; no singular value decomposition is needed.  The hypothesis
+is decided first, and the stress matrix is then assembled once for the solve
+and the whitening; the KKT check and the energy's two forms are summed over
+the edges.
 """
 
 from __future__ import annotations
@@ -26,19 +27,12 @@ from .framework import (
     _rigidity_entries,
     edge_vectors,
     measurement,
-    rep_matrix,
+    point_matrix,
 )
 from .gain import GainGraph
 from .linalg import _rank_cut
 from .stress import _equilibrium, _stress_spectrum, _zd_terms, weighted_laplacians
 from .tolerances import ToleranceVault
-
-
-def _form(graph: GainGraph, w: np.ndarray, pl: np.ndarray) -> np.ndarray:
-    """Lzd [P L]^T and its terms, stacked, summed over the edges: in
-    realization-vector order, kron(Lzd, I_d) times [p; l]."""
-    n = graph.num_vertices
-    return np.array(_zd_terms(graph, w, pl[:, :n].T, pl[:, n:]))
 
 
 def energy(graph: GainGraph, weights, real: Realization, tol: ToleranceVault) -> float:
@@ -52,10 +46,11 @@ def energy(graph: GainGraph, weights, real: Realization, tol: ToleranceVault) ->
     w = np.asarray(weights, dtype=float).reshape(-1)
     lengths = measurement(graph, real)
     direct = 0.5 * float(w @ lengths)
-    pl = rep_matrix(graph, real)
-    form, form_terms = _form(graph, w, pl)
-    quadratic = 0.5 * float(np.sum(pl.T * form))
-    terms = float(np.abs(w) @ lengths) + float(np.sum(np.abs(pl.T) * form_terms))
+    points = point_matrix(graph, real).T
+    form, form_terms = _zd_terms(graph, w, points, real.lattice)
+    pl_t = np.concatenate([points, real.lattice.T])  # [P L]^T, in the form's row order
+    quadratic = 0.5 * float(np.sum(pl_t * form))
+    terms = float(np.abs(w) @ lengths) + float(np.sum(np.abs(pl_t) * form_terms))
     if abs(direct - quadratic) > tol.residual_tol * 0.5 * terms:
         raise FormMismatch(
             f"energy formulations disagree: {direct!r} vs {quadratic!r}"
@@ -68,9 +63,11 @@ def energy_gradient(
 ) -> np.ndarray:
     """Gradient of the stress energy, cross-checked between its two
     formulations, the quadratic form's Lzd [P L]^T and R^T w from the rigidity
-    matrix's entries, against the absolute terms of both sums."""
+    matrix's entries, against the absolute terms of both sums.  Read row by
+    row, Lzd [P L]^T is kron(Lzd, I_d) [p; l] in realization-vector order."""
     w = np.asarray(weights, dtype=float).reshape(-1)
-    from_form, terms = _form(graph, w, rep_matrix(graph, real)).reshape(2, -1)
+    form, terms = _zd_terms(graph, w, point_matrix(graph, real).T, real.lattice)
+    from_form, terms = form.ravel(), terms.ravel()
     cols, vals = _rigidity_entries(graph, real, False)
     row_terms = w[:, None] * vals
     from_rows = np.bincount(cols.ravel(), row_terms.ravel(), from_form.size)
@@ -148,14 +145,13 @@ def standard_realization(
     w = np.asarray(weights, dtype=float).reshape(-1)
     d = graph.dimension
     n = graph.num_vertices
-    laps = weighted_laplacians(graph, w)
-    lap_zd = laps.zd_laplacian
-    spec = _stress_spectrum(graph, w, "zd_laplacian", tol, laps)
+    spec = _stress_spectrum(graph, w, "zd_laplacian", tol)
     if spec.nullity != 1 or not spec.is_psd:
         raise HypothesisFailed(
             f"need PSD stress matrix with kernel dimension 1, got kernel "
             f"{spec.nullity}, min eigenvalue {spec.min_eigenvalue:g}"
         )
+    laps = weighted_laplacians(graph, w)
 
     basis = np.zeros((d, n + d))
     basis[:, n:] = np.eye(d)
@@ -167,7 +163,7 @@ def standard_realization(
     if basis_seed is not None:
         basis = np.random.default_rng(basis_seed).standard_normal((d, d)) @ basis
 
-    gram = basis @ lap_zd @ basis.T
+    gram = basis @ laps.zd_laplacian @ basis.T
     gram = 0.5 * (gram + gram.T)
     eigvals, eigvecs = np.linalg.eigh(gram)
     if eigvals[0] <= _rank_cut(np.abs(eigvals)[::-1], gram.shape, tol, 0.0)[2]:

@@ -2,9 +2,11 @@
 
 The weighted Laplacian pair plays the role of the classical stress matrix:
 force balance at the vertices and the lattice moment condition both read off
-from products against the matrix representation [P L].  Those products are
-summed over the edges (:func:`_zd_terms`); the dense matrices are assembled
-only for a caller that factorises or reads them.
+from products against the matrix representation [P L].  One function sums
+the matrix's blocks from the edges (:func:`_blocks`); the products are formed
+from them (:func:`_zd_terms`), and the dense matrices are assembled from them
+only for a caller that factorises or reads them.  One function decides a
+stress matrix's kernel and sign (:func:`_stress_spectrum`).
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ class WeightedLaplacians:
 
     laplacian: np.ndarray  # |V| x |V|
     zd_laplacian: np.ndarray  # (|V|+d) x (|V|+d)
-    dimension: int
     weight_scale: float = 0.0
 
     @property
@@ -67,36 +68,45 @@ def _vertex_scatter(graph: GainGraph, values: np.ndarray, tail_sign: float) -> n
     return (heads + tail_sign * np.bincount(support.tail_slots, vals, size)).reshape(-1, d)
 
 
+def _blocks(graph: GainGraph, w: np.ndarray) -> tuple:
+    """The lattice-extended Laplacian of ``w`` block by block, each summed
+    over the edges in edge order, in O(|E|): Omega's diagonal (the weights of
+    the non-loop edges at each vertex), Omega's off-diagonal entries (the
+    -w_e of the edges joining each pair of ``graph._laplacian_support``), the
+    cross block C = sum_e w_e (e_h - e_t) g_e^T (loops cancel), the lattice
+    block G = sum_e w_e g_e g_e^T (loops included, symmetrised) and the
+    weighted gains w_e g_e.
+    """
+    if w.size != graph.num_edges:
+        raise ValueError("need one weight per edge")
+    n, support, gains = graph.num_vertices, graph._laplacian_support, graph.gain_array
+    wk = w[support.edges]
+    weighted = w[:, None] * gains
+    lattice = weighted.T @ gains
+    diagonal = np.bincount(support.tails, wk, n) + np.bincount(support.heads, wk, n)
+    cross = _vertex_scatter(graph, weighted, -1.0)
+    return diagonal, np.bincount(support.pair, -wk), cross, 0.5 * (lattice + lattice.T), weighted
+
+
 def weighted_laplacians(graph: GainGraph, weights) -> WeightedLaplacians:
     """Assemble I^T diag(w) I and its lattice-extended analog by scatter, in O(|E|).
 
-    Blocks of the lattice-extended matrix: the Laplacian, the cross block
-    sum_e w_e (e_h - e_t) g_e^T (loops cancel) and the lattice block
-    sum_e w_e g_e g_e^T (loops included).  The lattice-extended matrix is the
-    one (|V|+d)^2 array: each off-diagonal entry sums the -w_e of the edges
-    joining its pair in edge order, written at both of its places, and the
-    Laplacian is a view of its vertex block.  Both are exactly symmetric and
-    read-only.
+    The lattice-extended matrix is the one (|V|+d)^2 array holding the
+    blocks of :func:`_blocks`: each off-diagonal entry of the Laplacian is
+    written at both of its places, and the Laplacian is a view of its vertex
+    block.  Both are exactly symmetric and read-only.
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.size != graph.num_edges:
-        raise ValueError("need one weight per edge")
-    n, d = graph.num_vertices, graph.dimension
-    support = graph._laplacian_support
-    wk = w[support.edges]
-    lap_zd = np.zeros((n + d, n + d))
-    entries = np.bincount(support.pair, -wk)
+    diagonal, entries, cross, lattice, _ = _blocks(graph, w)
+    n, support = graph.num_vertices, graph._laplacian_support
+    lap_zd = np.zeros((n + graph.dimension,) * 2)
     lap_zd[support.ends, support.others] = np.concatenate([entries, entries])
-    diagonal = np.bincount(support.tails, wk, n) + np.bincount(support.heads, wk, n)
     np.fill_diagonal(lap_zd[:n, :n], diagonal)
-    gains = graph.gain_array
-    weighted_gains = w[:, None] * gains
-    lattice = weighted_gains.T @ gains
-    lap_zd[:n, n:] = _vertex_scatter(graph, weighted_gains, -1.0)
-    lap_zd[n:, :n] = lap_zd[:n, n:].T
-    lap_zd[n:, n:] = 0.5 * (lattice + lattice.T)
+    lap_zd[:n, n:] = cross
+    lap_zd[n:, :n] = cross.T
+    lap_zd[n:, n:] = lattice
     lap_zd.flags.writeable = False
-    return WeightedLaplacians(lap_zd[:n, :n], lap_zd, d, float(np.abs(w).max(initial=0.0)))
+    return WeightedLaplacians(lap_zd[:n, :n], lap_zd, float(np.abs(w).max(initial=0.0)))
 
 
 def _strictly_positive(w: np.ndarray, tol: ToleranceVault) -> bool:
@@ -106,11 +116,7 @@ def _strictly_positive(w: np.ndarray, tol: ToleranceVault) -> bool:
 
 
 def _stress_spectrum(
-    graph: GainGraph,
-    w: np.ndarray,
-    block: str,
-    tol: ToleranceVault,
-    laps: Optional[WeightedLaplacians] = None,
+    graph: GainGraph, w: np.ndarray, block: str, tol: ToleranceVault
 ) -> SpectrumResult:
     """Rank, nullity, marginal flag and PSD verdict of ``w``'s stress matrix
     ``block`` ("laplacian" or "zd_laplacian").
@@ -122,12 +128,12 @@ def _stress_spectrum(
     Laplacian's nullity is the number of components and Lzd's is
     |V| + d - rank I_zd, both exact integers from the spanning forest.  The
     all-ones vectors 1 and 1-hat lie in those kernels, so the least
-    eigenvalue is exactly 0.0 and no cut is marginal.  Every other stress goes
-    to :func:`~perigid.linalg.symmetric_spectrum`, on ``laps`` when the
-    caller has assembled them and on a fresh assembly otherwise.
+    eigenvalue is exactly 0.0 and no cut is marginal.  Every other stress is
+    assembled and goes to :func:`~perigid.linalg.symmetric_spectrum`.  This is
+    the one place a stress matrix's kernel and sign are decided.
     """
     if not _strictly_positive(w, tol):
-        laps = weighted_laplacians(graph, w) if laps is None else laps
+        laps = weighted_laplacians(graph, w)
         return symmetric_spectrum(getattr(laps, block), tol, laps.weight_scale)
     n = graph.num_vertices
     if block == "laplacian":
@@ -208,39 +214,29 @@ def _zd_terms(graph: GainGraph, w: np.ndarray, points: np.ndarray, L: np.ndarray
     edges in O(|E|).
 
     The product is Omega P^T + C L^T on the vertex rows and C^T P^T + G L^T on
-    the lattice rows, with the Laplacian Omega, the cross block C and the
-    lattice block G of :func:`weighted_laplacians`.  Its terms are
-    |Omega| |P|^T + |C|+ |L|^T and |C|+^T |P|^T + |G|+ |L|^T, where |C|+ and
-    |G|+ are summed from |w| and |g|.  Row v of Omega P^T is p_v times the
-    diagonal entry (the weights of the non-loop edges at v) minus p_u times
-    the summed weight of the edges joining u and v, for each neighbour u.
-    Omega and C are summed in edge order, as the dense matrices are, so
-    parallel weights cancel before they meet P, and the product rounds within
-    its terms as the dense product does.
+    the lattice rows, with the blocks Omega, C and G of :func:`_blocks`.  Its
+    terms are |Omega| |P|^T + |C|+ |L|^T and |C|+^T |P|^T + |G|+ |L|^T, where
+    |C|+ and |G|+ are summed from |w| and |g|.  Row v of Omega P^T is p_v
+    times the diagonal entry minus p_u times the summed weight of the edges
+    joining u and v, for each neighbour u.  Omega and C are summed in edge
+    order, as the dense matrices are, so parallel weights cancel before they
+    meet P, and the product rounds within its terms as the dense product does.
     """
-    if w.size != graph.num_edges:
-        raise ValueError("need one weight per edge")
-    n, d = graph.num_vertices, graph.dimension
-    support = graph._laplacian_support
-    wk = w[support.edges]
-    diagonal = (np.bincount(support.tails, wk, n) + np.bincount(support.heads, wk, n))[:, None]
-    entries = np.bincount(support.pair, -wk)  # Omega's off-diagonal entries, pair by pair
+    n, d = points.shape
+    diagonal, entries, cross, lattice, weighted = _blocks(graph, w)
+    support, diagonal = graph._laplacian_support, diagonal[:, None]
     met = points[support.others] * np.concatenate([entries, entries])[:, None]
     laplacian = points * diagonal + np.bincount(support.end_slots, met.ravel(), n * d).reshape(n, d)
     abs_points = np.abs(points)
     abs_laplacian = abs_points * np.abs(diagonal) + np.bincount(
         support.end_slots, np.abs(met).ravel(), n * d).reshape(n, d)
-    gains = graph.gain_array
-    weighted = w[:, None] * gains
     abs_weighted = np.abs(weighted)
-    cross = _vertex_scatter(graph, weighted, -1.0)
     abs_cross = _vertex_scatter(graph, abs_weighted, 1.0)
-    lattice = weighted.T @ gains
     abs_lt = np.abs(L).T
-    product = np.concatenate(
-        [laplacian + cross @ L.T, cross.T @ points + (0.5 * (lattice + lattice.T)) @ L.T])
+    product = np.concatenate([laplacian + cross @ L.T, cross.T @ points + lattice @ L.T])
+    abs_lattice = abs_weighted.T @ np.abs(graph.gain_array)
     terms = np.concatenate([abs_laplacian + abs_cross @ abs_lt,
-                            abs_cross.T @ abs_points + (abs_weighted.T @ np.abs(gains)) @ abs_lt])
+                            abs_cross.T @ abs_points + abs_lattice @ abs_lt])
     return product, terms
 
 

@@ -330,6 +330,19 @@ def test_minimize_assembles_laplacians_once(hexes, tmp_path, monkeypatch, capsys
     assert len(assemblies) == 1
 
 
+def test_rank_of_a_strictly_positive_stress_assembles_nothing(hexes, tmp_path, monkeypatch, capsys):
+    """``rank`` takes both stress matrices' shapes from the graph and decides
+    a strictly positive stress from the graph, so it builds neither matrix."""
+    from perigid import fileformat
+    from perigid.cli import cli
+
+    path = tmp_path / "hex.json"
+    path.write_bytes(fileformat.dumps(hexes.graph, hexes.realization, hexes.stress))
+    assemblies = _counting_assemblies(monkeypatch)
+    assert cli(["rank", str(path)]) == 0
+    assert assemblies == []
+
+
 def test_certify_spiderweb_hex(hexes, tol):
     all_cable = hexes.graph.with_markings(["cable"] * 9)
     cert = certify_spiderweb(all_cable, hexes.realization, hexes.stress, tol)

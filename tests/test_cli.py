@@ -185,6 +185,45 @@ def test_cli_minimize_hex(fixture_file, capsys):
     assert data["report"]["kkt"]["passed"] is True
 
 
+def _weightless(fixture_file, tmp_path, name: str) -> str:
+    doc = json.loads(Path(fixture_file(name)).read_text())
+    for edge in doc["edges"]:
+        del edge["weight"]
+    path = tmp_path / f"{name}_weightless.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("source", [["--stress", "compute"], []], ids=["compute", "from-file"])
+def test_cli_minimize_computes_the_stress_of_a_weightless_file(
+    fixture_file, tmp_path, capsys, source
+):
+    """With no weights in the file, ``--stress compute`` and the from-file
+    default both take the normalised stress of the one-dimensional fixed
+    stress space: on hex, its all-ones stress."""
+    path = _weightless(fixture_file, tmp_path, "hex")
+    assert cli(["minimize", path, "--json", *source]) == 0
+    computed = json.loads(capsys.readouterr().out)["report"]
+    assert cli(["minimize", fixture_file("hex"), "--json"]) == 0
+    from_file = json.loads(capsys.readouterr().out)["report"]
+    assert (computed["stress_source"], from_file["stress_source"]) == ("computed", "from-file")
+    assert computed["kkt"]["passed"] is True
+    assert computed["energy"] == pytest.approx(from_file["energy"], rel=1e-9)
+
+
+@pytest.mark.parametrize("source", [["--stress", "compute"], []], ids=["compute", "from-file"])
+def test_cli_minimize_without_a_stress_to_infer_is_input_error(
+    fixture_file, tmp_path, capsys, source
+):
+    """Weightless flex2's fixed stress space has dimension 4, so no stress
+    can be inferred: a ParseError and exit 2."""
+    path = _weightless(fixture_file, tmp_path, "flex2")
+    assert cli(["minimize", path, *source]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ParseError: cannot infer a stress")
+
+
 def test_cli_info_rank_stresses(fixture_file, capsys):
     assert cli(["info", fixture_file("hex"), "--json"]) == 0
     info = json.loads(capsys.readouterr().out)

@@ -1,7 +1,8 @@
 """The package's modules form layers: every intra-package import is made at
 module level and the graph of those imports has no cycle.  Outside the
 package they import only the standard library and numpy, the one declared
-runtime dependency."""
+runtime dependency.  A stress matrix is assembled and decided in few, named
+places."""
 
 import ast
 import graphlib
@@ -57,3 +58,34 @@ def test_package_imports_only_stdlib_and_numpy():
                 if top != "numpy" and top not in sys.stdlib_module_names:
                     outside.setdefault(path.name, []).append(name)
     assert outside == {}, "imports outside the standard library and numpy"
+
+
+def _callers(name: str) -> set:
+    """The package's top-level functions and methods, as ``module.function``
+    or ``module.Class.method``, whose bodies (closures included) call ``name``
+    as a bare name or as an attribute."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            is_class = isinstance(node, ast.ClassDef)
+            for member in node.body if is_class else [node]:
+                scope = getattr(member, "name", "<module>")
+                scope = f"{path.stem}.{node.name}.{scope}" if is_class else f"{path.stem}.{scope}"
+                for call in ast.walk(member):
+                    func = getattr(call, "func", None)
+                    if name in (getattr(func, "id", None), getattr(func, "attr", None)):
+                        callers.add(scope)
+    return callers
+
+
+def test_one_path_decides_a_stress_matrix():
+    """Only ``_stress_spectrum`` takes a stress matrix's spectrum; the dense
+    matrices are built only there and where a solve or a conjugation reads
+    their entries."""
+    assert _callers("symmetric_spectrum") == {"stress._stress_spectrum"}
+    assert _callers("weighted_laplacians") == {
+        "stress._stress_spectrum",
+        "optimize.standard_realization",
+        "construct.conjugation_identity_check",
+    }

@@ -76,8 +76,13 @@ def test_energy_cross_checks_catch_an_error_at_tiny_weights(monkeypatch, tol):
     tiny = 1e-12 * w
     energy(graph, tiny, real, tol)
     energy_gradient(graph, tiny, real, tol)
-    original = optimize._form
-    monkeypatch.setattr(optimize, "_form", lambda *args: original(*args) * (1.0 + 1e-3))
+    original = optimize._zd_terms
+
+    def skewed(*args):
+        product, terms = original(*args)
+        return product * (1.0 + 1e-3), terms
+
+    monkeypatch.setattr(optimize, "_zd_terms", skewed)
     with pytest.raises(FormMismatch):
         energy(graph, tiny, real, tol)
     with pytest.raises(FormMismatch):
