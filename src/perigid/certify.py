@@ -52,7 +52,7 @@ from .framework import (
 )
 from .gain import GainGraph
 from .linalg import _certified_left_kernel_sample, nullspace
-from .stress import _equilibrium, _strictly_positive, _stress_spectrum, is_proper
+from .stress import _strictly_positive, _stress_spectrum, is_proper, verify_equilibrium
 from .tolerances import ToleranceVault
 
 
@@ -146,7 +146,7 @@ _BLOCKS = {"flexible": "zd_laplacian", "fixed": "laplacian", "volume": "zd_lapla
 def _assess(graph, real, w, tol, mode, lam=None):
     """The ``mode`` equilibrium report of ``w`` and the spectrum of the mode's
     stress matrix (L in fixed mode, else Lzd)."""
-    eq = _equilibrium(graph, real, w, mode, tol, lam)
+    eq = verify_equilibrium(graph, real, w, mode, tol, lam)
     return eq, _stress_spectrum(graph, w, _BLOCKS[mode], tol)
 
 

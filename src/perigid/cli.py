@@ -374,12 +374,7 @@ def _run_from_finite(args, vault) -> tuple[Optional[dict], int, Optional[bytes]]
         raise ParseError("from-finite needs a finite framework file")
     finite, finite_stress = fileformat.loads_finite(_read(args.file))
     quotient = construct.finite_to_periodic(finite, _parse_pairs(args.pairs))
-    weights = None
-    if finite_stress is not None:
-        weights = construct.transport_stress(
-            finite_stress, quotient.correspondence, quotient.graph.num_edges
-        )
-    document = fileformat.dumps(quotient.graph, quotient.realization, weights)
+    document = fileformat.dumps(quotient.graph, quotient.realization, finite_stress)
     if args.emit:
         _write(args.emit, document)
         payload = {

@@ -81,7 +81,6 @@ class PeriodicQuotient:
 
     graph: GainGraph
     realization: Realization
-    correspondence: tuple[int, ...]  # finite edge index -> periodic edge index
 
 
 def finite_to_periodic(
@@ -128,7 +127,7 @@ def finite_to_periodic(
     surviving = tuple(v for v in finite.vertices if v not in head_index)
     graph = GainGraph(d, surviving, gained)
     points = {v: np.asarray(finite.points[v], dtype=float) for v in surviving}
-    return PeriodicQuotient(graph, Realization(points, columns), tuple(range(len(gained))))
+    return PeriodicQuotient(graph, Realization(points, columns))
 
 
 def transport_stress(weights, correspondence: Sequence[int], num_edges: int) -> np.ndarray:
@@ -160,8 +159,7 @@ def conjugation_identity_check(
     size = n_quot + d
     if size != len(finite.vertices):
         raise ShapeMismatch("identified vertex count does not match lattice rank")
-    w_quot = transport_stress(weights, quotient.correspondence, graph.num_edges)
-    lap_zd = weighted_laplacians(graph, w_quot).zd_laplacian
+    lap_zd = weighted_laplacians(graph, weights).zd_laplacian
 
     tau = np.eye(size)
     for i, (u, _) in enumerate(pairs):
@@ -301,7 +299,7 @@ def _octagon() -> Fixture:
         "octagon",
         quotient.graph,
         quotient.realization,
-        transport_stress(stress, quotient.correspondence, quotient.graph.num_edges),
+        stress,
         "rolled-up super stable octagon tensegrity (rim cables, strut diagonals)",
         finite=finite,
         finite_stress=stress,

@@ -14,10 +14,6 @@ class NonFiniteEntry(PerigidError):
     """A matrix contains NaN or infinite entries."""
 
 
-class AsymmetricInput(PerigidError):
-    """A matrix expected to be symmetric is not, beyond tolerance."""
-
-
 class ZeroLoop(PerigidError):
     """An edge (u, u, 0) was supplied; gain graphs forbid zero-gain loops."""
 

@@ -18,6 +18,9 @@ from .gain import GainGraph, Vertex
 from .linalg import _pivot_rows, _scatter_rows, numeric_rank
 from .tolerances import ToleranceVault
 
+# Lattice draws :func:`random_realization` makes before it gives up.
+_LATTICE_DRAWS = 10
+
 
 @dataclass
 class Realization:
@@ -227,15 +230,22 @@ def random_realization(
     """High-entropy stand-in for a generic realization; deterministic per seed.
 
     Coordinates and lattice entries are uniform on [1, 2); the lattice is
-    redrawn in the measure-zero event that it comes out singular.
+    redrawn in the measure-zero event that it comes out flat.  A
+    ``residual_tol`` near one makes every draw flat (two columns from
+    [1, 2)^2 are at most about 37 degrees apart, so |det L| <= 0.6 times
+    Hadamard's bound), so after ``_LATTICE_DRAWS`` draws this raises
+    :class:`FlatLattice`.
     """
     rng = np.random.default_rng(tol.rng_seed if seed is None else seed)
     d = graph.dimension
     points = dict(zip(graph.vertices, rng.uniform(1.0, 2.0, size=(graph.num_vertices, d))))
-    lattice = rng.uniform(1.0, 2.0, size=(d, d))
-    while not _non_flat(lattice, tol):
+    for _ in range(_LATTICE_DRAWS):
         lattice = rng.uniform(1.0, 2.0, size=(d, d))
-    return Realization(points, lattice)
+        if _non_flat(lattice, tol):
+            return Realization(points, lattice)
+    raise FlatLattice(
+        f"none of {_LATTICE_DRAWS} random lattices is non-flat at residual_tol {tol.residual_tol:g}"
+    )
 
 
 def congruence_check(

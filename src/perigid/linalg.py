@@ -12,7 +12,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import AsymmetricInput, NonFiniteEntry
+from .errors import NonFiniteEntry
 from .tolerances import ToleranceVault
 
 # Singular-value ratio below which a rank cut is reported as marginal.
@@ -51,7 +51,6 @@ class RankResult(NamedTuple):
 class SpectrumResult(NamedTuple):
     rank: int
     nullity: int
-    eigenvalues: Optional[np.ndarray]  # ascending; None when decided with no eigensolve
     marginal: bool
     is_psd: bool
     min_eigenvalue: float
@@ -358,14 +357,12 @@ def nullspace(matrix, side: str, tol: ToleranceVault) -> np.ndarray:
 
 
 def symmetric_spectrum(matrix, tol: ToleranceVault, scale_floor: float = 0.0) -> SpectrumResult:
-    """Rank, marginal flag and PSD verdict of a (nearly) symmetric matrix from
-    one eigenvalue decomposition.
+    """Rank, marginal flag and PSD verdict of an exactly symmetric matrix of
+    order at least one from one eigenvalue decomposition, of the matrix as it
+    is.
 
-    An exactly symmetric matrix goes to the eigensolver as it is.  Otherwise
-    this raises :class:`AsymmetricInput` when the asymmetry exceeds
-    ``residual_tol * (1 + |S|)`` and symmetrizes a copy before the
-    eigensolve.  The rank applies :func:`numeric_rank`'s cut and gap guard to
-    the eigenvalue magnitudes, which are the singular values of a symmetric
+    The rank applies :func:`numeric_rank`'s cut and gap guard to the
+    eigenvalue magnitudes, which are the singular values of a symmetric
     matrix, with ``max(sigma_1, scale_floor)`` in place of sigma_1: a caller
     that knows the natural scale of the assembly passes it, so a matrix that
     cancels to zero up to floating noise ranks as zero.  PSD means no
@@ -373,20 +370,10 @@ def symmetric_spectrum(matrix, tol: ToleranceVault, scale_floor: float = 0.0) ->
     positive or negative by the same one number.
     """
     m = _as_float_matrix(matrix)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("symmetric_spectrum needs a square matrix")
-    if m.size == 0:
-        return SpectrumResult(0, 0, np.zeros(0), False, True, 0.0)
-    if not np.array_equal(m, m.T):  # 0.5 (m + m^T) is m itself when it is symmetric
-        scale = 1.0 + max(float(m.max()), -float(m.min()))
-        asym = float(np.abs(m - m.T).max())
-        if asym > tol.residual_tol * scale:
-            raise AsymmetricInput(f"asymmetry {asym:g} exceeds tolerance")
-        m = 0.5 * (m + m.T)
     eigs = np.linalg.eigvalsh(m)
     rank, marginal, threshold = _rank_cut(np.sort(np.abs(eigs))[::-1], m.shape, tol, scale_floor)
     lam_min = float(eigs[0])
-    return SpectrumResult(rank, eigs.size - rank, eigs, marginal, lam_min >= -threshold, lam_min)
+    return SpectrumResult(rank, eigs.size - rank, marginal, lam_min >= -threshold, lam_min)
 
 
 def _as_int_rows(matrix) -> list[list[int]]:

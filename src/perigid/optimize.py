@@ -31,7 +31,7 @@ from .framework import (
 )
 from .gain import GainGraph
 from .linalg import _rank_cut
-from .stress import _equilibrium, _stress_spectrum, _zd_terms, weighted_laplacians
+from .stress import _stress_spectrum, _zd_terms, verify_equilibrium, weighted_laplacians
 from .tolerances import ToleranceVault
 
 
@@ -107,7 +107,7 @@ def verify_kkt(
     w = np.asarray(weights, dtype=float).reshape(-1)
     if not real.non_flat(tol):
         raise FlatLattice("KKT verification needs a nonsingular lattice")
-    eq = _equilibrium(graph, real, w, "volume", tol, lam)
+    eq = verify_equilibrium(graph, real, w, "volume", tol, lam)
     volume = abs(float(np.linalg.det(real.lattice)))
     slackness = abs(lam * float(np.log(volume)))
     nu = edge_vectors(graph, real)

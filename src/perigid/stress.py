@@ -52,11 +52,6 @@ class WeightedLaplacians:
         n = self.laplacian.shape[0]
         return self.zd_laplacian[:n, n:]
 
-    @property
-    def lattice_block(self) -> np.ndarray:
-        n = self.laplacian.shape[0]
-        return self.zd_laplacian[n:, n:]
-
 
 def _vertex_scatter(graph: GainGraph, values: np.ndarray, tail_sign: float) -> np.ndarray:
     """|V| x d matrix: row v sums the rows of the |E| x d ``values`` over the
@@ -140,7 +135,7 @@ def _stress_spectrum(
         order, rank = n, n - len(graph.components())
     else:
         order, rank = n + graph.dimension, graph.full_rank_condition()[1]
-    return SpectrumResult(rank, order - rank, None, False, True, 0.0)
+    return SpectrumResult(rank, order - rank, False, True, 0.0)
 
 
 def stress_space(graph: GainGraph, real: Realization, tol: ToleranceVault) -> np.ndarray:
@@ -196,16 +191,42 @@ def verify_equilibrium(
     tol: ToleranceVault,
     lam: Optional[float] = None,
 ) -> EquilibriumReport:
-    """Residual check of the equilibrium conditions in the requested mode.
+    """Residual check of the equilibrium conditions in the requested mode,
+    summed over the edges with no matrix of order |V|.
 
     flexible: |[P L] Lzd|_max,  fixed: |P Omega + L M diag(w) I|_max,
-    volume:   |[P L] Lzd - lam [0  L^-T]|_max.  The gate scale is the max of
-    the same products taken term by term in absolute values (scale-free).
+    volume:   |[P L] Lzd - lam [0  L^-T]|_max.  [P L] Lzd and its terms are
+    the transposes of :func:`_zd_terms`, and fixed mode reads their vertex
+    columns.  The gate scale is the max of the same products taken term by
+    term in absolute values (scale-free): |P| |Omega| + |L| |C|+^T on the
+    vertex columns, |P| |C|+ + |L| |G|+ (+ |lam L^-T|) on the lattice
+    columns.  In fixed mode a loop e at v adds |w_e| |L| |g_e| per end to v's
+    column.
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
     if mode not in ("flexible", "fixed", "volume"):
         raise ValueError(f"unknown mode {mode!r}")
-    return _equilibrium(graph, real, w, mode, tol, lam)
+    if mode == "volume":
+        if lam is None:
+            raise ValueError("volume mode needs the multiplier lam")
+        if not real.non_flat(tol):
+            raise FlatLattice("volume equilibrium needs a nonsingular lattice")
+    n, L = graph.num_vertices, real.lattice
+    resid, bound = _zd_terms(graph, w, point_matrix(graph, real).T, L)
+    if mode == "fixed":
+        resid, bound = resid[:n], bound[:n]
+        loops = graph.loop_mask
+        if loops.any():
+            # a loop's two ends cancel in the residual, yet each is a term of its vertex's sum
+            ends = np.abs(graph.gain_array[loops]) @ np.abs(L).T
+            np.add.at(bound, graph.head_idx[loops], 2.0 * np.abs(w[loops])[:, None] * ends)
+    elif mode == "volume":
+        target = lam * np.linalg.inv(L)  # lam L^-T, transposed
+        resid[n:] -= target
+        bound[n:] += np.abs(target)
+    residual = float(np.abs(resid).max(initial=0.0))
+    scale = float(bound.max(initial=0.0))
+    return EquilibriumReport(mode, residual, scale, residual <= tol.residual_tol * scale)
 
 
 def _zd_terms(graph: GainGraph, w: np.ndarray, points: np.ndarray, L: np.ndarray):
@@ -238,38 +259,6 @@ def _zd_terms(graph: GainGraph, w: np.ndarray, points: np.ndarray, L: np.ndarray
     terms = np.concatenate([abs_laplacian + abs_cross @ abs_lt,
                             abs_cross.T @ abs_points + abs_lattice @ abs_lt])
     return product, terms
-
-
-def _equilibrium(graph, real, w, mode, tol, lam=None):
-    """:func:`verify_equilibrium` on a weight array, summed over the edges with
-    no matrix of order |V|: [P L] Lzd and its terms are the transposes of
-    :func:`_zd_terms`, and fixed mode reads their vertex columns.
-
-    The gate's terms: |P| |Omega| + |L| |C|+^T on the vertex columns,
-    |P| |C|+ + |L| |G|+ (+ |lam L^-T|) on the lattice columns.  In fixed mode
-    a loop e at v adds |w_e| |L| |g_e| per end to v's column.
-    """
-    if mode == "volume":
-        if lam is None:
-            raise ValueError("volume mode needs the multiplier lam")
-        if not real.non_flat(tol):
-            raise FlatLattice("volume equilibrium needs a nonsingular lattice")
-    n, L = graph.num_vertices, real.lattice
-    resid, bound = _zd_terms(graph, w, point_matrix(graph, real).T, L)
-    if mode == "fixed":
-        resid, bound = resid[:n], bound[:n]
-        loops = graph.loop_mask
-        if loops.any():
-            # a loop's two ends cancel in the residual, yet each is a term of its vertex's sum
-            ends = np.abs(graph.gain_array[loops]) @ np.abs(L).T
-            np.add.at(bound, graph.head_idx[loops], 2.0 * np.abs(w[loops])[:, None] * ends)
-    elif mode == "volume":
-        target = lam * np.linalg.inv(L)  # lam L^-T, transposed
-        resid[n:] -= target
-        bound[n:] += np.abs(target)
-    residual = float(np.abs(resid).max(initial=0.0))
-    scale = float(bound.max(initial=0.0))
-    return EquilibriumReport(mode, residual, scale, residual <= tol.residual_tol * scale)
 
 
 def default_loop_gains(dimension: int) -> list[tuple[int, ...]]:
@@ -310,7 +299,7 @@ def extend_with_loops(
     w = np.asarray(weights, dtype=float).reshape(-1)
     if not real.non_flat(tol):
         raise FlatLattice("loop extension needs a nonsingular lattice")
-    base = _equilibrium(graph, real, w, "fixed", tol)
+    base = verify_equilibrium(graph, real, w, "fixed", tol)
     if not base.passed:
         raise NotFixedLatticeStress(
             f"fixed-lattice equilibrium residual {base.residual:g} fails"
@@ -358,7 +347,7 @@ def strip_loops(
     w = np.asarray(weights, dtype=float).reshape(-1)
     if not real.non_flat(tol):
         raise FlatLattice("loop stripping is stated for non-flat frameworks")
-    full = _equilibrium(graph, real, w, "flexible", tol)
+    full = verify_equilibrium(graph, real, w, "flexible", tol)
     if not full.passed:
         raise NotFixedLatticeStress(f"equilibrium residual {full.residual:g} fails")
     stripped, keep = graph.without_loops()
@@ -370,7 +359,7 @@ def strip_loops(
     )
     if not (report.rank_zd == report.rank_laplacian == report.rank_stripped):
         raise RankMismatch(f"loop stripping rank equalities failed: {report}")
-    check = _equilibrium(stripped, real, w_stripped, "fixed", tol)
+    check = verify_equilibrium(stripped, real, w_stripped, "fixed", tol)
     if not check.passed:
         raise RankMismatch(
             f"stripped stress is not a fixed-lattice equilibrium stress "

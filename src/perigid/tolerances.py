@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -23,8 +24,13 @@ class ToleranceVault:
 
     def __post_init__(self) -> None:
         for name in ("rank_rel_tol", "residual_tol"):
-            if not getattr(self, name) > 0.0:
+            value = getattr(self, name)
+            if not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
+            if math.isinf(value):
+                raise ValueError(f"{name} must be finite")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
         if self.generic_trials < 1:
             raise ValueError("generic_trials must be at least 1")
 

@@ -1,6 +1,9 @@
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import perigid
 from perigid import fileformat
 from perigid.cli import cli
 from perigid.errors import DuplicateEdge, ParseError, PerigidError, ZeroLoop
@@ -613,12 +617,47 @@ def test_readers_parse_or_raise_perigid_error(value):
 
 
 @pytest.mark.parametrize(
-    "option", [["--trials", "0"], ["--tol", "0"], ["--tol", "nan"]], ids=" ".join
+    "option",
+    [["--trials", "0"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"]],
+    ids=" ".join,
 )
 def test_cli_bad_numeric_option_is_usage_error(fixture_file, capsys, option):
     assert cli(["generic-test", fixture_file("hex"), *option]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,env",
+    [
+        (["generic-test", "--seed", "-1"], None),
+        (["generic-test"], "-1"),
+        (["certify", "--stress", "compute", "--seed", "-3"], None),
+    ],
+    ids=["flag", "environment", "certify-compute"],
+)
+def test_cli_negative_seed_is_usage_error(fixture_file, capsys, monkeypatch, argv, env):
+    """A negative seed is rejected before any draw, as a ParseError."""
+    path = fixture_file("flex2")
+    if env is not None:
+        monkeypatch.setenv("PERIGID_SEED", env)
+    assert cli([argv[0], path, *argv[1:]]) == 2
+    assert capsys.readouterr().err == (
+        "error: ParseError: invalid option value: rng_seed must be non-negative\n"
+    )
+
+
+def test_cli_tolerance_with_no_non_flat_lattice_exits_2(fixture_file):
+    """At --tol 0.999 no random lattice is non-flat; the call exits 2 naming
+    the tolerance, in a child process that would time out if it hung."""
+    env = dict(os.environ, PYTHONPATH=str(Path(perigid.__file__).parents[1]))
+    argv = [sys.executable, "-m", "perigid.cli", "generic-test", fixture_file("flex2")]
+    done = subprocess.run(argv + ["--tol", "0.999"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == (
+        "error: FlatLattice: none of 10 random lattices is non-flat at residual_tol 0.999\n"
+    )
 
 
 def test_cli_calls_share_one_parser_and_no_state(fixture_file, capsys):

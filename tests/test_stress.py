@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from perigid.errors import FlatLattice, NonFiniteEntry, NotFixedLatticeStress, SingularGainBasis
@@ -66,7 +66,7 @@ def test_weighted_laplacians_without_non_loop_edges_are_float(edges):
     assert laps.zd_laplacian.dtype == laps.laplacian.dtype == np.float64
     assert not laps.laplacian.any() and not laps.cross_block.any()
     expected = np.array([[2.0, 0.0], [0.0, 0.0]]) if edges else np.zeros((2, 2))
-    assert np.array_equal(laps.lattice_block, expected)
+    assert np.array_equal(laps.zd_laplacian[2:, 2:], expected)
 
 
 def test_weighted_laplacian_hex_is_graph_laplacian(hexes):
@@ -404,7 +404,7 @@ def test_stress_spectrum_agrees_with_the_eigenvalue_cut(tol, case):
         exact = _stress_spectrum(graph, weights, block, tol)
         cut = symmetric_spectrum(getattr(laps, block), tol, laps.weight_scale)
         assert (exact.nullity, exact.is_psd) == (cut.nullity, cut.is_psd)
-        assert (exact.rank, exact.eigenvalues) == (cut.rank, None)
+        assert exact.rank == cut.rank
         assert exact.min_eigenvalue == 0.0 and not exact.marginal
     if not mixed.size:
         return
@@ -412,8 +412,7 @@ def test_stress_spectrum_agrees_with_the_eigenvalue_cut(tol, case):
     for block in ("laplacian", "zd_laplacian"):
         got = _stress_spectrum(graph, mixed, block, tol)
         cut = symmetric_spectrum(getattr(laps, block), tol, laps.weight_scale)
-        assert np.array_equal(got.eigenvalues, cut.eigenvalues)
-        assert got._replace(eigenvalues=None) == cut._replace(eigenvalues=None)
+        assert got == cut
 
 
 def test_stress_spectrum_sends_non_finite_weights_to_the_eigensolver(hexes, tol):
@@ -471,8 +470,20 @@ def equilibrium_cases(draw):
     return graph, real, w, mode, lam
 
 
+# a stress of about 1e-313 whose edge-summed residual is one subnormal step
+# (5e-324) where the dense product gives 0.0
+SUBNORMAL_CASE = (
+    GainGraph(1, ["v0", "v1"], [("v1", "v0", (-1,)), ("v1", "v1", (-1,)), ("v1", "v0", (0,))]),
+    Realization({"v0": (0.5,), "v1": (1.0,)}, np.array([[0.5]])),
+    np.array([-3.3333333334e-314, 6.666666667e-314, 6.666666667e-314]),
+    "flexible",
+    0.0,
+)
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=equilibrium_cases())
+@example(case=SUBNORMAL_CASE)
 def test_edge_equilibrium_matches_the_dense_stress_matrices(tol, case):
     """The residual and gate summed over the edges are the dense products'
     within 1e-12 of the gate, and pass or fail alike."""
@@ -484,6 +495,11 @@ def test_edge_equilibrium_matches_the_dense_stress_matrices(tol, case):
             verify_equilibrium(graph, real, w, mode, tol, lam)
         return
     edges = verify_equilibrium(graph, real, w, mode, tol, lam)
-    assert abs(edges.residual - dense.residual) <= 1e-12 * dense.scale
-    assert abs(edges.scale - dense.scale) <= 1e-12 * dense.scale
+    # Each entry sums at most |V| + d + 1 products, and a product below the
+    # normal range rounds to a multiple of the least subnormal, an absolute
+    # error of up to half a step on either side that 1e-12 * scale does not
+    # cover once the scale is itself subnormal.
+    floor = (graph.num_vertices + graph.dimension + 1) * np.finfo(float).smallest_subnormal
+    assert abs(edges.residual - dense.residual) <= 1e-12 * dense.scale + floor
+    assert abs(edges.scale - dense.scale) <= 1e-12 * dense.scale + floor
     assert edges.passed == dense.passed
