@@ -56,7 +56,6 @@ from .construct import (
     conjugation_identity_check,
     finite_to_periodic,
     fixtures,
-    transport_stress,
 )
 
 __version__ = "0.1.0"
@@ -102,7 +101,6 @@ __all__ = [
     "standard_realization",
     "stress_space",
     "strip_loops",
-    "transport_stress",
     "trivial_motions",
     "verify_equilibrium",
     "verify_kkt",

@@ -14,14 +14,16 @@ stress assembles its stress matrix once, for one ``eigvalsh``
 (``stress._stress_spectrum``, which decides each generic trial's stress
 too):
 
-- flexible: equilibrium, nullity(Lzd) = d+1, Lzd PSD, no conic at infinity;
+- flexible: equilibrium, nullity(L) = 1, L PSD, no conic at infinity;
 - fixed: fixed equilibrium, nullity(L) = 1, L PSD;
 - spiderweb: fixed equilibrium, stress strictly positive, nullity(L) = 1, L PSD;
 - volume: multiplier positive, volume equilibrium, nullity(Lzd) = 1, Lzd PSD.
 
-Input gates raise before any clause: affinely spanning (flexible), proper
-signs (flexible, fixed, volume), the spiderweb preconditions, and a non-flat
-unit-volume lattice (volume).
+The flexible clauses are the paper's nullity(Lzd) = d+1 and Lzd PSD, read
+on L: for a stress in equilibrium at a non-flat lattice the two agree
+(``stress._stress_spectrum``).  Input gates raise before any clause: a
+non-flat lattice (flexible, volume), proper signs (flexible, fixed, volume),
+the spiderweb preconditions, and unit volume (volume).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .errors import (
     DegenerateEdge,
     FlatLattice,
     ImproperStress,
-    NotAffinelySpanning,
     NotSpiderweb,
     VolumeNotOne,
 )
@@ -46,7 +47,6 @@ from .framework import (
     _non_flat,
     _rigidity_entries,
     edge_vectors,
-    is_affinely_spanning,
     point_matrix,
     random_realization,
 )
@@ -140,12 +140,12 @@ def conic_at_infinity(
     return q / np.linalg.norm(q)
 
 
-_BLOCKS = {"flexible": "zd_laplacian", "fixed": "laplacian", "volume": "zd_laplacian"}
+_BLOCKS = {"flexible": "laplacian", "fixed": "laplacian", "volume": "zd_laplacian"}
 
 
 def _assess(graph, real, w, tol, mode, lam=None):
     """The ``mode`` equilibrium report of ``w`` and the spectrum of the mode's
-    stress matrix (L in fixed mode, else Lzd)."""
+    stress matrix (Lzd in volume mode, else L)."""
     eq = verify_equilibrium(graph, real, w, mode, tol, lam)
     return eq, _stress_spectrum(graph, w, _BLOCKS[mode], tol)
 
@@ -173,24 +173,24 @@ def _decide(verdict_on_pass: str, clauses, w, eq, spec, **extra) -> Certificate:
 def certify_super_stable(
     graph: GainGraph, real: Realization, weights, tol: ToleranceVault
 ) -> Certificate:
-    """Flexible-lattice super-stability certificate.
+    """Flexible-lattice super-stability certificate at a non-flat lattice.
 
-    Sufficiency only: equilibrium + kernel dimension d+1 + PSD + no conic at
-    infinity yields SuperStable; any failing clause yields Inconclusive with
-    the clause named, never a negative global-rigidity verdict.
+    Sufficiency only: equilibrium + kernel dimension 1 + PSD for L (so d+1
+    and PSD for Lzd) + no conic at infinity yields SuperStable; any failing
+    clause yields Inconclusive with the clause named, never a negative
+    global-rigidity verdict.
     """
-    if not is_affinely_spanning(graph, real, tol):
-        raise NotAffinelySpanning("super stability is stated for affinely spanning frameworks")
+    if not real.non_flat(tol):
+        raise FlatLattice("flexible super stability needs a nonsingular lattice")
     if not is_proper(graph, weights, tol):
         raise ImproperStress("stress violates the cable/strut sign conditions")
     w = np.asarray(weights, dtype=float).reshape(-1)
-    d = graph.dimension
     eq, spec = _assess(graph, real, w, tol, "flexible")
     conic = conic_at_infinity(graph, real, tol)
     clauses = [
         (eq.passed, f"equilibrium residual {eq.residual:g} exceeds tolerance"),
-        (spec.nullity == d + 1, f"kernel dimension {spec.nullity} != d+1 = {d + 1}"),
-        (spec.is_psd, f"stress matrix not PSD (min eigenvalue {spec.min_eigenvalue:g})"),
+        (spec.nullity == 1, f"Laplacian kernel dimension {spec.nullity} != 1"),
+        (spec.is_psd, f"Laplacian not PSD (min eigenvalue {spec.min_eigenvalue:g})"),
         (conic is None, "edge directions lie on a conic at infinity"),
     ]
     return _decide(Verdict.SUPER_STABLE, clauses, w, eq, spec, conic_witness=conic)
@@ -312,18 +312,17 @@ def _sample(graph: GainGraph, real: Realization, fixed: bool, rng, tol: Toleranc
     return (n, *_certified_left_kernel_sample(cols, vals, n, motions, rng, tol))
 
 
-def _sample_stress(entry: dict, graph, rank, marginal, stress, tol, block, kernel) -> dict:
+def _sample_stress(entry: dict, graph, rank, marginal, stress, tol) -> dict:
     """Finish a trial entry from its rigidity matrix's rank and marginal flag
-    and a random ``stress``: positive when the stress's ``block`` Laplacian has
-    nullity ``kernel``, marginal when either cut is.  With no stress but zero,
-    that Laplacian is zero and its nullity is the block's order."""
+    and a random ``stress``: positive when the stress's Laplacian has nullity
+    1 (for a flexible stress, Lzd nullity d+1), marginal when either cut is.
+    With no stress but zero, the Laplacian is zero, of nullity |V|."""
     entry["stress_space_dim"] = dim = graph.num_edges - rank
     if dim == 0:
-        order = graph.num_vertices + (graph.dimension if block == "zd_laplacian" else 0)
-        entry.update(positive=order == kernel, branch="stress-free", marginal=marginal)
+        entry.update(positive=graph.num_vertices == 1, branch="stress-free", marginal=marginal)
         return entry
-    spec = _stress_spectrum(graph, stress, block, tol)
-    entry.update(stress_kernel_dim=spec.nullity, positive=spec.nullity == kernel)
+    spec = _stress_spectrum(graph, stress, "laplacian", tol)
+    entry.update(stress_kernel_dim=spec.nullity, positive=spec.nullity == 1)
     entry.update(branch="stress sampling", marginal=marginal or spec.marginal)
     return entry
 
@@ -340,7 +339,8 @@ def generic_global_rigidity_test(graph: GainGraph, tol: ToleranceVault) -> Certi
     go through, one least-squares solve of the dense R gives both
     (:func:`~perigid.linalg._certified_left_kernel_sample`).  The framework
     must be infinitesimally rigid (nullity of R equal to d(d+1)/2) and the
-    stress matrix of that stress must have kernel dimension exactly d+1.
+    stress matrix Lzd of that stress must have kernel dimension exactly d+1,
+    decided as kernel dimension one of its Laplacian.
     Single-orbit graphs reduce to infinitesimal rigidity alone.  The verdict
     is the majority over the trials and the marginal flag records any
     disagreement or marginal rank cut.  R has |E| rows, so with fewer than
@@ -358,7 +358,7 @@ def generic_global_rigidity_test(graph: GainGraph, tol: ToleranceVault) -> Certi
             branch = "single-orbit" if graph.num_vertices == 1 else "not infinitesimally rigid"
             entry.update(positive=rigid, branch=branch, marginal=marginal)
             return entry
-        return _sample_stress(entry, graph, rank, marginal, stress, tol, "zd_laplacian", d + 1)
+        return _sample_stress(entry, graph, rank, marginal, stress, tol)
 
     verdicts = (Verdict.GENERIC_GLOBALLY_RIGID, Verdict.GENERIC_NOT_GLOBALLY_RIGID)
     count = d * graph.num_vertices + d * (d - 1) // 2
@@ -394,7 +394,7 @@ def generic_fixed_global_rigidity_test(
             real = Realization(real.points, lattice)
         _, rank, marginal, stress = _sample(graph, real, True, rng, tol)
         entry = {"seed": seed}
-        return _sample_stress(entry, graph, rank, marginal, stress, tol, "laplacian", 1)
+        return _sample_stress(entry, graph, rank, marginal, stress, tol)
 
     verdicts = (Verdict.FIXED_GENERIC_GLOBALLY_RIGID, Verdict.FIXED_GENERIC_NOT_GLOBALLY_RIGID)
     count = graph.dimension * (graph.num_vertices - 1)

@@ -130,15 +130,6 @@ def finite_to_periodic(
     return PeriodicQuotient(graph, Realization(points, columns))
 
 
-def transport_stress(weights, correspondence: Sequence[int], num_edges: int) -> np.ndarray:
-    """Carry a finite stress over the edge bijection onto the quotient graph."""
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    out = np.zeros(num_edges)
-    for finite_idx, periodic_idx in enumerate(correspondence):
-        out[periodic_idx] = w[finite_idx]
-    return out
-
-
 def conjugation_identity_check(
     finite: FiniteFramework,
     weights,

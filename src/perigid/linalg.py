@@ -76,7 +76,7 @@ def _rank_cut(
     rank = int(np.sum(svals > threshold))
     marginal = False
     if 0 < rank < svals.size and svals[rank] > 0.0:
-        marginal = bool(svals[rank - 1] / svals[rank] < RANK_GAP_GUARD)
+        marginal = bool(svals[rank - 1] < RANK_GAP_GUARD * svals[rank])
     return rank, marginal, threshold
 
 

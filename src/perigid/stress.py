@@ -117,7 +117,7 @@ def _stress_spectrum(
     ``block`` ("laplacian" or "zd_laplacian").
 
     A strictly positive stress is decided from the graph, exactly and with no
-    matrix: L = sum_e w_e b_e b_e^T and Lzd = sum_e w_e a_e a_e^T (b_e, a_e
+    matrix: Omega = sum_e w_e b_e b_e^T and Lzd = sum_e w_e a_e a_e^T (b_e, a_e
     the rows of the incidence matrix and of I_zd) are sums of PSD rank-one
     terms, so each is PSD with the kernel of its incidence matrix.  The
     Laplacian's nullity is the number of components and Lzd's is
@@ -126,6 +126,16 @@ def _stress_spectrum(
     eigenvalue is exactly 0.0 and no cut is marginal.  Every other stress is
     assembled and goes to :func:`~perigid.linalg.symmetric_spectrum`.  This is
     the one place a stress matrix's kernel and sign are decided.
+
+    The Laplacian Omega decides Lzd for a stress in flexible equilibrium
+    (Lzd [P L]^T = 0) at a non-flat lattice L: nullity(Lzd) = nullity(Omega)
+    + d, and Lzd is PSD exactly when Omega is.  Proof: K = span(1-hat, the
+    columns of [P L]^T) lies in ker Lzd.  On the d+1 coordinates S = {v1} +
+    lattice, K's basis reads [[1, p(v1)^T], [0, L^T]], of determinant
+    det L != 0, so every x is k + y with k in K and y zero on S, and
+    x^T Lzd x = y^T Omega[1:,1:] y.  Omega 1 = 0 splits Omega's form the same
+    way: Lzd is congruent to 0_(d+1) + Omega[1:,1:], Omega to 0_1 +
+    Omega[1:,1:], and Sylvester's law of inertia gives both claims.
     """
     if not _strictly_positive(w, tol):
         laps = weighted_laplacians(graph, w)

@@ -34,7 +34,7 @@ from perigid.fileformat import (
 )
 from perigid.framework import Realization, point_matrix
 from perigid.gain import MARKINGS, GainGraph, canonicalize_edge
-from perigid.linalg import _as_int_rows
+from perigid.linalg import _as_int_rows, symmetric_spectrum
 from perigid.optimize import energy, energy_gradient
 from perigid.stress import EquilibriumReport, _vertex_scatter, weighted_laplacians
 from perigid.tolerances import ToleranceVault
@@ -183,7 +183,9 @@ def reverify(
     """Re-run the checks behind a positive stress certificate from its witness.
 
     A fixed-lattice verdict re-runs the fixed-lattice certificate, also when a
-    spiderweb check issued it.
+    spiderweb check issued it.  A flexible verdict, which the package decides
+    on the Laplacian L, also checks the paper's own statement on the dense
+    lattice-extended Lzd: kernel dimension d+1 and PSD.
     """
     w, lam = certificate.witness_stress, certificate.witness_lambda
     again = {
@@ -193,6 +195,11 @@ def reverify(
     }.get(certificate.verdict)
     if again is None:
         raise ValueError("reverify handles positive stress-certificate verdicts only")
+    if certificate.verdict == Verdict.SUPER_STABLE:
+        laps = weighted_laplacians(graph, w)
+        dense = symmetric_spectrum(laps.zd_laplacian, tol, laps.weight_scale)
+        if dense.nullity != graph.dimension + 1 or not dense.is_psd:
+            return False
     return again().verdict == certificate.verdict
 
 

@@ -76,7 +76,7 @@ def test_conic_system_builds_no_square_edge_factor(monkeypatch, tol):
 def test_certify_super_stable_flex2(flex2, tol):
     cert = certify_super_stable(flex2.graph, flex2.realization, flex2.stress, tol)
     assert cert.verdict == Verdict.SUPER_STABLE
-    assert cert.kernel_dims == {"zd_laplacian": 3}
+    assert cert.kernel_dims == {"laplacian": 1}
     assert reverify(cert, flex2.graph, flex2.realization, tol)
 
 
@@ -92,8 +92,9 @@ def test_certify_super_stable_flex2_tensegrity(flex2, tol):
 def test_certify_super_stable_flex1_zero_matrix(flex1, tol):
     cert = certify_super_stable(flex1.graph, flex1.realization, flex1.stress, tol)
     assert cert.verdict == Verdict.SUPER_STABLE
-    assert cert.kernel_dims == {"zd_laplacian": 3}
+    assert cert.kernel_dims == {"laplacian": 1}
     assert cert.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
+    assert reverify(cert, flex1.graph, flex1.realization, tol)
 
 
 def test_certify_super_stable_hex_inconclusive(hexes, tol):
@@ -203,7 +204,7 @@ def test_each_certificate_factorises_its_laplacian_once(
     assemblies = _counting_assemblies(monkeypatch)
     for graph, eigensolves, positive, run in cases:
         n, d = graph.num_vertices, graph.dimension
-        size = n if mode in ("fixed", "spiderweb") else n + d
+        size = n + d if mode == "volume" else n
         del calls[:], assemblies[:]
         cert = run()
         assert cert.positive == positive
@@ -414,18 +415,19 @@ def test_generic_flexible_verdicts(flex1, flex2, hexes, tol):
 def test_generic_flexible_positive_with_stress(flex2, tol):
     # a third edge orbit at the degree-two vertex removes its reflection;
     # the resulting graph keeps a one-dimensional stress space whose generic
-    # stress matrix has kernel dimension exactly d+1
+    # stress matrix has kernel dimension exactly d+1: its Laplacian's is one
     edges = [(e.tail, e.head, e.gain) for e in flex2.graph.edges]
     g = GainGraph(2, flex2.graph.vertices, edges + [("v1", "v2", (0, 1))])
     cert = generic_global_rigidity_test(g, tol)
     assert cert.verdict == Verdict.GENERIC_GLOBALLY_RIGID
     assert all(t["branch"] == "stress sampling" for t in cert.trial_log)
-    assert all(t["stress_kernel_dim"] == 3 for t in cert.trial_log)
+    assert all(t["stress_kernel_dim"] == 1 for t in cert.trial_log)
 
 
 def test_generic_flexible_zero_stress_matrix_ranks_as_zero(tol):
     # duplicated loop pairs force the sampled stress matrix to cancel to the
-    # exact zero matrix; the floored rank must see kernel |V|+d, not noise
+    # exact zero matrix; the floored rank must see the Laplacian's kernel |V|,
+    # not noise
     g = GainGraph(
         2,
         ("a", "b"),
@@ -441,7 +443,7 @@ def test_generic_flexible_zero_stress_matrix_ranks_as_zero(tol):
     )
     cert = generic_global_rigidity_test(g, tol)
     assert cert.verdict == Verdict.GENERIC_NOT_GLOBALLY_RIGID
-    assert all(t["stress_kernel_dim"] == 4 for t in cert.trial_log)
+    assert all(t["stress_kernel_dim"] == 2 for t in cert.trial_log)
 
 
 def test_generic_fixed_verdicts(flex2, hexes, tol):
@@ -499,7 +501,7 @@ def test_generic_trial_one_lstsq_one_eigvalsh_no_svd(flex2, tol, count_factorisa
     calls = count_factorisations()
     if mode == "flexible":
         assert generic_global_rigidity_test(graph, tol).positive
-        per_trial = [("lstsq", (e, d * n + d * d)), ("eigvalsh", (n + d, n + d))]
+        per_trial = [("lstsq", (e, d * n + d * d)), ("eigvalsh", (n, n))]
     else:
         assert generic_fixed_global_rigidity_test(graph, tol).positive
         per_trial = [("lstsq", (e, d * n)), ("eigvalsh", (n, n))]
@@ -528,7 +530,7 @@ def test_generic_trial_gram_path_makes_no_svd(tol, count_factorisations, mode, c
         assert generic_global_rigidity_test(graph, tol).positive
         q = d * n + d * d - d * (d + 1) // 2
         per_trial = [("qr", (d * n + d * d, 3)), ("cholesky", (q, q))]
-        per_trial += [("inv", _diagonal_blocks(q)), ("eigvalsh", (n + d, n + d))]
+        per_trial += [("inv", _diagonal_blocks(q)), ("eigvalsh", (n, n))]
     else:
         assert generic_fixed_global_rigidity_test(graph, tol).positive
         q = d * n - d

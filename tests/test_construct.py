@@ -9,7 +9,6 @@ from perigid.construct import (
     conjugation_identity_check,
     finite_to_periodic,
     fixtures,
-    transport_stress,
 )
 from perigid.errors import DependentLatticeVectors, PairConditionViolated
 from perigid.linalg import numeric_rank, symmetric_spectrum
@@ -95,16 +94,6 @@ def test_octagon_periodic_super_stable(octagon, tol):
     cert = certify_super_stable(octagon.graph, octagon.realization, octagon.stress, tol)
     assert cert.verdict == Verdict.SUPER_STABLE
     assert conic_at_infinity(octagon.graph, octagon.realization, tol) is None
-
-
-def test_transport_stress_is_bijective(octagon):
-    carried = transport_stress(
-        octagon.finite_stress,
-        tuple(range(12)),
-        octagon.graph.num_edges,
-    )
-    assert np.array_equal(carried, octagon.stress)
-    assert np.array_equal(transport_stress(np.zeros(12), tuple(range(12)), 12), np.zeros(12))
 
 
 def triangle_1d():

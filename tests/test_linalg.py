@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,15 @@ def test_numeric_rank_marginal_flag(tol):
     spec = symmetric_spectrum(m, shrunk)
     assert spec.rank == 1 and spec.marginal
     assert numeric_rank(np.diag([1.0, 1e-12]), tol).marginal is False
+
+
+def test_numeric_rank_gap_guard_with_a_subnormal_value_does_not_overflow(tol):
+    """The gap across the cut is compared without dividing by the value past
+    it, which here is subnormal: 1.0 / 1e-320 would overflow."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = numeric_rank(np.diag([1.0, 1e-320]), tol)
+    assert res.rank == 1 and not res.marginal
 
 
 def test_nullspace_zero_matrix(tol):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from perigid.certify import certify_super_stable
 from perigid.errors import FlatLattice, NonFiniteEntry, NotFixedLatticeStress, SingularGainBasis
 from perigid.framework import (
     Realization,
@@ -301,8 +302,9 @@ def test_is_proper_zero_band(flex2, tol):
     assert is_proper(marked, np.array([1.0, -1e-12, 0.0, 0.0, 0.0]), tol)
 
 
-def test_flat_but_affinely_spanning_laplacian_kernel(tol):
-    """A flat lattice with an affinely spanning stress forces kernel >= 2."""
+def _flat_wheel():
+    """A triangle with its centre on a flat lattice (second column zero), and
+    a stress in fixed equilibrium that affinely spans the plane."""
     corners = {
         "a": np.array([1.0, 0.0]),
         "b": np.array([-0.5, math.sqrt(3.0) / 2.0]),
@@ -322,11 +324,77 @@ def test_flat_but_affinely_spanning_laplacian_kernel(tol):
         ],
     )
     flat = Realization(corners, np.array([[1.0, 0.0], [0.0, 0.0]]))
-    weights = np.array([1.0, 1.0, 1.0, -3.0, -3.0, -3.0])
+    return wheel, flat, np.array([1.0, 1.0, 1.0, -3.0, -3.0, -3.0])
+
+
+def test_flat_but_affinely_spanning_laplacian_kernel(tol):
+    """A flat lattice with an affinely spanning stress forces kernel >= 2."""
+    wheel, flat, weights = _flat_wheel()
     assert verify_equilibrium(wheel, flat, weights, "fixed", tol).passed
     laps = weighted_laplacians(wheel, weights)
     kernel = laps.laplacian.shape[0] - numeric_rank(laps.laplacian, tol).rank
     assert kernel >= 2
+
+
+def test_flexible_certificate_refuses_a_flat_lattice(tol, tmp_path):
+    """The flexible certificate reads the Laplacian in place of Lzd, which
+    holds only at a non-flat lattice: a flat one raises FlatLattice, and the
+    CLI exits 2, though the points span the plane."""
+    from perigid import fileformat
+    from perigid.cli import cli
+
+    wheel, flat, weights = _flat_wheel()
+    with pytest.raises(FlatLattice):
+        certify_super_stable(wheel, flat, weights, tol)
+    path = tmp_path / "wheel.json"
+    path.write_bytes(fileformat.dumps(wheel, flat, weights))
+    assert cli(["certify", str(path), "--mode", "flexible"]) == 2
+
+
+@st.composite
+def flexible_stress_cases(draw):
+    """Small gain graphs (d = 2-3, loops allowed, about as many edges as a
+    rigid one needs) at a seeded random non-flat realization, with a random
+    stress of their flexible stress space."""
+    d = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 4))
+    vertex = st.integers(0, n - 1)
+    gain = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    names = [f"v{i}" for i in range(n)]
+    kept = []
+    count = d * n + d * (d - 1) // 2  # the fewest edges for a rigid R, give or take a few
+    edges = st.lists(st.tuples(vertex, vertex, gain), min_size=count - 2, max_size=count + 4)
+    for t, h, g in draw(edges):
+        edge = (names[t], names[h], tuple(g))
+        if t == h and not any(g):
+            continue
+        try:
+            GainGraph(d, names, kept + [edge])
+        except DuplicateEdge:
+            continue
+        kept.append(edge)
+    graph = GainGraph(d, names, kept)
+    tol = ToleranceVault()
+    real = random_realization(graph, tol, seed=draw(st.integers(0, 2**16)))
+    basis = stress_space(graph, real, tol)
+    coefficient = st.floats(-1.0, 1.0).map(lambda x: 0.0 if abs(x) < 1e-6 else x)
+    coefficients = draw(st.lists(coefficient, min_size=basis.shape[1], max_size=basis.shape[1]))
+    return graph, real, basis @ np.array(coefficients, dtype=float)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=flexible_stress_cases())
+def test_flexible_stress_lzd_nullity_is_laplacian_nullity_plus_d(tol, case):
+    """The identity the flexible certificate and trial stand on: for a stress
+    in flexible equilibrium at a non-flat lattice, nullity(Lzd) =
+    nullity(L) + d and Lzd is PSD exactly when L is."""
+    graph, real, w = case
+    assert real.non_flat(tol)
+    assert verify_equilibrium(graph, real, w, "flexible", tol).passed
+    lzd = _stress_spectrum(graph, w, "zd_laplacian", tol)
+    lap = _stress_spectrum(graph, w, "laplacian", tol)
+    assert lzd.nullity == lap.nullity + graph.dimension
+    assert lzd.is_psd == lap.is_psd
 
 
 def test_verify_equilibrium_gate_scale_invariant(flex2, hexes, tol):
