@@ -11,8 +11,7 @@ The equilibrium residual and its gate are summed over the edges in O(|E|),
 with no matrix of order |V|.  The kernel and PSD clauses of a strictly
 positive stress are decided from the graph, with no matrix at all; any other
 stress assembles its stress matrix once, for one ``eigvalsh``
-(``stress._stress_spectrum``, which decides each generic trial's stress
-too):
+(``stress._stress_spectrum``):
 
 - flexible: equilibrium, nullity(L) = 1, L PSD, no conic at infinity;
 - fixed: fixed equilibrium, nullity(L) = 1, L PSD;
@@ -24,6 +23,10 @@ on L: for a stress in equilibrium at a non-flat lattice the two agree
 (``stress._stress_spectrum``).  Input gates raise before any clause: a
 non-flat lattice (flexible, volume), proper signs (flexible, fixed, volume),
 the spiderweb preconditions, and unit volume (volume).
+
+A generic trial's stress is decided the same way, except that on 64
+vertices or more a Gram proof of its Laplacian's nullity, one Cholesky and
+no eigensolver, comes first (``stress._laplacian_nullity``).
 """
 
 from __future__ import annotations
@@ -52,7 +55,13 @@ from .framework import (
 )
 from .gain import GainGraph
 from .linalg import _certified_left_kernel_sample, nullspace
-from .stress import _strictly_positive, _stress_spectrum, is_proper, verify_equilibrium
+from .stress import (
+    _laplacian_nullity,
+    _strictly_positive,
+    _stress_spectrum,
+    is_proper,
+    verify_equilibrium,
+)
 from .tolerances import ToleranceVault
 
 
@@ -321,9 +330,9 @@ def _sample_stress(entry: dict, graph, rank, marginal, stress, tol) -> dict:
     if dim == 0:
         entry.update(positive=graph.num_vertices == 1, branch="stress-free", marginal=marginal)
         return entry
-    spec = _stress_spectrum(graph, stress, "laplacian", tol)
-    entry.update(stress_kernel_dim=spec.nullity, positive=spec.nullity == 1)
-    entry.update(branch="stress sampling", marginal=marginal or spec.marginal)
+    nullity, cut_marginal = _laplacian_nullity(graph, stress, tol)
+    entry.update(stress_kernel_dim=nullity, positive=nullity == 1)
+    entry.update(branch="stress sampling", marginal=marginal or cut_marginal)
     return entry
 
 
@@ -340,7 +349,9 @@ def generic_global_rigidity_test(graph: GainGraph, tol: ToleranceVault) -> Certi
     (:func:`~perigid.linalg._certified_left_kernel_sample`).  The framework
     must be infinitesimally rigid (nullity of R equal to d(d+1)/2) and the
     stress matrix Lzd of that stress must have kernel dimension exactly d+1,
-    decided as kernel dimension one of its Laplacian.
+    decided as kernel dimension one of its Laplacian, by the same kind of
+    Gram proof from the Laplacian's rows where it goes through and by
+    ``eigvalsh`` otherwise (:func:`~perigid.stress._laplacian_nullity`).
     Single-orbit graphs reduce to infinitesimal rigidity alone.  The verdict
     is the majority over the trials and the marginal flag records any
     disagreement or marginal rank cut.  R has |E| rows, so with fewer than

@@ -19,12 +19,17 @@ from .tolerances import ToleranceVault
 RANK_GAP_GUARD = 1e3
 
 # Columns of R below which :func:`_certified_left_kernel_sample` leaves the
-# trial to ``lstsq``: there the Gram path's fixed cost (the motion basis, the
-# Gram scatter, the block inverses and 3-7 conjugate-gradient steps of about
-# ten numpy calls each, 0.5-0.7 ms) is more than the SVD it saves.  On
-# rigidity matrices of out-degree d+1 gain graphs (one BLAS thread, pinned)
-# the two paths cost the same between 56 and 64 columns under a fixed
-# lattice and between 64 and 80 with a flexible one.
+# trial to ``lstsq``, and vertices below which a trial's Laplacian goes to
+# ``eigvalsh`` with no Gram proof (``stress._laplacian_nullity``): there the
+# Gram path's fixed cost is more than the factorisation it saves.  Timed per
+# trial on out-degree d+1 gain graphs (one BLAS thread, pinned), R's proof
+# and stress (the motion basis, the Gram scatter, the block inverses and 3-7
+# conjugate-gradient steps of about ten numpy calls each) take 0.5-1.1 ms
+# under a fixed lattice and 0.6-1.6 ms with a flexible one, and cost what
+# ``lstsq`` does between 48 and 72 columns under a fixed lattice, and with a
+# flexible one between 60 and 68 in d = 2 and between 81 and 93 in d = 3.
+# L's proof takes 0.2-0.4 ms and overtakes ``eigvalsh`` near 40 vertices, so
+# this gate costs it at most 0.1 ms a trial below 64.
 _GRAM_MIN_COLS = 64
 # A certified trial also proves sigma_min(R_Q) >= |R|_F / _GRAM_MAX_COND and
 # >= |R Y|_F / _GRAM_STRESS_RTOL, so that its stress is as accurate as the one
@@ -39,7 +44,8 @@ _GRAM_STRESS_RTOL = 1e-10
 # Generic trials take 3-7 steps, switched graphs with gains up to 5 included.
 _CG_RTOL = 1e-12
 _CG_MAX_STEPS = 30
-# Largest order of the diagonal blocks of the triangular substitutions.
+# Largest order of the diagonal blocks of the triangular substitutions, a
+# power of two (:func:`_block_inverses`).
 _BLOCK = 64
 
 
@@ -121,72 +127,168 @@ def _pivot_rows(matrix) -> np.ndarray:
     return np.array(rows, dtype=np.intp)
 
 
+def _gram_rank_proof(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    shape: tuple,
+    basis: np.ndarray,
+    kept: np.ndarray,
+    tol: ToleranceVault,
+    scale_floor: float = 0.0,
+    accurate: bool = False,
+) -> Optional[np.ndarray]:
+    """A proof, from the entries alone, that the cut of :func:`_rank_cut`
+    with floor ``scale_floor`` gives the m x n matrix A rank n - k, not
+    marginal, whether it reads the singular values of an SVD of A or, for a
+    symmetric A, the eigenvalue magnitudes of an ``eigvalsh``.  It returns the
+    Cholesky factor that proves it, or None when the proof does not go
+    through.
+
+    Entry i of A is ``vals[i]`` at row ``rows[i]`` (nondecreasing) and
+    column ``cols[i]``; a row's columns are distinct, except that exact zeros
+    may repeat one.  ``basis`` is an n x k matrix Y with orthonormal columns
+    that A should annihilate, and ``kept`` is false at k pivot columns; A_Q
+    is A without them, of q = n - k columns.  Let c = ``rank_rel_tol * max(m, n)``,
+    f = ``scale_floor``, u the unit roundoff and eta = m n u |A|_F.  The
+    proof holds when
+
+    1. rho := |fl(A Y)|_F + 2 eta <= c max(|A|_F / sqrt(n) - eta, f), and
+    2. ``cholesky(fl(A_Q^T A_Q) - tau I)`` succeeds, where
+       tau = (s + eta)^2 + 2 (m + n + 3) u |A|_F^2 and s is the largest of
+       c max(|A|_F + eta, f) and RANK_GAP_GUARD rho; with ``accurate``, also
+       of |A|_F / ``_GRAM_MAX_COND`` and |fl(A Y)|_F / ``_GRAM_STRESS_RTOL``,
+       which the proof does not need but a stress drawn with the factor
+       does (:func:`_certified_left_kernel_sample`).
+
+    Proof.  A backward-stable SVD (the one ``lstsq`` runs included) returns
+    the singular values of some A + E with |E|_2 <= eta (Householder
+    bidiagonalisation; Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Thm 19.4).  A symmetric eigensolver returns the eigenvalues
+    of some symmetric A + E, with |E|_2 a modest multiple of n u |A|_2
+    (Householder tridiagonalisation, Higham Thm 19.4 applied from both
+    sides, then the tridiagonal solver's own backward error; Golub and Van
+    Loan, *Matrix Computations*, section 8.3), which eta = n^2 u |A|_F
+    covers; their magnitudes, sorted, are the singular values of A + E.
+    So by Weyl each returned value s'_i is within eta of sigma_i(A), and
+
+    - |A|_F / sqrt(n) - eta <= s'_1 <= |A|_F + eta, since
+      |A|_F / sqrt(n) <= sigma_1 <= |A|_F, and the cut's threshold
+      c max(s'_1, f) lies between c max(|A|_F / sqrt(n) - eta, f) and
+      c max(|A|_F + eta, f);
+    - s'_(n-k+1) <= rho: Courant-Fischer gives sigma_(n-k+1) <= |A Y|_2 for
+      the k orthonormal columns of Y, and eta also covers the rounding of
+      A Y and of Y's orthonormality;
+    - s'_(n-k) > s: Cauchy interlacing for deleted columns gives
+      sigma_(n-k)(A) >= sigma_min(A_Q), and condition 2 proves
+      sigma_min(A_Q) > s + eta.  Each computed entry of the Gram matrix
+      (its lower triangle, the part ``cholesky`` reads) is an inner product
+      of two columns of A_Q, within gamma_m times the sum of its terms'
+      absolute values (Higham section 3.5).  That bound holds for any order
+      of summation, so also for the order in which ``bincount`` adds the
+      products; a product with an exact zero adds nothing and rounds
+      nothing, so no entry sums more than m nonzero terms.  So the Gram
+      matrix is within gamma_m |A|_F^2 of A_Q^T A_Q, and a Cholesky that
+      completes factors its input plus a perturbation below
+      gamma_(n-k+1) |A|_F^2 (Higham Thm 10.3); tau's second term covers
+      both and the rounding of the shift, so lambda_min(A_Q^T A_Q) >
+      (s + eta)^2.
+
+    So s'_(n-k) > c max(s'_1, f) >= s'_(n-k+1) by condition 1, and
+    :func:`_rank_cut` keeps exactly n - k values; and
+    s'_(n-k) > RANK_GAP_GUARD s'_(n-k+1), so the cut is not marginal.  The
+    pivot columns only make condition 2 likely to hold: interlacing holds for
+    any k deleted columns.  There is no proof when there are fewer than k
+    pivots, no column is left or A_Q is wider than tall.
+    """
+    m, n = shape
+    q = int(kept.sum())
+    if n - q != basis.shape[1] or not 0 < q <= m:
+        return None
+    c = tol.rank_rel_tol * max(m, n)
+    u = np.finfo(float).eps / 2
+    norm = float(np.linalg.norm(vals))
+    eta = m * n * u * norm
+    leak = float(np.linalg.norm([np.bincount(rows, vals * y[cols], m) for y in basis.T]))
+    rho = leak + 2.0 * eta
+    if not rho <= c * max(norm / np.sqrt(n) - eta, scale_floor):
+        return None
+    s = max(c * max(norm + eta, scale_floor), RANK_GAP_GUARD * rho)
+    if accurate:
+        s = max(s, norm / _GRAM_MAX_COND, leak / _GRAM_STRESS_RTOL)
+    tau = (s + eta) ** 2 + 2.0 * (m + n + 3) * u * norm**2
+    gram = _gram(rows, *_kept_entries(cols, vals, kept), q)
+    gram.flat[:: q + 1] -= tau
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _kept_entries(cols: np.ndarray, vals: np.ndarray, kept: np.ndarray) -> tuple:
+    """The entries of A_Q, A without the columns where ``kept`` is false: each
+    column's position among the kept ones, and those columns' entries zeroed
+    and sent to position 0, where they add nothing."""
+    return np.where(kept, np.cumsum(kept) - 1, 0)[cols], np.where(kept[cols], vals, 0.0)
+
+
+def _gram(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, q: int) -> np.ndarray:
+    """The lower triangle of A^T A, the part ``cholesky`` reads, for the
+    matrix A with q columns whose entries are ``vals`` at ``rows``
+    (nondecreasing) and ``cols``: every entry's product with itself and with
+    each later entry of its row lands at (larger column, smaller column), so
+    each Gram entry adds at most one product per row, in O(sum of squared row
+    widths).  When every row has the same width, one pattern of pairs serves
+    all rows, and sorting each row by column orders each pair."""
+    width = np.bincount(rows)
+    if width.min() == width.max():
+        cols, vals = cols.reshape(width.size, -1), vals.reshape(width.size, -1)
+        order = np.argsort(cols, axis=1, kind="stable")
+        cols, vals = np.take_along_axis(cols, order, 1), np.take_along_axis(vals, order, 1)
+        a, b = np.triu_indices(cols.shape[1])
+        slots, products = (cols[:, b] * q + cols[:, a]).ravel(), (vals[:, a] * vals[:, b]).ravel()
+    else:
+        # each entry pairs with the span of entries from it to its row's end;
+        # in place, so that few arrays of the pairs' length are held at once
+        span = np.cumsum(width)[rows] - np.arange(rows.size)
+        first = np.repeat(np.arange(rows.size), span)
+        second = np.arange(first.size)
+        second -= np.repeat(np.cumsum(span) - span, span)
+        second += first
+        products = vals[first]
+        products *= vals[second]
+        first, second = cols[first], cols[second]
+        slots = np.maximum(first, second)
+        slots *= q
+        slots += np.minimum(first, second, out=first)
+    return np.bincount(slots, products, q * q).reshape(q, q)
+
+
 def _certified_left_kernel_sample(
     cols: np.ndarray, vals: np.ndarray, n: int, motions, rng, tol: ToleranceVault
 ) -> tuple[int, bool, np.ndarray]:
     """:func:`_left_kernel_sample` of one standard Gaussian x from ``rng`` and
     the m x n matrix R whose row i holds ``vals[i]`` at the columns
     ``cols[i]`` (:func:`_scatter_rows`), for R with k known kernel vectors:
-    decided from the entries by one Gram matrix and one shifted Cholesky
-    whenever these prove what the SVD cut of R would say, and by
-    :func:`_left_kernel_sample` of the dense R otherwise.
+    decided from the entries by :func:`_gram_rank_proof` whenever it proves
+    rank n - k, not marginal, and by :func:`_left_kernel_sample` of the dense
+    R otherwise.
 
     ``motions()`` returns an n x k matrix Y with orthonormal columns that R
     should annihilate (a framework's trivial motions) and k pivot columns of
-    R; it is called only when n is at least ``_GRAM_MIN_COLS``.  R_Q is R
-    without the pivot columns, m x (n-k).  Let c = ``rank_rel_tol * max(m,
-    n)``, u the unit roundoff and eta = m n u |R|_F.  The answer is rank
-    n - k, not marginal, with no SVD, when
-
-    1. rho := |fl(R Y)|_F + 2 eta <= c (|R|_F / sqrt(n) - eta), and
-    2. ``cholesky(fl(R_Q^T R_Q) - tau I)`` succeeds, where
-       tau = (s + eta)^2 + 2 (m + n + 3) u |R|_F^2 and s is the largest of
-       c (|R|_F + eta), RANK_GAP_GUARD rho, |R|_F / ``_GRAM_MAX_COND`` and
-       |fl(R Y)|_F / ``_GRAM_STRESS_RTOL`` (the last two only keep the
-       stress accurate; the proof needs the first two).
-
-    Proof.  A backward-stable SVD (the one ``lstsq`` runs included) returns
-    the singular values of some R + E with |E|_2 <= eta (Householder
-    bidiagonalisation; Higham, *Accuracy and Stability of Numerical
-    Algorithms*, Thm 19.4), so by Weyl each returned value s'_i is within eta
-    of sigma_i(R), and
-
-    - |R|_F / sqrt(n) - eta <= s'_1 <= |R|_F + eta, since
-      |R|_F / sqrt(n) <= sigma_1 <= |R|_F;
-    - s'_(n-k+1) <= rho: Courant-Fischer gives sigma_(n-k+1) <= |R Y|_2 for
-      the k orthonormal columns of Y, and eta also covers the rounding of
-      R Y and of Y's orthonormality;
-    - s'_(n-k) > s: Cauchy interlacing for deleted columns gives
-      sigma_(n-k)(R) >= sigma_min(R_Q), and condition 2 proves
-      sigma_min(R_Q) > s + eta.  Each computed entry of the Gram matrix
-      (its lower triangle, the part ``cholesky`` reads) is an inner product
-      of two columns of R_Q, within gamma_m times the sum of its terms'
-      absolute values (Higham section 3.5).  That bound holds for any order
-      of summation, so also for the row order in which ``bincount`` adds the
-      products; a product with an absent entry is an exact zero, adds
-      nothing and rounds nothing, so no entry sums more than m nonzero
-      terms.  So the Gram matrix is within gamma_m |R|_F^2 of R_Q^T R_Q,
-      and a Cholesky that completes factors its input plus a perturbation
-      below gamma_(n-k+1) |R|_F^2 (Higham Thm 10.3); tau's second term
-      covers both and the rounding of the shift, so lambda_min(R_Q^T R_Q) >
-      (s + eta)^2.
-
-    So s'_(n-k) > c s'_1 >= s'_(n-k+1) by condition 1, and :func:`_rank_cut`
-    keeps exactly n - k values; and s'_(n-k) > RANK_GAP_GUARD s'_(n-k+1), so
-    the cut is not marginal.  The pivot columns only make condition 2 likely
-    to hold: interlacing holds for any k deleted columns.  When R is small,
-    there are fewer than k pivots, no column is left, R_Q is wider than tall
-    or either condition fails, the answer is :func:`_left_kernel_sample`'s.
+    R; it is called only when n is at least ``_GRAM_MIN_COLS``.  The proof
+    also bounds sigma_min(R_Q) below (its ``accurate`` terms), so that the
+    stress is as accurate as the one ``lstsq`` gives.
 
     The stress: once rank R = n - k, range(R) = range(R_Q), so the residual
     x - R_Q f at the least-squares f is the projection of x onto the left
     kernel.  :func:`_preconditioned_residual` reaches it by conjugate
-    gradients preconditioned by the Cholesky factor already computed; a run
-    that does not converge within ``_CG_MAX_STEPS`` steps also falls back.
-    The fallback solves with the same x, so the stream of draws from ``rng``
+    gradients preconditioned by the proof's Cholesky factor; a run that does
+    not converge within ``_CG_MAX_STEPS`` steps also falls back.  The
+    fallback solves with the same x, so the stream of draws from ``rng``
     does not depend on the path, and the dense R exists only there.
     """
-    rows = cols.shape[0]
+    rows, width = cols.shape
     x = rng.standard_normal(rows)
 
     def fallback() -> tuple[int, bool, np.ndarray]:
@@ -197,44 +299,16 @@ def _certified_left_kernel_sample(
     basis, drop = motions()
     kept = np.ones(n, dtype=bool)
     kept[drop] = False
-    q = int(kept.sum())
-    if len(drop) != basis.shape[1] or not 0 < q <= rows:
+    factor = _gram_rank_proof(
+        np.repeat(np.arange(rows), width), cols.ravel(), vals.ravel(), (rows, n), basis, kept, tol,
+        accurate=True,
+    )
+    if factor is None:
         return fallback()
-    c = tol.rank_rel_tol * max(rows, n)
-    u = np.finfo(float).eps / 2
-    norm = float(np.linalg.norm(vals))
-    eta = rows * n * u * norm
-    leak = float(np.linalg.norm(np.einsum("ik,ikj->ij", vals, basis[cols])))
-    rho = leak + 2.0 * eta
-    if not rho <= c * (norm / np.sqrt(n) - eta):
-        return fallback()
-    s = max(c * (norm + eta), RANK_GAP_GUARD * rho)
-    s = max(s, norm / _GRAM_MAX_COND, leak / _GRAM_STRESS_RTOL)
-    tau = (s + eta) ** 2 + 2.0 * (rows + n + 3) * u * norm**2
-    # R_Q's entries, each row sorted by its column of R_Q; a pivot column's
-    # entries are zeroed and sent to column 0, where they add nothing
-    place = np.where(kept, np.cumsum(kept) - 1, 0)[cols]
-    order = np.argsort(place, axis=1, kind="stable")
-    place = np.take_along_axis(place, order, 1)
-    entries = np.take_along_axis(np.where(kept[cols], vals, 0.0), order, 1)
-    # each row's products for a <= b land in the lower triangle, the part
-    # that cholesky reads
-    a, b = np.triu_indices(cols.shape[1])
-    gram = np.bincount(
-        (place[:, b] * q + place[:, a]).ravel(),
-        (entries[:, a] * entries[:, b]).ravel(),
-        minlength=q * q,
-    ).reshape(q, q)
-    gram.flat[:: q + 1] -= tau
-    try:
-        factor = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return fallback()
-    del gram  # the iteration needs only the factor and the entries
-    stress = _preconditioned_residual(place, entries, factor, x)
+    stress = _preconditioned_residual(*_kept_entries(cols, vals, kept), factor, x)
     if stress is None:
         return fallback()
-    return q, False, stress
+    return factor.shape[0], False, stress
 
 
 def _preconditioned_residual(
@@ -282,17 +356,36 @@ def _preconditioned_residual(
 
 def _block_inverses(factor: np.ndarray) -> np.ndarray:
     """The inverses of the diagonal blocks of the lower triangular
-    ``factor``: as few blocks as keep each one's order at most ``_BLOCK``, of
-    equal order but the last, which is padded with the identity; one batched
-    ``inv``."""
+    ``factor``, with matrix products only: blocks of the order ``_BLOCK`` (a
+    power of two), or the least power of two at least the factor's order if
+    that is smaller, the last one padded with the identity.
+
+    Batched recursive doubling: the inverses of the diagonal entries, then,
+    for h = 1, 2, 4, ..., those of each diagonal sub-block of order 2h from
+    the two of order h within it, inv([[A, 0], [B, C]]) =
+    [[A^-1, 0], [-C^-1 B A^-1, C^-1]].
+    """
     q = factor.shape[0]
-    count = -(-q // _BLOCK)
-    size = -(-q // count)
+    size = min(_BLOCK, 1 << (q - 1).bit_length())
+    count = -(-q // size)
     blocks = np.tile(np.eye(size), (count, 1, 1))
     for i, a in enumerate(range(0, q, size)):
         b = min(a + size, q)
         blocks[i, : b - a, : b - a] = factor[a:b, a:b]
-    return np.linalg.inv(blocks)
+    inverses = 1.0 / np.diagonal(blocks, axis1=1, axis2=2).reshape(count, size, 1, 1)
+    h = 1
+    while h < size:
+        # the sub-blocks of order h, indexed (block, row part, column part)
+        parts = blocks.reshape(count, size // h, h, size // h, h).swapaxes(2, 3)
+        pair = np.arange(0, size // h, 2)
+        inv_a, inv_c = inverses[:, 0::2], inverses[:, 1::2]
+        lower = -(inv_c @ parts[:, pair + 1, pair] @ inv_a)
+        upper = np.zeros_like(lower)
+        inverses = np.concatenate(
+            [np.concatenate([inv_a, upper], 3), np.concatenate([lower, inv_c], 3)], 2
+        )
+        h *= 2
+    return inverses.reshape(count, size, size)
 
 
 def _lower_solve(factor: np.ndarray, inverses: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ from products against the matrix representation [P L].  One function sums
 the matrix's blocks from the edges (:func:`_blocks`); the products are formed
 from them (:func:`_zd_terms`), and the dense matrices are assembled from them
 only for a caller that factorises or reads them.  One function decides a
-stress matrix's kernel and sign (:func:`_stress_spectrum`).
+stress matrix's kernel and sign (:func:`_stress_spectrum`); a generic
+trial's Laplacian first goes to a Gram proof of its nullity
+(:func:`_laplacian_nullity`), which needs no dense matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +32,14 @@ from .framework import (
     volume_rigidity_matrix,
 )
 from .gain import GainGraph, Vertex
-from .linalg import SpectrumResult, nullspace, numeric_rank, symmetric_spectrum
+from .linalg import (
+    _GRAM_MIN_COLS,
+    SpectrumResult,
+    _gram_rank_proof,
+    nullspace,
+    numeric_rank,
+    symmetric_spectrum,
+)
 from .tolerances import ToleranceVault
 
 
@@ -125,7 +134,9 @@ def _stress_spectrum(
     all-ones vectors 1 and 1-hat lie in those kernels, so the least
     eigenvalue is exactly 0.0 and no cut is marginal.  Every other stress is
     assembled and goes to :func:`~perigid.linalg.symmetric_spectrum`.  This is
-    the one place a stress matrix's kernel and sign are decided.
+    the one place a stress matrix's kernel and sign are decided; only
+    :func:`_laplacian_nullity` proves a generic trial's answer before it
+    asks here.
 
     The Laplacian Omega decides Lzd for a stress in flexible equilibrium
     (Lzd [P L]^T = 0) at a non-flat lattice L: nullity(Lzd) = nullity(Omega)
@@ -146,6 +157,41 @@ def _stress_spectrum(
     else:
         order, rank = n + graph.dimension, graph.full_rank_condition()[1]
     return SpectrumResult(rank, order - rank, False, True, 0.0)
+
+
+def _laplacian_nullity(graph: GainGraph, w: np.ndarray, tol: ToleranceVault) -> tuple[int, bool]:
+    """Nullity and marginal flag of ``w``'s Laplacian L, as
+    :func:`_stress_spectrum` gives them.
+
+    From |V| = ``_GRAM_MIN_COLS`` on, :func:`~perigid.linalg._gram_rank_proof`
+    first tries to prove, from L's rows, what ``eigvalsh`` and the cut of
+    :func:`~perigid.linalg.symmetric_spectrum` would say: the known kernel is
+    1/sqrt|V|, the first vertex's column is dropped, and the floor is max|w|,
+    as :func:`_stress_spectrum` passes it.  The rows are the entries the dense
+    L holds, summed as :func:`weighted_laplacians` sums them, so a proof is
+    about the matrix that ``eigvalsh`` would read, and it gives nullity 1, not
+    marginal, with one Cholesky of order |V| - 1.  L's Gram matrix sums the
+    products within each row, of one entry per neighbour and the diagonal.
+    A strictly positive stress, which :func:`_stress_spectrum` decides from
+    the graph, gets the same answer: the proof fails on a disconnected
+    graph, whose L has two exact zero eigenvalues.  Whatever the proof cannot
+    decide goes to :func:`_stress_spectrum`.
+    """
+    n = graph.num_vertices
+    if n >= _GRAM_MIN_COLS:
+        diagonal, entries, *_ = _blocks(graph, w)
+        support, vertices = graph._laplacian_support, np.arange(n)
+        rows = np.concatenate([vertices, support.ends])
+        order = rows.argsort(kind="stable")
+        cols = np.concatenate([vertices, support.others])[order]
+        vals = np.concatenate([diagonal, entries, entries])[order]
+        basis = np.full((n, 1), 1.0 / np.sqrt(n))
+        floor = float(np.abs(w).max(initial=0.0))
+        proof = _gram_rank_proof(rows[order], cols, vals, (n, n), basis, vertices > 0, tol, floor)
+        if proof is not None:
+            return 1, False
+    spec = _stress_spectrum(graph, w, "laplacian", tol)
+    return spec.nullity, spec.marginal
 
 
 def stress_space(graph: GainGraph, real: Realization, tol: ToleranceVault) -> np.ndarray:

@@ -508,34 +508,29 @@ def test_generic_trial_one_lstsq_one_eigvalsh_no_svd(flex2, tol, count_factorisa
     assert calls == per_trial * tol.generic_trials
 
 
-def _diagonal_blocks(q: int) -> tuple:
-    """Shape of the stack of diagonal blocks of a q x q factor: the fewest
-    blocks of order at most 64, of equal order."""
-    count = -(-q // 64)
-    return (count, -(-q // count), -(-q // count))
-
-
 @pytest.mark.parametrize("mode", ["flexible", "fixed"])
-@pytest.mark.parametrize("case", ["out3-40", "out3-100"])
+@pytest.mark.parametrize("case", ["out3-40", "out3-64", "out3-100"])
 def test_generic_trial_gram_path_makes_no_svd(tol, count_factorisations, mode, case):
     """Above the size gate a rigid trial is proved by one shifted Cholesky of
-    R_Q^T R_Q, built from R's entries, and its stress reuses that factor: one
-    batched inv of its diagonal blocks (the fewest of order at most 64), then
-    substitution only.  No solve, no lstsq and no SVD.  The flexible motion
-    basis is one QR of the d(d+1)/2 trivial motions."""
+    R_Q^T R_Q, built from R's entries, and its stress reuses that factor,
+    whose diagonal blocks are inverted by matrix products: substitution
+    only, with no inv, solve, lstsq or SVD.  The stress's Laplacian L is
+    proved to have nullity 1 by one shifted Cholesky of order |V| - 1, with
+    no eigvalsh, once |V| reaches the gate too; at |V| = 40 R is above the
+    gate and L below it, so L's eigvalsh stays.  The flexible motion basis
+    is one QR of the d(d+1)/2 trivial motions."""
     graph = out_degree_graph(0, n=int(case.split("-")[1]))
     n, d = graph.num_vertices, graph.dimension
+    laplacian = ("cholesky", (n - 1, n - 1)) if n >= 64 else ("eigvalsh", (n, n))
     calls = count_factorisations()
     if mode == "flexible":
         assert generic_global_rigidity_test(graph, tol).positive
         q = d * n + d * d - d * (d + 1) // 2
-        per_trial = [("qr", (d * n + d * d, 3)), ("cholesky", (q, q))]
-        per_trial += [("inv", _diagonal_blocks(q)), ("eigvalsh", (n, n))]
+        per_trial = [("qr", (d * n + d * d, 3)), ("cholesky", (q, q)), laplacian]
     else:
         assert generic_fixed_global_rigidity_test(graph, tol).positive
         q = d * n - d
-        per_trial = [("cholesky", (q, q)), ("inv", _diagonal_blocks(q))]
-        per_trial += [("eigvalsh", (n, n))]
+        per_trial = [("cholesky", (q, q)), laplacian]
     assert calls == per_trial * tol.generic_trials
 
 

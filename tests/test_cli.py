@@ -985,3 +985,25 @@ def test_cli_mode_table_calls_module_attributes(
     monkeypatch.setattr(target, name, wrapped)
     cli([argv[0], str(path), *argv[1:]])
     assert calls == [name]
+
+
+def test_generic_test_on_the_gram_path_does_not_depend_on_the_hash_seed(tmp_path):
+    """``generic-test --batch`` over ``out_degree_graph(0, n)`` for n = 40
+    (R's Gram proof, L's eigvalsh) and n = 100 (both Gram proofs), in both
+    modes, prints the same bytes in child processes with different
+    ``PYTHONHASHSEED``."""
+    from oracles import out_degree_graph
+
+    for n in (40, 100):
+        (tmp_path / f"out3-{n}.json").write_bytes(fileformat.dumps(out_degree_graph(0, n=n)))
+    argv = [sys.executable, "-m", "perigid.cli", "generic-test", "--batch", str(tmp_path)]
+    outputs = {}
+    for hashseed in ("1", "4242"):
+        env = dict(os.environ, PYTHONPATH=str(Path(perigid.__file__).parents[1]),
+                   PYTHONHASHSEED=hashseed)
+        for mode in ("flexible", "fixed"):
+            done = subprocess.run(argv + ["--mode", mode], env=env, capture_output=True,
+                                  timeout=120)
+            assert done.returncode == 0 and done.stderr == b""
+            outputs.setdefault(mode, set()).add(done.stdout)
+    assert all(len(seen) == 1 for seen in outputs.values())

@@ -481,3 +481,54 @@ def test_pivot_rows_partial_pivoting():
     assert _pivot_rows(m).tolist() == [1, 2]
     assert _pivot_rows(np.array([[1.0, 2.0], [2.0, 4.0]])).tolist() == [1]
     assert _pivot_rows(np.zeros((3, 2))).tolist() == []
+
+
+@pytest.mark.parametrize("q", [1, 63, 64, 65, 318, 321])
+def test_block_inverses_match_inv_with_products_only(q, monkeypatch):
+    """``_block_inverses`` of a Cholesky factor of order q gives each
+    diagonal block's inverse (the last block padded with the identity), as
+    ``np.linalg.inv`` of the block does, and calls no ``numpy.linalg``
+    function."""
+    rng = np.random.default_rng(q)
+    a = rng.standard_normal((q + 8, q))
+    factor = np.linalg.cholesky(a.T @ a)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("_block_inverses called numpy.linalg")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in dir(np.linalg):
+            if callable(getattr(np.linalg, name)) and not name[0].isupper():
+                mp.setattr(np.linalg, name, forbidden)
+        inverses = linalg._block_inverses(factor)
+    size = inverses.shape[1]
+    assert size == min(64, 1 << (q - 1).bit_length())
+    assert inverses.shape == (-(-q // size), size, size)
+    for i, start in enumerate(range(0, q, size)):
+        stop = min(start + size, q)
+        expected = np.linalg.inv(factor[start:stop, start:stop])
+        got = inverses[i, : stop - start, : stop - start]
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+        assert np.array_equal(inverses[i, stop - start :, stop - start :], np.eye(size - stop + start))
+        assert not np.triu(got, 1).any() and not inverses[i, : stop - start, stop - start :].any()
+
+
+@pytest.mark.parametrize("ragged", [False, True])
+def test_gram_is_the_lower_triangle_of_the_normal_matrix(ragged):
+    """``_gram`` of a matrix given row by row, with rows of equal width (as
+    R's) or of widths 1-9 (as L's, whose rows hold a vertex and its
+    neighbours), and exact zeros repeating a column: the lower triangle of
+    A^T A, with zeros above the diagonal."""
+    rng = np.random.default_rng(5)
+    m, q = 40, 12
+    widths = rng.integers(1, 10, m) if ragged else np.full(m, 5)
+    rows = np.repeat(np.arange(m), widths)
+    cols = np.concatenate([rng.choice(q, w, replace=False) for w in widths])
+    vals = rng.standard_normal(rows.size)
+    vals[::7] = 0.0
+    cols[::7] = 0
+    dense = np.zeros((m, q))
+    np.add.at(dense, (rows, cols), vals)
+    gram = linalg._gram(rows, cols, vals, q)
+    assert np.allclose(gram, np.tril(dense.T @ dense), rtol=0.0, atol=1e-12)
+    assert not np.triu(gram, 1).any()

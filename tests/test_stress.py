@@ -15,9 +15,12 @@ from perigid.framework import (
 )
 from perigid.errors import DuplicateEdge
 from perigid.gain import GainGraph
-from perigid.linalg import numeric_rank, symmetric_spectrum
+from perigid import stress
+from perigid.certify import _sample, _sample_stress
+from perigid.linalg import SpectrumResult, _gram_rank_proof, numeric_rank, symmetric_spectrum
 from perigid.tolerances import ToleranceVault
 from perigid.stress import (
+    _laplacian_nullity,
     _stress_spectrum,
     default_loop_gains,
     extend_with_loops,
@@ -31,7 +34,7 @@ from perigid.stress import (
     weighted_laplacians,
 )
 
-from oracles import dense_equilibrium
+from oracles import dense_equilibrium, out_degree_graph
 
 GOLDEN_FLEX2_LZD = np.array(
     [[8, -8, 4, 0], [-8, 8, -4, 0], [4, -4, 2, 0], [0, 0, 0, 0]], dtype=float
@@ -571,3 +574,127 @@ def test_edge_equilibrium_matches_the_dense_stress_matrices(tol, case):
     assert abs(edges.residual - dense.residual) <= 1e-12 * dense.scale + floor
     assert abs(edges.scale - dense.scale) <= 1e-12 * dense.scale + floor
     assert edges.passed == dense.passed
+
+
+def _ones_kernel_matrix(seed: int, values: np.ndarray) -> np.ndarray:
+    """Q diag(values) Q^T, exactly symmetric, whose first eigenvector is
+    1/sqrt(n): the shape of a stress Laplacian with eigenvalue values[0] on
+    the all-ones vector."""
+    n = values.size
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, n - 1))]))[0]
+    m = (q * values) @ q.T
+    return 0.5 * (m + m.T)
+
+
+def _dense_proof(matrix: np.ndarray, tol, floor: float):
+    """``_gram_rank_proof`` of a dense symmetric matrix as rows, with the
+    known kernel 1/sqrt(n) and the first column dropped."""
+    n = matrix.shape[0]
+    rows, cols = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    basis = np.full((n, 1), 1.0 / np.sqrt(n))
+    return _gram_rank_proof(rows, cols, matrix.ravel(), (n, n), basis, np.arange(n) > 0, tol, floor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(3, 40),
+    st.one_of(st.just(0.0), st.floats(-20.0, -4.0)),
+    st.sampled_from(["cut", "guard"]),
+    st.floats(-1.0, 2.5),
+    st.sampled_from([0.0, 1.0, 100.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_laplacian_proof_is_the_eigenvalue_cut_near_its_borders(n, zero, near, offset, floor, seed):
+    """On Q diag(lambda) Q^T with the all-ones eigenvector, whose eigenvalue
+    is 0 or a small leak 10^zero, sigma_1 = 1 and a floor f of 0, 1 or 100,
+    and the next least |lambda_2| placed from 0.1 to 300 times the cut
+    (rank_rel_tol n max(sigma_1, f)) or the gap guard (10^3 times the leak),
+    with mixed signs: whenever the Gram proof decides, ``eigvalsh`` and the
+    cut of ``symmetric_spectrum`` give nullity 1, not marginal."""
+    tol = ToleranceVault()
+    rng = np.random.default_rng(seed)
+    leak = 0.0 if zero == 0.0 else 10.0**zero
+    border = tol.rank_rel_tol * n * max(1.0, floor) if near == "cut" else 1e3 * max(leak, 1e-18)
+    second = min(10.0**offset * border, 0.5)
+    values = np.concatenate([[leak, second], 10.0 ** rng.uniform(np.log10(second), 0.0, n - 2)])
+    values[2:3] = 1.0
+    values *= rng.choice([-1.0, 1.0], n)
+    matrix = _ones_kernel_matrix(seed, values)
+    if _dense_proof(matrix, tol, floor) is not None:
+        spec = symmetric_spectrum(matrix, tol, floor)
+        assert (spec.nullity, spec.marginal) == (1, False)
+
+
+def _proved_nullity(graph, w, tol):
+    """``_laplacian_nullity`` with the size gate off, or None when its proof
+    declines and it would ask ``_stress_spectrum``."""
+    declined = SpectrumResult(0, -1, False, False, 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stress, "_GRAM_MIN_COLS", 0)
+        mp.setattr(stress, "_stress_spectrum", lambda *args: declined)
+        got = _laplacian_nullity(graph, w, tol)
+    return None if got[0] == -1 else got
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.integers(4, 30),
+    st.integers(2, 4),
+    st.booleans(),
+    st.integers(-6, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_trial_laplacian_proof_is_the_eigenvalue_cut(d, n, out, fixed, scale, seed):
+    """On the stresses that generic trials draw on ``out_degree_graph``s at
+    any scale, whenever the proof of L's nullity decides, the dense L's
+    ``eigvalsh`` cut, with the floor max|w| that ``_stress_spectrum`` passes,
+    gives nullity 1, not marginal."""
+    tol = ToleranceVault()
+    graph = out_degree_graph(seed, n=n, out=min(out, n - 1), d=d)
+    real = random_realization(graph, tol, seed=seed).scaled(10.0**scale)
+    _, rank, _, w = _sample(graph, real, fixed, np.random.default_rng(seed), tol)
+    if rank == graph.num_edges:
+        return
+    proved = _proved_nullity(graph, w, tol)
+    if proved is not None:
+        laps = weighted_laplacians(graph, w)
+        spec = symmetric_spectrum(laps.laplacian, tol, laps.weight_scale)
+        assert proved == (spec.nullity, spec.marginal) == (1, False)
+
+
+def test_trial_laplacian_proof_decides_generic_trials(tol):
+    """The proof is not vacuous: it decides every trial's Laplacian on
+    ``out_degree_graph(0, n=100)`` in both modes."""
+    graph = out_degree_graph(0, n=100)
+    for fixed in (False, True):
+        for seed in range(3):
+            real = random_realization(graph, tol, seed=seed)
+            _, _, _, w = _sample(graph, real, fixed, np.random.default_rng(seed), tol)
+            assert _proved_nullity(graph, w, tol) == (1, False)
+
+
+def test_trial_laplacian_just_under_the_cut_keeps_the_eigenvalue_verdict(tol):
+    """Known defect 1 stays as it is: a trial stress whose Laplacian has
+    one zero eigenvalue and one just under the cut (0.44 of it, as 4.4e-7
+    against 1e-6 at order 1000), with the next at 2e-5 sigma_1, on the
+    complete graph of order 100.  The proof declines, and the trial reports
+    ``eigvalsh``'s nullity 2, marginal, and a negative vote."""
+    n = 100
+    rng = np.random.default_rng(26)
+    values = np.concatenate([[0.0, 0.44 * tol.rank_rel_tol * n, 2e-5],
+                             10.0 ** rng.uniform(-4.0, 0.0, n - 3)])
+    values[3] = 1.0
+    values *= rng.choice([-1.0, 1.0], n)
+    matrix = _ones_kernel_matrix(26, values)
+    names = tuple(f"v{i}" for i in range(n))
+    i, j = np.triu_indices(n, 1)
+    graph = GainGraph(2, names, [(names[a], names[b], (0, 0)) for a, b in zip(i, j)])
+    w = -matrix[i, j]
+    laps = weighted_laplacians(graph, w)
+    spec = symmetric_spectrum(laps.laplacian, tol, laps.weight_scale)
+    assert (spec.nullity, spec.marginal) == (2, True)
+    assert _proved_nullity(graph, w, tol) is None
+    entry = _sample_stress({}, graph, graph.num_edges - 1, False, w, tol)
+    assert (entry["stress_kernel_dim"], entry["marginal"], entry["positive"]) == (2, True, False)
