@@ -4,25 +4,24 @@ Positive stress-matrix verdicts are sufficiency certificates that re-verify
 from their witness data; the randomized tests decide properties of *generic*
 realizations of a graph and never judge one special input realization.
 
-Each certificate checks equilibrium from the edges and takes the spectrum of
-its stress matrix (``_assess``), then checks an ordered list of clauses
-(``_decide``); the first failing clause is reported and gives Inconclusive.
-The equilibrium residual and its gate are summed over the edges in O(|E|),
-with no matrix of order |V|.  The kernel and PSD clauses of a strictly
-positive stress are decided from the graph, with no matrix at all; any other
-stress assembles its stress matrix once, for one ``eigvalsh``
-(``stress._stress_spectrum``):
+Each certificate checks equilibrium from the edges, in O(|E|) with no matrix
+of order |V|, then an ordered list of clauses (``_decide``, which takes the
+spectrum of the stress's Laplacian L and appends its two clauses); the first
+failing clause is reported and gives Inconclusive.  L is decided from the
+graph for a strictly positive stress, with no matrix, and by one
+``eigvalsh`` otherwise (``stress._stress_spectrum``):
 
 - flexible: equilibrium, nullity(L) = 1, L PSD, no conic at infinity;
 - fixed: fixed equilibrium, nullity(L) = 1, L PSD;
 - spiderweb: fixed equilibrium, stress strictly positive, nullity(L) = 1, L PSD;
-- volume: multiplier positive, volume equilibrium, nullity(Lzd) = 1, Lzd PSD.
+- volume: multiplier positive, volume equilibrium, nullity(L) = 1, L PSD.
 
-The flexible clauses are the paper's nullity(Lzd) = d+1 and Lzd PSD, read
-on L: for a stress in equilibrium at a non-flat lattice the two agree
-(``stress._stress_spectrum``).  Input gates raise before any clause: a
-non-flat lattice (flexible, volume), proper signs (flexible, fixed, volume),
-the spiderweb preconditions, and unit volume (volume).
+The paper states the flexible and volume clauses on Lzd: nullity d+1 or 1,
+and PSD.  Once the clauses before L's hold, Lzd's inertia is L's plus d zero
+or d positive eigenvalues (``stress._stress_spectrum``).  Input gates raise
+before any clause: a non-flat lattice (flexible, volume), proper signs
+(flexible, fixed, volume), the spiderweb preconditions, and unit volume
+(volume).
 
 A generic trial's stress is decided the same way, except that on 64
 vertices or more a Gram proof of its Laplacian's nullity, one Cholesky and
@@ -149,29 +148,27 @@ def conic_at_infinity(
     return q / np.linalg.norm(q)
 
 
-_BLOCKS = {"flexible": "laplacian", "fixed": "laplacian", "volume": "zd_laplacian"}
-
-
-def _assess(graph, real, w, tol, mode, lam=None):
-    """The ``mode`` equilibrium report of ``w`` and the spectrum of the mode's
-    stress matrix (Lzd in volume mode, else L)."""
-    eq = verify_equilibrium(graph, real, w, mode, tol, lam)
-    return eq, _stress_spectrum(graph, w, _BLOCKS[mode], tol)
-
-
-def _decide(verdict_on_pass: str, clauses, w, eq, spec, **extra) -> Certificate:
-    """``verdict_on_pass`` when every ``(holds, message)`` clause holds, else
-    Inconclusive naming the first failing clause.  The witness is the stress
-    ``w`` with its kernel, least eigenvalue and marginal flag from ``spec`` and
-    its equilibrium residual from ``eq``, keyed by ``eq.mode``; ``extra`` fills
-    the rest."""
+def _decide(verdict_on_pass: str, clauses, graph, w, eq, tol, then=(), **extra) -> Certificate:
+    """``verdict_on_pass`` when every ``(holds, message)`` clause of
+    ``clauses``, then kernel dimension 1 and PSD for the Laplacian L of
+    ``w``, then ``then`` holds, else Inconclusive naming the first failing
+    one.  The witness is ``w`` with L's kernel, least eigenvalue and
+    marginal flag and the equilibrium residual of the report ``eq``, keyed by
+    ``eq.mode``; ``extra`` fills the rest."""
+    spec = _stress_spectrum(graph, w, "laplacian", tol)
+    clauses = [
+        *clauses,
+        (spec.nullity == 1, f"Laplacian kernel dimension {spec.nullity} != 1"),
+        (spec.is_psd, f"Laplacian not PSD (min eigenvalue {spec.min_eigenvalue:g})"),
+        *then,
+    ]
     failing = next((message for holds, message in clauses if not holds), None)
     residual_key = "equilibrium" if eq.mode == "flexible" else f"{eq.mode}_equilibrium"
     return Certificate(
         verdict=verdict_on_pass if failing is None else Verdict.INCONCLUSIVE,
         failing=failing,
         witness_stress=w.copy(),
-        kernel_dims={_BLOCKS[eq.mode]: spec.nullity},
+        kernel_dims={"laplacian": spec.nullity},
         min_eigenvalue=spec.min_eigenvalue,
         marginal=spec.marginal,
         residuals={residual_key: eq.residual},
@@ -194,15 +191,11 @@ def certify_super_stable(
     if not is_proper(graph, weights, tol):
         raise ImproperStress("stress violates the cable/strut sign conditions")
     w = np.asarray(weights, dtype=float).reshape(-1)
-    eq, spec = _assess(graph, real, w, tol, "flexible")
+    eq = verify_equilibrium(graph, real, w, "flexible", tol)
     conic = conic_at_infinity(graph, real, tol)
-    clauses = [
-        (eq.passed, f"equilibrium residual {eq.residual:g} exceeds tolerance"),
-        (spec.nullity == 1, f"Laplacian kernel dimension {spec.nullity} != 1"),
-        (spec.is_psd, f"Laplacian not PSD (min eigenvalue {spec.min_eigenvalue:g})"),
-        (conic is None, "edge directions lie on a conic at infinity"),
-    ]
-    return _decide(Verdict.SUPER_STABLE, clauses, w, eq, spec, conic_witness=conic)
+    clauses = [(eq.passed, f"equilibrium residual {eq.residual:g} exceeds tolerance")]
+    then = [(conic is None, "edge directions lie on a conic at infinity")]
+    return _decide(Verdict.SUPER_STABLE, clauses, graph, w, eq, tol, then, conic_witness=conic)
 
 
 def certify_fixed_lattice(
@@ -212,13 +205,9 @@ def certify_fixed_lattice(
     if not is_proper(graph, weights, tol):
         raise ImproperStress("stress violates the cable/strut sign conditions")
     w = np.asarray(weights, dtype=float).reshape(-1)
-    eq, spec = _assess(graph, real, w, tol, "fixed")
-    clauses = [
-        (eq.passed, f"fixed equilibrium residual {eq.residual:g} exceeds tolerance"),
-        (spec.nullity == 1, f"Laplacian kernel dimension {spec.nullity} != 1"),
-        (spec.is_psd, f"Laplacian not PSD (min eigenvalue {spec.min_eigenvalue:g})"),
-    ]
-    return _decide(Verdict.FIXED_SUPER_STABLE, clauses, w, eq, spec)
+    eq = verify_equilibrium(graph, real, w, "fixed", tol)
+    clauses = [(eq.passed, f"fixed equilibrium residual {eq.residual:g} exceeds tolerance")]
+    return _decide(Verdict.FIXED_SUPER_STABLE, clauses, graph, w, eq, tol)
 
 
 def certify_spiderweb(
@@ -245,20 +234,22 @@ def certify_spiderweb(
     if not real.non_flat(tol):
         raise NotSpiderweb("spiderwebs are non-flat")
     w = np.asarray(weights, dtype=float).reshape(-1)
-    eq, spec = _assess(graph, real, w, tol, "fixed")
+    eq = verify_equilibrium(graph, real, w, "fixed", tol)
     clauses = [
         (eq.passed, f"fixed equilibrium residual {eq.residual:g} exceeds tolerance"),
         (_strictly_positive(w, tol), "stress is not strictly positive on every cable"),
-        (spec.nullity == 1, f"Laplacian kernel dimension {spec.nullity} != 1"),
-        (spec.is_psd, f"Laplacian not PSD (min eigenvalue {spec.min_eigenvalue:g})"),
     ]
-    return _decide(Verdict.FIXED_SUPER_STABLE, clauses, w, eq, spec)
+    return _decide(Verdict.FIXED_SUPER_STABLE, clauses, graph, w, eq, tol)
 
 
 def certify_volume_constrained(
     graph: GainGraph, real: Realization, weights, lam: float, tol: ToleranceVault
 ) -> Certificate:
-    """Volume-constrained super-stability certificate at a unit-volume tensegrity."""
+    """Volume-constrained super-stability certificate at a unit-volume tensegrity.
+
+    Positive multiplier + volume equilibrium + kernel dimension 1 + PSD for
+    L (so kernel dimension 1 and PSD for Lzd) yields VolumeSuperStable.
+    """
     if not real.non_flat(tol):
         raise FlatLattice("volume certificate needs a nonsingular lattice")
     volume = abs(float(np.linalg.det(real.lattice)))
@@ -267,16 +258,15 @@ def certify_volume_constrained(
     if not is_proper(graph, weights, tol):
         raise ImproperStress("stress violates the cable/strut sign conditions")
     w = np.asarray(weights, dtype=float).reshape(-1)
-    eq, spec = _assess(graph, real, w, tol, "volume", lam)
+    eq = verify_equilibrium(graph, real, w, "volume", tol, lam)
     # positive: the multiplier's term lam L^-T does not vanish in the balance
     lam_term = lam * float(np.abs(np.linalg.inv(real.lattice)).max())
     clauses = [
         (lam_term > tol.residual_tol * eq.scale, f"multiplier {lam!r} is not positive"),
         (eq.passed, f"volume equilibrium residual {eq.residual:g} exceeds tolerance"),
-        (spec.nullity == 1, f"stress matrix kernel dimension {spec.nullity} != 1"),
-        (spec.is_psd, f"stress matrix not PSD (min eigenvalue {spec.min_eigenvalue:g})"),
     ]
-    return _decide(Verdict.VOLUME_SUPER_STABLE, clauses, w, eq, spec, witness_lambda=float(lam))
+    verdict = Verdict.VOLUME_SUPER_STABLE
+    return _decide(verdict, clauses, graph, w, eq, tol, witness_lambda=float(lam))
 
 
 def _trial_loop(

@@ -4,13 +4,10 @@ The energy of a weighted framework is a quadratic form in the realization
 vector; under a positive-semidefinite stress matrix with one-dimensional
 kernel, the program "minimize energy subject to unit fundamental-domain
 volume" has a closed-form solution, unique up to isometries, and every KKT
-point is a global minimizer.  The solution takes the hypothesis check of the
-stress matrix (from the graph for a strictly positive stress, else one
-eigenvalue decomposition), one linear solve of its pinned vertex block and a
-d x d whitening; no singular value decomposition is needed.  The hypothesis
-is decided first, and the stress matrix is then assembled once for the solve
-and the whitening; the KKT check and the energy's two forms are summed over
-the edges.
+point is a global minimizer.  Its hypothesis is decided on the Laplacian and
+a d x d Schur block, which also whitens the solution, with no singular value
+decomposition; the KKT check and the energy's two forms are summed over the
+edges.
 """
 
 from __future__ import annotations
@@ -134,21 +131,26 @@ def standard_realization(
     """Closed-form unique (up to isometry) minimizer of the unit-volume program.
 
     Requires the stress matrix Lzd = [[L, C], [C^T, G]] to be PSD with kernel
-    span(1-hat), so the pinned block L[1:, 1:] is positive definite.  One
-    solve of it gives the d rows [X^T | I_d] spanning {k : (Lzd k)[:|V|] = 0,
-    k[v1] = 0}, with X[v1] = 0 and L[1:, 1:] X[1:] = -C[1:]; whitening them
-    against Lzd and rescaling to unit volume gives the minimizer.  Without
-    ``basis_seed`` it comes in a normal form: p(v1) = 0 exactly and a
-    symmetric positive-definite lattice.  ``basis_seed`` remixes the rows to
-    exercise the uniqueness-up-to-isometry guarantee.
+    span(1-hat).  Pinning v1, Lzd is congruent to 0_1 + L[1:, 1:] + S with
+    S = G - C[1:]^T L[1:, 1:]^-1 C[1:], so (Sylvester) that holds exactly
+    when L is PSD with kernel dimension 1 and S is positive definite: its
+    least eigenvalue above the max|w| floor's cut, else
+    :class:`HypothesisFailed`.  One solve of L[1:, 1:] gives the d rows
+    [X^T | I_d] spanning {k : (Lzd k)[:|V|] = 0, k[v1] = 0}, with X[v1] = 0,
+    and S as their Gram matrix against Lzd; whitening them by S (singular
+    under the cut of its largest eigenvalue, as huge gains make it) and
+    rescaling to unit volume gives the minimizer.  Without ``basis_seed`` it
+    comes in a normal form: p(v1) = 0 exactly and a symmetric
+    positive-definite lattice.  ``basis_seed`` remixes the rows to exercise
+    the uniqueness-up-to-isometry guarantee.
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
     d = graph.dimension
     n = graph.num_vertices
-    spec = _stress_spectrum(graph, w, "zd_laplacian", tol)
+    spec = _stress_spectrum(graph, w, "laplacian", tol)
     if spec.nullity != 1 or not spec.is_psd:
         raise HypothesisFailed(
-            f"need PSD stress matrix with kernel dimension 1, got kernel "
+            f"need PSD stress matrix with kernel dimension 1, got Laplacian kernel "
             f"{spec.nullity}, min eigenvalue {spec.min_eigenvalue:g}"
         )
     laps = weighted_laplacians(graph, w)
@@ -160,14 +162,20 @@ def standard_realization(
         basis[:, 1:n] = np.linalg.solve(laps.laplacian[1:, 1:], -laps.cross_block[1:]).T
     except np.linalg.LinAlgError as exc:
         raise DegenerateKernel(f"pinned Laplacian block is singular: {exc}") from exc
-    if basis_seed is not None:
-        basis = np.random.default_rng(basis_seed).standard_normal((d, d)) @ basis
-
-    gram = basis @ laps.zd_laplacian @ basis.T
-    gram = 0.5 * (gram + gram.T)
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    if eigvals[0] <= _rank_cut(np.abs(eigvals)[::-1], gram.shape, tol, 0.0)[2]:
+    schur = basis @ laps.zd_laplacian[:, n:]  # = basis Lzd basis^T = G + X^T C, O(|V| d^2)
+    schur = 0.5 * (schur + schur.T)
+    eigvals, eigvecs = np.linalg.eigh(schur)
+    if eigvals[0] <= tol.rank_rel_tol * d * laps.weight_scale:
+        raise HypothesisFailed(
+            f"need PSD stress matrix with kernel dimension 1, got a Schur block "
+            f"that is not positive definite (min eigenvalue {eigvals[0]:g})"
+        )
+    if eigvals[0] <= _rank_cut(eigvals[::-1], (d, d), tol, 0.0)[2]:
         raise DegenerateKernel("whitening matrix is numerically singular")
+    if basis_seed is not None:
+        mix = np.random.default_rng(basis_seed).standard_normal((d, d))
+        basis = mix @ basis
+        eigvals, eigvecs = np.linalg.eigh(mix @ schur @ mix.T)
     half = eigvecs / eigvals**0.25
     inv_sqrt = half @ half.T  # exactly symmetric: both triangles sum the same products
     pl = inv_sqrt @ basis  # [P L] with [P L] Lzd [P L]^T = I_d
@@ -181,4 +189,3 @@ def standard_realization(
     points = {v: pl[:, i].copy() for i, v in enumerate(graph.vertices)}
     real = Realization(points, pl[:, n:])
     return real, verify_kkt(graph, w, real, lam, tol)
-

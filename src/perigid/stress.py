@@ -128,25 +128,26 @@ def _stress_spectrum(
     A strictly positive stress is decided from the graph, exactly and with no
     matrix: Omega = sum_e w_e b_e b_e^T and Lzd = sum_e w_e a_e a_e^T (b_e, a_e
     the rows of the incidence matrix and of I_zd) are sums of PSD rank-one
-    terms, so each is PSD with the kernel of its incidence matrix.  The
-    Laplacian's nullity is the number of components and Lzd's is
-    |V| + d - rank I_zd, both exact integers from the spanning forest.  The
-    all-ones vectors 1 and 1-hat lie in those kernels, so the least
-    eigenvalue is exactly 0.0 and no cut is marginal.  Every other stress is
-    assembled and goes to :func:`~perigid.linalg.symmetric_spectrum`.  This is
-    the one place a stress matrix's kernel and sign are decided; only
-    :func:`_laplacian_nullity` proves a generic trial's answer before it
-    asks here.
+    terms, so each is PSD with the kernel of its incidence matrix, of
+    dimension the number of components and |V| + d - rank I_zd, exact
+    integers from the spanning forest.  1 and 1-hat lie in those kernels, so
+    the least eigenvalue is exactly 0.0 and no cut is marginal.  Every other
+    stress is assembled and goes to :func:`~perigid.linalg.symmetric_spectrum`.
 
-    The Laplacian Omega decides Lzd for a stress in flexible equilibrium
-    (Lzd [P L]^T = 0) at a non-flat lattice L: nullity(Lzd) = nullity(Omega)
-    + d, and Lzd is PSD exactly when Omega is.  Proof: K = span(1-hat, the
-    columns of [P L]^T) lies in ker Lzd.  On the d+1 coordinates S = {v1} +
-    lattice, K's basis reads [[1, p(v1)^T], [0, L^T]], of determinant
-    det L != 0, so every x is k + y with k in K and y zero on S, and
-    x^T Lzd x = y^T Omega[1:,1:] y.  Omega 1 = 0 splits Omega's form the same
-    way: Lzd is congruent to 0_(d+1) + Omega[1:,1:], Omega to 0_1 +
-    Omega[1:,1:], and Sylvester's law of inertia gives both claims.
+    Every decision reads Omega here (a generic trial's after the proof of
+    :func:`_laplacian_nullity`); Lzd is ranked only for the reports of
+    ``rank`` and :func:`strip_loops`.  Omega decides Lzd for a stress in
+    flexible or volume equilibrium at a non-flat lattice L.  Let K = [P L]^T
+    and y be zero on S = {v1} + lattice.  On S, 1-hat and K read
+    [[1, p(v1)^T], [0, L^T]], of determinant det L != 0, so every x is
+    a 1-hat + K b + y, and x^T Lzd x = b^T K^T Lzd K b + 2 b^T K^T Lzd y +
+    y^T Omega[1:,1:] y.  Flexible equilibrium, Lzd K = 0, leaves
+    0_(d+1) + Omega[1:,1:], so nullity(Lzd) = nullity(Omega) + d.  Volume
+    equilibrium, Lzd K = [0; lam L^-1], gives K^T Lzd K = lam I_d and
+    K^T Lzd y = lam L^-T y[lattice] = 0, so 0_1 + lam I_d + Omega[1:,1:]:
+    with lam > 0, the volume certificate's first clause, nullity(Lzd) =
+    nullity(Omega).  As Omega 1 = 0 makes Omega congruent to 0_1 +
+    Omega[1:,1:], Lzd is PSD exactly when Omega is (Sylvester), in both.
     """
     if not _strictly_positive(w, tol):
         laps = weighted_laplacians(graph, w)

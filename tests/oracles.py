@@ -183,9 +183,10 @@ def reverify(
     """Re-run the checks behind a positive stress certificate from its witness.
 
     A fixed-lattice verdict re-runs the fixed-lattice certificate, also when a
-    spiderweb check issued it.  A flexible verdict, which the package decides
-    on the Laplacian L, also checks the paper's own statement on the dense
-    lattice-extended Lzd: kernel dimension d+1 and PSD.
+    spiderweb check issued it.  A flexible or volume verdict, which the
+    package decides on the Laplacian L, also checks the paper's own statement
+    on the dense lattice-extended Lzd: PSD, with kernel dimension d+1
+    (flexible) or 1 (volume).
     """
     w, lam = certificate.witness_stress, certificate.witness_lambda
     again = {
@@ -195,10 +196,11 @@ def reverify(
     }.get(certificate.verdict)
     if again is None:
         raise ValueError("reverify handles positive stress-certificate verdicts only")
-    if certificate.verdict == Verdict.SUPER_STABLE:
+    lzd_nullity = {Verdict.SUPER_STABLE: graph.dimension + 1, Verdict.VOLUME_SUPER_STABLE: 1}
+    if certificate.verdict in lzd_nullity:
         laps = weighted_laplacians(graph, w)
         dense = symmetric_spectrum(laps.zd_laplacian, tol, laps.weight_scale)
-        if dense.nullity != graph.dimension + 1 or not dense.is_psd:
+        if dense.nullity != lzd_nullity[certificate.verdict] or not dense.is_psd:
             return False
     return again().verdict == certificate.verdict
 

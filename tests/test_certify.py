@@ -159,7 +159,8 @@ def test_each_certificate_factorises_its_laplacian_once(
 ):
     """A strictly positive stress (the all-cable hex) is decided from the graph
     with no assembly and no eigvalsh; a stress of mixed signs assembles its
-    stress matrix once, for exactly one eigvalsh."""
+    stress matrix once, for exactly one eigvalsh of its Laplacian, in every
+    mode."""
     from perigid.certify import certify_volume_constrained
     from perigid.optimize import standard_realization
     from perigid.stress import lambda_stress_space, normalized_stress
@@ -203,8 +204,7 @@ def test_each_certificate_factorises_its_laplacian_once(
     calls = count_factorisations()
     assemblies = _counting_assemblies(monkeypatch)
     for graph, eigensolves, positive, run in cases:
-        n, d = graph.num_vertices, graph.dimension
-        size = n + d if mode == "volume" else n
+        size = graph.num_vertices
         del calls[:], assemblies[:]
         cert = run()
         assert cert.positive == positive

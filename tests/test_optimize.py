@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perigid.certify import Verdict, certify_volume_constrained
 from perigid import optimize
@@ -19,13 +21,14 @@ from perigid.framework import (
     random_realization,
 )
 from perigid.gain import GainGraph
+from perigid.linalg import symmetric_spectrum
 from perigid.optimize import (
     energy,
     energy_gradient,
     standard_realization,
     verify_kkt,
 )
-from perigid.stress import lambda_stress_space, normalized_stress
+from perigid.stress import lambda_stress_space, normalized_stress, weighted_laplacians
 
 from oracles import (
     cable_framework,
@@ -169,6 +172,67 @@ def test_standard_realization_refuses_indefinite(hexes, tol):
         standard_realization(hexes.graph, weights, tol)
 
 
+def _refusal_matches_dense_lzd(graph, weights, tol) -> bool:
+    """Whether ``standard_realization`` raises HypothesisFailed, after checking
+    that it does exactly when the dense Lzd, cut with the max|w| floor, is
+    not PSD with kernel dimension 1."""
+    laps = weighted_laplacians(graph, weights)
+    dense = symmetric_spectrum(laps.zd_laplacian, tol, laps.weight_scale)
+    try:
+        standard_realization(graph, weights, tol)
+        refused = False
+    except HypothesisFailed:
+        refused = True
+    assert refused == (dense.nullity != 1 or not dense.is_psd)
+    return refused
+
+
+@pytest.mark.parametrize("name", ["flex1", "flex2", "octagon"])
+def test_standard_realization_refuses_a_lattice_flex(catalog, tol, name):
+    """These stresses have a PSD Laplacian of kernel dimension 1, yet Lzd has
+    kernel dimension d+1: the lattice block's Schur complement is singular
+    (octagon's to rounding, with eigenvalues of either sign near 1e-16, which
+    the max|w| floor cuts to zero)."""
+    fix = catalog[name]
+    assert _refusal_matches_dense_lzd(fix.graph, fix.stress, tol)
+    with pytest.raises(HypothesisFailed, match="Schur block"):
+        standard_realization(fix.graph, fix.stress, tol)
+
+
+def test_standard_realization_huge_gain_is_degenerate_not_refused(hexes, tol):
+    """With one gain of 1e9 the all-ones stress still meets the hypothesis
+    exactly: it is strictly positive on a connected graph of gain rank 2, and
+    the Schur block's least eigenvalue, 2/3, is far above the max|w| floor's
+    cut.  Its largest is about 1e18, so the whitening is numerically singular."""
+    edges = list(hexes.graph.edges)
+    edges[6] = edges[6]._replace(gain=(10**9, 0))
+    graph = GainGraph(2, hexes.graph.vertices, edges)
+    with pytest.raises(DegenerateKernel, match="whitening matrix is numerically singular"):
+        standard_realization(graph, hexes.stress, tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(3, 24),
+    d=st.integers(2, 3),
+    kind=st.sampled_from(["positive", "weak strut", "zero weight", "gaussian"]),
+)
+def test_standard_realization_hypothesis_is_the_dense_lzd_one(tol, seed, n, d, kind):
+    """On seeded cable frameworks with positive, one mixed-sign, one zero or
+    Gaussian weights, the minimiser refuses exactly the stresses whose dense
+    Lzd is not PSD with kernel span(1-hat)."""
+    graph, w = cable_framework(seed, n=n, d=d)
+    rng = np.random.default_rng(seed)
+    if kind == "weak strut":
+        w[int(rng.integers(w.size))] = -rng.uniform(0.0, 2.0)
+    elif kind == "zero weight":
+        w[int(rng.integers(w.size))] = 0.0
+    elif kind == "gaussian":
+        w = rng.standard_normal(w.size)
+    _refusal_matches_dense_lzd(graph, w, tol)
+
+
 def test_projected_gradient_cannot_improve(hexes, tol):
     real, _ = standard_realization(hexes.graph, hexes.stress, tol)
     e_star = energy(hexes.graph, hexes.stress, real, tol)
@@ -271,9 +335,10 @@ def test_standard_realization_single_orbit(flex1, tol):
 
 @pytest.mark.parametrize("case", ["hex", "cable40", "strut-chord"])
 def test_standard_realization_factorisations(hexes, tol, count_factorisations, case):
-    """The whole cost: one pinned solve and one d x d eigh, plus one eigvalsh of
-    Lzd only for a stress of mixed signs, and the KKT check's d x d inverse of
-    the lattice; no SVD."""
+    """The whole cost: one pinned solve and one d x d eigh (the Schur block,
+    which the hypothesis cuts and the whitening reads), plus one eigvalsh of
+    the Laplacian only for a stress of mixed signs, and the KKT check's d x d
+    inverse of the lattice; no SVD."""
     if case == "hex":
         graph, weights = hexes.graph, hexes.stress
     elif case == "cable40":
@@ -284,7 +349,7 @@ def test_standard_realization_factorisations(hexes, tol, count_factorisations, c
     calls = count_factorisations()
     _, report = standard_realization(graph, weights, tol)
     assert report.passed
-    eigensolve = [("eigvalsh", (n + d, n + d))] if case == "strut-chord" else []
+    eigensolve = [("eigvalsh", (n, n))] if case == "strut-chord" else []
     assert calls == eigensolve + [("solve", (n - 1, n - 1)), ("eigh", (d, d)), ("inv", (d, d))]
 
 

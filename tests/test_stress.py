@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from perigid.certify import certify_super_stable
+from perigid.certify import certify_super_stable, certify_volume_constrained
 from perigid.errors import FlatLattice, NonFiniteEntry, NotFixedLatticeStress, SingularGainBasis
 from perigid.framework import (
     Realization,
@@ -398,6 +398,64 @@ def test_flexible_stress_lzd_nullity_is_laplacian_nullity_plus_d(tol, case):
     lap = _stress_spectrum(graph, w, "laplacian", tol)
     assert lzd.nullity == lap.nullity + graph.dimension
     assert lzd.is_psd == lap.is_psd
+
+
+@st.composite
+def volume_stress_cases(draw):
+    """Small gain graphs (d = 2-3, loops allowed, about as many edges as a
+    rigid one needs, often of gain rank below d) at a seeded random
+    unit-volume realization, with a random (stress, multiplier) pair of their
+    lambda stress space, signed so that the multiplier is not negative."""
+    d = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 5))
+    vertex = st.integers(0, n - 1)
+    rank = draw(st.integers(1, d))  # gains vanish past their first ``rank`` coordinates
+    gain = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)
+    names = [f"v{i}" for i in range(n)]
+    kept = []
+    count = d * n + d * (d - 1) // 2
+    edges = st.lists(st.tuples(vertex, vertex, gain), min_size=count - 2, max_size=count + 4)
+    for t, h, g in draw(edges):
+        edge = (names[t], names[h], tuple(g) + (0,) * (d - rank))
+        if t == h and not any(g):
+            continue
+        try:
+            GainGraph(d, names, kept + [edge])
+        except DuplicateEdge:
+            continue
+        kept.append(edge)
+    graph = GainGraph(d, names, kept)
+    tol = ToleranceVault()
+    real = random_realization(graph, tol, seed=draw(st.integers(0, 2**16)))
+    real = real.scaled(abs(np.linalg.det(real.lattice)) ** (-1.0 / d))
+    basis = lambda_stress_space(graph, real, tol)
+    coefficient = st.floats(-1.0, 1.0).map(lambda x: 0.0 if abs(x) < 1e-6 else x)
+    coefficients = draw(st.lists(coefficient, min_size=basis.shape[1], max_size=basis.shape[1]))
+    vec = basis @ np.array(coefficients, dtype=float)
+    vec = -vec if vec[-1] < 0 else vec
+    return graph, real, vec[:-1], float(vec[-1])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=volume_stress_cases())
+def test_volume_stress_lzd_decided_by_laplacian(tol, case):
+    """The identity the volume certificate stands on: once its multiplier and
+    volume-equilibrium clauses pass, nullity(Lzd) = nullity(L), Lzd is PSD
+    exactly when L is, and so the certificate's verdict is the one the dense
+    Lzd gives.  Below gain rank d no multiplier passes: a u != 0 orthogonal
+    to every gain makes [0; u] a kernel vector of Lzd, so volume equilibrium
+    gives lam L^-T u = 0."""
+    graph, real, w, lam = case
+    cert = certify_volume_constrained(graph, real, w, lam, tol)
+    if graph.gain_rank() < graph.dimension:
+        assert cert.failing.startswith("multiplier")
+    if cert.failing is not None and not cert.failing.startswith("Laplacian"):
+        return  # the multiplier or equilibrium clause fails first
+    laps = weighted_laplacians(graph, w)
+    lzd = symmetric_spectrum(laps.zd_laplacian, tol, laps.weight_scale)
+    lap = _stress_spectrum(graph, w, "laplacian", tol)
+    assert (lzd.nullity, lzd.is_psd) == (lap.nullity, lap.is_psd)
+    assert cert.positive == (lzd.nullity == 1 and lzd.is_psd)
 
 
 def test_verify_equilibrium_gate_scale_invariant(flex2, hexes, tol):
