@@ -225,7 +225,7 @@ def certify_spiderweb(
     ``eigvalsh`` still fills in its kernel and least eigenvalue.  No stress
     is checked for proper signs: one that passes is proper on cables.
     """
-    if any(e.marking != "cable" for e in graph.edges):
+    if graph.markings().count("cable") != graph.num_edges:
         raise NotSpiderweb("spiderwebs have every edge marked cable")
     if not graph.is_connected():
         raise NotSpiderweb("spiderwebs are connected")

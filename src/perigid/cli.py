@@ -242,11 +242,8 @@ def _run_info(parsed, vault, args) -> tuple[dict, int]:
         "dimension": graph.dimension,
         "vertices": graph.num_vertices,
         "edges": graph.num_edges,
-        "loops": sum(1 for e in graph.edges if e.is_loop),
-        "markings": {
-            kind: sum(1 for e in graph.edges if e.marking == kind)
-            for kind in ("bar", "cable", "strut")
-        },
+        "loops": int(np.count_nonzero(graph.loop_mask)),
+        "markings": {kind: graph.markings().count(kind) for kind in ("bar", "cable", "strut")},
         "connected": graph.is_connected(),
         "gain_rank": graph.gain_rank(),
         "full_rank_condition": {"holds": holds, "rank_incidence_zd": rank_izd},

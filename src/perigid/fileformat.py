@@ -4,10 +4,18 @@ One document describes a gain graph, optionally a realization (positions plus
 column-major lattice), optionally per-edge weights and a multiplier.  Gains
 must be JSON integers; integral-valued floats are rejected so exact integer
 arithmetic downstream stays honest.
+
+The reader checks a list of entries column first: each field (names, tail
+and head positions, gains, markings, weights, coordinates) is read as one
+column and tested whole.  Only when a column fails its test are the entries
+walked one by one, from the first, to raise the error of the first failing
+path; the walk also accepts what the column tests leave to it, such as int
+coordinates or str subclasses in a decoded document.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -65,11 +73,21 @@ def _as_name(value, path: str, *index) -> str:
     return value
 
 
+def _all_type(values, kind: type) -> bool:
+    """Whether every value's type is exactly ``kind``; true when there are none."""
+    return set(map(type, values)) <= {kind}
+
+
+def _finite_floats(values: list) -> bool:
+    """Whether every value is a finite float, all that JSON decoding gives
+    for a valid list of reals."""
+    return _all_type(values, float) and math.isfinite(sum(values))
+
+
 def _reals(values: list, path: str, *index) -> list:
     """``values`` with each entry checked by :func:`_as_real`, the last slot
-    of ``path`` taking its position.  Finite floats, all that JSON decoding
-    gives for a valid list, pass in one step."""
-    if all(type(x) is float for x in values) and math.isfinite(sum(values)):
+    of ``path`` taking its position.  Finite floats pass in one step."""
+    if _finite_floats(values):
         return values
     return [_as_real(x, path, *index, k) for k, x in enumerate(values)]
 
@@ -100,15 +118,37 @@ def _vertices(data: dict, dim: int, need_position: bool) -> tuple[dict, dict]:
     raw_vertices = _require(data, "vertices", "$")
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise _fail("$.vertices", "must be a non-empty list")
+    if _all_type(raw_vertices, dict):
+        names = [entry.get("name") for entry in raw_vertices]
+        coords = _coordinate_column(raw_vertices, dim, need_position)
+        if coords is not None and _all_type(names, str) and all(names):
+            index = dict(zip(names, range(len(names))))
+            if len(index) == len(names):  # no name repeats
+                return index, dict(zip(names, coords))
+    return _vertex_walk(raw_vertices, dim, need_position)
+
+
+def _coordinate_column(raw_vertices: list, dim: int, need_position: bool) -> Optional[list]:
+    """Every vertex's position when each is a list of ``dim`` finite floats,
+    [] when no vertex has one and none is needed, else None."""
+    coords = [entry.get("position") for entry in raw_vertices]
+    if _all_type(coords, list):
+        flat = list(itertools.chain.from_iterable(coords))
+        return coords if set(map(len, coords)) == {dim} and _finite_floats(flat) else None
+    if need_position or any("position" in entry for entry in raw_vertices):
+        return None
+    return []
+
+
+def _vertex_walk(raw_vertices: list, dim: int, need_position: bool) -> tuple[dict, dict]:
+    """:func:`_vertices` entry by entry, for a column that failed its test:
+    raises at the first failing entry, or accepts what the columns did not
+    (int positions, str subclasses in a decoded document)."""
     index, positions = {}, {}
     for i, entry in enumerate(raw_vertices):
         if not isinstance(entry, dict):
             raise _fail("$.vertices[{}]", "must be an object", i)
-        # a quick test first; a field that fails it is checked again in full,
-        # which raises its error or accepts a str (or int) subclass
-        name = entry.get("name")
-        if not (type(name) is str and name):
-            name = _as_name(_require(entry, "name", "$.vertices[{}]", i), "$.vertices[{}].name", i)
+        name = _as_name(_require(entry, "name", "$.vertices[{}]", i), "$.vertices[{}].name", i)
         if name in index:
             raise _fail("$.vertices[{}].name", f"duplicate vertex name {name!r}", i)
         index[name] = i
@@ -149,20 +189,62 @@ def _edges(data: dict, dim: int, index: dict, with_gains: bool) -> _Edges:
     raw_edges = _require(data, "edges", "$")
     if not isinstance(raw_edges, list):
         raise _fail("$.edges", "must be a list")
+    if _all_type(raw_edges, dict):
+        edges = _edge_columns(raw_edges, dim, index, with_gains)
+        if edges is not None:
+            return edges
+    return _edge_walk(raw_edges, dim, index, with_gains)
+
+
+def _edge_columns(raw_edges: list, dim: int, index: dict, with_gains: bool) -> Optional[_Edges]:
+    """The edge fields of a list of objects, one column each, or None at the
+    first column that fails its test."""
+    tail_names = [entry.get("tail") for entry in raw_edges]
+    head_names = [entry.get("head") for entry in raw_edges]
+    if not (_all_type(tail_names, str) and _all_type(head_names, str)):
+        return None
+    try:
+        tails = list(map(index.__getitem__, tail_names))
+        heads = list(map(index.__getitem__, head_names))
+    except KeyError:
+        return None
+    gains = []
+    if with_gains:
+        raw_gains = [entry.get("gain") for entry in raw_edges]
+        if not (
+            _all_type(raw_gains, list)
+            and set(map(len, raw_gains)) <= {dim}
+            and _all_type(itertools.chain.from_iterable(raw_gains), int)
+        ):
+            return None
+        gains = list(map(tuple, raw_gains))
+    elif any("gain" in entry for entry in raw_edges):
+        return None
+    markings = [entry.get("type", "bar") for entry in raw_edges]
+    if not (_all_type(markings, str) and set(markings) <= set(MARKINGS)):
+        return None
+    return _Edges(tails, heads, gains, markings, [entry.get("weight") for entry in raw_edges])
+
+
+def _edge_walk(raw_edges: list, dim: int, index: dict, with_gains: bool) -> _Edges:
+    """:func:`_edges` entry by entry, for a column that failed its test, as
+    :func:`_vertex_walk` does for the vertices."""
     edges = _Edges([], [], [], [], [])
     tails, heads, gains, markings, weights = edges
     for i, entry in enumerate(raw_edges):
         if not isinstance(entry, dict):
             raise _fail("$.edges[{}]", "must be an object", i)
-        # quick tests as in _vertices
-        tail, head = entry.get("tail"), entry.get("head")
-        if not (type(tail) is str and type(head) is str and tail in index and head in index):
-            tail, head = _ends(entry, index, i)
+        tail = _as_name(_require(entry, "tail", "$.edges[{}]", i), "$.edges[{}].tail", i)
+        head = _as_name(_require(entry, "head", "$.edges[{}]", i), "$.edges[{}].head", i)
+        if tail not in index or head not in index:
+            raise _fail("$.edges[{}]", f"edge references unknown vertex {tail!r} or {head!r}", i)
         if with_gains:
-            gain = entry.get("gain")
-            if not (type(gain) is list and len(gain) == dim and all(type(x) is int for x in gain)):
-                gain = _gain(entry, dim, i)
-            gains.append(tuple(gain))
+            gain = _require(entry, "gain", "$.edges[{}]", i)
+            if not isinstance(gain, list) or len(gain) != dim:
+                raise _fail("$.edges[{}].gain", f"must be a list of {dim} integers", i)
+            gains.append(
+                tuple(_as_strict_int(x, "$.edges[{}].gain[{}]", i, k) for k, x in enumerate(gain))
+            )
         elif "gain" in entry:
             raise _fail("$.edges[{}].gain", "finite frameworks carry no gains", i)
         marking = entry.get("type", "bar")
@@ -175,26 +257,13 @@ def _edges(data: dict, dim: int, index: dict, with_gains: bool) -> _Edges:
     return edges
 
 
-def _ends(entry: dict, index: dict, i: int) -> tuple[str, str]:
-    tail = _as_name(_require(entry, "tail", "$.edges[{}]", i), "$.edges[{}].tail", i)
-    head = _as_name(_require(entry, "head", "$.edges[{}]", i), "$.edges[{}].head", i)
-    if tail not in index or head not in index:
-        raise _fail("$.edges[{}]", f"edge references unknown vertex {tail!r} or {head!r}", i)
-    return tail, head
-
-
-def _gain(entry: dict, dim: int, i: int) -> list[int]:
-    gain = _require(entry, "gain", "$.edges[{}]", i)
-    if not isinstance(gain, list) or len(gain) != dim:
-        raise _fail("$.edges[{}].gain", f"must be a list of {dim} integers", i)
-    return [_as_strict_int(x, "$.edges[{}].gain[{}]", i, k) for k, x in enumerate(gain)]
-
-
 def _stress(weights: list) -> Optional[np.ndarray]:
     """Edge weights when every edge has one, None when none has."""
-    with_weight = [w is not None for w in weights]
-    if not any(with_weight):
+    if _all_type(weights, type(None)):
         return None
+    if _finite_floats(weights):
+        return np.array(weights)
+    with_weight = [w is not None for w in weights]
     if not all(with_weight):
         missing = with_weight.index(False)
         raise _fail("$.edges[{}].weight", "all edges need weights or none", missing)
@@ -204,9 +273,9 @@ def _stress(weights: list) -> Optional[np.ndarray]:
 def loads(data) -> ParsedFramework:
     """Parse a framework document from bytes, text, or an already-decoded dict.
 
-    Every field is checked once, in the order dimension, vertices, lattice,
-    edges, weights, positions against vertices and lattice, lambda; the first
-    that fails raises a ParseError naming its path.  Zero loops and duplicate
+    The fields are checked in the order dimension, vertices, lattice, edges,
+    weights, positions against vertices and lattice, lambda; the first that
+    fails raises a ParseError naming its path.  Zero loops and duplicate
     edges are graph errors, raised only once every field has passed.
     """
     data, dim = _document(data)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add, neg, sub
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -65,16 +66,30 @@ def _gain_tuple(gain) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _loop_gain(gain: tuple[int, ...]) -> tuple[int, ...] | None:
+    """A loop's gain with its first nonzero entry made positive; None when
+    every entry is zero."""
+    first = next((g for g in gain if g), 0)
+    if not first:
+        return None
+    return gain if first > 0 else tuple(map(neg, gain))
+
+
+def _loop_key(v: int, gain: tuple[int, ...]) -> tuple | None:
+    """The duplicate key (v, v, canonical gain) of a loop at position v; None
+    for a zero loop."""
+    loop_gain = _loop_gain(gain)
+    return None if loop_gain is None else (v, v, loop_gain)
+
+
 def _canonical(tail, head, gain: tuple[int, ...], index) -> tuple:
     """(tail, head, gain) of the canonical representative, the rule behind
     :func:`canonicalize_edge`; ``index`` maps vertex -> position."""
     if tail == head:
-        if not any(gain):
+        loop_gain = _loop_gain(gain)
+        if loop_gain is None:
             raise ZeroLoop(f"loop at {tail!r} must have a nonzero gain")
-        first = next(g for g in gain if g != 0)
-        if first < 0:
-            gain = tuple(-g for g in gain)
-        return tail, head, gain
+        return tail, head, loop_gain
     if index[tail] > index[head]:
         return head, tail, tuple(-g for g in gain)
     return tail, head, gain
@@ -92,14 +107,31 @@ def canonicalize_edge(tail, head, gain, order: Sequence[Vertex]) -> GainEdge:
 
 def _covering_neighbors(graph: "GainGraph", v: Vertex, shift: tuple[int, ...]):
     """Covering nodes next to (v, shift), one per edge end at v (a loop gives two)."""
-    for e, other, sign in graph._incidence[graph._index[v]]:
-        gain = graph.edges[e].gain
-        yield graph.vertices[other], tuple(s + sign * g for s, g in zip(shift, gain))
+    start, ends, others = graph._incidence
+    i = graph._index[v]
+    lo, hi = start[i], start[i + 1]
+    for end, other in zip(ends[lo:hi], others[lo:hi]):
+        step = sub if end & 1 else add  # a head end steps back along its edge
+        yield graph.vertices[other], tuple(map(step, shift, graph._gains[end >> 1]))
+
+
+class _Incidence(NamedTuple):
+    """The edge ends by vertex, as compressed sparse rows.  Edge e has ends 2e
+    (its tail) and 2e + 1 (its head); vertex v's ends are
+    ``ends[start[v]:start[v + 1]]``, in edge order, a loop's tail end first."""
+
+    start: list[int]  # |V| + 1 offsets into ends and others
+    ends: list[int]
+    others: list[int]  # the vertex at each end's far end
 
 
 class _Forest(NamedTuple):
+    """Breadth-first spanning forest, rooted at each component's first vertex."""
+
     component: list[int]  # per vertex position; components numbered by first vertex
-    cycle_gains: list[list[tuple[int, ...]]]  # per component, exact integers
+    count: int  # number of components
+    order: list[int]  # vertex positions in visiting order, so each after its parent
+    parent_end: list[int]  # per vertex, the end of the forest edge it was reached by; -1 at roots
 
 
 class _LaplacianSupport(NamedTuple):
@@ -128,15 +160,22 @@ class GainGraph:
 
     Immutable after construction; all derived matrices use the construction
     order of vertices and edges, so matrix layouts are reproducible
-    bit-for-bit.  Construction also caches the edge structure as read-only
-    arrays, from which every matrix is gathered or scattered in O(|E|):
-    ``tail_idx`` and ``head_idx`` (vertex positions, intp), ``loop_mask`` and
-    ``gain_array`` (|E| x d, float64 so huge integer gains cannot overflow;
-    the exact integers stay on the edges).  A per-vertex incidence table and
-    a breadth-first spanning forest are built from them on first use; the
-    components, the gain rank, the rank condition and the covering windows
-    all read those two.  The weighted Laplacians and the equilibrium sums read
-    a grouping of the non-loop edges by vertex pair, also built on first use.
+    bit-for-bit.  Construction keeps the edges as columns: the exact gain
+    tuples and the markings, plus read-only arrays from which every matrix
+    is gathered or scattered in O(|E|): ``tail_idx`` and ``head_idx`` (vertex
+    positions, intp), ``loop_mask`` and ``gain_array`` (|E| x d, float64 so
+    huge integer gains cannot overflow; the exact integers stay in the gain
+    column).  The tuple of :class:`GainEdge` that ``edges`` gives is built
+    from the columns on first read.
+
+    Connectivity reads a table of the edge ends by vertex, compressed sparse
+    rows from a stable counting sort of the ends [t0, h0, t1, h1, ...], and a
+    breadth-first spanning forest over it that labels the components.  The
+    exact potentials and cycle gains of the forest, which only the gain rank
+    and the rank condition read, are computed the first time one of them is
+    asked for; the covering windows read the table.  The weighted Laplacians
+    and the equilibrium sums read a grouping of the non-loop edges by vertex
+    pair.  All of these are built on first use, then kept.
     """
 
     def __init__(self, dimension: int, vertices: Sequence[Vertex], edges: Iterable):
@@ -187,8 +226,8 @@ class GainGraph:
         vertices: tuple[Vertex, ...],
         tails: list[int],
         heads: list[int],
-        gains: list[tuple[int, ...]],
-        markings: list[str],
+        gains: Sequence[tuple[int, ...]],
+        markings: Sequence[str],
     ) -> "GainGraph":
         """The graph whose edge e runs from ``vertices[tails[e]]`` to
         ``vertices[heads[e]]`` with gain ``gains[e]`` and marking
@@ -202,32 +241,50 @@ class GainGraph:
         graph._assemble(tails, heads, gains, markings)
         return graph
 
-    def _assemble(self, tails: list, heads: list, gains: list, markings: list) -> None:
-        """Raise ZeroLoop and DuplicateEdge in edge order, then keep the edges
-        and their arrays."""
-        vertices, index = self.vertices, self._index
-        edges: list[GainEdge] = []
-        seen: set[tuple] = set()
-        for t, h, gain, marking in zip(tails, heads, gains, markings):
-            edge = GainEdge(vertices[t], vertices[h], gain, marking)
-            # an edge that runs forward in vertex order is its own representative
-            key = edge[:3] if t < h else _canonical(edge.tail, edge.head, gain, index)
-            if key in seen:
-                raise DuplicateEdge(f"edge {edge} duplicates an earlier edge under ~")
-            seen.add(key)
-            edges.append(edge)
-        self.edges: tuple[GainEdge, ...] = tuple(edges)
-
+    def _assemble(self, tails: list, heads: list, gains: Sequence, markings: Sequence) -> None:
+        """Raise ZeroLoop and DuplicateEdge in edge order, then keep the
+        columns and their arrays.  Both are found on exact keys (lo, hi,
+        canonical gain) of vertex positions, so gains past 2^53 stay apart."""
         self.tail_idx = _frozen(np.array(tails, dtype=np.intp))
         self.head_idx = _frozen(np.array(heads, dtype=np.intp))
         self.loop_mask = _frozen(self.tail_idx == self.head_idx)
+        keys = [
+            (t, h, g) if t < h else (h, t, tuple(map(neg, g))) if t > h else _loop_key(t, g)
+            for t, h, g in zip(tails, heads, gains)
+        ]
+        unique = set(keys)
+        if len(unique) < len(keys) or None in unique:
+            self._raise_first_fault(keys, tails, heads, gains, markings)
+        self._gains: tuple[tuple[int, ...], ...] = tuple(gains)
+        self._markings: tuple[str, ...] = tuple(markings)
+
+        count = len(self._gains) * self.dimension
         try:
-            array = np.array(gains, dtype=float)
+            array = np.fromiter(itertools.chain.from_iterable(self._gains), float, count)
         except OverflowError as exc:
             raise ValueError("gain entries must fit in a float64") from exc
-        self.gain_array = _frozen(array.reshape(len(edges), self.dimension))
+        self.gain_array = _frozen(array.reshape(len(self._gains), self.dimension))
+
+    def _raise_first_fault(self, keys: list, tails: list, heads: list, gains, markings) -> None:
+        """Raise the first zero loop (key None) or duplicate key in edge order."""
+        names, seen = self.vertices, set()
+        for e, key in enumerate(keys):
+            if key is None:
+                raise ZeroLoop(f"loop at {names[tails[e]]!r} must have a nonzero gain")
+            if key in seen:
+                edge = GainEdge(names[tails[e]], names[heads[e]], gains[e], markings[e])
+                raise DuplicateEdge(f"edge {edge} duplicates an earlier edge under ~")
+            seen.add(key)
 
     # -- basic accessors -------------------------------------------------
+
+    @cached_property
+    def edges(self) -> tuple[GainEdge, ...]:
+        """The edges in construction order, built from the columns on first read."""
+        names = self.vertices
+        tails = [names[t] for t in self.tail_idx.tolist()]
+        heads = [names[h] for h in self.head_idx.tolist()]
+        return tuple(map(GainEdge, tails, heads, self._gains, self._markings))
 
     @property
     def num_vertices(self) -> int:
@@ -235,13 +292,13 @@ class GainGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self._markings)
 
     def vertex_index(self, v: Vertex) -> int:
         return self._index[v]
 
     def markings(self) -> tuple[str, ...]:
-        return tuple(e.marking for e in self.edges)
+        return self._markings
 
     def __eq__(self, other) -> bool:
         return (
@@ -267,8 +324,8 @@ class GainGraph:
             self.vertices,
             self.tail_idx.tolist(),
             self.head_idx.tolist(),
-            [e.gain for e in self.edges],
-            list(markings),
+            self._gains,
+            tuple(markings),
         )
 
     def without_loops(self) -> tuple["GainGraph", list[int]]:
@@ -279,22 +336,21 @@ class GainGraph:
             self.vertices,
             self.tail_idx[keep].tolist(),
             self.head_idx[keep].tolist(),
-            [self.edges[i].gain for i in keep],
-            [self.edges[i].marking for i in keep],
+            [self._gains[i] for i in keep],
+            [self._markings[i] for i in keep],
         )
         return graph, keep
 
     def with_extra_loops(self, vertex: Vertex, gains, marking: str = "bar") -> "GainGraph":
-        extra = tuple(self._coerce_edge((vertex, vertex, g, marking)) for g in gains)
+        extra = [self._coerce_edge((vertex, vertex, g, marking)) for g in gains]
         loops = [self._index[e.tail] for e in extra]
-        edges = self.edges + extra
         return self._from_indices(
             self.dimension,
             self.vertices,
             self.tail_idx.tolist() + loops,
             self.head_idx.tolist() + loops,
-            [e.gain for e in edges],
-            [e.marking for e in edges],
+            self._gains + tuple(e.gain for e in extra),
+            self._markings + tuple(e.marking for e in extra),
         )
 
     # -- incidence structure ---------------------------------------------
@@ -338,62 +394,91 @@ class GainGraph:
     # -- connectivity and gain rank ---------------------------------------
 
     @cached_property
-    def _incidence(self) -> list[list[tuple[int, int, int]]]:
-        """Per vertex position: (edge index, other end, +1 leaving / -1 entering).
-        A loop is listed twice at its vertex, once each way."""
-        table: list[list[tuple[int, int, int]]] = [[] for _ in self.vertices]
-        for e, (t, h) in enumerate(zip(self.tail_idx.tolist(), self.head_idx.tolist())):
-            table[t].append((e, h, 1))
-            table[h].append((e, t, -1))
-        return table
+    def _incidence(self) -> _Incidence:
+        """The edge ends by vertex, placed by a counting sort of the ends
+        [t0, h0, t1, h1, ...]: it is stable, so each vertex's ends keep their
+        edge order and a loop's tail end comes before its head end."""
+        tails, heads = self.tail_idx.tolist(), self.head_idx.tolist()
+        count = [0] * (self.num_vertices + 1)
+        for t, h in zip(tails, heads):
+            count[t + 1] += 1
+            count[h + 1] += 1
+        start = list(itertools.accumulate(count))
+        free = start[:-1]  # each vertex's next unfilled slot
+        ends, others = [0] * (2 * len(tails)), [0] * (2 * len(tails))
+        for e, (t, h) in enumerate(zip(tails, heads)):
+            k = free[t]
+            free[t], ends[k], others[k] = k + 1, 2 * e, h
+            k = free[h]
+            free[h], ends[k], others[k] = k + 1, 2 * e + 1, t
+        return _Incidence(start, ends, others)
 
     @cached_property
     def _forest(self) -> _Forest:
-        """Breadth-first spanning forest, rooted at each component's first vertex.
+        """Breadth-first spanning forest: component labels and the end each
+        vertex was reached by, with no gains."""
+        start, ends, others = self._incidence
+        component, parent_end, order = [-1] * self.num_vertices, [-1] * self.num_vertices, []
+        count = 0
+        for root in range(self.num_vertices):
+            if component[root] >= 0:
+                continue
+            component[root] = count
+            queue = [root]
+            for v in queue:  # grows while it is read: breadth-first order
+                for k in range(start[v], start[v + 1]):
+                    other = others[k]
+                    if component[other] < 0:
+                        component[other], parent_end[other] = count, ends[k]
+                        queue.append(other)
+            order += queue
+            count += 1
+        return _Forest(component, count, order, parent_end)
+
+    @cached_property
+    def _cycle_gains(self) -> list[list[tuple[int, ...]]]:
+        """Per component, the exact gains of the cycles that the non-forest
+        edges close, computed on first use.
 
         The potential phi of a vertex is the gain of its forest path from the
         root; a non-forest edge tail -> head closes the cycle root -> tail ->
         head -> root, whose gain is phi(tail) + g - phi(head).
         """
-        component = [-1] * self.num_vertices
-        potential: list[tuple[int, ...]] = [()] * self.num_vertices
+        forest, gains = self._forest, self._gains
+        tails, heads = self.tail_idx.tolist(), self.head_idx.tolist()
+        potential = [(0,) * self.dimension] * self.num_vertices
         in_forest = [False] * self.num_edges
-        count = 0
-        for root in range(self.num_vertices):
-            if component[root] >= 0:
+        for v in forest.order:
+            end = forest.parent_end[v]
+            if end < 0:
                 continue
-            component[root], potential[root] = count, (0,) * self.dimension
-            queue = [root]
-            for v in queue:  # grows while it is read: breadth-first order
-                for e, other, sign in self._incidence[v]:
-                    if component[other] < 0:
-                        gain = self.edges[e].gain
-                        component[other] = count
-                        potential[other] = tuple(p + sign * g for p, g in zip(potential[v], gain))
-                        in_forest[e] = True
-                        queue.append(other)
-            count += 1
-        cycle_gains: list[list[tuple[int, ...]]] = [[] for _ in range(count)]
-        for e, (t, h) in enumerate(zip(self.tail_idx.tolist(), self.head_idx.tolist())):
+            e = end >> 1
+            in_forest[e] = True
+            if end & 1:  # reached from the head: v is the tail
+                potential[v] = tuple(map(sub, potential[heads[e]], gains[e]))
+            else:
+                potential[v] = tuple(map(add, potential[tails[e]], gains[e]))
+        cycle_gains: list[list[tuple[int, ...]]] = [[] for _ in range(forest.count)]
+        for e, (t, h) in enumerate(zip(tails, heads)):
             if not in_forest[e]:
-                cycle = zip(potential[t], self.edges[e].gain, potential[h])
-                cycle_gains[component[t]].append(tuple(pt + g - ph for pt, g, ph in cycle))
-        return _Forest(component, cycle_gains)
+                cycle = map(sub, map(add, potential[t], gains[e]), potential[h])
+                cycle_gains[forest.component[t]].append(tuple(cycle))
+        return cycle_gains
 
     def components(self) -> list[list[Vertex]]:
         """Connected components, each listing its vertices in graph order."""
-        comps: list[list[Vertex]] = [[] for _ in self._forest.cycle_gains]
+        comps: list[list[Vertex]] = [[] for _ in range(self._forest.count)]
         for v, c in zip(self.vertices, self._forest.component):
             comps[c].append(v)
         return comps
 
     def is_connected(self) -> bool:
-        return len(self._forest.cycle_gains) == 1
+        return self._forest.count == 1
 
     @cached_property
     def _cycle_ranks(self) -> list[int]:
         """Exact rank of each component's cycle gains."""
-        return [smith_rank(np.array(g, dtype=object)) for g in self._forest.cycle_gains]
+        return [smith_rank(np.array(g, dtype=object)) for g in self._cycle_gains]
 
     def gain_rank(self) -> int:
         """Rank of the gain group, maximised over connected components."""
@@ -409,14 +494,14 @@ class GainGraph:
         The stacked rank is at most d, so rank I_zd = |V|-1+d exactly when the
         graph is connected with gain rank d; one pass gives both, exactly.
         """
-        per_component = self._forest.cycle_gains
-        rank = self.num_vertices - len(per_component)
-        if len(per_component) == 1:
+        count = self._forest.count
+        rank = self.num_vertices - count
+        if count == 1:
             rank += self._cycle_ranks[0]
         else:
-            cycles = [g for gains in per_component for g in gains]
+            cycles = [g for gains in self._cycle_gains for g in gains]
             rank += smith_rank(np.array(cycles, dtype=object))
-        return len(per_component) == 1 and rank == self.num_vertices - 1 + self.dimension, rank
+        return count == 1 and rank == self.num_vertices - 1 + self.dimension, rank
 
     # -- covering window and switching ------------------------------------
 
@@ -433,8 +518,7 @@ class GainGraph:
         v = self._index[vertex]
         tails, heads = self.tail_idx.tolist(), self.head_idx.tolist()
         gains = []
-        for t, h, e in zip(tails, heads, self.edges):
-            gain = e.gain
+        for t, h, gain in zip(tails, heads, self._gains):
             if t != h:
                 if h == v:
                     gain = tuple(g + m for g, m in zip(gain, mu))
@@ -442,7 +526,7 @@ class GainGraph:
                     gain = tuple(g - m for g, m in zip(gain, mu))
             gains.append(gain)
         return self._from_indices(
-            self.dimension, self.vertices, tails, heads, gains, list(self.markings())
+            self.dimension, self.vertices, tails, heads, gains, self._markings
         )
 
 

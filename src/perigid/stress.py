@@ -444,11 +444,7 @@ def is_proper(graph: GainGraph, weights, tol: ToleranceVault) -> bool:
     zero band of ``residual_tol * max|w|``."""
     w = np.asarray(weights, dtype=float).reshape(-1)
     band = tol.residual_tol * float(np.abs(w).max(initial=0.0))
-    for value, edge in zip(w, graph.edges):
-        if abs(value) <= band:
-            continue
-        if edge.marking == "cable" and value < 0:
-            return False
-        if edge.marking == "strut" and value > 0:
-            return False
-    return True
+    return not any(
+        (x < 0 and marking == "cable" or x > 0 and marking == "strut") and not abs(x) <= band
+        for marking, x in zip(graph.markings(), w.tolist())
+    )

@@ -303,6 +303,27 @@ def test_positive_certificates_build_no_stress_matrix(monkeypatch, tol):
     assert assemblies == []
 
 
+def test_positive_certificates_compute_no_cycle_gains(monkeypatch, tol):
+    """The minimiser and the fixed and volume certificates decide a strictly
+    positive stress from the component labels alone: no cycle gain is
+    computed and no exact rank is taken."""
+    from perigid import gain
+    from perigid.certify import certify_volume_constrained
+    from perigid.optimize import standard_realization
+
+    def forbidden(*args):
+        raise AssertionError("cycle gains computed or ranked")
+
+    monkeypatch.setattr(gain, "smith_rank", forbidden)
+    monkeypatch.setattr(GainGraph, "_cycle_gains", property(forbidden))
+    graph, w = cable_framework(4, n=60)
+    real, report = standard_realization(graph, w, tol)
+    assert certify_fixed_lattice(graph, real, w, tol).verdict == Verdict.FIXED_SUPER_STABLE
+    volume = certify_volume_constrained(graph, real, w, report.lam, tol)
+    assert volume.verdict == Verdict.VOLUME_SUPER_STABLE
+    assert "_forest" in vars(graph)  # the component labels were read
+
+
 def _counting_assemblies(monkeypatch) -> list:
     """Count stress.weighted_laplacians calls through every perigid module that holds it."""
     calls = []

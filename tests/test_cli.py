@@ -526,6 +526,10 @@ def _well_formed_framework(draw):
     reals = st.floats(-2, 2) | st.integers(-2, 2)
     point = st.lists(reals, min_size=d, max_size=d)
     names = st.sampled_from("abc")
+    # past 2^53 distinct gains can share a float64: duplicates must be found exactly
+    gain_entries = st.integers(-1, 1) | st.sampled_from(
+        [2**53, -(2**53), 2**53 + 1, -(2**53 + 1), 10**30]
+    )
 
     def on_entries():  # a field carried by every entry, by none, or by some
         share = draw(st.sampled_from(["all", "none", "some"]))
@@ -540,7 +544,7 @@ def _well_formed_framework(draw):
         edge = {
             "tail": draw(names),
             "head": draw(names),
-            "gain": draw(st.lists(st.integers(-1, 1), min_size=d, max_size=d)),
+            "gain": draw(st.lists(gain_entries, min_size=d, max_size=d)),
             "type": draw(st.sampled_from(["bar", "cable", "strut"])),
         }
         if has_weight():

@@ -8,6 +8,11 @@ from perigid.errors import DuplicateEdge, GainDimensionMismatch, ZeroLoop
 from perigid.gain import GainGraph, canonicalize_edge
 from perigid.linalg import numeric_rank
 
+from oracles import fraction_rank
+
+# 2^53 + 1 is the least positive integer that float64 does not hold: it rounds to 2^53
+HUGE = 2**53
+
 
 def test_canonicalize_flip_rule():
     edge = canonicalize_edge("v2", "v1", (1, 0), ("v1", "v2"))
@@ -52,6 +57,36 @@ def test_graph_rejects_duplicates_under_class():
         GainGraph(2, ("a", "b"), [("a", "b", (1, 0)), ("b", "a", (-1, 0))])
     with pytest.raises(DuplicateEdge):
         GainGraph(2, ("a",), [("a", "a", (1, 0)), ("a", "a", (-1, 0))])
+
+
+def test_huge_gains_are_compared_exactly():
+    """Duplicates are found on the exact gains, not on their float64 values."""
+    parallel = GainGraph(2, ("a", "b"), [("a", "b", (HUGE, 0)), ("a", "b", (HUGE + 1, 0))])
+    assert parallel.num_edges == 2
+    assert parallel.gain_array[0, 0] == parallel.gain_array[1, 0]
+    assert parallel.edges[1].gain == (HUGE + 1, 0)
+    twice = [("a", "b", (HUGE + 1, 0))] * 2
+    with pytest.raises(DuplicateEdge) as error:
+        GainGraph(2, ("a", "b"), twice)
+    assert str(error.value) == (
+        "edge GainEdge(tail='a', head='b', gain=(9007199254740993, 0), marking='bar') "
+        "duplicates an earlier edge under ~"
+    )
+    reversed_twin = [("a", "b", (HUGE + 1, 0)), ("b", "a", (-(HUGE + 1), 0))]
+    with pytest.raises(DuplicateEdge) as error:
+        GainGraph(2, ("a", "b"), reversed_twin)
+    assert str(error.value) == (
+        "edge GainEdge(tail='b', head='a', gain=(-9007199254740993, 0), marking='bar') "
+        "duplicates an earlier edge under ~"
+    )
+
+
+def test_huge_loop_gains_keep_their_rank():
+    """Loops (2^53, 1) and (-(2^53 + 1), -1) have determinant 1; their float64
+    values are parallel."""
+    graph = GainGraph(2, ("a",), [("a", "a", (HUGE, 1)), ("a", "a", (-(HUGE + 1), -1))])
+    assert graph.gain_rank() == 2
+    assert graph.full_rank_condition() == (True, 2)
 
 
 def test_graph_rejects_bad_gains():
@@ -241,11 +276,58 @@ def _random_gain_graph(rng):
     return GainGraph(d, verts, edges)
 
 
+def _component_union(rng):
+    """One to four parts side by side: an isolated vertex, a vertex with
+    loops only, or a small random graph (itself often disconnected)."""
+    d = int(rng.integers(1, 4))
+    vertices, edges = [], []
+    for part in range(int(rng.integers(1, 5))):
+        kind = int(rng.integers(3))
+        names = [f"p{part}v{i}" for i in range(1 if kind < 2 else int(rng.integers(2, 5)))]
+        vertices += names
+        for _ in range(0 if kind == 0 else int(rng.integers(1, 7))):
+            a, b = names[rng.integers(len(names))], names[rng.integers(len(names))]
+            edge = (a, b, tuple(int(x) for x in rng.integers(-2, 3, size=d)))
+            try:
+                GainGraph(d, vertices, edges + [edge])
+            except (DuplicateEdge, ZeroLoop):
+                continue
+            edges.append(edge)
+    return GainGraph(d, vertices, edges)
+
+
+def _exact_components_and_ranks(graph) -> tuple[list, list, int]:
+    """The vertex sets of the components (by label merging over the edges),
+    each one's gain rank and the rank of I_zd, the ranks by Fraction
+    elimination of I_zd and of its per-component blocks."""
+    n, d = graph.num_vertices, graph.dimension
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for t, h in zip(graph.tail_idx.tolist(), graph.head_idx.tolist()):
+            low = min(label[t], label[h])
+            if label[t] != low or label[h] != low:
+                label[t] = label[h] = low
+                changed = True
+    izd = graph.incidence_zd().astype(np.int64)
+    parts, gain_ranks = [], []
+    for root in sorted(set(label)):
+        members = [v for v in range(n) if label[v] == root]
+        rows = np.isin(graph.tail_idx, members)
+        block = izd[rows][:, members + list(range(n, n + d))]
+        parts.append({graph.vertices[v] for v in members})
+        gain_ranks.append(fraction_rank(block) - (len(members) - 1))
+    return parts, gain_ranks, fraction_rank(izd)
+
+
 def test_rank_equivalence_random_graphs(tol):
     """Both directions of the rank equivalence, exact integers vs SVD.
 
     Gains lie in [-2, 2], so the float rank of I_zd is exact here and checks
-    the spanning-forest rank independently.
+    the spanning-forest rank independently.  On unions of isolated vertices,
+    loop-only vertices and random parts, the components, the gain rank and
+    the rank condition match Fraction elimination of I_zd.
     """
     rng = np.random.default_rng(20240817)
     for _ in range(1000):
@@ -254,6 +336,15 @@ def test_rank_equivalence_random_graphs(tol):
         assert holds == (rank == g.num_vertices - 1 + g.dimension)
         assert holds == (g.is_connected() and g.gain_rank() == g.dimension)
         assert rank == numeric_rank(g.incidence_zd(), tol).rank
+    for _ in range(300):
+        g = _component_union(rng)
+        parts, gain_ranks, rank = _exact_components_and_ranks(g)
+        assert [set(c) for c in g.components()] == parts
+        assert len(parts) == g.num_vertices - fraction_rank(g.incidence().astype(np.int64))
+        assert g.is_connected() == (len(parts) == 1)
+        assert g.gain_rank() == max(gain_ranks)
+        holds = len(parts) == 1 and rank == g.num_vertices - 1 + g.dimension
+        assert g.full_rank_condition() == (holds, rank)
 
 
 def test_switch_preserves_ranks_random(tol):

@@ -60,11 +60,9 @@ def test_package_imports_only_stdlib_and_numpy():
     assert outside == {}, "imports outside the standard library and numpy"
 
 
-def _callers(name: str) -> set:
-    """The package's top-level functions and methods, as ``module.function``
-    or ``module.Class.method``, whose bodies (closures included) call ``name``
-    as a bare name or as an attribute."""
-    callers = set()
+def _scopes():
+    """(scope, node) for the package's top-level functions and methods, the
+    scope as ``module.function`` or ``module.Class.method``."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
@@ -72,10 +70,18 @@ def _callers(name: str) -> set:
             for member in node.body if is_class else [node]:
                 scope = getattr(member, "name", "<module>")
                 scope = f"{path.stem}.{node.name}.{scope}" if is_class else f"{path.stem}.{scope}"
-                for call in ast.walk(member):
-                    func = getattr(call, "func", None)
-                    if name in (getattr(func, "id", None), getattr(func, "attr", None)):
-                        callers.add(scope)
+                yield scope, member
+
+
+def _callers(name: str) -> set:
+    """The scopes whose bodies (closures included) call ``name`` as a bare
+    name or as an attribute."""
+    callers = set()
+    for scope, member in _scopes():
+        for call in ast.walk(member):
+            func = getattr(call, "func", None)
+            if name in (getattr(func, "id", None), getattr(func, "attr", None)):
+                callers.add(scope)
     return callers
 
 
@@ -89,3 +95,23 @@ def test_one_path_decides_a_stress_matrix():
         "optimize.standard_realization",
         "construct.conjugation_identity_check",
     }
+
+
+def test_decisions_read_the_edge_columns():
+    """The certificates, the sign check and the stress spectrum read the
+    graph's columns and arrays, never the tuple of GainEdge that
+    ``graph.edges`` builds on first read."""
+    decisions = {scope for scope, _ in _scopes() if scope.startswith("certify.certify_")}
+    assert len(decisions) == 4
+    decisions |= {"stress.is_proper", "stress._stress_spectrum"}
+    readers = {
+        scope
+        for scope, member in _scopes()
+        for node in ast.walk(member)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "edges"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "graph"
+    }
+    assert "fileformat.to_document" in readers  # the scan sees a reader
+    assert decisions & readers == set()
