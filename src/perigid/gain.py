@@ -105,16 +105,6 @@ def canonicalize_edge(tail, head, gain, order: Sequence[Vertex]) -> GainEdge:
     return GainEdge(*_canonical(tail, head, _gain_tuple(gain), index))
 
 
-def _covering_neighbors(graph: "GainGraph", v: Vertex, shift: tuple[int, ...]):
-    """Covering nodes next to (v, shift), one per edge end at v (a loop gives two)."""
-    start, ends, others = graph._incidence
-    i = graph._index[v]
-    lo, hi = start[i], start[i + 1]
-    for end, other in zip(ends[lo:hi], others[lo:hi]):
-        step = sub if end & 1 else add  # a head end steps back along its edge
-        yield graph.vertices[other], tuple(map(step, shift, graph._gains[end >> 1]))
-
-
 class _Incidence(NamedTuple):
     """The edge ends by vertex, as compressed sparse rows.  Edge e has ends 2e
     (its tail) and 2e + 1 (its head); vertex v's ends are
@@ -173,9 +163,9 @@ class GainGraph:
     breadth-first spanning forest over it that labels the components.  The
     exact potentials and cycle gains of the forest, which only the gain rank
     and the rank condition read, are computed the first time one of them is
-    asked for; the covering windows read the table.  The weighted Laplacians
-    and the equilibrium sums read a grouping of the non-loop edges by vertex
-    pair.  All of these are built on first use, then kept.
+    asked for.  The weighted Laplacians and the equilibrium sums read a
+    grouping of the non-loop edges by vertex pair; the covering windows read
+    the gain array.  All of these are built on first use, then kept.
     """
 
     def __init__(self, dimension: int, vertices: Sequence[Vertex], edges: Iterable):
@@ -532,45 +522,81 @@ class GainGraph:
 
 @dataclass(frozen=True)
 class CoveringWindow:
-    """Finite portion of the covering graph over shifts in [-w, w]^d."""
+    """Finite portion of the covering graph over shifts in [-w, w]^d.
+
+    Node (v, s) is numbered v S + sigma(s), where S = (2w+1)^d and sigma(s)
+    is the shift's position in ``itertools.product`` order; ``vertices``
+    lists the nodes in that order, and ``_shifts`` holds the S shifts as
+    rows.  Edge k of ``edges`` joins nodes ``_lo[k] < _hi[k]`` and lifts
+    graph edge ``_edge[k]``; the edges are sorted by (lo, hi).
+    """
 
     graph: GainGraph = field(repr=False)
     window: int
     vertices: tuple[tuple[Vertex, tuple[int, ...]], ...]
     edges: tuple[tuple[tuple[Vertex, tuple[int, ...]], tuple[Vertex, tuple[int, ...]]], ...]
+    _shifts: np.ndarray = field(repr=False, compare=False)
+    _lo: np.ndarray = field(repr=False, compare=False)
+    _hi: np.ndarray = field(repr=False, compare=False)
+    _edge: np.ndarray = field(repr=False, compare=False)
 
     @staticmethod
     def build(graph: GainGraph, window: int) -> "CoveringWindow":
+        """The window's node pairs for all edges at once: edge (t, h, g)
+        joins (t, s) and (h, s + g) for every window shift s with s + g in
+        the window, so sigma(s + g) = sigma(s) + g . place."""
         if window < 0:
             raise ParseError("window must be a nonnegative integer")
-        nodes = (2 * window + 1) ** graph.dimension * graph.num_vertices
-        if nodes > _MAX_WINDOW_NODES:
+        width = 2 * window + 1
+        size = width**graph.dimension
+        count = size * graph.num_vertices
+        if count > _MAX_WINDOW_NODES:
             raise ParseError(
-                f"window {window} needs {nodes} covering nodes, over the limit "
+                f"window {window} needs {count} covering nodes, over the limit "
                 f"of {_MAX_WINDOW_NODES}"
             )
-        shifts = list(
-            itertools.product(range(-window, window + 1), repeat=graph.dimension)
+        place = width ** np.arange(graph.dimension - 1, -1, -1)
+        shifts = np.arange(size)[:, None] // place % width - window
+        # an edge with a gain entry past 2w joins no two window nodes, and
+        # dropping it first keeps exact gains up to 1e30 out of int64
+        near = np.flatnonzero((np.abs(graph.gain_array) <= 2 * window).all(axis=1))
+        gains = graph.gain_array[near].astype(np.intp)
+        e, s = (np.abs(shifts + gains[:, None]) <= window).all(axis=2).nonzero()
+        tails = graph.tail_idx[near[e]] * size + s
+        heads = graph.head_idx[near[e]] * size + s + (gains @ place)[e]
+        keys, first = np.unique(
+            np.minimum(tails, heads) * count + np.maximum(tails, heads), return_index=True
         )
-        nodes = [(v, shift) for v in graph.vertices for shift in shifts]
-        node_pos = {n: i for i, n in enumerate(nodes)}
-        pairs = set()
-        for i, node in enumerate(nodes):
-            for other in _covering_neighbors(graph, *node):
-                j = node_pos.get(other)
-                if j is not None and j != i:
-                    pairs.add((i, j) if i < j else (j, i))
-        edges = tuple((nodes[a], nodes[b]) for a, b in sorted(pairs))
-        return CoveringWindow(graph, window, tuple(nodes), edges)
+        lo, hi = np.divmod(keys, count)
+        nodes = tuple(
+            itertools.product(
+                graph.vertices,
+                itertools.product(range(-window, window + 1), repeat=graph.dimension),
+            )
+        )
+        edges = tuple(zip(*(map(nodes.__getitem__, end.tolist()) for end in (lo, hi))))
+        return CoveringWindow(graph, window, nodes, edges, shifts, lo, hi, near[e[first]])
+
+    @cached_property
+    def _degrees(self) -> dict:
+        counts = np.bincount(np.concatenate([self._lo, self._hi]), minlength=len(self.vertices))
+        return dict(zip(self.vertices, counts.tolist()))
 
     def degree(self, node) -> int:
-        return sum(1 for a, b in self.edges if a == node or b == node)
+        return self._degrees.get(node, 0)
 
     def interior_vertices(self) -> list:
-        """Window vertices all of whose covering neighbors stay in the window."""
-        node_set = set(self.vertices)
-        return [
-            node
-            for node in self.vertices
-            if all(n in node_set for n in _covering_neighbors(self.graph, *node))
-        ]
+        """Window vertices all of whose covering neighbors stay in the window:
+        those whose shift plus their vertex's least and greatest end offset
+        (+g at a tail end, -g at a head end) stays in [-w, w]^d."""
+        graph, w = self.graph, self.window
+        # an entry past 2w leaves the window from every shift, as 2w + 1 does
+        gains = np.clip(graph.gain_array, -2 * w - 1, 2 * w + 1).astype(np.intp)
+        # offset 0, the node itself, is in the window: an isolated vertex's nodes are interior
+        least = np.zeros((graph.num_vertices, graph.dimension), dtype=np.intp)
+        most = least.copy()
+        for at, offsets in ((graph.tail_idx, gains), (graph.head_idx, -gains)):
+            np.minimum.at(least, at, offsets)
+            np.maximum.at(most, at, offsets)
+        inside = (self._shifts + least[:, None] >= -w) & (self._shifts + most[:, None] <= w)
+        return list(itertools.compress(self.vertices, inside.all(axis=2).ravel().tolist()))

@@ -2,6 +2,14 @@
 
 Line-drawing conventions: bars solid, cables dashed, struts thick.  Output is
 byte-stable for fixed inputs so renders can be golden-file diffed.
+
+The drawing reads the window's index arrays.  Each node's position is its
+point plus the lattice image of its shift, one matrix-vector product per
+shift; the canvas coordinates are one vector expression; each line takes the
+style of the edge that it lifts.  Every canvas coordinate is printed once,
+by ``"%.4f"``, and the lines and circles are filled in from those strings.
+For a finite input every canvas coordinate lies in [40, 600], so none
+prints as "-0.0000".
 """
 
 from __future__ import annotations
@@ -9,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FlatLattice, ParseError
-from .framework import Realization
+from .framework import Realization, point_matrix
 from .gain import CoveringWindow, GainGraph
 from .tolerances import ToleranceVault
 
@@ -22,10 +30,8 @@ _STYLES = {
 _CANVAS = 640.0
 _MARGIN = 40.0
 
-
-def _fmt(x: float) -> str:
-    out = f"{x:.4f}"
-    return "0.0000" if out == "-0.0000" else out
+_LINE = '<line x1="%s" y1="%s" x2="%s" y2="%s" %s/>\n'
+_CIRCLE = '<circle cx="%s" cy="%s" r="3.0" fill="#10151c"/>\n'
 
 
 def render_covering(
@@ -38,44 +44,27 @@ def render_covering(
     if graph.dimension != 2:
         raise ParseError("SVG rendering is two-dimensional only")
     cover = graph.covering_window(window)
-    pos = {
-        node: real.points[node[0]] + real.lattice @ np.array(node[1], dtype=float)
-        for node in cover.vertices
-    }
-    coords = np.array(list(pos.values()))
+    offsets = np.array([real.lattice @ shift for shift in cover._shifts.astype(float)])
+    coords = (point_matrix(graph, real).T[:, None] + offsets).reshape(-1, 2)  # in node order
     lo = coords.min(axis=0)
     hi = coords.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
     scale = (_CANVAS - 2 * _MARGIN) / float(span.max())
+    x = _MARGIN + (coords[:, 0] - lo[0]) * scale
+    y = _CANVAS - _MARGIN - (coords[:, 1] - lo[1]) * scale  # SVG y-axis points down
 
-    def to_canvas(p: np.ndarray) -> tuple[float, float]:
-        x = _MARGIN + (p[0] - lo[0]) * scale
-        y = _CANVAS - _MARGIN - (p[1] - lo[1]) * scale  # SVG y-axis points down
-        return x, y
-
-    # a covering edge (u, alpha) - (v, beta) lifts the one edge class (u, v, beta - alpha)
-    marking_of = {}
-    for e in graph.edges:
-        marking_of[e.tail, e.head, e.gain] = e.marking
-        marking_of[e.head, e.tail, tuple(-g for g in e.gain)] = e.marking
-
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    # text[node] is the node's (x, y), all printed in one pass
+    canvas = np.column_stack([x, y]).ravel().tolist()
+    text = np.array(("%.4f " * len(canvas) % tuple(canvas)).split(), dtype=object).reshape(-1, 2)
+    styles = np.array([_STYLES[m] for m in graph.markings()], dtype=object)
+    ends = np.hstack([text[cover._lo], text[cover._hi], styles[cover._edge, None]])
+    return cover, (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_CANVAS)}" '
-        f'height="{int(_CANVAS)}" viewBox="0 0 {int(_CANVAS)} {int(_CANVAS)}">',
+        f'height="{int(_CANVAS)}" viewBox="0 0 {int(_CANVAS)} {int(_CANVAS)}">\n'
         f"<!-- covering window w={window}, {len(cover.vertices)} vertices, "
-        f"{len(cover.edges)} edges -->",
-    ]
-    for a, b in cover.edges:
-        xa, ya = to_canvas(pos[a])
-        xb, yb = to_canvas(pos[b])
-        shift = tuple(y - x for x, y in zip(a[1], b[1]))
-        style = _STYLES[marking_of[a[0], b[0], shift]]
-        lines.append(
-            f'<line x1="{_fmt(xa)}" y1="{_fmt(ya)}" x2="{_fmt(xb)}" y2="{_fmt(yb)}" {style}/>'
-        )
-    for node in cover.vertices:
-        x, y = to_canvas(pos[node])
-        lines.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.0" fill="#10151c"/>')
-    lines.append("</svg>")
-    return cover, ("\n".join(lines) + "\n").encode("utf-8")
+        f"{len(cover.edges)} edges -->\n"
+        + _LINE * len(cover.edges) % tuple(ends.ravel().tolist())
+        + _CIRCLE * len(cover.vertices) % tuple(text.ravel().tolist())
+        + "</svg>\n"
+    ).encode("utf-8")
