@@ -25,7 +25,13 @@ before any clause: a non-flat lattice (flexible, volume), proper signs
 
 A generic trial's stress is decided the same way, except that on 64
 vertices or more a Gram proof of its Laplacian's nullity, one Cholesky and
-no eigensolver, comes first (``stress._laplacian_nullity``).
+no eigensolver, comes first (``stress._laplacian_nullity``).  Its cut's vote
+is only reported: a generic test is positive when a trial *proves* it, from
+a bound on the distance between the trial's stress and the exact stress of
+its realization and a certified lower bound on its Laplacian's second
+singular value (``_proof``).  One proved trial proves the verdict
+(``_trial_loop``), so trials run in seed order until one is proved, at most
+``generic_trials`` of them, and a test with no proved trial is negative.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .framework import (
     _motion_basis,
     _non_flat,
     _rigidity_entries,
+    _rigidity_entry_errors,
     edge_vectors,
     point_matrix,
     random_realization,
@@ -56,12 +63,18 @@ from .gain import GainGraph
 from .linalg import _certified_left_kernel_sample, nullspace
 from .stress import (
     _laplacian_nullity,
+    _laplacian_perturbation,
     _strictly_positive,
     _stress_spectrum,
     is_proper,
     verify_equilibrium,
 )
 from .tolerances import ToleranceVault
+
+# A trial is proved when its Laplacian's certified second singular value
+# exceeds this multiple of its bound (:func:`_proof`): the factor covers the
+# rounding of evaluating both sides, which is relative and far smaller.
+_PROOF_MARGIN = 2.0
 
 
 class Verdict:
@@ -272,16 +285,45 @@ def certify_volume_constrained(
 def _trial_loop(
     graph: GainGraph, count: int, tol: ToleranceVault, salt: int, trial, verdicts: tuple[str, str]
 ) -> Certificate:
-    """Majority over ``tol.generic_trials`` seeded trials.
+    """The first proved trial, in seed order, out of at most
+    ``tol.generic_trials``.
 
     A graph with fewer than ``count`` edges, the rank its rigidity matrix
     needs for infinitesimal rigidity, gets ``verdicts[1]`` from the count
     alone: no trial runs, the log is empty and ``failing`` names the count.
-    Otherwise ``trial(seed, rng)`` returns the trial's log entry, whose
-    ``positive`` key votes; ``rng`` is seeded with ``seed ^ salt``.  The
-    verdict is ``verdicts[0]`` on a strict majority, else ``verdicts[1]``; the
-    marginal flag records any disagreement between trials and any marginal
-    trial.
+    Otherwise ``trial(seed, rng)`` returns the trial's log entry, with
+    ``rng`` seeded with ``seed ^ salt``.  The first entry whose ``proved``
+    key is true ends the test with ``verdicts[0]``, so a positive test logs
+    one trial on a graph whose first trial proves it; with no proved trial
+    every seed runs and the verdict is ``verdicts[1]``.  A proof is the
+    verdict, so a proved test is not marginal; a negative test is marginal
+    when any trial's cut was, or when any trial voted positive by its cut
+    without a proof.
+
+    Why one trial proves the verdict, for a trial whose rigidity matrix R at
+    its realization p (the float points and lattice, taken as exact reals)
+    has the rank of infinitesimal rigidity, n - k for the k trivial motions,
+    and whose exact stress w*, the projection of the trial's Gaussian onto
+    the left kernel of R, has a Laplacian of nullity 1 (:func:`_proof`).
+    The finite theorem, as recalled here and not checked against the
+    sources: if some infinitesimally rigid realization of a graph in R^d
+    has an equilibrium stress whose stress matrix has rank |V| - d - 1, the
+    graph is generically globally rigid (Connelly and Whiteley, *Discrete
+    Comput. Geom.* 2010; Gortler, Healy and Thurston, *Amer. J. Math.* 2010,
+    with Connelly's sufficiency theorem for generic realizations).  The
+    periodic argument runs the same way.  R's rank is lower semicontinuous
+    and at most n - k everywhere, so it is n - k on a neighbourhood U of p;
+    there its left kernel has constant dimension, its orthogonal projection
+    P(q) = I - R(q) R(q)^+ is continuous, and so is w*(q) = P(q) x, an
+    equilibrium stress at q with w*(p) = w*.  L(w*(q)) is continuous and has
+    the all-ones vector in its kernel, and rank is lower semicontinuous, so
+    L(w*(q)) has nullity 1 on a smaller neighbourhood, where the lattice
+    also stays non-flat.  Generic realizations are dense, so one lies
+    there: an infinitesimally rigid generic framework with a stress whose L
+    has nullity 1, or Lzd nullity d + 1 under a flexible lattice
+    (``stress._stress_spectrum``), which by the paper's sufficiency theorem
+    makes the graph generically globally rigid under that lattice.  The
+    trial's realization is also random, hence generic with probability 1.
     """
     if graph.num_edges < count:
         return Certificate(
@@ -289,40 +331,78 @@ def _trial_loop(
             failing=f"edge count {graph.num_edges} < {count}: "
             "no realization is infinitesimally rigid",
         )
-    seeds = range(tol.rng_seed, tol.rng_seed + tol.generic_trials)
-    trials = [trial(seed, np.random.default_rng(seed ^ salt)) for seed in seeds]
-    positives = sum(1 for t in trials if t["positive"])
+    trials = []
+    for seed in range(tol.rng_seed, tol.rng_seed + tol.generic_trials):
+        trials.append(trial(seed, np.random.default_rng(seed ^ salt)))
+        if trials[-1]["proved"]:
+            return Certificate(verdict=verdicts[0], trial_log=trials)
     return Certificate(
-        verdict=verdicts[0] if positives * 2 > len(trials) else verdicts[1],
-        marginal=0 < positives < len(trials) or any(t["marginal"] for t in trials),
+        verdict=verdicts[1],
+        marginal=any(t["marginal"] or t["positive"] for t in trials),
         trial_log=trials,
     )
 
 
 def _sample(graph: GainGraph, real: Realization, fixed: bool, rng, tol: ToleranceVault):
-    """Column count, rank and marginal flag of the rigidity matrix at
-    ``real`` (the fixed-lattice one when ``fixed``) and a random stress of its
-    left kernel, from the matrix's entries row by row with the trivial
+    """The rank of infinitesimal rigidity (the column count less the trivial
+    motions) of the rigidity matrix at ``real`` (the fixed-lattice one when
+    ``fixed``), and a random stress of its left kernel with its proof, from
+    the matrix's entries row by row and their rounding, with the trivial
     motions as the known kernel."""
     d = graph.dimension
     n = d * graph.num_vertices + (0 if fixed else d * d)
     cols, vals = _rigidity_entries(graph, real, fixed)
+    errors = _rigidity_entry_errors(graph, real, fixed)
     motions = partial(_motion_basis, graph, real, fixed=fixed)
-    return (n, *_certified_left_kernel_sample(cols, vals, n, motions, rng, tol))
+    free = n - (d if fixed else d * (d + 1) // 2)
+    return free, _certified_left_kernel_sample(cols, vals, n, motions, rng, tol, errors)
 
 
-def _sample_stress(entry: dict, graph, rank, marginal, stress, tol) -> dict:
-    """Finish a trial entry from its rigidity matrix's rank and marginal flag
-    and a random ``stress``: positive when the stress's Laplacian has nullity
-    1 (for a flexible stress, Lzd nullity d+1), marginal when either cut is.
-    With no stress but zero, the Laplacian is zero, of nullity |V|."""
-    entry["stress_space_dim"] = dim = graph.num_edges - rank
+def _sample_stress(entry: dict, graph, free: int, sample, tol) -> dict:
+    """Finish a trial entry from its rigidity matrix's ``sample`` and its
+    rank of rigidity ``free``: the cut votes positive when the stress's
+    Laplacian has nullity 1 (for a flexible stress, Lzd nullity d+1), and
+    the entry is marginal when either cut is.  With no stress but zero, the
+    Laplacian is zero, of nullity |V|, and one vertex orbit passes; so does
+    any stress of one vertex orbit, whose Laplacian is the zero 1 x 1."""
+    entry["stress_space_dim"] = dim = graph.num_edges - sample.rank
     if dim == 0:
-        entry.update(positive=graph.num_vertices == 1, branch="stress-free", marginal=marginal)
-        return entry
-    nullity, cut_marginal = _laplacian_nullity(graph, stress, tol)
+        entry.update(positive=graph.num_vertices == 1, branch="stress-free", marginal=sample.marginal)
+        return _proof(entry, graph, free, sample)
+    nullity, cut_marginal, second = _laplacian_nullity(graph, sample.stress, tol)
     entry.update(stress_kernel_dim=nullity, positive=nullity == 1)
-    entry.update(branch="stress sampling", marginal=marginal or cut_marginal)
+    entry.update(branch="stress sampling", marginal=sample.marginal or cut_marginal)
+    return _proof(entry, graph, free, sample, second)
+
+
+def _proof(entry: dict, graph, free: int, sample, second: Optional[float] = None) -> dict:
+    """Add the trial's proof to its entry: ``path``, the branch that drew
+    the stress (:class:`~perigid.linalg.KernelSample`); ``lambda2``, a
+    certified lower bound on the second-smallest singular value of the
+    stress's assembled Laplacian fl(L(w)) (``second``); ``bound``, a bound on
+    |fl(L(w)) - L(w*)|_2 for the exact stress w*; and ``proved``.
+
+    A trial is proved when the exact R has rank ``free``: the sample's rank
+    is ``free`` and its distance is finite, which proves rank R >= ``free``,
+    while the trivial motions bound it above.  Then, when the trial's
+    Laplacian is decided by its vertex count (one vertex orbit, or no
+    stress, where it votes as the graph rule says), the vote is proved;
+    otherwise ``lambda2`` must exceed ``_PROOF_MARGIN`` times ``bound``
+    (:func:`~perigid.stress._laplacian_perturbation` of the sample's
+    distance), and then by Weyl sigma_(|V|-1)(L(w*)) > 0: L(w*) has nullity
+    exactly 1, since L(w*) 1 = 0.  Each of the bound's terms scales with the
+    stress and the realization, as ``lambda2`` does, so a proof does not
+    depend on their scale.
+    """
+    rank_proved = sample.rank == free and sample.distance < np.inf
+    bound = None
+    if second is None or graph.num_vertices == 1:
+        second, proved = None, rank_proved and entry["positive"]
+    else:
+        bound = _laplacian_perturbation(graph, sample.stress, sample.distance)
+        proved = rank_proved and second > _PROOF_MARGIN * bound
+        second, bound = float(second), (float(bound) if bound < np.inf else None)
+    entry.update(path=sample.path, lambda2=second, bound=bound, proved=bool(proved))
     return entry
 
 
@@ -342,9 +422,10 @@ def generic_global_rigidity_test(graph: GainGraph, tol: ToleranceVault) -> Certi
     decided as kernel dimension one of its Laplacian, by the same kind of
     Gram proof from the Laplacian's rows where it goes through and by
     ``eigvalsh`` otherwise (:func:`~perigid.stress._laplacian_nullity`).
-    Single-orbit graphs reduce to infinitesimal rigidity alone.  The verdict
-    is the majority over the trials and the marginal flag records any
-    disagreement or marginal rank cut.  R has |E| rows, so with fewer than
+    Single-orbit graphs reduce to infinitesimal rigidity alone.  The first
+    trial that proves this, for the exact stress of its realization
+    (:func:`_proof`), gives the positive verdict (:func:`_trial_loop`).
+    R has |E| rows, so with fewer than
     d|V| + d(d-1)/2 edges it cannot reach the rank d|V| + d^2 - d(d+1)/2
     that this needs, and the verdict is negative with no trial.
     """
@@ -352,14 +433,14 @@ def generic_global_rigidity_test(graph: GainGraph, tol: ToleranceVault) -> Certi
 
     def trial(seed: int, rng) -> dict:
         real = random_realization(graph, tol, seed=seed)
-        n, rank, marginal, stress = _sample(graph, real, False, rng, tol)
-        rigid = n - rank == d * (d + 1) // 2
+        free, sample = _sample(graph, real, False, rng, tol)
+        rigid = sample.rank == free
         entry = {"seed": seed, "infinitesimally_rigid": rigid}
         if graph.num_vertices == 1 or not rigid:
             branch = "single-orbit" if graph.num_vertices == 1 else "not infinitesimally rigid"
-            entry.update(positive=rigid, branch=branch, marginal=marginal)
-            return entry
-        return _sample_stress(entry, graph, rank, marginal, stress, tol)
+            entry.update(positive=rigid, branch=branch, marginal=sample.marginal)
+            return _proof(entry, graph, free, sample)
+        return _sample_stress(entry, graph, free, sample, tol)
 
     verdicts = (Verdict.GENERIC_GLOBALLY_RIGID, Verdict.GENERIC_NOT_GLOBALLY_RIGID)
     count = d * graph.num_vertices + d * (d - 1) // 2
@@ -378,7 +459,8 @@ def generic_fixed_global_rigidity_test(
     its left kernel from the matrix's entries, proved with the translations
     as the known kernel, or from one least-squares solve of the dense matrix,
     as in the flexible test, and test whether the weighted Laplacian has
-    kernel dimension exactly one.  With no nonzero
+    kernel dimension exactly one; a proof (:func:`_proof`) also needs the
+    rank of infinitesimal rigidity, d|V| - d.  With no nonzero
     stress only a single vertex orbit passes: it can only be translated.
     With fewer than d(|V| - 1) edges every realization has an infinitesimal
     motion other than a translation, which at generic positions extends to a
@@ -393,9 +475,8 @@ def generic_fixed_global_rigidity_test(
         real = random_realization(graph, tol, seed=seed)
         if lattice is not None:
             real = Realization(real.points, lattice)
-        _, rank, marginal, stress = _sample(graph, real, True, rng, tol)
-        entry = {"seed": seed}
-        return _sample_stress(entry, graph, rank, marginal, stress, tol)
+        free, sample = _sample(graph, real, True, rng, tol)
+        return _sample_stress({"seed": seed}, graph, free, sample, tol)
 
     verdicts = (Verdict.FIXED_GENERIC_GLOBALLY_RIGID, Verdict.FIXED_GENERIC_NOT_GLOBALLY_RIGID)
     count = graph.dimension * (graph.num_vertices - 1)

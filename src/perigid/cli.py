@@ -108,7 +108,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", choices=[m for m, e in _MODES.items() if e.generic_test], default="flexible"
     )
-    p.add_argument("--trials", type=int, help="number of independent trials")
+    p.add_argument(
+        "--trials", type=int,
+        help="at most this many independent trials: the first proved one decides",
+    )
     add_common(p)
 
     p = sub.add_parser("minimize", help="volume-constrained standard realization")

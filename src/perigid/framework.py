@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FlatLattice, NotAffinelySpanning
 from .gain import GainGraph, Vertex
-from .linalg import _pivot_rows, _scatter_rows, numeric_rank
+from .linalg import _gamma, _pivot_rows, _scatter_rows, numeric_rank
 from .tolerances import ToleranceVault
 
 # Lattice draws :func:`random_realization` makes before it gives up.
@@ -139,6 +139,30 @@ def _rigidity_entries(
         cols[:, 2 * d :] = d * n + np.arange(d * d)
         vals[:, 2 * d :] = np.where(gains != 0.0, gains * nu[:, None, :], 0.0).reshape(e, d * d)
     return cols, vals
+
+
+def _rigidity_entry_errors(graph: GainGraph, real: Realization, fixed: bool) -> np.ndarray:
+    """Entrywise bounds, in the layout of :func:`_rigidity_entries`, on the
+    distance of its computed entries from those of the exact rigidity matrix
+    of the realization, its float points and lattice taken as exact reals.
+
+    An edge vector fl(p(h) + L g - p(t)) sums d products for L g from a gain
+    that may itself have been rounded to a float, then adds and subtracts:
+    it is within gamma_(d+3) (|p(h)| + |L| |g| + |p(t)|) of the exact one.
+    A lattice entry fl(g_i nu_j) adds a rounded product, so it is within
+    |g_i| (that bound + gamma_3 |nu_j|).  A loop's vertex entries are zero in
+    both matrices, as is a zero gain's lattice entry."""
+    d, e = graph.dimension, graph.num_edges
+    points = np.abs(point_matrix(graph, real).T)
+    gains = np.abs(graph.gain_array)
+    vector = _gamma(d + 3) * (points[graph.head_idx] + gains @ np.abs(real.lattice).T
+                              + points[graph.tail_idx])
+    errors = np.empty((e, 2 * d if fixed else 2 * d + d * d))
+    errors[:, :d] = errors[:, d : 2 * d] = np.where(graph.loop_mask[:, None], 0.0, vector)
+    if not fixed:
+        lattice = vector + _gamma(3) * np.abs(edge_vectors(graph, real))
+        errors[:, 2 * d :] = (gains[:, :, None] * lattice[:, None, :]).reshape(e, d * d)
+    return errors
 
 
 def rigidity_matrix(graph: GainGraph, real: Realization) -> np.ndarray:

@@ -298,6 +298,11 @@ class GainGraph:
             and self.edges == other.edges
         )
 
+    def __hash__(self) -> int:
+        # the exact columns that __eq__ compares, through the edges they build
+        return hash((self.dimension, self.vertices, tuple(self.tail_idx.tolist()),
+                     tuple(self.head_idx.tolist()), self._gains, self._markings))
+
     def __repr__(self) -> str:
         return (
             f"GainGraph(d={self.dimension}, |V|={self.num_vertices}, "

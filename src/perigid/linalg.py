@@ -60,6 +60,24 @@ class SpectrumResult(NamedTuple):
     marginal: bool
     is_psd: bool
     min_eigenvalue: float
+    # a certified lower bound on the matrix's second-smallest singular value
+    # (infinite at order one, where there is none; 0.0 where nothing is proved)
+    second: float = 0.0
+
+
+class KernelSample(NamedTuple):
+    """A random stress and what proves it (:func:`_certified_left_kernel_sample`).
+
+    ``distance`` bounds |stress - w*|_2, where w* projects the same Gaussian
+    onto the left kernel of the exact matrix, and holds whenever that matrix
+    has rank ``rank``; it is infinite when nothing bounds it.  ``path`` names
+    the branch that drew the stress: ``gram`` or ``lstsq``."""
+
+    rank: int
+    marginal: bool
+    stress: np.ndarray
+    path: str
+    distance: float
 
 
 def _as_float_matrix(matrix) -> np.ndarray:
@@ -69,6 +87,13 @@ def _as_float_matrix(matrix) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NonFiniteEntry("matrix contains NaN or infinite entries")
     return m
+
+
+def _gamma(k) -> np.ndarray:
+    """gamma_k = k u / (1 - k u), Higham's bound on the relative rounding of
+    k floating-point operations in a row (elementwise for an array k)."""
+    ku = np.asarray(k, dtype=float) * (np.finfo(float).eps / 2)
+    return ku / (1.0 - ku)
 
 
 def _rank_cut(
@@ -86,20 +111,65 @@ def _rank_cut(
     return rank, marginal, threshold
 
 
-def _left_kernel_sample(matrix, x: np.ndarray, tol: ToleranceVault) -> tuple[int, bool, np.ndarray]:
+def _left_kernel_sample(
+    matrix, x: np.ndarray, tol: ToleranceVault, errors: Optional[np.ndarray] = None
+) -> KernelSample:
     """Rank, marginal flag and the projection of ``x`` onto the left kernel of
-    ``matrix`` from one least-squares solve.
+    ``matrix`` from one least-squares solve, and the distance of that
+    projection from the one onto the left kernel of the exact matrix R, with
+    ``|matrix - R| <= errors`` entrywise (R = ``matrix`` when ``errors`` is
+    None).
 
     LAPACK zeroes the singular values at or below ``rcond * sigma_1``:
     :func:`_rank_cut`'s rule with no floor, which reads the cut again from the
     singular values the solve returns.  The residual ``x - R fit`` is the
     projection, so for a standard Gaussian ``x`` it is an isotropic Gaussian
-    on the left kernel.
+    on the left kernel.  The distance is :func:`_lstsq_distance`.
     """
     m = _as_float_matrix(matrix)
     fit, _, _, svals = np.linalg.lstsq(m, x, rcond=tol.rank_rel_tol * max(m.shape))
     rank, marginal, _ = _rank_cut(svals, m.shape, tol, 0.0)
-    return rank, marginal, x - m @ fit
+    stress = x - m @ fit
+    errors = np.zeros_like(m) if errors is None else errors
+    distance = _lstsq_distance(m, errors, svals, rank, x, fit, stress)
+    return KernelSample(rank, marginal, stress, "lstsq", distance)
+
+
+def _lstsq_distance(m, errors, svals, rank: int, x, fit, w) -> float:
+    """A bound on |w - w*|_2 for w = fl(x - m fit) and the projection w* of x
+    onto the left kernel of a matrix R with |m - R| <= ``errors`` entrywise
+    and rank R = ``rank``; infinite when sigma_rank(R) > 0, which it also
+    proves, does not follow from ``svals``, the singular values of ``m``
+    that ``lstsq`` returns.
+
+    Let P be that projection, r = ``rank`` and delta = |errors|_F >= |m - R|_2.
+    With e the rounding of w, w - w* = (I - P) w + P (w - x) and
+    P (w - x) = P (e - (m - R) fit), since P R = 0, so
+    |P (w - x)| <= |errors |fit|| + gamma_(n+1) (|x| + |m|_F |fit|).
+    I - P projects onto range(R), on which R^T has least singular value
+    sigma_r(R), so |(I - P) w| <= |R^T w| / sigma_r(R), and
+    |R^T w| <= |fl(m^T w)| + gamma_rows |m|_F |w| + |errors^T |w||.  The
+    solve's SVD is backward stable (see :func:`_gram_rank_proof`), so
+    sigma_r(m) >= svals[r - 1] - eta with eta = rows n u |m|_F, and by Weyl
+    sigma_r(R) >= svals[r - 1] - eta - delta.  At rank 0, R = 0 and I - P = 0.
+    """
+    rows, n = m.shape
+    norm = float(np.linalg.norm(m))
+    tail = float(np.linalg.norm(errors @ np.abs(fit))) + float(_gamma(n + 1)) * (
+        float(np.linalg.norm(x)) + norm * float(np.linalg.norm(fit))
+    )
+    if rank == 0:
+        return tail
+    u = np.finfo(float).eps / 2
+    sigma = float(svals[rank - 1]) - rows * n * u * norm - float(np.linalg.norm(errors))
+    if not sigma > 0.0:
+        return np.inf
+    image = (
+        float(np.linalg.norm(m.T @ w))
+        + float(_gamma(rows)) * norm * float(np.linalg.norm(w))
+        + float(np.linalg.norm(np.abs(w) @ errors))
+    )
+    return image / sigma + tail
 
 
 def _scatter_rows(cols: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -137,12 +207,13 @@ def _gram_rank_proof(
     tol: ToleranceVault,
     scale_floor: float = 0.0,
     accurate: bool = False,
-) -> Optional[np.ndarray]:
+) -> Optional[tuple[np.ndarray, float]]:
     """A proof, from the entries alone, that the cut of :func:`_rank_cut`
     with floor ``scale_floor`` gives the m x n matrix A rank n - k, not
     marginal, whether it reads the singular values of an SVD of A or, for a
     symmetric A, the eigenvalue magnitudes of an ``eigvalsh``.  It returns the
-    Cholesky factor that proves it, or None when the proof does not go
+    Cholesky factor that proves it with the bound s + eta below
+    sigma_min(A_Q) that it proves, or None when the proof does not go
     through.
 
     Entry i of A is ``vals[i]`` at row ``rows[i]`` (nondecreasing) and
@@ -220,7 +291,7 @@ def _gram_rank_proof(
     gram = _gram(rows, *_kept_entries(cols, vals, kept), q)
     gram.flat[:: q + 1] -= tau
     try:
-        return np.linalg.cholesky(gram)
+        return np.linalg.cholesky(gram), s + eta
     except np.linalg.LinAlgError:
         return None
 
@@ -265,14 +336,22 @@ def _gram(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, q: int) -> np.nd
 
 
 def _certified_left_kernel_sample(
-    cols: np.ndarray, vals: np.ndarray, n: int, motions, rng, tol: ToleranceVault
-) -> tuple[int, bool, np.ndarray]:
+    cols: np.ndarray,
+    vals: np.ndarray,
+    n: int,
+    motions,
+    rng,
+    tol: ToleranceVault,
+    errors: Optional[np.ndarray] = None,
+) -> KernelSample:
     """:func:`_left_kernel_sample` of one standard Gaussian x from ``rng`` and
     the m x n matrix R whose row i holds ``vals[i]`` at the columns
     ``cols[i]`` (:func:`_scatter_rows`), for R with k known kernel vectors:
     decided from the entries by :func:`_gram_rank_proof` whenever it proves
     rank n - k, not marginal, and by :func:`_left_kernel_sample` of the dense
-    R otherwise.
+    R otherwise.  ``errors``, of the shape of ``vals``, bounds the entries'
+    distance from those of the exact matrix that the sample's ``distance``
+    is about (None: the entries are exact).
 
     ``motions()`` returns an n x k matrix Y with orthonormal columns that R
     should annihilate (a framework's trivial motions) and k pivot columns of
@@ -283,40 +362,53 @@ def _certified_left_kernel_sample(
     The stress: once rank R = n - k, range(R) = range(R_Q), so the residual
     x - R_Q f at the least-squares f is the projection of x onto the left
     kernel.  :func:`_preconditioned_residual` reaches it by conjugate
-    gradients preconditioned by the proof's Cholesky factor; a run that does
-    not converge within ``_CG_MAX_STEPS`` steps also falls back.  The
-    fallback solves with the same x, so the stream of draws from ``rng``
-    does not depend on the path, and the dense R exists only there.
+    gradients preconditioned by the proof's Cholesky factor, and bounds its
+    distance; a run that does not converge within ``_CG_MAX_STEPS`` steps
+    also falls back.  The fallback solves with the same x, so the stream of
+    draws from ``rng`` does not depend on the path, and the dense R exists
+    only there.
     """
     rows, width = cols.shape
     x = rng.standard_normal(rows)
+    errors = np.zeros_like(vals) if errors is None else errors
 
-    def fallback() -> tuple[int, bool, np.ndarray]:
-        return _left_kernel_sample(_scatter_rows(cols, vals, n), x, tol)
+    def fallback() -> KernelSample:
+        dense_errors = _scatter_rows(cols, errors, n)
+        return _left_kernel_sample(_scatter_rows(cols, vals, n), x, tol, dense_errors)
 
     if n < _GRAM_MIN_COLS:
         return fallback()
     basis, drop = motions()
     kept = np.ones(n, dtype=bool)
     kept[drop] = False
-    factor = _gram_rank_proof(
+    proof = _gram_rank_proof(
         np.repeat(np.arange(rows), width), cols.ravel(), vals.ravel(), (rows, n), basis, kept, tol,
         accurate=True,
     )
-    if factor is None:
+    if proof is None:
         return fallback()
-    stress = _preconditioned_residual(*_kept_entries(cols, vals, kept), factor, x)
-    if stress is None:
+    factor, sigma = proof
+    place, entries = _kept_entries(cols, vals, kept)
+    done = _preconditioned_residual(place, entries, np.where(kept[cols], errors, 0.0),
+                                    factor, sigma, x)
+    if done is None:
         return fallback()
-    return factor.shape[0], False, stress
+    return KernelSample(factor.shape[0], False, *done)
 
 
 def _preconditioned_residual(
-    place: np.ndarray, entries: np.ndarray, factor: np.ndarray, x: np.ndarray
-) -> Optional[np.ndarray]:
+    place: np.ndarray,
+    entries: np.ndarray,
+    errors: np.ndarray,
+    factor: np.ndarray,
+    sigma: float,
+    x: np.ndarray,
+) -> Optional[tuple[np.ndarray, str, float]]:
     """x - A f at the least-squares f, for the full-column-rank A whose row i
-    holds ``entries[i]`` at the columns ``place[i]``, or None when
-    ``_CG_MAX_STEPS`` steps do not reach it.
+    holds ``entries[i]`` at the columns ``place[i]``, with the path name
+    ``gram`` and its distance from the projection of x onto the left kernel
+    of the exact matrix, or None when ``_CG_MAX_STEPS`` steps do not reach
+    it.
 
     Conjugate gradients on the normal equations (CGLS; Bjorck, *Numerical
     Methods for Least Squares Problems*, 1996, section 7.4) for B = A L^-T,
@@ -327,31 +419,79 @@ def _preconditioned_residual(
     within |B^T r| = |L^-1 A^T r| of it, and the run stops once that is at
     most ``_CG_RTOL`` |x|.  Each residual is computed afresh from the
     entries, and L^-1 and L^-T are applied by blocked substitution
-    (:func:`_block_inverses`).
+    (:func:`_block_inverses`).  The distance is :func:`_cg_distance`, for
+    the exact matrix within ``errors`` of the entries and the bound
+    ``sigma`` < sigma_min(A) that the factor proves.
     """
     q = factor.shape[0]
     inverses = _block_inverses(factor)
 
-    def gradient(r: np.ndarray) -> np.ndarray:  # L^-1 A^T r
+    def gradient(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # A^T r, L^-1 A^T r
         image = np.bincount(place.ravel(), (entries * r[:, None]).ravel(), minlength=q)
-        return _lower_solve(factor, inverses, image)
+        return image, _lower_solve(factor, inverses, image)
 
     f = np.zeros(q)
     residual = x
-    g = gradient(residual)
+    image, g = gradient(residual)
     direction, gamma = g, float(g @ g)
     bound = (_CG_RTOL * float(np.linalg.norm(x))) ** 2
-    for _ in range(_CG_MAX_STEPS):
+    for steps in range(_CG_MAX_STEPS + 1):
         if gamma <= bound:
-            return residual
+            break
+        if steps == _CG_MAX_STEPS:
+            return None
         step = _upper_solve(factor, inverses, direction)
         image = np.einsum("ik,ik->i", entries, step[place])
         f += gamma / float(image @ image) * step
         residual = x - np.einsum("ik,ik->i", entries, f[place])
-        g = gradient(residual)
+        image, g = gradient(residual)
         gamma, previous = float(g @ g), gamma
         direction = g + gamma / previous * direction
-    return residual if gamma <= bound else None
+    distance = _cg_distance(place, entries, errors, factor, sigma, x, f, residual, image, g)
+    return residual, "gram", distance
+
+
+def _cg_distance(place, entries, errors, factor, sigma, x, f, w, image, g) -> float:
+    """A bound on |w - w*|_2 for the residual w = fl(x - A f) of
+    :func:`_preconditioned_residual`, with ``image`` = fl(A^T w) and
+    ``g`` ~ L^-1 ``image``, and the projection w* of x onto the left kernel
+    of a matrix R_Q with |A - R_Q| <= ``errors`` entrywise, where R_Q spans
+    the range of the exact R (rank R = n - k); infinite when the factor does
+    not prove sigma_min(R_Q) > 0.
+
+    Let P be that projection, delta = |errors|_F >= |A - R_Q|_2 and e the
+    rounding of w.  As in :func:`_lstsq_distance`, w - w* = (I - P) w +
+    P (e - (A - R_Q) f), and the second term is at most
+    |errors |f|| + gamma_(K+1) (|x| + ||A| |f||) for K entries a row.  The
+    first is the projection onto range(R_Q), of norm N(v) =
+    |(R_Q^T R_Q)^(-1/2) v| at v = R_Q^T w.  The proof's shift leaves
+    L L^T <= A^T A - sigma^2 I, and A^T A - R_Q^T R_Q <= 2 |A|_F delta I, so
+    R_Q^T R_Q >= L L^T + s'^2 I with s'^2 = sigma^2 - 2 |A|_F delta.  So
+    N(L z) <= |z| for every z, and N(y) <= |y| / s', and with z = g,
+    N(v) <= |g| + |v - L g| / s'.  Here |v - L g| is at most
+    |image - fl(L g)| plus the rounding of the product, gamma_q |L|_F |g|,
+    that of ``image``, gamma_(c+1) (|A|^T |w|) in the column with c nonzero
+    entries, and |errors^T |w||.  The bound reads every quantity from the
+    final iterate, so it holds whatever the substitutions' rounding.
+    """
+    norm = np.linalg.norm
+    shrunk = sigma**2 - 2.0 * float(norm(entries)) * float(norm(errors))
+    if not shrunk > 0.0:
+        return np.inf
+    q, flat, absw = factor.shape[0], place.ravel(), np.abs(w)[:, None]
+    counts = np.bincount(flat, (entries != 0.0).ravel(), q)
+    rounding = _gamma(counts + 1) * np.bincount(flat, (np.abs(entries) * absw).ravel(), q)
+    gap = (
+        float(norm(image - factor @ g))
+        + float(norm(rounding))
+        + float(_gamma(q)) * float(norm(factor)) * float(norm(g))
+        + float(norm(np.bincount(flat, (errors * absw).ravel(), q)))
+    )
+    absf = np.abs(f)[place]
+    kernel_part = float(norm(np.einsum("ik,ik->i", errors, absf))) + float(
+        _gamma(entries.shape[1] + 1)
+    ) * (float(norm(x)) + float(norm(np.einsum("ik,ik->i", np.abs(entries), absf))))
+    return float(norm(g)) + gap / np.sqrt(shrunk) + kernel_part
 
 
 def _block_inverses(factor: np.ndarray) -> np.ndarray:
@@ -461,12 +601,20 @@ def symmetric_spectrum(matrix, tol: ToleranceVault, scale_floor: float = 0.0) ->
     cancels to zero up to floating noise ranks as zero.  PSD means no
     eigenvalue below minus that cut's threshold, so each eigenvalue is zero,
     positive or negative by the same one number.
+
+    ``second`` is the second-smallest eigenvalue magnitude less
+    n^2 u |matrix|_F, which bounds the eigensolver's backward error (see
+    :func:`_gram_rank_proof`): by Weyl, a lower bound on the matrix's
+    second-smallest singular value.
     """
     m = _as_float_matrix(matrix)
     eigs = np.linalg.eigvalsh(m)
-    rank, marginal, threshold = _rank_cut(np.sort(np.abs(eigs))[::-1], m.shape, tol, scale_floor)
-    lam_min = float(eigs[0])
-    return SpectrumResult(rank, eigs.size - rank, marginal, lam_min >= -threshold, lam_min)
+    magnitudes = np.sort(np.abs(eigs))
+    rank, marginal, threshold = _rank_cut(magnitudes[::-1], m.shape, tol, scale_floor)
+    lam_min, n = float(eigs[0]), eigs.size
+    backward = n * n * (np.finfo(float).eps / 2) * float(np.linalg.norm(m))
+    second = float(magnitudes[1]) - backward if n > 1 else np.inf
+    return SpectrumResult(rank, n - rank, marginal, lam_min >= -threshold, lam_min, second)
 
 
 def _as_int_rows(matrix) -> list[list[int]]:

@@ -7,8 +7,10 @@ the matrix's blocks from the edges (:func:`_blocks`); the products are formed
 from them (:func:`_zd_terms`), and the dense matrices are assembled from them
 only for a caller that factorises or reads them.  One function decides a
 stress matrix's kernel and sign (:func:`_stress_spectrum`); a generic
-trial's Laplacian first goes to a Gram proof of its nullity
-(:func:`_laplacian_nullity`), which needs no dense matrix.
+trial's Laplacian goes to a Gram proof of its nullity, which needs no dense
+matrix, or to ``eigvalsh``, and either bounds its second-smallest singular
+value below (:func:`_laplacian_nullity`), against which the trial sets the
+bound of :func:`_laplacian_perturbation`.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .gain import GainGraph, Vertex
 from .linalg import (
     _GRAM_MIN_COLS,
     SpectrumResult,
+    _gamma,
     _gram_rank_proof,
     nullspace,
     numeric_rank,
@@ -133,8 +136,14 @@ def _stress_spectrum(
     integers from the spanning forest.  1 and 1-hat lie in those kernels, so
     the least eigenvalue is exactly 0.0 and no cut is marginal.  Every other
     stress is assembled and goes to :func:`~perigid.linalg.symmetric_spectrum`.
+    On a connected graph Omega's ``second`` is then at least
+    min_e w_e / (|V| (|V| - 1)), with e over the non-loop edges: Omega
+    dominates min_e w_e times the unweighted Laplacian, whose
+    x^T L x over a unit x orthogonal to 1 is at least 1 / (|V| D) for the
+    diameter D <= |V| - 1, since some x_i and x_j differ by 1 / sqrt|V| and
+    a path of at most D edges joins them (Cauchy-Schwarz).
 
-    Every decision reads Omega here (a generic trial's after the proof of
+    Every certificate reads Omega here (a generic trial reads it in
     :func:`_laplacian_nullity`); Lzd is ranked only for the reports of
     ``rank`` and :func:`strip_loops`.  Omega decides Lzd for a stress in
     flexible or volume equilibrium at a non-flat lattice L.  Let K = [P L]^T
@@ -152,31 +161,38 @@ def _stress_spectrum(
     if not _strictly_positive(w, tol):
         laps = weighted_laplacians(graph, w)
         return symmetric_spectrum(getattr(laps, block), tol, laps.weight_scale)
-    n = graph.num_vertices
+    n, second = graph.num_vertices, 0.0
     if block == "laplacian":
         order, rank = n, n - len(graph.components())
+        if n == 1:
+            second = np.inf
+        elif rank == n - 1:
+            second = float(w[graph._laplacian_support.edges].min()) / (n * (n - 1))
     else:
         order, rank = n + graph.dimension, graph.full_rank_condition()[1]
-    return SpectrumResult(rank, order - rank, False, True, 0.0)
+    return SpectrumResult(rank, order - rank, False, True, 0.0, second)
 
 
-def _laplacian_nullity(graph: GainGraph, w: np.ndarray, tol: ToleranceVault) -> tuple[int, bool]:
-    """Nullity and marginal flag of ``w``'s Laplacian L, as
-    :func:`_stress_spectrum` gives them.
+def _laplacian_nullity(
+    graph: GainGraph, w: np.ndarray, tol: ToleranceVault
+) -> tuple[int, bool, float]:
+    """Nullity and marginal flag of ``w``'s Laplacian L, as the cut of
+    :func:`~perigid.linalg.symmetric_spectrum` gives them, and a certified
+    lower bound on L's second-smallest singular value, for a generic trial.
 
     From |V| = ``_GRAM_MIN_COLS`` on, :func:`~perigid.linalg._gram_rank_proof`
-    first tries to prove, from L's rows, what ``eigvalsh`` and the cut of
-    :func:`~perigid.linalg.symmetric_spectrum` would say: the known kernel is
-    1/sqrt|V|, the first vertex's column is dropped, and the floor is max|w|,
-    as :func:`_stress_spectrum` passes it.  The rows are the entries the dense
-    L holds, summed as :func:`weighted_laplacians` sums them, so a proof is
-    about the matrix that ``eigvalsh`` would read, and it gives nullity 1, not
-    marginal, with one Cholesky of order |V| - 1.  L's Gram matrix sums the
-    products within each row, of one entry per neighbour and the diagonal.
-    A strictly positive stress, which :func:`_stress_spectrum` decides from
-    the graph, gets the same answer: the proof fails on a disconnected
-    graph, whose L has two exact zero eigenvalues.  Whatever the proof cannot
-    decide goes to :func:`_stress_spectrum`.
+    first tries to prove, from L's rows, what ``eigvalsh`` and the cut would
+    say: the known kernel is 1/sqrt|V|, the first vertex's column is dropped,
+    and the floor is max|w|, as :func:`_stress_spectrum` passes it.  The rows
+    are the entries the dense L holds, summed as :func:`weighted_laplacians`
+    sums them, so a proof is about the matrix that ``eigvalsh`` would read,
+    and it gives nullity 1, not marginal, with one Cholesky of order
+    |V| - 1; by Cauchy interlacing its bound below sigma_min(L[:, 1:]) also
+    bounds sigma_(|V|-1)(L).  L's Gram matrix sums the products within each
+    row, of one entry per neighbour and the diagonal.  The proof fails on a
+    disconnected graph, whose L has two exact zero eigenvalues.  Whatever
+    the proof cannot decide goes to :func:`_stress_spectrum`, whose
+    ``second`` is the bound.
     """
     n = graph.num_vertices
     if n >= _GRAM_MIN_COLS:
@@ -190,9 +206,31 @@ def _laplacian_nullity(graph: GainGraph, w: np.ndarray, tol: ToleranceVault) -> 
         floor = float(np.abs(w).max(initial=0.0))
         proof = _gram_rank_proof(rows[order], cols, vals, (n, n), basis, vertices > 0, tol, floor)
         if proof is not None:
-            return 1, False
+            return 1, False, proof[1]
     spec = _stress_spectrum(graph, w, "laplacian", tol)
-    return spec.nullity, spec.marginal
+    return spec.nullity, spec.marginal, spec.second
+
+
+def _laplacian_perturbation(graph: GainGraph, w: np.ndarray, distance: float) -> float:
+    """A bound on |fl(L(w)) - L(w*)|_2, for the Laplacian that
+    :func:`weighted_laplacians` assembles from ``w`` and the exact Laplacian
+    of any w* with |w - w*|_2 <= ``distance``.
+
+    The 2-norm of a symmetric matrix is at most its largest absolute row
+    sum.  An edge e = uv with u != v adds w_e to L_uu and L_vv and -w_e to
+    L_uv and L_vu; loops add nothing.  So row u of L(w) - L(w*) sums to at
+    most 2 sum_(e at u) |w_e - w*_e| <= 2 sqrt(deg u) |w - w*|_2
+    (Cauchy-Schwarz over the deg u non-loop edge ends at u).  Each entry of
+    fl(L(w)) sums at most deg u weights, so it is within gamma_(deg u) of
+    the sum of their magnitudes, and its row within
+    2 gamma_(deg u) sum_(e at u) |w_e| of L(w)'s.
+    """
+    support, n = graph._laplacian_support, graph.num_vertices
+    ends = np.concatenate([support.tails, support.heads])
+    degree = np.bincount(ends, minlength=n)
+    weights = np.bincount(ends, np.abs(np.tile(w[support.edges], 2)), n)
+    top = int(degree.max(initial=0))
+    return 2.0 * (float(_gamma(top)) * float(weights.max(initial=0.0)) + np.sqrt(top) * distance)
 
 
 def stress_space(graph: GainGraph, real: Realization, tol: ToleranceVault) -> np.ndarray:

@@ -14,7 +14,12 @@ class ToleranceVault:
     does not change when the stress or the realization is rescaled:
     ``rank_rel_tol`` cuts singular values and eigenvalues (the same cut makes
     each eigenvalue zero, positive or negative), and ``residual_tol`` gates a
-    quantity that should vanish against the size of its own terms.
+    quantity that should vanish against the size of its own terms.  The one
+    exception takes no tolerance: a generic test is positive when a trial
+    proves it, with a bound on the rounding that scales as the trial does.
+    ``generic_trials`` is the most trials a generic test runs, in seed order
+    from ``rng_seed``: it stops at the first proved trial, and a test with
+    none is negative.
     """
 
     rank_rel_tol: float = 1e-9

@@ -1,3 +1,4 @@
+import functools
 import json
 import sys
 import tracemalloc
@@ -507,15 +508,17 @@ def test_generic_fixed_single_orbit_positive_with_or_without_loop(tmp_path, tol)
         path = tmp_path / f"{name}.json"
         path.write_bytes(fileformat.dumps(graph))
         assert cli(["generic-test", str(path), "--mode", "fixed"]) == 0, name
+    # the first trial proves the positive verdict and ends the test
     branches = [t["branch"] for t in generic_fixed_global_rigidity_test(bare, tol).trial_log]
-    assert branches == ["stress-free"] * tol.generic_trials
+    assert branches == ["stress-free"]
 
 
 @pytest.mark.parametrize("mode", ["flexible", "fixed"])
 @pytest.mark.parametrize("case", ["flex2+orbit"])
 def test_generic_trial_one_lstsq_one_eigvalsh_no_svd(flex2, tol, count_factorisations, mode, case):
-    """Below the Gram path's size gate each trial is one least-squares solve
-    of R and one eigvalsh of the stress Laplacian."""
+    """Below the Gram path's size gate a trial is one least-squares solve of
+    R and one eigvalsh of the stress Laplacian, and on this positive graph
+    the first trial proves the verdict: one trial, whatever the budget."""
     edges = [(e.tail, e.head, e.gain) for e in flex2.graph.edges]
     graph = GainGraph(2, flex2.graph.vertices, edges + [("v1", "v2", (0, 1))])
     n, d, e = graph.num_vertices, graph.dimension, graph.num_edges
@@ -526,7 +529,7 @@ def test_generic_trial_one_lstsq_one_eigvalsh_no_svd(flex2, tol, count_factorisa
     else:
         assert generic_fixed_global_rigidity_test(graph, tol).positive
         per_trial = [("lstsq", (e, d * n)), ("eigvalsh", (n, n))]
-    assert calls == per_trial * tol.generic_trials
+    assert calls == per_trial
 
 
 @pytest.mark.parametrize("mode", ["flexible", "fixed"])
@@ -539,7 +542,8 @@ def test_generic_trial_gram_path_makes_no_svd(tol, count_factorisations, mode, c
     proved to have nullity 1 by one shifted Cholesky of order |V| - 1, with
     no eigvalsh, once |V| reaches the gate too; at |V| = 40 R is above the
     gate and L below it, so L's eigvalsh stays.  The flexible motion basis
-    is one QR of the d(d+1)/2 trivial motions."""
+    is one QR of the d(d+1)/2 trivial motions.  These graphs are positive,
+    and the first trial proves it, so the test runs one trial."""
     graph = out_degree_graph(0, n=int(case.split("-")[1]))
     n, d = graph.num_vertices, graph.dimension
     laplacian = ("cholesky", (n - 1, n - 1)) if n >= 64 else ("eigvalsh", (n, n))
@@ -552,7 +556,7 @@ def test_generic_trial_gram_path_makes_no_svd(tol, count_factorisations, mode, c
         assert generic_fixed_global_rigidity_test(graph, tol).positive
         q = d * n - d
         per_trial = [("cholesky", (q, q)), laplacian]
-    assert calls == per_trial * tol.generic_trials
+    assert calls == per_trial
 
 
 @pytest.mark.parametrize("mode", ["flexible", "fixed"])
@@ -600,19 +604,38 @@ def test_generic_trial_falls_back_to_lstsq_on_a_flex(tol, count_factorisations, 
     assert [name for name, _ in calls].count("lstsq") == tol.generic_trials
 
 
-def _perfbench_generic_d3_neg() -> bytes:
-    """``in/d3_neg.json`` of the benchmark's ``generic`` workload at seed 0,
-    regenerated with its own generator (the workload's rng is seeded with
-    [seed, 0] and draws the d = 2 graphs and their switched copies first)."""
+@pytest.mark.parametrize("mode", ["flexible", "fixed"])
+def test_trial_decided_negative_runs_every_trial(mode):
+    """No trial proves a graph with a degree-1 vertex positive, so a test at
+    or above the edge count runs its whole budget of seeds, in order, and
+    gives the negative verdict; only a proved trial stops it early."""
+    tol = ToleranceVault(rng_seed=11, generic_trials=5)
+    run = generic_global_rigidity_test if mode == "flexible" else generic_fixed_global_rigidity_test
+    cert = run(degree_one_graph(), tol)
+    assert not cert.positive and cert.failing is None
+    assert [t["seed"] for t in cert.trial_log] == list(range(11, 16))
+    assert not any(t["proved"] or t["positive"] for t in cert.trial_log)
+
+
+def _perfbench_gen():
+    """The benchmark's own generator module, ``perfbench/gen.py``."""
     import importlib.util
     from pathlib import Path
-
-    from perigid import fileformat
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
     spec = importlib.util.spec_from_file_location("perfbench_gen", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
+    return gen
+
+
+def _perfbench_generic_d3_neg() -> bytes:
+    """``in/d3_neg.json`` of the benchmark's ``generic`` workload at seed 0,
+    regenerated with its own generator (the workload's rng is seeded with
+    [seed, 0] and draws the d = 2 graphs and their switched copies first)."""
+    from perigid import fileformat
+
+    gen = _perfbench_gen()
     rng = np.random.default_rng([0, 0])
     for d, n in ((2, 160), (3, 100)):
         graphs = gen.out_degree_graph(rng, d, n, d + 1), gen.sparse_graph(rng, d, n, d * n - d - 1)
@@ -620,6 +643,50 @@ def _perfbench_generic_d3_neg() -> bytes:
             return fileformat.loads(json.dumps(gen.to_document(graphs[1])).encode())
         for g in graphs:
             gen.switched_copy(rng, g)
+
+
+@functools.lru_cache(maxsize=None)
+def _sparse_degree_three_graph() -> GainGraph:
+    """ROADMAP known defect 1's input: the benchmark generator's
+    ``sparse_graph(default_rng(4), 2, 1000, 2020)``, topped up so that every
+    vertex has degree 3 by visiting the vertices in order and adding edges
+    from each to random other vertices, with the generator's random gains
+    on the same rng, counting only the visited vertex: d = 2, |V| = 1000,
+    |E| = 2320."""
+    from perigid import fileformat
+
+    gen = _perfbench_gen()
+    rng = np.random.default_rng(4)
+    g = gen.sparse_graph(rng, 2, 1000, 2020)
+    edges = gen._EdgeSet(2)
+    for t, h, gain in zip(g["tail"], g["head"], g["gain"]):
+        edges.add(int(t), int(h), gain)
+    degree = np.bincount(np.concatenate([g["tail"], g["head"]]), minlength=1000)
+    for v in range(1000):
+        while degree[v] < 3:
+            h = int(rng.integers(1000))
+            if h != v and edges.add(v, h, gen._random_gain(rng, 2)):
+                degree[v] += 1
+    document = gen.to_document(gen._graph(2, 1000, edges))
+    return fileformat.loads(json.dumps(document).encode()).graph
+
+
+@pytest.mark.parametrize("seed", [2026, 2031])
+def test_size_scaled_cut_no_longer_decides_a_trial(seed):
+    """Known defect 1, mended: at |V| = 1000 the rank cut, 1e-6 of sigma_1,
+    lies above L's second-smallest eigenvalue (4.4e-7 and 3.4e-7 of sigma_1
+    at these seeds), so the cut reads a kernel of 2 or 3, marginal, and
+    votes negative.  The trial's proof does not read the cut: its Laplacian
+    bound clears the distance to the exact stress's Laplacian by three
+    orders of magnitude, and the verdict is positive."""
+    graph = _sparse_degree_three_graph()
+    assert (graph.dimension, graph.num_vertices, graph.num_edges) == (2, 1000, 2320)
+    cert = generic_fixed_global_rigidity_test(graph, ToleranceVault(rng_seed=seed, generic_trials=1))
+    assert cert.verdict == Verdict.FIXED_GENERIC_GLOBALLY_RIGID and not cert.marginal
+    (entry,) = cert.trial_log
+    assert entry["stress_kernel_dim"] >= 2 and entry["marginal"] and not entry["positive"]
+    assert entry["proved"] and entry["path"] == "gram"
+    assert entry["lambda2"] > 100 * entry["bound"]
 
 
 def test_generic_trial_reports_its_marginal_rank_cut():

@@ -807,6 +807,10 @@ _AT_COUNT = {
 }
 
 
+# (name, mode) of the cases whose test is positive: its first trial proves it
+_PROVED_FIRST = {("flex1", "flexible"), ("flex1", "fixed")}
+
+
 @pytest.mark.parametrize(
     "name, mode, keys",
     [
@@ -832,9 +836,10 @@ _AT_COUNT = {
     ],
 )
 def test_cli_generic_test_trial_log_key_order(fixture_file, tmp_path, capsys, name, mode, keys):
-    """Text reports print trial entries as dicts, so their key order is output.
-    hex is decided by its edge count: no trial, an empty log, and ``failing``
-    names the count."""
+    """Text reports print trial entries as dicts, so their key order is output:
+    the branch's keys, then the proof's.  A positive test stops at its first
+    proved trial, and a negative one runs every trial.  hex is decided by its
+    edge count: no trial, an empty log, and ``failing`` names the count."""
     branch, edges = _AT_COUNT.get(name, (None, None))
     if edges:
         path = tmp_path / f"{name}.json"
@@ -859,8 +864,9 @@ def test_cli_generic_test_trial_log_key_order(fixture_file, tmp_path, capsys, na
             "no realization is infinitesimally rigid"
         ) in lines
         return
-    assert [e["seed"] for e in entries] == [2024, 2025, 2026]
-    assert all(list(e) == keys for e in entries)
+    seeds = [2024] if (name, mode) in _PROVED_FIRST else [2024, 2025, 2026]
+    assert [e["seed"] for e in entries] == seeds
+    assert all(list(e) == keys + ["path", "lambda2", "bound", "proved"] for e in entries)
     assert all(e["branch"] == (branch or e["branch"]) for e in entries)
 
 

@@ -243,6 +243,21 @@ def test_covering_window_hex_interior_degree(hexes):
     assert all(cw.degree(node) == 3 for node in interior)
 
 
+def test_equal_graphs_and_windows_hash_equal(hexes):
+    """A GainGraph hashes on what its equality compares, so a CoveringWindow,
+    a frozen dataclass that holds one, hashes too: equal windows of two
+    separately built graphs hash equal and one keys a dict for the other."""
+    rebuilt = GainGraph(2, hexes.graph.vertices, hexes.graph.edges)
+    assert rebuilt is not hexes.graph and rebuilt == hexes.graph
+    assert hash(rebuilt) == hash(hexes.graph)
+    a, b = hexes.graph.covering_window(1), rebuilt.covering_window(1)
+    assert a == b and hash(a) == hash(b)
+    assert {a: "hex"}[b] == "hex"
+    assert len({a, b, hexes.graph.covering_window(0)}) == 2
+    cables = hexes.graph.with_markings(["cable"] * hexes.graph.num_edges)
+    assert cables != hexes.graph and len({cables, hexes.graph, rebuilt}) == 2
+
+
 def test_switch_identity_and_involution(hexes):
     g = hexes.graph
     assert g.switch("v2", (0, 0)) == g

@@ -17,10 +17,17 @@ from perigid.errors import DuplicateEdge
 from perigid.gain import GainGraph
 from perigid import stress
 from perigid.certify import _sample, _sample_stress
-from perigid.linalg import SpectrumResult, _gram_rank_proof, numeric_rank, symmetric_spectrum
+from perigid.linalg import (
+    KernelSample,
+    SpectrumResult,
+    _gram_rank_proof,
+    numeric_rank,
+    symmetric_spectrum,
+)
 from perigid.tolerances import ToleranceVault
 from perigid.stress import (
     _laplacian_nullity,
+    _laplacian_perturbation,
     _stress_spectrum,
     default_loop_gains,
     extend_with_loops,
@@ -691,7 +698,7 @@ def _proved_nullity(graph, w, tol):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stress, "_GRAM_MIN_COLS", 0)
         mp.setattr(stress, "_stress_spectrum", lambda *args: declined)
-        got = _laplacian_nullity(graph, w, tol)
+        got = _laplacian_nullity(graph, w, tol)[:2]
     return None if got[0] == -1 else got
 
 
@@ -712,8 +719,9 @@ def test_trial_laplacian_proof_is_the_eigenvalue_cut(d, n, out, fixed, scale, se
     tol = ToleranceVault()
     graph = out_degree_graph(seed, n=n, out=min(out, n - 1), d=d)
     real = random_realization(graph, tol, seed=seed).scaled(10.0**scale)
-    _, rank, _, w = _sample(graph, real, fixed, np.random.default_rng(seed), tol)
-    if rank == graph.num_edges:
+    _, sample = _sample(graph, real, fixed, np.random.default_rng(seed), tol)
+    w = sample.stress
+    if sample.rank == graph.num_edges:
         return
     proved = _proved_nullity(graph, w, tol)
     if proved is not None:
@@ -729,16 +737,20 @@ def test_trial_laplacian_proof_decides_generic_trials(tol):
     for fixed in (False, True):
         for seed in range(3):
             real = random_realization(graph, tol, seed=seed)
-            _, _, _, w = _sample(graph, real, fixed, np.random.default_rng(seed), tol)
-            assert _proved_nullity(graph, w, tol) == (1, False)
+            _, sample = _sample(graph, real, fixed, np.random.default_rng(seed), tol)
+            assert _proved_nullity(graph, sample.stress, tol) == (1, False)
 
 
-def test_trial_laplacian_just_under_the_cut_keeps_the_eigenvalue_verdict(tol):
-    """Known defect 1 stays as it is: a trial stress whose Laplacian has
-    one zero eigenvalue and one just under the cut (0.44 of it, as 4.4e-7
-    against 1e-6 at order 1000), with the next at 2e-5 sigma_1, on the
-    complete graph of order 100.  The proof declines, and the trial reports
-    ``eigvalsh``'s nullity 2, marginal, and a negative vote."""
+def test_trial_laplacian_just_under_the_cut_is_proved_positive(tol):
+    """Known defect 1, mended: a trial stress whose Laplacian has one zero
+    eigenvalue and one just under the cut (0.44 of it, as 4.4e-7 against
+    1e-6 at order 1000), with the next at 2e-5 sigma_1, on the complete
+    graph of order 100.  The Gram proof declines, and ``eigvalsh``'s cut
+    still reads nullity 2, marginal, and votes negative; but its second
+    eigenvalue, less the eigensolver's backward error, clears the bound on
+    the distance to the exact stress's Laplacian, so the trial is proved
+    positive.  A stress known only to within 1e-8 is not: the bound is then
+    about 2e-7, above the eigenvalue."""
     n = 100
     rng = np.random.default_rng(26)
     values = np.concatenate([[0.0, 0.44 * tol.rank_rel_tol * n, 2e-5],
@@ -754,5 +766,12 @@ def test_trial_laplacian_just_under_the_cut_keeps_the_eigenvalue_verdict(tol):
     spec = symmetric_spectrum(laps.laplacian, tol, laps.weight_scale)
     assert (spec.nullity, spec.marginal) == (2, True)
     assert _proved_nullity(graph, w, tol) is None
-    entry = _sample_stress({}, graph, graph.num_edges - 1, False, w, tol)
-    assert (entry["stress_kernel_dim"], entry["marginal"], entry["positive"]) == (2, True, False)
+    assert 0.43 * tol.rank_rel_tol * n < spec.second < 0.44 * tol.rank_rel_tol * n
+    rank = graph.num_edges - 1
+    for distance, proved in ((1e-10, True), (1e-8, False)):
+        sample = KernelSample(rank, False, w, "lstsq", distance)
+        entry = _sample_stress({}, graph, rank, sample, tol)
+        assert (entry["stress_kernel_dim"], entry["marginal"], entry["positive"]) == (2, True, False)
+        assert entry["proved"] is proved
+        assert entry["lambda2"] == spec.second
+        assert entry["bound"] == _laplacian_perturbation(graph, w, distance)
