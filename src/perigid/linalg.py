@@ -393,7 +393,7 @@ def _certified_left_kernel_sample(
                                     factor, sigma, x)
     if done is None:
         return fallback()
-    return KernelSample(factor.shape[0], False, *done)
+    return KernelSample(factor.shape[0], False, done[0], "gram", done[1])
 
 
 def _preconditioned_residual(
@@ -403,12 +403,11 @@ def _preconditioned_residual(
     factor: np.ndarray,
     sigma: float,
     x: np.ndarray,
-) -> Optional[tuple[np.ndarray, str, float]]:
+) -> Optional[tuple[np.ndarray, float]]:
     """x - A f at the least-squares f, for the full-column-rank A whose row i
-    holds ``entries[i]`` at the columns ``place[i]``, with the path name
-    ``gram`` and its distance from the projection of x onto the left kernel
-    of the exact matrix, or None when ``_CG_MAX_STEPS`` steps do not reach
-    it.
+    holds ``entries[i]`` at the columns ``place[i]``, with its distance from
+    the projection of x onto the left kernel of the exact matrix, or None
+    when ``_CG_MAX_STEPS`` steps do not reach it.
 
     Conjugate gradients on the normal equations (CGLS; Bjorck, *Numerical
     Methods for Least Squares Problems*, 1996, section 7.4) for B = A L^-T,
@@ -447,8 +446,7 @@ def _preconditioned_residual(
         image, g = gradient(residual)
         gamma, previous = float(g @ g), gamma
         direction = g + gamma / previous * direction
-    distance = _cg_distance(place, entries, errors, factor, sigma, x, f, residual, image, g)
-    return residual, "gram", distance
+    return residual, _cg_distance(place, entries, errors, factor, sigma, x, f, residual, image, g)
 
 
 def _cg_distance(place, entries, errors, factor, sigma, x, f, w, image, g) -> float:

@@ -136,12 +136,12 @@ def _stress_spectrum(
     integers from the spanning forest.  1 and 1-hat lie in those kernels, so
     the least eigenvalue is exactly 0.0 and no cut is marginal.  Every other
     stress is assembled and goes to :func:`~perigid.linalg.symmetric_spectrum`.
-    On a connected graph Omega's ``second`` is then at least
-    min_e w_e / (|V| (|V| - 1)), with e over the non-loop edges: Omega
-    dominates min_e w_e times the unweighted Laplacian, whose
-    x^T L x over a unit x orthogonal to 1 is at least 1 / (|V| D) for the
-    diameter D <= |V| - 1, since some x_i and x_j differ by 1 / sqrt|V| and
-    a path of at most D edges joins them (Cauchy-Schwarz).
+    The graph rule reports Omega's ``second`` as min_e w_e / (|V| (|V| - 1)),
+    e over the non-loop edges, on a connected graph: Omega dominates
+    min_e w_e times the unweighted Laplacian, whose x^T L x over a unit x
+    orthogonal to 1 is at least 1 / (|V| D) for the diameter D <= |V| - 1,
+    since some x_i and x_j differ by 1 / sqrt|V| and a path of at most D
+    edges joins them (Cauchy-Schwarz).
 
     Every certificate reads Omega here (a generic trial reads it in
     :func:`_laplacian_nullity`); Lzd is ranked only for the reports of
@@ -176,13 +176,13 @@ def _stress_spectrum(
 def _laplacian_nullity(
     graph: GainGraph, w: np.ndarray, tol: ToleranceVault
 ) -> tuple[int, bool, float]:
-    """Nullity and marginal flag of ``w``'s Laplacian L, as the cut of
-    :func:`~perigid.linalg.symmetric_spectrum` gives them, and a certified
-    lower bound on L's second-smallest singular value, for a generic trial.
+    """Nullity and marginal flag of ``w``'s Laplacian L, as
+    :func:`_stress_spectrum` gives them, and a certified lower bound on L's
+    second-smallest singular value, for a generic trial.
 
     From |V| = ``_GRAM_MIN_COLS`` on, :func:`~perigid.linalg._gram_rank_proof`
-    first tries to prove, from L's rows, what ``eigvalsh`` and the cut would
-    say: the known kernel is 1/sqrt|V|, the first vertex's column is dropped,
+    first tries to prove, from L's rows, what ``eigvalsh`` and the cut of
+    :func:`~perigid.linalg.symmetric_spectrum` would say: the known kernel is 1/sqrt|V|, the first vertex's column is dropped,
     and the floor is max|w|, as :func:`_stress_spectrum` passes it.  The rows
     are the entries the dense L holds, summed as :func:`weighted_laplacians`
     sums them, so a proof is about the matrix that ``eigvalsh`` would read,

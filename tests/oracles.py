@@ -177,6 +177,64 @@ def fraction_rank(matrix) -> int:
     return rank
 
 
+def exact_stress_distance(graph: GainGraph, real: Realization, fixed: bool, x, w) -> float:
+    """|w - w*|_2 for the orthogonal projection w* of ``x`` onto the left
+    kernel of the exact rigidity matrix R of ``real`` (the fixed-lattice one
+    when ``fixed``), its float points, lattice and ``x`` taken as exact
+    rationals: R is built entry by entry over ``Fraction``, a basis A of its
+    columns is found by elimination, and w* = x - A (A^T A)^-1 A^T x is
+    solved exactly.  Only the final square root rounds."""
+    d, n = graph.dimension, graph.num_vertices
+    points = [[Fraction(float(c)) for c in col] for col in point_matrix(graph, real).T]
+    lattice = [[Fraction(float(c)) for c in row] for row in real.lattice]
+    cols = d * n + (0 if fixed else d * d)
+    rows = []
+    for e in graph.edges:
+        t, h, g = graph.vertex_index(e.tail), graph.vertex_index(e.head), e.gain
+        nu = [points[h][i] + sum(lattice[i][k] * g[k] for k in range(d)) - points[t][i]
+              for i in range(d)]
+        row = [Fraction(0)] * cols
+        if t != h:
+            for i in range(d):
+                row[d * t + i] -= nu[i]
+                row[d * h + i] += nu[i]
+        if not fixed:
+            for k in range(d):
+                for i in range(d):
+                    row[d * n + d * k + i] += g[k] * nu[i]
+        rows.append(row)
+    # pivot columns of R by elimination on a copy
+    work, basis = [list(r) for r in rows], []
+    for c in range(cols):
+        pivot = next((r for r in range(len(basis), len(work)) if work[r][c] != 0), None)
+        if pivot is None:
+            continue
+        k = len(basis)
+        work[k], work[pivot] = work[pivot], work[k]
+        for r in range(k + 1, len(work)):
+            factor = work[r][c] / work[k][c]
+            if factor:
+                work[r] = [a - factor * b for a, b in zip(work[r], work[k])]
+        basis.append(c)
+    xs = [Fraction(float(v)) for v in x]
+    a = [[row[c] for c in basis] for row in rows]
+    q = len(basis)
+    # normal equations [A^T A | A^T x], solved by Gauss-Jordan
+    system = [[sum(r[i] * r[j] for r in a) for j in range(q)] + [sum(r[i] * v for r, v in zip(a, xs))]
+              for i in range(q)]
+    for i in range(q):
+        pivot = next(r for r in range(i, q) if system[r][i] != 0)
+        system[i], system[pivot] = system[pivot], system[i]
+        system[i] = [v / system[i][i] for v in system[i]]
+        for r in range(q):
+            if r != i and system[r][i]:
+                factor = system[r][i]
+                system[r] = [u - factor * v for u, v in zip(system[r], system[i])]
+    f = [system[i][q] for i in range(q)]
+    exact = [v - sum(ai * fi for ai, fi in zip(r, f)) for r, v in zip(a, xs)]
+    return float(sum((Fraction(float(wi)) - ei) ** 2 for wi, ei in zip(w, exact))) ** 0.5
+
+
 def reverify(
     certificate: Certificate, graph: GainGraph, real: Realization, tol: ToleranceVault
 ) -> bool:

@@ -5,10 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perigid import framework, linalg, stress
 from perigid.certify import (
     Verdict,
+    _sample,
     certify_fixed_lattice,
     certify_spiderweb,
     certify_super_stable,
@@ -32,6 +35,7 @@ from oracles import (
     cable_framework,
     conic_deformation,
     degree_one_graph,
+    exact_stress_distance,
     out_degree_graph,
     reverify,
     strut_chord,
@@ -602,6 +606,33 @@ def test_generic_trial_falls_back_to_lstsq_on_a_flex(tol, count_factorisations, 
     else:
         assert not generic_fixed_global_rigidity_test(graph, tol).positive
     assert [name for name, _ in calls].count("lstsq") == tol.generic_trials
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.booleans(),
+    st.booleans(),
+    st.integers(-6, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_trial_distance_bounds_the_exact_stress(n, fixed, gram, scale, seed):
+    """On both paths (the Gram path with its size gate off), in both modes
+    and at any scale, a sample whose rank is that of infinitesimal rigidity
+    and whose distance is finite has its stress within that distance of the
+    exact projection of its Gaussian onto the left kernel of the exact
+    rigidity matrix, computed over the rationals."""
+    tol = ToleranceVault()
+    graph = out_degree_graph(seed, n=n, out=3)
+    real = random_realization(graph, tol, seed=seed).scaled(2.0**scale * 10.0**scale)
+    with pytest.MonkeyPatch.context() as mp:
+        if gram:
+            mp.setattr(linalg, "_GRAM_MIN_COLS", 0)
+        free, sample = _sample(graph, real, fixed, np.random.default_rng(seed), tol)
+    if sample.rank != free or not sample.distance < np.inf:
+        return
+    x = np.random.default_rng(seed).standard_normal(graph.num_edges)
+    assert exact_stress_distance(graph, real, fixed, x, sample.stress) <= sample.distance
 
 
 @pytest.mark.parametrize("mode", ["flexible", "fixed"])
