@@ -533,7 +533,9 @@ def stressed_gain_graphs(draw):
 @given(case=stressed_gain_graphs())
 def test_stress_spectrum_agrees_with_the_eigenvalue_cut(tol, case):
     """A positive stress's exact nullity and PSD verdict are the eigenvalue
-    cut's on these well-scaled inputs; any other stress gets the cut's result."""
+    cut's on these well-scaled inputs, and the graph rule's bound on its
+    Laplacian's second singular value lies below the second eigenvalue; any
+    other stress gets the cut's result."""
     graph, weights, mixed = case
     laps = weighted_laplacians(graph, weights)
     for block in ("laplacian", "zd_laplacian"):
@@ -542,6 +544,12 @@ def test_stress_spectrum_agrees_with_the_eigenvalue_cut(tol, case):
         assert (exact.nullity, exact.is_psd) == (cut.nullity, cut.is_psd)
         assert exact.rank == cut.rank
         assert exact.min_eigenvalue == 0.0 and not exact.marginal
+    second = _stress_spectrum(graph, weights, "laplacian", tol).second
+    if graph.num_vertices == 1:
+        assert second == np.inf
+    else:
+        assert 0.0 <= second <= np.sort(np.abs(np.linalg.eigvalsh(laps.laplacian)))[1]
+        assert (second > 0.0) == (len(graph.components()) == 1)
     if not mixed.size:
         return
     laps = weighted_laplacians(graph, mixed)
