@@ -121,13 +121,13 @@ class Certificate:
             "verdict": self.verdict,
             "witness_stress": None
             if self.witness_stress is None
-            else [float(x) for x in np.asarray(self.witness_stress).ravel()],
+            else np.asarray(self.witness_stress, dtype=float).ravel().tolist(),
             "witness_lambda": self.witness_lambda,
             "kernel_dims": dict(self.kernel_dims),
             "min_eigenvalue": self.min_eigenvalue,
             "conic_witness": None
             if self.conic_witness is None
-            else [[float(x) for x in row] for row in np.asarray(self.conic_witness)],
+            else np.asarray(self.conic_witness, dtype=float).tolist(),
             "marginal": self.marginal,
             "failing": self.failing,
             "residuals": dict(self.residuals),

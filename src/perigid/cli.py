@@ -422,7 +422,7 @@ _HANDLERS = {
 
 def _render_report(report: dict, as_json: bool) -> str:
     if as_json:
-        return json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
     lines = []
 
     def walk(prefix: str, value) -> None:
@@ -436,14 +436,6 @@ def _render_report(report: dict, as_json: bool) -> str:
 
     walk("", report)
     return "\n".join(lines) + "\n"
-
-
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)}")
 
 
 def _run_single(args, vault: ToleranceVault, path: Optional[str]) -> tuple[str, int]:

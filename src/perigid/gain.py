@@ -105,16 +105,6 @@ def canonicalize_edge(tail, head, gain, order: Sequence[Vertex]) -> GainEdge:
     return GainEdge(*_canonical(tail, head, _gain_tuple(gain), index))
 
 
-class _Incidence(NamedTuple):
-    """The edge ends by vertex, as compressed sparse rows.  Edge e has ends 2e
-    (its tail) and 2e + 1 (its head); vertex v's ends are
-    ``ends[start[v]:start[v + 1]]``, in edge order, a loop's tail end first."""
-
-    start: list[int]  # |V| + 1 offsets into ends and others
-    ends: list[int]
-    others: list[int]  # the vertex at each end's far end
-
-
 class _Forest(NamedTuple):
     """Breadth-first spanning forest, rooted at each component's first vertex."""
 
@@ -158,14 +148,14 @@ class GainGraph:
     column).  The tuple of :class:`GainEdge` that ``edges`` gives is built
     from the columns on first read.
 
-    Connectivity reads a table of the edge ends by vertex, compressed sparse
-    rows from a stable counting sort of the ends [t0, h0, t1, h1, ...], and a
-    breadth-first spanning forest over it that labels the components.  The
-    exact potentials and cycle gains of the forest, which only the gain rank
-    and the rank condition read, are computed the first time one of them is
-    asked for.  The weighted Laplacians and the equilibrium sums read a
-    grouping of the non-loop edges by vertex pair; the covering windows read
-    the gain array.  All of these are built on first use, then kept.
+    Connectivity reads a breadth-first spanning forest that labels the
+    components, walked over per-vertex adjacency lists of the edge ends
+    built in one pass over the edges.  The exact potentials and cycle gains
+    of the forest, which only the gain rank and the rank condition read, are
+    computed the first time one of them is asked for.  The weighted
+    Laplacians and the equilibrium sums read a grouping of the non-loop
+    edges by vertex pair; the covering windows read the gain array.  All of
+    these are built on first use, then kept.
     """
 
     def __init__(self, dimension: int, vertices: Sequence[Vertex], edges: Iterable):
@@ -290,18 +280,17 @@ class GainGraph:
     def markings(self) -> tuple[str, ...]:
         return self._markings
 
+    @cached_property
+    def _key(self) -> tuple:
+        """The exact columns, which equality compares and the hash keys on."""
+        return (self.dimension, self.vertices, tuple(self.tail_idx.tolist()),
+                tuple(self.head_idx.tolist()), self._gains, self._markings)
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GainGraph)
-            and self.dimension == other.dimension
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
+        return isinstance(other, GainGraph) and self._key == other._key
 
     def __hash__(self) -> int:
-        # the exact columns that __eq__ compares, through the edges they build
-        return hash((self.dimension, self.vertices, tuple(self.tail_idx.tolist()),
-                     tuple(self.head_idx.tolist()), self._gains, self._markings))
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return (
@@ -389,42 +378,27 @@ class GainGraph:
     # -- connectivity and gain rank ---------------------------------------
 
     @cached_property
-    def _incidence(self) -> _Incidence:
-        """The edge ends by vertex, placed by a counting sort of the ends
-        [t0, h0, t1, h1, ...]: it is stable, so each vertex's ends keep their
-        edge order and a loop's tail end comes before its head end."""
-        tails, heads = self.tail_idx.tolist(), self.head_idx.tolist()
-        count = [0] * (self.num_vertices + 1)
-        for t, h in zip(tails, heads):
-            count[t + 1] += 1
-            count[h + 1] += 1
-        start = list(itertools.accumulate(count))
-        free = start[:-1]  # each vertex's next unfilled slot
-        ends, others = [0] * (2 * len(tails)), [0] * (2 * len(tails))
-        for e, (t, h) in enumerate(zip(tails, heads)):
-            k = free[t]
-            free[t], ends[k], others[k] = k + 1, 2 * e, h
-            k = free[h]
-            free[h], ends[k], others[k] = k + 1, 2 * e + 1, t
-        return _Incidence(start, ends, others)
-
-    @cached_property
     def _forest(self) -> _Forest:
         """Breadth-first spanning forest: component labels and the end each
-        vertex was reached by, with no gains."""
-        start, ends, others = self._incidence
-        component, parent_end, order = [-1] * self.num_vertices, [-1] * self.num_vertices, []
+        vertex was reached by, with no gains.  Edge e has ends 2e (its tail)
+        and 2e + 1 (its head); each vertex lists its (end, far vertex) pairs
+        in edge order, a loop's tail end first."""
+        n = self.num_vertices
+        adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for e, (t, h) in enumerate(zip(self.tail_idx.tolist(), self.head_idx.tolist())):
+            adjacent[t].append((2 * e, h))
+            adjacent[h].append((2 * e + 1, t))
+        component, parent_end, order = [-1] * n, [-1] * n, []
         count = 0
-        for root in range(self.num_vertices):
+        for root in range(n):
             if component[root] >= 0:
                 continue
             component[root] = count
             queue = [root]
             for v in queue:  # grows while it is read: breadth-first order
-                for k in range(start[v], start[v + 1]):
-                    other = others[k]
+                for end, other in adjacent[v]:
                     if component[other] < 0:
-                        component[other], parent_end[other] = count, ends[k]
+                        component[other], parent_end[other] = count, end
                         queue.append(other)
             order += queue
             count += 1

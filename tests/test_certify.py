@@ -648,6 +648,38 @@ def test_trial_decided_negative_runs_every_trial(mode):
     assert not any(t["proved"] or t["positive"] for t in cert.trial_log)
 
 
+@pytest.mark.parametrize("mode", ["flexible", "fixed"])
+@pytest.mark.parametrize("path, n", [("lstsq", 6), ("gram", 64)])
+def test_swamping_entry_errors_decline_the_proof(monkeypatch, mode, path, n):
+    """When the rounding bounds of R's entries swamp the sigma that the
+    singular values (lstsq) or the Cholesky factor (Gram) prove, the
+    distance to the exact stress is infinite: no trial is proved and none
+    has a bound, though each one's cut still votes positive, so a positive
+    graph gets the negative verdict, marginal."""
+    from perigid import certify
+
+    errors, distances = certify._rigidity_entry_errors, []
+    monkeypatch.setattr(certify, "_rigidity_entry_errors",
+                        lambda *args: np.full_like(errors(*args), 1e6))
+    name = "_lstsq_distance" if path == "lstsq" else "_cg_distance"
+    distance = getattr(linalg, name)
+
+    def recorded(*args):
+        distances.append(distance(*args))
+        return distances[-1]
+
+    monkeypatch.setattr(linalg, name, recorded)
+    run = generic_global_rigidity_test if mode == "flexible" else generic_fixed_global_rigidity_test
+    tol = ToleranceVault()
+    cert = run(out_degree_graph(0, n=n), tol)
+    assert distances == [np.inf] * tol.generic_trials
+    assert not cert.positive and cert.marginal
+    assert len(cert.trial_log) == tol.generic_trials
+    for entry in cert.trial_log:
+        assert entry["path"] == path and entry["positive"]
+        assert not entry["proved"] and entry["bound"] is None
+
+
 def _perfbench_gen():
     """The benchmark's own generator module, ``perfbench/gen.py``."""
     import importlib.util

@@ -394,6 +394,122 @@ def test_cli_batch(tmp_path, capsys):
     assert out.index("flex1") < out.index("flex2")
 
 
+def test_cli_batch_reports_a_malformed_file_and_runs_the_rest(tmp_path, capsys):
+    """A malformed file in a --batch directory gets an ``error: ParseError``
+    section, each other file the report it gets on its own, and the call
+    exits 2."""
+    for name in ("flex1", "hex"):
+        cli(["fixtures", "--name", name, "--emit", str(tmp_path / f"{name}.json")])
+    (tmp_path / "broken.json").write_text("{")
+    capsys.readouterr()
+    assert cli(["info", "--batch", str(tmp_path)]) == 2
+    sections = capsys.readouterr().out.split("=== ")[1:]
+    paths = [str(tmp_path / f"{name}.json") for name in ("broken", "flex1", "hex")]
+    assert [s.split("\n", 1)[0] for s in sections] == paths
+    assert sections[0].split("\n", 1)[1].startswith("error: ParseError: ")
+    for path, section in zip(paths[1:], sections[1:]):
+        assert cli(["info", path]) == 0
+        assert section == f"{path}\n{capsys.readouterr().out}"
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (["cover", "--svg", "x.svg"], ["flex1"], "--batch is not supported for cover"),
+        (["info"], [], "no *.json files in"),
+    ],
+    ids=["cover", "empty-directory"],
+)
+def test_cli_batch_refusals_exit_2(tmp_path, capsys, argv, files, message):
+    for name in files:
+        cli(["fixtures", "--name", name, "--emit", str(tmp_path / f"{name}.json")])
+    capsys.readouterr()
+    assert cli([argv[0], "--batch", str(tmp_path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ParseError: ")
+    assert message in captured.err
+
+
+def _flat(doc: dict) -> dict:
+    doc["lattice"] = [[1.0, 2.0], [1.0, 2.0]]
+    return doc
+
+
+def _gain_rank_one(doc: dict) -> dict:
+    """A path through the vertices with zero gains, and one more edge of gain (1, 0)."""
+    names = [vertex["name"] for vertex in doc["vertices"]]
+    ends = list(zip(names, names[1:])) + [(names[0], names[1])]
+    doc["edges"] = [
+        {"tail": t, "head": h, "gain": [0, 0], "type": "cable", "weight": 1.0} for t, h in ends
+    ]
+    doc["edges"][-1]["gain"] = [1, 0]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, gate",
+    [(_gain_rank_one, "spiderwebs have gain rank d"), (_flat, "spiderwebs are non-flat")],
+    ids=["gain-rank", "flat"],
+)
+def test_cli_spiderweb_gates_exit_2(fixture_file, tmp_path, capsys, edit, gate):
+    """A connected all-cable framework of gain rank less than d, and one
+    with a flat lattice, fail the spiderweb gates with exit 2."""
+    doc = json.loads(Path(fixture_file("hex")).read_text())
+    for edge in doc["edges"]:
+        edge["type"] = "cable"
+    path = tmp_path / "gated.json"
+    path.write_text(json.dumps(edit(doc)))
+    assert cli(["certify", str(path), "--mode", "spiderweb"]) == 2
+    assert capsys.readouterr().err == f"error: NotSpiderweb: {gate}\n"
+
+
+def test_cli_volume_certificate_on_a_flat_lattice_exits_2(tmp_path, capsys):
+    doc = _flat(flex2_document())
+    doc["lambda"] = 1.0
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(doc))
+    assert cli(["certify", str(path), "--mode", "volume"]) == 2
+    assert capsys.readouterr().err == (
+        "error: FlatLattice: volume certificate needs a nonsingular lattice\n"
+    )
+
+
+def test_cli_fixed_generic_test_refuses_a_flat_lattice_before_the_count(tmp_path, capsys):
+    """The fixed-lattice test reads the file's lattice, and a flat one exits
+    2 with FlatLattice even below the edge count, where the same graph at a
+    non-flat lattice is negative from the count alone."""
+    doc = flex2_document()
+    doc["edges"] = doc["edges"][:1]
+    path = tmp_path / "one_edge.json"
+    path.write_text(json.dumps(doc))
+    assert cli(["generic-test", str(path), "--mode", "fixed", "--json"]) == 1
+    failing = json.loads(capsys.readouterr().out)["report"]["certificate"]["failing"]
+    assert failing.startswith("edge count 1 < 2")
+    path.write_text(json.dumps(_flat(doc)))
+    assert cli(["generic-test", str(path), "--mode", "fixed"]) == 2
+    assert capsys.readouterr().err == "error: FlatLattice: supplied lattice is singular\n"
+
+
+@pytest.mark.parametrize(
+    "pairs, error",
+    [
+        ("a-b", "ParseError: --pairs entries look like u:v, got 'a-b'"),
+        ("a:z", "PairConditionViolated: pair ('a', 'z') references unknown vertices"),
+    ],
+    ids=["malformed", "unknown-vertex"],
+)
+def test_cli_from_finite_bad_pairs_exit_2(tmp_path, capsys, pairs, error):
+    finite_doc = {
+        "dimension": 1,
+        "vertices": [{"name": "a", "position": [0.0]}, {"name": "b", "position": [1.3]}],
+        "edges": [{"tail": "a", "head": "b"}],
+    }
+    src = tmp_path / "finite.json"
+    src.write_text(json.dumps(finite_doc))
+    assert cli(["from-finite", str(src), "--pairs", pairs]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_cli_missing_file_is_input_error(tmp_path):
     assert cli(["info", str(tmp_path / "missing.json")]) == 2
     assert cli(["certify"]) == 2  # no file, no batch

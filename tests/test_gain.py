@@ -258,6 +258,25 @@ def test_equal_graphs_and_windows_hash_equal(hexes):
     assert cables != hexes.graph and len({cables, hexes.graph, rebuilt}) == 2
 
 
+def test_equality_reads_the_columns_not_the_edges(catalog):
+    """Equality and the hash read one key of the exact columns, so comparing
+    and hashing two parsed graphs builds neither one's ``edges``; equal
+    graphs, and their windows, still hash equal, and a graph differs from
+    one with another gain, marking or vertex order."""
+    document = fileformat.dumps(catalog["hex"].graph, catalog["hex"].realization)
+    a, b = (fileformat.loads(document).graph for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a.covering_window(1)) == hash(b.covering_window(1))
+    switched = a.switch(a.vertices[1], (1, 0))
+    cables = a.with_markings(["cable"] * a.num_edges)
+    reordered = GainGraph._from_indices(
+        2, a.vertices[::-1], [a.num_vertices - 1 - t for t in a.tail_idx.tolist()],
+        [a.num_vertices - 1 - h for h in a.head_idx.tolist()], a._gains, a.markings(),
+    )
+    assert all(other != a for other in (switched, cables, reordered))
+    assert not any("edges" in vars(graph) for graph in (a, b, switched, cables, reordered))
+
+
 def test_switch_identity_and_involution(hexes):
     g = hexes.graph
     assert g.switch("v2", (0, 0)) == g
