@@ -27,9 +27,9 @@ A generic trial's stress is decided the same way, except that on 64
 vertices or more a Gram proof of its Laplacian's nullity, one Cholesky and
 no eigensolver, comes first (``stress._laplacian_nullity``).  Its cut's vote
 is only reported: a generic test is positive when a trial *proves* it, from
-a bound on the distance between the trial's stress and the exact stress of
-its realization and a certified lower bound on its Laplacian's second
-singular value (``_proof``).  One proved trial proves the verdict
+a bound on the distance between the trial's stress w and w* = P w, its exact
+projection onto the stresses of its realization, and a certified lower bound
+on its Laplacian's second singular value (``_trial_entry``).  One proved trial proves the verdict
 (``_trial_loop``), so trials run in seed order until one is proved, at most
 ``generic_trials`` of them, and a test with no proved trial is negative.
 """
@@ -60,7 +60,7 @@ from .framework import (
     random_realization,
 )
 from .gain import GainGraph
-from .linalg import _certified_left_kernel_sample, nullspace
+from .linalg import KernelSample, _certified_left_kernel_sample, nullspace
 from .stress import (
     _laplacian_nullity,
     _laplacian_perturbation,
@@ -72,8 +72,9 @@ from .stress import (
 from .tolerances import ToleranceVault
 
 # A trial is proved when its Laplacian's certified second singular value
-# exceeds this multiple of its bound (:func:`_proof`): the factor covers the
-# rounding of evaluating both sides, which is relative and far smaller.
+# exceeds this multiple of its bound (:func:`_trial_entry`): the factor
+# covers the rounding of evaluating both sides, which is relative and far
+# smaller.
 _PROOF_MARGIN = 2.0
 
 
@@ -283,48 +284,54 @@ def certify_volume_constrained(
 
 
 def _trial_loop(
-    graph: GainGraph, count: int, tol: ToleranceVault, salt: int, trial, verdicts: tuple[str, str]
+    graph: GainGraph, fixed: bool, tol: ToleranceVault, lattice: Optional[np.ndarray] = None
 ) -> Certificate:
-    """The first proved trial, in seed order, out of at most
-    ``tol.generic_trials``.
+    """The generic test under a fixed lattice (``lattice``, or a random one
+    per trial) when ``fixed``, else under a flexible one: the first proved
+    trial in seed order, out of at most ``tol.generic_trials``.
 
-    A graph with fewer than ``count`` edges, the rank its rigidity matrix
-    needs for infinitesimal rigidity, gets ``verdicts[1]`` from the count
-    alone: no trial runs, the log is empty and ``failing`` names the count.
-    Otherwise ``trial(seed, rng)`` returns the trial's log entry, with
-    ``rng`` seeded with ``seed ^ salt``.  The first entry whose ``proved``
-    key is true ends the test with ``verdicts[0]``, so a positive test logs
-    one trial on a graph whose first trial proves it; with no proved trial
-    every seed runs and the verdict is ``verdicts[1]``.  A proof is the
-    verdict, so a proved test is not marginal; a negative test is marginal
-    when any trial's cut was, or when any trial voted positive by its cut
-    without a proof.
+    With fewer edges than the rank of infinitesimal rigidity (d|V| - d, or
+    d|V| + d^2 - d(d+1)/2 under a flexible lattice) the verdict is negative
+    from the count alone: no trial runs and ``failing`` names the count.
+    Trial ``seed`` logs :func:`_trial_entry` of its realization and of an
+    rng seeded with ``seed ^`` the mode's salt.  A proved entry ends the test
+    with the positive verdict, which is then not marginal; with none, every
+    seed runs and the verdict is negative, marginal when any trial's cut was
+    or voted positive without a proof.
 
     Why one trial proves the verdict, for a trial whose rigidity matrix R at
     its realization p (the float points and lattice, taken as exact reals)
     has the rank of infinitesimal rigidity, n - k for the k trivial motions,
-    and whose exact stress w*, the projection of the trial's Gaussian onto
-    the left kernel of R, has a Laplacian of nullity 1 (:func:`_proof`).
-    The finite theorem, as recalled here and not checked against the
-    sources: if some infinitesimally rigid realization of a graph in R^d
-    has an equilibrium stress whose stress matrix has rank |V| - d - 1, the
-    graph is generically globally rigid (Connelly and Whiteley, *Discrete
-    Comput. Geom.* 2010; Gortler, Healy and Thurston, *Amer. J. Math.* 2010,
-    with Connelly's sufficiency theorem for generic realizations).  The
-    periodic argument runs the same way.  R's rank is lower semicontinuous
-    and at most n - k everywhere, so it is n - k on a neighbourhood U of p;
-    there its left kernel has constant dimension, its orthogonal projection
-    P(q) = I - R(q) R(q)^+ is continuous, and so is w*(q) = P(q) x, an
-    equilibrium stress at q with w*(p) = w*.  L(w*(q)) is continuous and has
-    the all-ones vector in its kernel, and rank is lower semicontinuous, so
-    L(w*(q)) has nullity 1 on a smaller neighbourhood, where the lattice
-    also stays non-flat.  Generic realizations are dense, so one lies
-    there: an infinitesimally rigid generic framework with a stress whose L
-    has nullity 1, or Lzd nullity d + 1 under a flexible lattice
-    (``stress._stress_spectrum``), which by the paper's sufficiency theorem
-    makes the graph generically globally rigid under that lattice.  The
+    and whose exact stress w* = P w, the projection of the trial's stress w
+    onto the left kernel of R, has a Laplacian of nullity 1.  The finite
+    theorem, as recalled here and not checked against the sources: if some
+    infinitesimally rigid realization of a graph in R^d has an equilibrium
+    stress whose stress matrix has rank |V| - d - 1, the graph is
+    generically globally rigid (Connelly and Whiteley, *Discrete Comput.
+    Geom.* 2010; Gortler, Healy and Thurston, *Amer. J. Math.* 2010, with
+    Connelly's sufficiency theorem for generic realizations).  The periodic
+    argument runs the same way.  R's rank is lower semicontinuous and at
+    most n - k everywhere, so it is n - k on a neighbourhood U of p; there
+    its left kernel has constant dimension, its orthogonal projection
+    P(q) = I - R(q) R(q)^+ is continuous, and so is w*(q) = P(q) w*, an
+    equilibrium stress at q with w*(p) = w* (this holds for any exact
+    stress w* at p).  L(w*(q)) is continuous and has the all-ones vector in
+    its kernel, and rank is lower semicontinuous, so L(w*(q)) has nullity 1
+    on a smaller neighbourhood, where the lattice also stays non-flat.
+    Generic realizations are dense, so one lies there: an infinitesimally
+    rigid generic framework with a stress whose L has nullity 1, or Lzd
+    nullity d + 1 under a flexible lattice (``stress._stress_spectrum``),
+    which by the paper's sufficiency theorem makes the graph generically
+    globally rigid under that lattice.  The
     trial's realization is also random, hence generic with probability 1.
     """
+    d, v = graph.dimension, graph.num_vertices
+    if fixed:
+        count, salt = d * (v - 1), 0x517CC1B7
+        verdicts = (Verdict.FIXED_GENERIC_GLOBALLY_RIGID, Verdict.FIXED_GENERIC_NOT_GLOBALLY_RIGID)
+    else:
+        count, salt = d * v + d * (d - 1) // 2, 0x9E3779B9
+        verdicts = (Verdict.GENERIC_GLOBALLY_RIGID, Verdict.GENERIC_NOT_GLOBALLY_RIGID)
     if graph.num_edges < count:
         return Certificate(
             verdict=verdicts[1],
@@ -333,7 +340,11 @@ def _trial_loop(
         )
     trials = []
     for seed in range(tol.rng_seed, tol.rng_seed + tol.generic_trials):
-        trials.append(trial(seed, np.random.default_rng(seed ^ salt)))
+        real = random_realization(graph, tol, seed=seed)
+        if lattice is not None:
+            real = Realization(real.points, lattice)
+        free, sample = _sample(graph, real, fixed, np.random.default_rng(seed ^ salt), tol)
+        trials.append({"seed": seed, **_trial_entry(graph, fixed, free, sample, tol)})
         if trials[-1]["proved"]:
             return Certificate(verdict=verdicts[0], trial_log=trials)
     return Certificate(
@@ -358,45 +369,49 @@ def _sample(graph: GainGraph, real: Realization, fixed: bool, rng, tol: Toleranc
     return free, _certified_left_kernel_sample(cols, vals, n, motions, rng, tol, errors)
 
 
-def _sample_stress(entry: dict, graph, free: int, sample, tol) -> dict:
-    """Finish a trial entry from its rigidity matrix's ``sample`` and its
-    rank of rigidity ``free``: the cut votes positive when the stress's
-    Laplacian has nullity 1 (for a flexible stress, Lzd nullity d+1), and
-    the entry is marginal when either cut is.  With no stress but zero, the
-    Laplacian is zero, of nullity |V|, and one vertex orbit passes; so does
-    any stress of one vertex orbit, whose Laplacian is the zero 1 x 1."""
-    entry["stress_space_dim"] = dim = graph.num_edges - sample.rank
-    if dim == 0:
-        entry.update(positive=graph.num_vertices == 1, branch="stress-free", marginal=sample.marginal)
-        return _proof(entry, graph, free, sample)
-    nullity, cut_marginal, second = _laplacian_nullity(graph, sample.stress, tol)
-    entry.update(stress_kernel_dim=nullity, positive=nullity == 1)
-    entry.update(branch="stress sampling", marginal=sample.marginal or cut_marginal)
-    return _proof(entry, graph, free, sample, second)
+def _trial_entry(
+    graph: GainGraph, fixed: bool, free: int, sample: KernelSample, tol: ToleranceVault
+) -> dict:
+    """The log entry of a trial from its rigidity matrix R's ``sample``
+    (stress w) and R's rank of infinitesimal rigidity ``free``: the branch
+    that decided the cut's vote, then the proof.
 
+    Under a flexible lattice, a single vertex orbit votes by R's rank alone,
+    and a trial that is not infinitesimally rigid votes negative.  Otherwise
+    the cut votes positive when w's Laplacian has nullity 1 (for a flexible
+    stress, Lzd nullity d+1), and the entry is marginal when either cut is.
+    With no stress but zero, L is zero, of nullity |V|, and one vertex orbit
+    passes; so does any stress of one vertex orbit.
 
-def _proof(entry: dict, graph, free: int, sample, second: Optional[float] = None) -> dict:
-    """Add the trial's proof to its entry: ``path``, the branch that drew
-    the stress (:class:`~perigid.linalg.KernelSample`); ``lambda2``, a
-    certified lower bound on the second-smallest singular value of the
-    stress's assembled Laplacian fl(L(w)) (``second``); ``bound``, a bound on
-    |fl(L(w)) - L(w*)|_2 for the exact stress w*; and ``proved``.
-
-    A trial is proved when the exact R has rank ``free``: the sample's rank
-    is ``free`` and its distance is finite, which proves rank R >= ``free``,
-    while the trivial motions bound it above.  Then, when the trial's
-    Laplacian is decided by its vertex count (one vertex orbit, or no
-    stress, where it votes as the graph rule says), the vote is proved;
-    otherwise ``lambda2`` must exceed ``_PROOF_MARGIN`` times ``bound``
+    The proof: ``lambda2`` bounds sigma_(|V|-1)(fl(L(w))) below, and
+    ``bound`` bounds |fl(L(w)) - L(w*)|_2 for w* = P w, the exact projection
+    of w onto the left kernel of R
     (:func:`~perigid.stress._laplacian_perturbation` of the sample's
-    distance), and then by Weyl sigma_(|V|-1)(L(w*)) > 0: L(w*) has nullity
-    exactly 1, since L(w*) 1 = 0.  Each of the bound's terms scales with the
-    stress and the realization, as ``lambda2`` does, so a proof does not
-    depend on their scale.
+    distance).  ``proved`` needs rank R = ``free``: a sample of rank
+    ``free`` with a finite distance proves rank R >= ``free``, and the
+    trivial motions bound it above.  A Laplacian decided by the vertex count
+    (one vertex orbit, or no stress) then proves its vote; otherwise
+    ``lambda2`` must exceed ``_PROOF_MARGIN`` times ``bound``, and by Weyl
+    sigma_(|V|-1)(L(w*)) > 0, so L(w*), which annihilates 1, has nullity 1.
+    Both sides scale with the stress and the realization, so a proof does
+    not depend on their scale.
     """
-    rank_proved = sample.rank == free and sample.distance < np.inf
+    rigid, single = sample.rank == free, graph.num_vertices == 1
+    entry, second = ({} if fixed else {"infinitesimally_rigid": rigid}), None
+    if not fixed and (single or not rigid):
+        branch = "single-orbit" if single else "not infinitesimally rigid"
+        entry.update(positive=rigid, branch=branch, marginal=sample.marginal)
+    elif graph.num_edges == sample.rank:
+        entry.update(stress_space_dim=0, positive=single, branch="stress-free")
+        entry["marginal"] = sample.marginal
+    else:
+        nullity, cut_marginal, second = _laplacian_nullity(graph, sample.stress, tol)
+        entry.update(stress_space_dim=graph.num_edges - sample.rank, stress_kernel_dim=nullity)
+        entry.update(positive=nullity == 1, branch="stress sampling")
+        entry["marginal"] = sample.marginal or cut_marginal
+    rank_proved = rigid and sample.distance < np.inf
     bound = None
-    if second is None or graph.num_vertices == 1:
+    if second is None or single:
         second, proved = None, rank_proved and entry["positive"]
     else:
         bound = _laplacian_perturbation(graph, sample.stress, sample.distance)
@@ -423,28 +438,14 @@ def generic_global_rigidity_test(graph: GainGraph, tol: ToleranceVault) -> Certi
     Gram proof from the Laplacian's rows where it goes through and by
     ``eigvalsh`` otherwise (:func:`~perigid.stress._laplacian_nullity`).
     Single-orbit graphs reduce to infinitesimal rigidity alone.  The first
-    trial that proves this, for the exact stress of its realization
-    (:func:`_proof`), gives the positive verdict (:func:`_trial_loop`).
-    R has |E| rows, so with fewer than
-    d|V| + d(d-1)/2 edges it cannot reach the rank d|V| + d^2 - d(d+1)/2
-    that this needs, and the verdict is negative with no trial.
+    trial that proves this, for the exact projection of its stress onto
+    the stresses of its realization (:func:`_trial_entry`), gives the
+    positive verdict (:func:`_trial_loop`).  R has |E| rows, so with fewer
+    than d|V| + d(d-1)/2 edges it cannot reach the rank
+    d|V| + d^2 - d(d+1)/2 that this needs, and the verdict is negative with
+    no trial.
     """
-    d = graph.dimension
-
-    def trial(seed: int, rng) -> dict:
-        real = random_realization(graph, tol, seed=seed)
-        free, sample = _sample(graph, real, False, rng, tol)
-        rigid = sample.rank == free
-        entry = {"seed": seed, "infinitesimally_rigid": rigid}
-        if graph.num_vertices == 1 or not rigid:
-            branch = "single-orbit" if graph.num_vertices == 1 else "not infinitesimally rigid"
-            entry.update(positive=rigid, branch=branch, marginal=sample.marginal)
-            return _proof(entry, graph, free, sample)
-        return _sample_stress(entry, graph, free, sample, tol)
-
-    verdicts = (Verdict.GENERIC_GLOBALLY_RIGID, Verdict.GENERIC_NOT_GLOBALLY_RIGID)
-    count = d * graph.num_vertices + d * (d - 1) // 2
-    return _trial_loop(graph, count, tol, 0x9E3779B9, trial, verdicts)
+    return _trial_loop(graph, False, tol)
 
 
 def generic_fixed_global_rigidity_test(
@@ -459,8 +460,8 @@ def generic_fixed_global_rigidity_test(
     its left kernel from the matrix's entries, proved with the translations
     as the known kernel, or from one least-squares solve of the dense matrix,
     as in the flexible test, and test whether the weighted Laplacian has
-    kernel dimension exactly one; a proof (:func:`_proof`) also needs the
-    rank of infinitesimal rigidity, d|V| - d.  With no nonzero
+    kernel dimension exactly one; a proof (:func:`_trial_entry`) also needs
+    the rank of infinitesimal rigidity, d|V| - d.  With no nonzero
     stress only a single vertex orbit passes: it can only be translated.
     With fewer than d(|V| - 1) edges every realization has an infinitesimal
     motion other than a translation, which at generic positions extends to a
@@ -470,14 +471,4 @@ def generic_fixed_global_rigidity_test(
         lattice = np.asarray(lattice, dtype=float)
         if not _non_flat(lattice, tol):
             raise FlatLattice("supplied lattice is singular")
-
-    def trial(seed: int, rng) -> dict:
-        real = random_realization(graph, tol, seed=seed)
-        if lattice is not None:
-            real = Realization(real.points, lattice)
-        free, sample = _sample(graph, real, True, rng, tol)
-        return _sample_stress({"seed": seed}, graph, free, sample, tol)
-
-    verdicts = (Verdict.FIXED_GENERIC_GLOBALLY_RIGID, Verdict.FIXED_GENERIC_NOT_GLOBALLY_RIGID)
-    count = graph.dimension * (graph.num_vertices - 1)
-    return _trial_loop(graph, count, tol, 0x517CC1B7, trial, verdicts)
+    return _trial_loop(graph, True, tol, lattice)

@@ -68,10 +68,11 @@ class SpectrumResult(NamedTuple):
 class KernelSample(NamedTuple):
     """A random stress and what proves it (:func:`_certified_left_kernel_sample`).
 
-    ``distance`` bounds |stress - w*|_2, where w* projects the same Gaussian
-    onto the left kernel of the exact matrix, and holds whenever that matrix
-    has rank ``rank``; it is infinite when nothing bounds it.  ``path`` names
-    the branch that drew the stress: ``gram`` or ``lstsq``."""
+    ``distance`` bounds |stress - w*|_2 for w* = P stress, the stress's own
+    orthogonal projection onto the left kernel of the exact matrix, and
+    holds whenever that matrix has rank ``rank``; it is infinite when
+    nothing bounds it.  ``path`` names the branch that drew the stress:
+    ``gram`` or ``lstsq``."""
 
     rank: int
     marginal: bool
@@ -114,11 +115,11 @@ def _rank_cut(
 def _left_kernel_sample(
     matrix, x: np.ndarray, tol: ToleranceVault, errors: Optional[np.ndarray] = None
 ) -> KernelSample:
-    """Rank, marginal flag and the projection of ``x`` onto the left kernel of
-    ``matrix`` from one least-squares solve, and the distance of that
-    projection from the one onto the left kernel of the exact matrix R, with
-    ``|matrix - R| <= errors`` entrywise (R = ``matrix`` when ``errors`` is
-    None).
+    """Rank, marginal flag and the projection w of ``x`` onto the left kernel
+    of ``matrix`` from one least-squares solve, and a bound on the distance
+    of w from w* = P w, its projection onto the left kernel of the exact
+    matrix R, with ``|matrix - R| <= errors`` entrywise (R = ``matrix`` when
+    ``errors`` is None).
 
     LAPACK zeroes the singular values at or below ``rcond * sigma_1``:
     :func:`_rank_cut`'s rule with no floor, which reads the cut again from the
@@ -131,35 +132,29 @@ def _left_kernel_sample(
     rank, marginal, _ = _rank_cut(svals, m.shape, tol, 0.0)
     stress = x - m @ fit
     errors = np.zeros_like(m) if errors is None else errors
-    distance = _lstsq_distance(m, errors, svals, rank, x, fit, stress)
+    distance = _lstsq_distance(m, errors, svals, rank, stress)
     return KernelSample(rank, marginal, stress, "lstsq", distance)
 
 
-def _lstsq_distance(m, errors, svals, rank: int, x, fit, w) -> float:
-    """A bound on |w - w*|_2 for w = fl(x - m fit) and the projection w* of x
-    onto the left kernel of a matrix R with |m - R| <= ``errors`` entrywise
-    and rank R = ``rank``; infinite when sigma_rank(R) > 0, which it also
-    proves, does not follow from ``svals``, the singular values of ``m``
-    that ``lstsq`` returns.
+def _lstsq_distance(m, errors, svals, rank: int, w) -> float:
+    """A bound on |w - P w|_2 for the orthogonal projection P onto the left
+    kernel of a matrix R with |m - R| <= ``errors`` entrywise and
+    rank R = ``rank``; infinite when sigma_rank(R) > 0, which it also proves,
+    does not follow from ``svals``, the singular values of ``m`` that
+    ``lstsq`` returns.
 
-    Let P be that projection, r = ``rank`` and delta = |errors|_F >= |m - R|_2.
-    With e the rounding of w, w - w* = (I - P) w + P (w - x) and
-    P (w - x) = P (e - (m - R) fit), since P R = 0, so
-    |P (w - x)| <= |errors |fit|| + gamma_(n+1) (|x| + |m|_F |fit|).
-    I - P projects onto range(R), on which R^T has least singular value
-    sigma_r(R), so |(I - P) w| <= |R^T w| / sigma_r(R), and
+    Let r = ``rank`` and delta = |errors|_F >= |m - R|_2.  w - P w is the
+    projection of w onto range(R), on which R^T has least singular value
+    sigma_r(R), so |w - P w| <= |R^T w| / sigma_r(R), and
     |R^T w| <= |fl(m^T w)| + gamma_rows |m|_F |w| + |errors^T |w||.  The
     solve's SVD is backward stable (see :func:`_gram_rank_proof`), so
     sigma_r(m) >= svals[r - 1] - eta with eta = rows n u |m|_F, and by Weyl
-    sigma_r(R) >= svals[r - 1] - eta - delta.  At rank 0, R = 0 and I - P = 0.
+    sigma_r(R) >= svals[r - 1] - eta - delta.  At rank 0, R = 0 and P = I.
     """
+    if rank == 0:
+        return 0.0
     rows, n = m.shape
     norm = float(np.linalg.norm(m))
-    tail = float(np.linalg.norm(errors @ np.abs(fit))) + float(_gamma(n + 1)) * (
-        float(np.linalg.norm(x)) + norm * float(np.linalg.norm(fit))
-    )
-    if rank == 0:
-        return tail
     u = np.finfo(float).eps / 2
     sigma = float(svals[rank - 1]) - rows * n * u * norm - float(np.linalg.norm(errors))
     if not sigma > 0.0:
@@ -169,7 +164,7 @@ def _lstsq_distance(m, errors, svals, rank: int, x, fit, w) -> float:
         + float(_gamma(rows)) * norm * float(np.linalg.norm(w))
         + float(np.linalg.norm(np.abs(w) @ errors))
     )
-    return image / sigma + tail
+    return image / sigma
 
 
 def _scatter_rows(cols: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -363,10 +358,10 @@ def _certified_left_kernel_sample(
     x - R_Q f at the least-squares f is the projection of x onto the left
     kernel.  :func:`_preconditioned_residual` reaches it by conjugate
     gradients preconditioned by the proof's Cholesky factor, and bounds its
-    distance; a run that does not converge within ``_CG_MAX_STEPS`` steps
-    also falls back.  The fallback solves with the same x, so the stream of
-    draws from ``rng`` does not depend on the path, and the dense R exists
-    only there.
+    distance from its own projection onto the exact left kernel; a run that
+    does not converge within ``_CG_MAX_STEPS`` steps also falls back.  The
+    fallback solves with the same x, so the stream of draws from ``rng``
+    does not depend on the path, and the dense R exists only there.
     """
     rows, width = cols.shape
     x = rng.standard_normal(rows)
@@ -404,10 +399,10 @@ def _preconditioned_residual(
     sigma: float,
     x: np.ndarray,
 ) -> Optional[tuple[np.ndarray, float]]:
-    """x - A f at the least-squares f, for the full-column-rank A whose row i
-    holds ``entries[i]`` at the columns ``place[i]``, with its distance from
-    the projection of x onto the left kernel of the exact matrix, or None
-    when ``_CG_MAX_STEPS`` steps do not reach it.
+    """w = x - A f at the least-squares f, for the full-column-rank A whose
+    row i holds ``entries[i]`` at the columns ``place[i]``, with a bound on
+    its distance from w* = P w, its projection onto the left kernel of the
+    exact matrix, or None when ``_CG_MAX_STEPS`` steps do not reach it.
 
     Conjugate gradients on the normal equations (CGLS; Bjorck, *Numerical
     Methods for Least Squares Problems*, 1996, section 7.4) for B = A L^-T,
@@ -446,24 +441,21 @@ def _preconditioned_residual(
         image, g = gradient(residual)
         gamma, previous = float(g @ g), gamma
         direction = g + gamma / previous * direction
-    return residual, _cg_distance(place, entries, errors, factor, sigma, x, f, residual, image, g)
+    return residual, _cg_distance(place, entries, errors, factor, sigma, residual, image, g)
 
 
-def _cg_distance(place, entries, errors, factor, sigma, x, f, w, image, g) -> float:
-    """A bound on |w - w*|_2 for the residual w = fl(x - A f) of
+def _cg_distance(place, entries, errors, factor, sigma, w, image, g) -> float:
+    """A bound on |w - P w|_2 for the residual w of
     :func:`_preconditioned_residual`, with ``image`` = fl(A^T w) and
-    ``g`` ~ L^-1 ``image``, and the projection w* of x onto the left kernel
-    of a matrix R_Q with |A - R_Q| <= ``errors`` entrywise, where R_Q spans
-    the range of the exact R (rank R = n - k); infinite when the factor does
-    not prove sigma_min(R_Q) > 0.
+    ``g`` ~ L^-1 ``image``, and the orthogonal projection P onto the left
+    kernel of a matrix R_Q with |A - R_Q| <= ``errors`` entrywise, where R_Q
+    spans the range of the exact R (rank R = n - k); infinite when the
+    factor does not prove sigma_min(R_Q) > 0.
 
-    Let P be that projection, delta = |errors|_F >= |A - R_Q|_2 and e the
-    rounding of w.  As in :func:`_lstsq_distance`, w - w* = (I - P) w +
-    P (e - (A - R_Q) f), and the second term is at most
-    |errors |f|| + gamma_(K+1) (|x| + ||A| |f||) for K entries a row.  The
-    first is the projection onto range(R_Q), of norm N(v) =
-    |(R_Q^T R_Q)^(-1/2) v| at v = R_Q^T w.  The proof's shift leaves
-    L L^T <= A^T A - sigma^2 I, and A^T A - R_Q^T R_Q <= 2 |A|_F delta I, so
+    Let delta = |errors|_F >= |A - R_Q|_2.  w - P w is the projection of w
+    onto range(R_Q), of norm N(v) = |(R_Q^T R_Q)^(-1/2) v| at v = R_Q^T w.
+    The proof's shift leaves L L^T <= A^T A - sigma^2 I, and
+    A^T A - R_Q^T R_Q <= 2 |A|_F delta I, so
     R_Q^T R_Q >= L L^T + s'^2 I with s'^2 = sigma^2 - 2 |A|_F delta.  So
     N(L z) <= |z| for every z, and N(y) <= |y| / s', and with z = g,
     N(v) <= |g| + |v - L g| / s'.  Here |v - L g| is at most
@@ -485,11 +477,7 @@ def _cg_distance(place, entries, errors, factor, sigma, x, f, w, image, g) -> fl
         + float(_gamma(q)) * float(norm(factor)) * float(norm(g))
         + float(norm(np.bincount(flat, (errors * absw).ravel(), q)))
     )
-    absf = np.abs(f)[place]
-    kernel_part = float(norm(np.einsum("ik,ik->i", errors, absf))) + float(
-        _gamma(entries.shape[1] + 1)
-    ) * (float(norm(x)) + float(norm(np.einsum("ik,ik->i", np.abs(entries), absf))))
-    return float(norm(g)) + gap / np.sqrt(shrunk) + kernel_part
+    return float(norm(g)) + gap / np.sqrt(shrunk)
 
 
 def _block_inverses(factor: np.ndarray) -> np.ndarray:

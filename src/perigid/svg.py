@@ -4,8 +4,8 @@ Line-drawing conventions: bars solid, cables dashed, struts thick.  Output is
 byte-stable for fixed inputs so renders can be golden-file diffed.
 
 The drawing reads the window's index arrays.  Each node's position is its
-point plus the lattice image of its shift, one matrix-vector product per
-shift; the canvas coordinates are one vector expression; each line takes the
+point plus the lattice image of its shift, from one matrix product over all
+shifts; the canvas coordinates are one vector expression; each line takes the
 style of the edge that it lifts.  Every canvas coordinate is printed once,
 by ``"%.4f"``, and the lines and circles are filled in from those strings.
 For a finite input every canvas coordinate lies in [40, 600], so none
@@ -44,7 +44,7 @@ def render_covering(
     if graph.dimension != 2:
         raise ParseError("SVG rendering is two-dimensional only")
     cover = graph.covering_window(window)
-    offsets = np.array([real.lattice @ shift for shift in cover._shifts.astype(float)])
+    offsets = cover._shifts @ real.lattice.T
     coords = (point_matrix(graph, real).T[:, None] + offsets).reshape(-1, 2)  # in node order
     lo = coords.min(axis=0)
     hi = coords.max(axis=0)

@@ -177,13 +177,14 @@ def fraction_rank(matrix) -> int:
     return rank
 
 
-def exact_stress_distance(graph: GainGraph, real: Realization, fixed: bool, x, w) -> float:
-    """|w - w*|_2 for the orthogonal projection w* of ``x`` onto the left
-    kernel of the exact rigidity matrix R of ``real`` (the fixed-lattice one
-    when ``fixed``), its float points, lattice and ``x`` taken as exact
-    rationals: R is built entry by entry over ``Fraction``, a basis A of its
-    columns is found by elimination, and w* = x - A (A^T A)^-1 A^T x is
-    solved exactly.  Only the final square root rounds."""
+def exact_stress_distance(graph: GainGraph, real: Realization, fixed: bool, w) -> tuple:
+    """|w - w*|_2 and w* = P w, the orthogonal projection of the stress ``w``
+    onto the left kernel of the exact rigidity matrix R of ``real`` (the
+    fixed-lattice one when ``fixed``), as a list of ``Fraction``s; its float
+    points, lattice and ``w`` are taken as exact rationals: R is built entry
+    by entry over ``Fraction``, a basis A of its columns is found by
+    elimination, and w* = w - A (A^T A)^-1 A^T w is solved exactly.  Only the
+    final square root rounds."""
     d, n = graph.dimension, graph.num_vertices
     points = [[Fraction(float(c)) for c in col] for col in point_matrix(graph, real).T]
     lattice = [[Fraction(float(c)) for c in row] for row in real.lattice]
@@ -216,11 +217,11 @@ def exact_stress_distance(graph: GainGraph, real: Realization, fixed: bool, x, w
             if factor:
                 work[r] = [a - factor * b for a, b in zip(work[r], work[k])]
         basis.append(c)
-    xs = [Fraction(float(v)) for v in x]
+    ws = [Fraction(float(v)) for v in w]
     a = [[row[c] for c in basis] for row in rows]
     q = len(basis)
-    # normal equations [A^T A | A^T x], solved by Gauss-Jordan
-    system = [[sum(r[i] * r[j] for r in a) for j in range(q)] + [sum(r[i] * v for r, v in zip(a, xs))]
+    # normal equations [A^T A | A^T w], solved by Gauss-Jordan
+    system = [[sum(r[i] * r[j] for r in a) for j in range(q)] + [sum(r[i] * v for r, v in zip(a, ws))]
               for i in range(q)]
     for i in range(q):
         pivot = next(r for r in range(i, q) if system[r][i] != 0)
@@ -231,8 +232,8 @@ def exact_stress_distance(graph: GainGraph, real: Realization, fixed: bool, x, w
                 factor = system[r][i]
                 system[r] = [u - factor * v for u, v in zip(system[r], system[i])]
     f = [system[i][q] for i in range(q)]
-    exact = [v - sum(ai * fi for ai, fi in zip(r, f)) for r, v in zip(a, xs)]
-    return float(sum((Fraction(float(wi)) - ei) ** 2 for wi, ei in zip(w, exact))) ** 0.5
+    exact = [v - sum(ai * fi for ai, fi in zip(r, f)) for r, v in zip(a, ws)]
+    return float(sum((v - e) ** 2 for v, e in zip(ws, exact))) ** 0.5, exact
 
 
 def reverify(

@@ -2,6 +2,7 @@ import functools
 import json
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from perigid import framework, linalg, stress
 from perigid.certify import (
     Verdict,
     _sample,
+    _trial_entry,
     certify_fixed_lattice,
     certify_spiderweb,
     certify_super_stable,
@@ -29,6 +31,7 @@ from perigid.framework import (
 )
 from perigid.gain import GainEdge, GainGraph, canonicalize_edge
 from perigid.linalg import nullspace
+from perigid.stress import weighted_laplacians
 from perigid.tolerances import ToleranceVault
 
 from oracles import (
@@ -619,9 +622,9 @@ def test_generic_trial_falls_back_to_lstsq_on_a_flex(tol, count_factorisations, 
 def test_trial_distance_bounds_the_exact_stress(n, fixed, gram, scale, seed):
     """On both paths (the Gram path with its size gate off), in both modes
     and at any scale, a sample whose rank is that of infinitesimal rigidity
-    and whose distance is finite has its stress within that distance of the
-    exact projection of its Gaussian onto the left kernel of the exact
-    rigidity matrix, computed over the rationals."""
+    and whose distance is finite has its stress w within that distance of
+    P w, its exact projection onto the left kernel of the exact rigidity
+    matrix, computed over the rationals."""
     tol = ToleranceVault()
     graph = out_degree_graph(seed, n=n, out=3)
     real = random_realization(graph, tol, seed=seed).scaled(2.0**scale * 10.0**scale)
@@ -631,8 +634,43 @@ def test_trial_distance_bounds_the_exact_stress(n, fixed, gram, scale, seed):
         free, sample = _sample(graph, real, fixed, np.random.default_rng(seed), tol)
     if sample.rank != free or not sample.distance < np.inf:
         return
-    x = np.random.default_rng(seed).standard_normal(graph.num_edges)
-    assert exact_stress_distance(graph, real, fixed, x, sample.stress) <= sample.distance
+    assert exact_stress_distance(graph, real, fixed, sample.stress)[0] <= sample.distance
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.booleans(),
+    st.booleans(),
+    st.integers(-6, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_proved_trial_bound_covers_the_exact_laplacian(n, fixed, gram, scale, seed):
+    """The premise of a trial's Weyl step, checked exactly: on both paths
+    (the Gram path with its size gate off), in both modes and at any scale,
+    every proved trial with a ``bound`` has its assembled Laplacian fl(L(w))
+    within ``bound`` of L(P w), the Laplacian of the exact projection of its
+    stress, in the largest absolute row sum of their difference, which
+    bounds the 2-norm of that symmetric matrix; over the rationals."""
+    tol = ToleranceVault()
+    graph = out_degree_graph(seed, n=n, out=3)
+    real = random_realization(graph, tol, seed=seed).scaled(10.0**scale)
+    with pytest.MonkeyPatch.context() as mp:
+        if gram:
+            mp.setattr(linalg, "_GRAM_MIN_COLS", 0)
+        free, sample = _sample(graph, real, fixed, np.random.default_rng(seed), tol)
+    entry = _trial_entry(graph, fixed, free, sample, tol)
+    if not entry["proved"] or entry["bound"] is None:
+        return
+    _, exact = exact_stress_distance(graph, real, fixed, sample.stress)
+    laplacian = weighted_laplacians(graph, sample.stress).laplacian
+    diff = [[Fraction(float(v)) for v in row] for row in laplacian]
+    for e, we in zip(graph.edges, exact):
+        t, h = graph.vertex_index(e.tail), graph.vertex_index(e.head)
+        if t != h:
+            diff[t][t], diff[h][h] = diff[t][t] - we, diff[h][h] - we
+            diff[t][h], diff[h][t] = diff[t][h] + we, diff[h][t] + we
+    assert max(sum(abs(v) for v in row) for row in diff) <= Fraction(entry["bound"])
 
 
 @pytest.mark.parametrize("mode", ["flexible", "fixed"])

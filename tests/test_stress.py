@@ -16,7 +16,7 @@ from perigid.framework import (
 from perigid.errors import DuplicateEdge
 from perigid.gain import GainGraph
 from perigid import stress
-from perigid.certify import _sample, _sample_stress
+from perigid.certify import _sample, _trial_entry
 from perigid.linalg import (
     KernelSample,
     SpectrumResult,
@@ -778,7 +778,7 @@ def test_trial_laplacian_just_under_the_cut_is_proved_positive(tol):
     rank = graph.num_edges - 1
     for distance, proved in ((1e-10, True), (1e-8, False)):
         sample = KernelSample(rank, False, w, "lstsq", distance)
-        entry = _sample_stress({}, graph, rank, sample, tol)
+        entry = _trial_entry(graph, True, rank, sample, tol)
         assert (entry["stress_kernel_dim"], entry["marginal"], entry["positive"]) == (2, True, False)
         assert entry["proved"] is proved
         assert entry["lambda2"] == spec.second
