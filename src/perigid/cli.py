@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -422,7 +421,7 @@ _HANDLERS = {
 
 def _render_report(report: dict, as_json: bool) -> str:
     if as_json:
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return fileformat._indented_json(report, sort_keys=True) + "\n"
     lines = []
 
     def walk(prefix: str, value) -> None:

@@ -11,6 +11,9 @@ column and tested whole.  Only when a column fails its test are the entries
 walked one by one, from the first, to raise the error of the first failing
 path; the walk also accepts what the column tests leave to it, such as int
 coordinates or str subclasses in a decoded document.
+
+Emitted documents and the CLI's ``--json`` reports are written by one
+indented-JSON writer, :func:`_indented_json`.
 """
 
 from __future__ import annotations
@@ -19,13 +22,14 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .construct import FiniteFramework
 from .errors import ParseError
-from .framework import Realization
+from .framework import Realization, point_matrix
 from .gain import GainGraph, MARKINGS
 
 
@@ -314,33 +318,100 @@ def to_document(
 ) -> dict:
     """Framework document as a plain dict in canonical field order."""
     doc: dict = {"dimension": graph.dimension}
-    vertices = []
-    for v in graph.vertices:
-        entry: dict = {"name": str(v)}
-        if realization is not None:
-            entry["position"] = [float(x) for x in realization.points[v]]
-        vertices.append(entry)
-    doc["vertices"] = vertices
-    if realization is not None:
-        doc["lattice"] = [
-            [float(x) for x in realization.lattice[:, i]] for i in range(graph.dimension)
+    names = list(map(str, graph.vertices))
+    if realization is None:
+        doc["vertices"] = [{"name": name} for name in names]
+    else:
+        positions = point_matrix(graph, realization).T.tolist()
+        doc["vertices"] = [
+            {"name": name, "position": position} for name, position in zip(names, positions)
         ]
+        doc["lattice"] = realization.lattice.T.tolist()
+    weights = None if stress is None else np.asarray(stress, dtype=float).reshape(-1).tolist()
     edges = []
-    w = None if stress is None else np.asarray(stress, dtype=float).reshape(-1)
-    for i, e in enumerate(graph.edges):
-        entry = {
-            "tail": str(e.tail),
-            "head": str(e.head),
-            "gain": [int(g) for g in e.gain],
-            "type": e.marking,
-        }
-        if w is not None:
-            entry["weight"] = float(w[i])
+    for i, (tail, head, gain, marking) in enumerate(graph.edges):
+        entry = {"tail": str(tail), "head": str(head), "gain": list(gain), "type": marking}
+        if weights is not None:
+            entry["weight"] = weights[i]
         edges.append(entry)
     doc["edges"] = edges
     if lam is not None:
         doc["lambda"] = float(lam)
     return doc
+
+
+def _float_text(x: float) -> str:
+    """A float as the standard library's encoder writes it, NaN and the
+    infinities as JavaScript literals."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# The scalar encoders, by exact type, of the standard library's encoder.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _indented_json(obj, sort_keys: bool) -> str:
+    r"""``json.dumps(obj, indent=2, sort_keys=sort_keys)``, byte for byte.
+
+    The standard library serves ``indent`` only from its pure-Python
+    encoder, which yields every token through nested generators.  Here one
+    recursive pass returns each container as one string: its parts joined by
+    "," and the newline and indentation of its members.  Scalars of the
+    exact types in ``_SCALARS`` go through the standard library's own
+    scalar encoders.  Any other subtree (a float or int subclass such as
+    ``np.float64``, an object ``json`` cannot serialize, a dict with a key
+    that is not a string) is left to ``json.dumps`` with the same options,
+    its newlines re-indented to its depth: ``json`` indents depth k by
+    "\n" + "  " * k, and an encoded string holds no raw newline.  So the
+    output, and the exception of an input ``json`` refuses, are the
+    standard library's.  Circular references are not detected; reports and
+    documents are trees.
+    """
+    scalar = _SCALARS.get
+
+    def container(value, pad: str) -> str:
+        kind = type(value)
+        inner = pad + "  "
+        if kind is list or kind is tuple:
+            if not value:
+                return "[]"
+            parts = []
+            for item in value:
+                encode = scalar(type(item))
+                parts.append(encode(item) if encode is not None else container(item, inner))
+            return "[" + inner + ("," + inner).join(parts) + pad + "]"
+        if kind is dict:
+            if not value:
+                return "{}"
+            parts = []
+            try:  # a key that is not a str raises TypeError, and so does sorting mixed keys
+                for key, item in sorted(value.items()) if sort_keys else value.items():
+                    encode = scalar(type(item))
+                    parts.append(
+                        encode_basestring_ascii(key)
+                        + ": "
+                        + (encode(item) if encode is not None else container(item, inner))
+                    )
+            except TypeError:  # or a member json refuses: json.dumps raises it again
+                pass
+            else:
+                return "{" + inner + ("," + inner).join(parts) + pad + "}"
+        return json.dumps(value, indent=2, sort_keys=sort_keys).replace("\n", pad)
+
+    encode = scalar(type(obj))
+    return encode(obj) if encode is not None else container(obj, "\n")
 
 
 def dumps(
@@ -351,7 +422,7 @@ def dumps(
 ) -> bytes:
     """Canonical UTF-8 serialization; stable under parse/emit round-trips."""
     doc = to_document(graph, realization, stress, lam)
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return (_indented_json(doc, sort_keys=False) + "\n").encode("utf-8")
 
 
 def loads_finite(data) -> tuple[FiniteFramework, Optional[np.ndarray]]:
