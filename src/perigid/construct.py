@@ -19,7 +19,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .framework import Realization, _non_flat
-from .gain import MARKINGS, GainEdge, GainGraph, Vertex
+from .gain import MARKINGS, GainGraph, Vertex
 from .stress import weighted_laplacians
 from .tolerances import DEFAULT_TOL, ToleranceVault
 
@@ -112,20 +112,28 @@ def finite_to_periodic(
         raise DependentLatticeVectors("pair difference vectors are linearly dependent")
 
     head_index = {v: i for i, v in enumerate(heads)}
-    merged = {v: u for u, v in pairs}
+    surviving = tuple(v for v in finite.vertices if v not in head_index)
+    position = {v: i for i, v in enumerate(surviving)}
+    if len(position) < len(surviving):
+        raise ValueError("vertex names must be distinct")
+    try:
+        position.update((v, position[u]) for u, v in pairs)  # a head becomes its tail
+        # per edge, per end: the quotient vertex and the pair it heads, -1 for none
+        ends = np.array(
+            [(position[v], head_index.get(v, -1)) for edge in finite.edges for v in edge],
+            dtype=np.intp,
+        ).reshape(-1, 2, 2)
+    except KeyError as exc:
+        raise ValueError(f"unknown vertex {exc.args[0]!r}") from None
+    flip = ends[:, 0, 1] > ends[:, 1, 1]
+    ends[flip] = ends[flip, ::-1]  # orient each edge towards its larger pair index
     # row i is e_i and the last row, index -1, is zero: an end that heads no pair adds nothing
     unit = np.eye(d + 1, d, dtype=int)
-
-    gained = []
-    for (a, b), marking in zip(finite.edges, finite.markings):
-        i, j = head_index.get(a, -1), head_index.get(b, -1)
-        if i > j:  # orient each edge towards its larger pair index
-            a, b, i, j = b, a, j, i
-        gain = tuple((unit[j] - unit[i]).tolist())
-        gained.append(GainEdge(merged.get(a, a), merged.get(b, b), gain, marking))
-
-    surviving = tuple(v for v in finite.vertices if v not in head_index)
-    graph = GainGraph(d, surviving, gained)
+    gains = (unit[ends[:, 1, 1]] - unit[ends[:, 0, 1]]).tolist()
+    graph = GainGraph._from_indices(
+        d, surviving, ends[:, 0, 0].tolist(), ends[:, 1, 0].tolist(),
+        list(map(tuple, gains)), finite.markings,
+    )
     points = {v: np.asarray(finite.points[v], dtype=float) for v in surviving}
     return PeriodicQuotient(graph, Realization(points, columns))
 

@@ -11,9 +11,10 @@ representative used to detect duplicates under (u,v,g) ~ (v,u,-g).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, neg, sub
+from operator import neg
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -24,7 +25,6 @@ from .errors import (
     ParseError,
     ZeroLoop,
 )
-from .linalg import smith_rank
 
 Vertex = Hashable
 
@@ -105,13 +105,21 @@ def canonicalize_edge(tail, head, gain, order: Sequence[Vertex]) -> GainEdge:
     return GainEdge(*_canonical(tail, head, _gain_tuple(gain), index))
 
 
-class _Forest(NamedTuple):
-    """Breadth-first spanning forest, rooted at each component's first vertex."""
-
-    component: list[int]  # per vertex position; components numbered by first vertex
-    count: int  # number of components
-    order: list[int]  # vertex positions in visiting order, so each after its parent
-    parent_end: list[int]  # per vertex, the end of the forest edge it was reached by; -1 at roots
+def _add_row(echelon: dict[int, Sequence[int]], row: Sequence[int]) -> None:
+    """Add an integer row to ``echelon``, a fraction-free row echelon form
+    over Q that maps each pivot column to the row whose first nonzero entry
+    it holds: the row is reduced by the pivot rows in column order, and what
+    is left, when nonzero, is divided by its gcd and kept.  The rank is
+    ``len(echelon)``."""
+    for c in range(len(row)):
+        if row[c]:
+            top = echelon.get(c)
+            if top is None:
+                divisor = math.gcd(*row)
+                echelon[c] = [x // divisor for x in row]
+                return
+            a, b = top[c], row[c]
+            row = [a * x - b * y for x, y in zip(row, top)]
 
 
 class _LaplacianSupport(NamedTuple):
@@ -148,11 +156,11 @@ class GainGraph:
     column).  The tuple of :class:`GainEdge` that ``edges`` gives is built
     from the columns on first read.
 
-    Connectivity reads a breadth-first spanning forest that labels the
-    components, walked over per-vertex adjacency lists of the edge ends
-    built in one pass over the edges.  The exact potentials and cycle gains
-    of the forest, which only the gain rank and the rank condition read, are
-    computed the first time one of them is asked for.  The weighted
+    Connectivity reads the component labels of one union-find pass over
+    the edge columns.  The gain rank and the rank condition read one
+    weighted union-find pass, which keeps exact potentials and an exact
+    echelon of each component's cycle gains and stops once a rank reaches
+    d; it runs the first time one of them is asked for.  The weighted
     Laplacians and the equilibrium sums read a grouping of the non-loop
     edges by vertex pair; the covering windows read the gain array.  All of
     these are built on first use, then kept.
@@ -281,6 +289,13 @@ class GainGraph:
         return self._markings
 
     @cached_property
+    def _marking_signs(self) -> np.ndarray:
+        """Per edge, int8, the sign its weight may not oppose: 1 at a cable,
+        -1 at a strut, 0 at a bar."""
+        signs = map({"bar": 0, "cable": 1, "strut": -1}.__getitem__, self._markings)
+        return _frozen(np.fromiter(signs, np.int8, self.num_edges))
+
+    @cached_property
     def _key(self) -> tuple:
         """The exact columns, which equality compares and the hash keys on."""
         return (self.dimension, self.vertices, tuple(self.tail_idx.tolist()),
@@ -378,98 +393,115 @@ class GainGraph:
     # -- connectivity and gain rank ---------------------------------------
 
     @cached_property
-    def _forest(self) -> _Forest:
-        """Breadth-first spanning forest: component labels and the end each
-        vertex was reached by, with no gains.  Edge e has ends 2e (its tail)
-        and 2e + 1 (its head); each vertex lists its (end, far vertex) pairs
-        in edge order, a loop's tail end first."""
-        n = self.num_vertices
-        adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for e, (t, h) in enumerate(zip(self.tail_idx.tolist(), self.head_idx.tolist())):
-            adjacent[t].append((2 * e, h))
-            adjacent[h].append((2 * e + 1, t))
-        component, parent_end, order = [-1] * n, [-1] * n, []
-        count = 0
-        for root in range(n):
-            if component[root] >= 0:
-                continue
-            component[root] = count
-            queue = [root]
-            for v in queue:  # grows while it is read: breadth-first order
-                for end, other in adjacent[v]:
-                    if component[other] < 0:
-                        component[other], parent_end[other] = count, end
-                        queue.append(other)
-            order += queue
-            count += 1
-        return _Forest(component, count, order, parent_end)
+    def _components(self) -> tuple[list[int], int]:
+        """Each vertex's component, numbered by first vertex, and the number
+        of components: one union-find pass over the edges.  Each set's root
+        is its least vertex and path halving only points a vertex at a lesser
+        one, so one scan in vertex order reads each label off the parent's."""
+        parent = list(range(self.num_vertices))
+        for t, h in zip(self.tail_idx.tolist(), self.head_idx.tolist()):
+            while t != (p := parent[t]):
+                parent[t] = t = parent[p]
+            while h != (p := parent[h]):
+                parent[h] = h = parent[p]
+            if t < h:
+                parent[h] = t
+            else:
+                parent[t] = h
+        component, count = parent, 0
+        for v, p in enumerate(parent):
+            if p == v:
+                component[v], count = count, count + 1
+            else:
+                component[v] = component[p]
+        return component, count
 
     @cached_property
-    def _cycle_gains(self) -> list[list[tuple[int, ...]]]:
-        """Per component, the exact gains of the cycles that the non-forest
-        edges close, computed on first use.
+    def _gain_ranks(self) -> tuple[int, int]:
+        """The largest exact rank of one component's cycle gains, and the
+        rank of all cycle gains stacked: one weighted union-find pass.
 
-        The potential phi of a vertex is the gain of its forest path from the
-        root; a non-forest edge tail -> head closes the cycle root -> tail ->
-        head -> root, whose gain is phi(tail) + g - phi(head).
+        Each vertex keeps its potential offset phi(v) - phi(parent), where
+        phi(head) = phi(tail) + g along the edges that join two sets.  An
+        edge tail -> head inside one set closes a cycle of gain
+        phi(tail) + g - phi(head), which goes into that set's echelon; when
+        two sets join, their echelons join.  A gain vector x travels packed
+        into the integer sum_i x_i 2^(k i): every offset and cycle gain has
+        entries under 2 |V| max|g| < 2^(k-1) in size, so sums stay exact and
+        the balanced digits come back.  Ranks are at most d, so the pass
+        stops once one set's echelon reaches d.
         """
-        forest, gains = self._forest, self._gains
-        tails, heads = self.tail_idx.tolist(), self.head_idx.tolist()
-        potential = [(0,) * self.dimension] * self.num_vertices
-        in_forest = [False] * self.num_edges
-        for v in forest.order:
-            end = forest.parent_end[v]
-            if end < 0:
-                continue
-            e = end >> 1
-            in_forest[e] = True
-            if end & 1:  # reached from the head: v is the tail
-                potential[v] = tuple(map(sub, potential[heads[e]], gains[e]))
+        d, n = self.dimension, self.num_vertices
+        most = int(np.abs(self.gain_array).max(initial=0.0))
+        k = most.bit_length() + n.bit_length() + 2
+        if most < 2**53 and k * d < 63:  # exact float gains, and int64 sums
+            packed = (self.gain_array.astype(np.int64) @ (1 << k * np.arange(d))).tolist()
+        else:
+            packed = [sum(x << k * i for i, x in enumerate(g)) for g in self._gains]
+        base, half = 1 << k, 1 << k - 1
+        parent, offset, echelons = list(range(n)), [0] * n, {}
+        for t, h, x in zip(self.tail_idx.tolist(), self.head_idx.tolist(), packed):
+            while t != (p := parent[t]):  # x += phi(t) - phi(root), halving the path
+                offset[t] += offset[p]
+                parent[t] = q = parent[p]
+                x += offset[t]
+                t = q
+            while h != (p := parent[h]):
+                offset[h] += offset[p]
+                parent[h] = q = parent[p]
+                x -= offset[h]
+                h = q
+            if t != h:
+                parent[h], offset[h] = t, x
+                if h not in echelons:
+                    continue
+                rows = echelons.pop(h).values()
+            elif x:
+                row = []
+                for _ in range(d):
+                    x, digit = divmod(x + half, base)
+                    row.append(digit - half)
+                rows = [row]
             else:
-                potential[v] = tuple(map(add, potential[tails[e]], gains[e]))
-        cycle_gains: list[list[tuple[int, ...]]] = [[] for _ in range(forest.count)]
-        for e, (t, h) in enumerate(zip(tails, heads)):
-            if not in_forest[e]:
-                cycle = map(sub, map(add, potential[t], gains[e]), potential[h])
-                cycle_gains[forest.component[t]].append(tuple(cycle))
-        return cycle_gains
+                continue
+            echelon = echelons.setdefault(t, {})
+            for row in rows:
+                _add_row(echelon, row)
+            if len(echelon) == d:
+                return d, d
+        stacked: dict = {}
+        for row in itertools.chain.from_iterable(e.values() for e in echelons.values()):
+            _add_row(stacked, row)
+        return max(map(len, echelons.values()), default=0), len(stacked)
 
     def components(self) -> list[list[Vertex]]:
         """Connected components, each listing its vertices in graph order."""
-        comps: list[list[Vertex]] = [[] for _ in range(self._forest.count)]
-        for v, c in zip(self.vertices, self._forest.component):
+        component, count = self._components
+        comps: list[list[Vertex]] = [[] for _ in range(count)]
+        for v, c in zip(self.vertices, component):
             comps[c].append(v)
         return comps
 
     def is_connected(self) -> bool:
-        return self._forest.count == 1
-
-    @cached_property
-    def _cycle_ranks(self) -> list[int]:
-        """Exact rank of each component's cycle gains."""
-        return [smith_rank(np.array(g, dtype=object)) for g in self._cycle_gains]
+        return self._components[1] == 1
 
     def gain_rank(self) -> int:
         """Rank of the gain group, maximised over connected components."""
-        return max(self._cycle_ranks)
+        return self._gain_ranks[0]
 
     def full_rank_condition(self) -> tuple[bool, int]:
         """Check connected + gain rank d through the exact rank of I_zd.
 
-        Shifting each vertex column by its spanning-forest potential times the
-        gain columns turns every forest row into a plain incidence row and
+        The edges that join two sets in the walk form a spanning forest.
+        Shifting each vertex column by its potential times the gain columns
+        turns every forest row into a plain incidence row and
         every other row into its cycle gain, so
         rank I_zd = (|V| - #components) + rank of all cycle gains stacked.
         The stacked rank is at most d, so rank I_zd = |V|-1+d exactly when the
-        graph is connected with gain rank d; one pass gives both, exactly.
+        graph is connected with gain rank d.
         """
-        count = self._forest.count
-        rank = self.num_vertices - count
-        if count == 1:
-            rank += self._cycle_ranks[0]
-        else:
-            cycles = [g for gains in self._cycle_gains for g in gains]
-            rank += smith_rank(np.array(cycles, dtype=object))
+        count = self._components[1]
+        rank = self.num_vertices - count + self._gain_ranks[1]
         return count == 1 and rank == self.num_vertices - 1 + self.dimension, rank
 
     # -- covering window and switching ------------------------------------

@@ -1,9 +1,8 @@
-"""Numeric and exact linear-algebra substrate.
+"""Numeric linear-algebra substrate.
 
 Floating-point ranks, kernels and PSD tests all route through one tolerance
-policy (:class:`~perigid.tolerances.ToleranceVault`); integer data gets exact
-arbitrary-precision treatment so group-theoretic quantities carry no tolerance
-at all.
+policy (:class:`~perigid.tolerances.ToleranceVault`); the exact integer ranks
+of the gain group are taken in :mod:`perigid.gain`, with no tolerance at all.
 """
 
 from __future__ import annotations
@@ -601,49 +600,3 @@ def symmetric_spectrum(matrix, tol: ToleranceVault, scale_floor: float = 0.0) ->
     backward = n * n * (np.finfo(float).eps / 2) * float(np.linalg.norm(m))
     second = float(magnitudes[1]) - backward if n > 1 else np.inf
     return SpectrumResult(rank, n - rank, marginal, lam_min >= -threshold, lam_min, second)
-
-
-def _as_int_rows(matrix) -> list[list[int]]:
-    arr = np.asarray(matrix)
-    if arr.size == 0:
-        return []
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-d integer matrix")
-    if not np.issubdtype(arr.dtype, np.integer) and arr.dtype != object:
-        if np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.round(arr)):
-            raise ValueError("smith_rank requires exact integer input, not floats")
-        raise ValueError("smith_rank requires exact integer input")
-    return [[int(x) for x in row] for row in arr.tolist()]
-
-
-def smith_rank(matrix) -> int:
-    """Exact rank of an integer matrix over the rationals.
-
-    Fraction-free (Bareiss) elimination on Python integers: each update
-    ``(pivot * x - factor * top) / previous pivot`` is a minor of the input,
-    so the division is exact.  No tolerance is involved, which is what makes
-    gain-group ranks trustworthy.
-    """
-    work = _as_int_rows(matrix)
-    if not work:
-        return 0
-    nrows, ncols = len(work), len(work[0])
-    rank = 0
-    previous = 1
-    for pivot_col in range(ncols):
-        if rank == nrows:
-            break
-        pivot_row = next((r for r in range(rank, nrows) if work[r][pivot_col] != 0), None)
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        top = work[rank]
-        pivot = top[pivot_col]
-        for r in range(rank + 1, nrows):
-            row, factor = work[r], work[r][pivot_col]
-            for c in range(pivot_col + 1, ncols):
-                row[c] = (pivot * row[c] - factor * top[c]) // previous
-            row[pivot_col] = 0
-        previous = pivot
-        rank += 1
-    return rank

@@ -133,9 +133,10 @@ def _stress_spectrum(
     the rows of the incidence matrix and of I_zd) are sums of PSD rank-one
     terms, so each is PSD with the kernel of its incidence matrix, of
     dimension the number of components and |V| + d - rank I_zd, exact
-    integers from the spanning forest.  1 and 1-hat lie in those kernels, so
-    the least eigenvalue is exactly 0.0 and no cut is marginal.  Every other
-    stress is assembled and goes to :func:`~perigid.linalg.symmetric_spectrum`.
+    integers from the graph's union-find walks.  1 and 1-hat lie in those
+    kernels, so the least eigenvalue is exactly 0.0 and no cut is marginal.
+    Every other stress is assembled and goes to
+    :func:`~perigid.linalg.symmetric_spectrum`.
     The graph rule reports Omega's ``second`` as min_e w_e / (|V| (|V| - 1)),
     e over the non-loop edges, on a connected graph: Omega dominates
     min_e w_e times the unweighted Laplacian, whose x^T L x over a unit x
@@ -479,10 +480,7 @@ def normalized_stress(basis: np.ndarray) -> np.ndarray:
 
 def is_proper(graph: GainGraph, weights, tol: ToleranceVault) -> bool:
     """Sign conditions against the marking: cables >= 0, struts <= 0, with a
-    zero band of ``residual_tol * max|w|``."""
+    zero band of ``residual_tol * max|w|``, which a NaN weight makes empty."""
     w = np.asarray(weights, dtype=float).reshape(-1)
     band = tol.residual_tol * float(np.abs(w).max(initial=0.0))
-    return not any(
-        (x < 0 and marking == "cable" or x > 0 and marking == "strut") and not abs(x) <= band
-        for marking, x in zip(graph.markings(), w.tolist())
-    )
+    return not np.any((np.sign(w) * graph._marking_signs < 0) & ~(np.abs(w) <= band))

@@ -1,6 +1,8 @@
 """Reference helpers that only the tests use: vector forms of a realization,
 the conic deformation, a projected-gradient refiner, seeded cable frameworks
-(one with a strut chord), an exact rank by elimination over the rationals,
+(one with a strut chord), two exact ranks of integer matrices (fraction-free
+Bareiss elimination, the reference for the gain graph's echelon, and
+elimination over the rationals),
 the re-verification of a positive stress certificate from its witness, a
 two-pass reference reader of framework files, seeded out-degree gain graphs
 (one with a degree-1 vertex), the per-vertex trivial motions and
@@ -34,7 +36,7 @@ from perigid.fileformat import (
 )
 from perigid.framework import Realization, point_matrix
 from perigid.gain import MARKINGS, GainGraph, canonicalize_edge
-from perigid.linalg import _as_int_rows, symmetric_spectrum
+from perigid.linalg import symmetric_spectrum
 from perigid.optimize import energy, energy_gradient
 from perigid.stress import EquilibriumReport, _vertex_scatter, weighted_laplacians
 from perigid.tolerances import ToleranceVault
@@ -147,6 +149,52 @@ def strut_chord(graph: GainGraph, weights):
     w = np.array(weights, dtype=float)
     w[k] = -0.01
     return GainGraph(graph.dimension, graph.vertices, edges), w
+
+
+def _as_int_rows(matrix) -> list[list[int]]:
+    arr = np.asarray(matrix)
+    if arr.size == 0:
+        return []
+    if arr.ndim != 2:
+        raise ValueError("expected a 2-d integer matrix")
+    if not np.issubdtype(arr.dtype, np.integer) and arr.dtype != object:
+        if np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.round(arr)):
+            raise ValueError("smith_rank requires exact integer input, not floats")
+        raise ValueError("smith_rank requires exact integer input")
+    return [[int(x) for x in row] for row in arr.tolist()]
+
+
+def smith_rank(matrix) -> int:
+    """Exact rank of an integer matrix over the rationals.
+
+    Fraction-free (Bareiss) elimination on Python integers: each update
+    ``(pivot * x - factor * top) / previous pivot`` is a minor of the input,
+    so the division is exact.  The reference for the exact gain ranks that
+    :class:`~perigid.gain.GainGraph` takes from its cycle-gain echelon.
+    """
+    work = _as_int_rows(matrix)
+    if not work:
+        return 0
+    nrows, ncols = len(work), len(work[0])
+    rank = 0
+    previous = 1
+    for pivot_col in range(ncols):
+        if rank == nrows:
+            break
+        pivot_row = next((r for r in range(rank, nrows) if work[r][pivot_col] != 0), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        top = work[rank]
+        pivot = top[pivot_col]
+        for r in range(rank + 1, nrows):
+            row, factor = work[r], work[r][pivot_col]
+            for c in range(pivot_col + 1, ncols):
+                row[c] = (pivot * row[c] - factor * top[c]) // previous
+            row[pivot_col] = 0
+        previous = pivot
+        rank += 1
+    return rank
 
 
 def fraction_rank(matrix) -> int:

@@ -11,19 +11,23 @@ and builds and draws the covering windows from index arrays.
 
 import hashlib
 import itertools
+import math
+import random
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from perigid import ToleranceVault, fixtures
+from perigid import ToleranceVault, fixtures, gain
 from perigid.errors import DuplicateEdge
 from perigid.framework import Realization
 from perigid.gain import MARKINGS, GainGraph
-from perigid.linalg import smith_rank
 from perigid.svg import render_covering
+
+from oracles import cable_framework, smith_rank
 
 # sha256 of render_covering on the fixture realizations, default tolerances
 GOLDEN_SVG = {
@@ -226,6 +230,13 @@ def gain_graphs(draw, dimensions=st.integers(1, 3)):
 )
 @example(graph=GainGraph(1, ("a", "b"), [("a", "a", (-(10**30),)), ("a", "b", (0,))]), window=1)
 def test_walks_match_references(graph, window):
+    check_walks(graph)
+    check_window(graph, window)
+
+
+def check_walks(graph):
+    """Components, connectivity, gain rank and the rank condition match the
+    reference search and spanning tree, ranked by the Bareiss oracle."""
     comps = graph.components()
     assert [set(c) for c in comps] == reference_components(graph)
     order = {v: i for i, v in enumerate(graph.vertices)}
@@ -241,7 +252,125 @@ def test_walks_match_references(graph, window):
     expected = (len(comps) == 1 and rank == graph.num_vertices - 1 + graph.dimension, rank)
     assert graph.full_rank_condition() == expected
 
-    check_window(graph, window)
+
+# gain entries past 2^63 and 2^53 that repeat, so huge gains also cancel in a cycle
+HUGE_ENTRIES = [2**63, -(2**63) - 1, 2**70 + 1, 2**53 + 1]
+
+
+@st.composite
+def block_graphs(draw):
+    """Gain graphs whose first edges stay inside up to three vertex blocks,
+    so cycles close inside sets that later edges join, with loops and gain
+    entries past 2^63 among small ones."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    block = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    entry = st.one_of(
+        st.integers(-1, 1), st.integers(-1, 1), st.sampled_from(HUGE_ENTRIES),
+        st.integers(-(2**70), 2**70),
+    )
+    gain = st.lists(entry, min_size=d, max_size=d).map(tuple)
+    vertex = st.integers(0, n - 1)
+    inner = []
+    for t, g in draw(st.lists(st.tuples(vertex, gain), max_size=10)):
+        members = [v for v in range(n) if block[v] == block[t]]
+        inner.append((t, draw(st.sampled_from(members)), g))
+    cross = draw(st.lists(st.tuples(vertex, vertex, gain), max_size=4))
+    kept = []
+    for t, h, g in inner + cross:
+        edge = (f"v{t}", f"v{h}", g)
+        if t == h and not any(g):
+            continue
+        try:
+            GainGraph(d, [f"v{i}" for i in range(n)], kept + [edge])
+        except DuplicateEdge:
+            continue
+        kept.append(edge)
+    return GainGraph(d, [f"v{i}" for i in range(n)], kept)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graph=block_graphs())
+# two components of gain rank 1 in d = 3, each closing its cycle before the
+# edge that joins them is read: rank < d, so the walk reads every edge
+@example(
+    graph=GainGraph(
+        3,
+        ("a", "b", "c", "e"),
+        [("a", "b", (0, 0, 0)), ("b", "a", (1, 0, 0)), ("c", "e", (0, 0, 0)),
+         ("e", "c", (0, 1, 0)), ("e", "e", (0, 2, 0))],
+    )
+)
+@example(
+    graph=GainGraph(
+        2,
+        ("a", "b", "c", "e"),
+        [("a", "b", (0, 0)), ("b", "a", (1, 0)), ("c", "e", (0, 0)),
+         ("e", "c", (0, 1)), ("b", "c", (5, 5))],
+    )
+)
+# huge potentials that cancel: rank 1, not 2
+@example(
+    graph=GainGraph(
+        2,
+        ("a", "b", "c"),
+        [("a", "b", (2**63, -(2**70))), ("b", "c", (2**63, 1)), ("a", "c", (2**64, -(2**70))),
+         ("c", "a", (-(2**64) + 3, 2**70 - 1))],
+    )
+)
+# gains just under 2^53 in d = 1: the int64 packing
+@example(graph=GainGraph(1, ("a", "b"), [("a", "b", (2**53 - 1,)), ("b", "a", (2 - 2**53,))]))
+def test_walks_match_references_across_blocks(graph):
+    check_walks(graph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 7),
+    st.integers(1, 5),
+    st.integers(0, 5),
+    st.sampled_from([1, 3, 10**3, 2**64]),
+    st.integers(0, 2**32 - 1),
+)
+def test_echelon_rank_matches_smith_rank(rows, cols, inner, bound, seed):
+    """The gain walk's echelon ranks random integer matrices, products of
+    rank at most ``inner`` among them, as Bareiss elimination does."""
+    rnd = random.Random(seed)
+    a = [[rnd.randint(-bound, bound) for _ in range(inner)] for _ in range(rows)]
+    b = [[rnd.randint(-bound, bound) for _ in range(cols)] for _ in range(inner)]
+    if rnd.random() < 0.5:
+        matrix = [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+                  for i in range(rows)]
+    else:
+        matrix = [[rnd.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+    echelon: dict = {}
+    for row in matrix:
+        gain._add_row(echelon, row)
+    assert len(echelon) == smith_rank(np.array(matrix, dtype=object).reshape(rows, cols))
+    for column, row in echelon.items():
+        assert not any(row[:column]) and row[column] and math.gcd(*row) == 1
+
+
+def test_a_full_rank_walk_stops_before_its_last_edge(monkeypatch):
+    """Once a component's cycle gains reach rank d the walk reads no more
+    edges: the third and fourth cycles below are never reduced."""
+    rows = []
+    add_row = gain._add_row
+    monkeypatch.setattr(gain, "_add_row", lambda echelon, row: add_row(echelon, rows.append(row) or row))
+    graph = GainGraph(
+        2,
+        ("a", "b", "c"),
+        [("a", "b", (0, 0)), ("b", "c", (0, 0)), ("a", "c", (1, 0)), ("c", "a", (0, 1)),
+         ("b", "a", (1, 1)), ("c", "b", (2, 3))],
+    )
+    assert graph.full_rank_condition() == (True, 4)
+    assert graph.gain_rank() == 2
+    assert rows == [[1, 0], [0, 1]]
+
+    rows.clear()
+    cables, _ = cable_framework(0, n=60)
+    assert cables.full_rank_condition() == (True, 61)
+    assert len(rows) < cables.num_edges - cables.num_vertices + 1
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -352,20 +481,32 @@ def test_components_in_graph_order():
         assert graph.components() == [list(graph.vertices)]
 
 
-def test_info_ranks_cycle_gains_once(tmp_path, monkeypatch, capsys):
-    """gain_rank and full_rank_condition share one exact rank per component."""
-    from perigid import fileformat, gain
+def test_info_walks_the_gains_once(tmp_path, monkeypatch, capsys):
+    """gain_rank and full_rank_condition read one cached walk of the gains,
+    and the component count one cached union-find pass."""
+    from perigid import fileformat
     from perigid.cli import cli
 
     hexes = fixtures()["hex"]
     path = tmp_path / "hex.json"
     path.write_bytes(fileformat.dumps(hexes.graph, hexes.realization, hexes.stress))
-    calls = []
-
-    def counted(matrix):
-        calls.append(matrix)
-        return smith_rank(matrix)
-
-    monkeypatch.setattr(gain, "smith_rank", counted)
+    walks = {name: _count_walks(monkeypatch, name) for name in ("_gain_ranks", "_components")}
     assert cli(["info", str(path)]) == 0
-    assert len(calls) == 1
+    assert {name: len(calls) for name, calls in walks.items()} == {
+        "_gain_ranks": 1, "_components": 1
+    }
+
+
+def _count_walks(monkeypatch, name: str) -> list:
+    """Record each run of the cached graph walk ``name`` of GainGraph."""
+    calls = []
+    walk = vars(GainGraph)[name].func
+
+    def counted(graph):
+        calls.append(graph)
+        return walk(graph)
+
+    counting = cached_property(counted)
+    counting.__set_name__(GainGraph, name)
+    monkeypatch.setattr(GainGraph, name, counting)
+    return calls

@@ -25,12 +25,11 @@ from perigid.linalg import (
     _scatter_rows,
     numeric_rank,
     nullspace,
-    smith_rank,
     symmetric_spectrum,
 )
 from perigid.tolerances import ToleranceVault
 
-from oracles import degree_one_graph, fraction_rank, out_degree_graph
+from oracles import degree_one_graph, fraction_rank, out_degree_graph, smith_rank
 
 SQRT2 = math.sqrt(2.0)
 

@@ -312,6 +312,33 @@ def test_is_proper_zero_band(flex2, tol):
     assert is_proper(marked, np.array([1.0, -1e-12, 0.0, 0.0, 0.0]), tol)
 
 
+def reference_is_proper(graph, weights, tol):
+    """The sign conditions edge by edge, over the markings and the weights."""
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    band = tol.residual_tol * float(np.abs(w).max(initial=0.0))
+    return not any(
+        (x < 0 and marking == "cable" or x > 0 and marking == "strut") and not abs(x) <= band
+        for marking, x in zip(graph.markings(), w.tolist())
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), markings=st.lists(st.sampled_from(["bar", "cable", "strut"]), max_size=12))
+def test_is_proper_matches_the_edge_by_edge_reference(data, markings):
+    """On NaN, signed zeros, infinities and weights at, just inside and just
+    outside the zero band, the array test agrees with the edge scan."""
+    tol = ToleranceVault()
+    graph = GainGraph(1, ("a",), [("a", "a", (k + 1,), m) for k, m in enumerate(markings)])
+    special = st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0])
+    w = np.array(data.draw(st.lists(st.one_of(special, st.floats(-1e6, 1e6)),
+                                    min_size=len(markings), max_size=len(markings))), dtype=float)
+    band = tol.residual_tol * float(np.abs(w).max(initial=0.0))
+    edge = [band, np.nextafter(band, 0.0), np.nextafter(band, np.inf)]
+    for k in data.draw(st.lists(st.integers(0, max(len(w) - 1, 0)), max_size=len(w))):
+        w[k] = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.sampled_from(edge))
+    assert is_proper(graph, w, tol) == reference_is_proper(graph, w, tol)
+
+
 def _flat_wheel():
     """A triangle with its centre on a flat lattice (second column zero), and
     a stress in fixed equilibrium that affinely spans the plane."""
