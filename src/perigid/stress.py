@@ -482,5 +482,7 @@ def is_proper(graph: GainGraph, weights, tol: ToleranceVault) -> bool:
     """Sign conditions against the marking: cables >= 0, struts <= 0, with a
     zero band of ``residual_tol * max|w|``, which a NaN weight makes empty."""
     w = np.asarray(weights, dtype=float).reshape(-1)
+    if w.size != graph.num_edges:
+        raise ValueError("need one weight per edge")
     band = tol.residual_tol * float(np.abs(w).max(initial=0.0))
     return not np.any((np.sign(w) * graph._marking_signs < 0) & ~(np.abs(w) <= band))

@@ -5,8 +5,9 @@ The references below are the plain per-vertex and per-node edge scans: an
 adjacency-set search for components, a spanning tree grown level by level
 for the cycle gains, a scan of every edge for each covering node's
 neighbours, and an SVG drawn node by node and edge by edge.  The library
-reads the first two from one cached incidence table and one spanning forest,
-and builds and draws the covering windows from index arrays.
+reads the first two from two cached union-find passes, the second of which
+ranks the cycle gains in an exact echelon and stops at rank d, and builds and
+draws the covering windows from index arrays.
 """
 
 import hashlib
@@ -217,7 +218,7 @@ def gain_graphs(draw, dimensions=st.integers(1, 3)):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(graph=gain_graphs(), window=st.integers(0, 2))
-# the forest reaches v through an edge it crosses head -> tail: cycle gain 2
+# the walk joins u and v by an edge from v to u: cycle gain 2
 @example(graph=GainGraph(1, ("u", "v"), [("v", "u", (1,)), ("u", "v", (1,))]), window=1)
 # gains of 10^30 (not an int64) next to small ones: no overflow, no window edge
 @example(

@@ -310,6 +310,9 @@ def test_is_proper_zero_band(flex2, tol):
     # as the largest weight is a sign violation at any scale
     assert not is_proper(marked, np.array([1e-12, -1e-12, 0.0, 0.0, 0.0]), tol)
     assert is_proper(marked, np.array([1.0, -1e-12, 0.0, 0.0, 0.0]), tol)
+    for wrong in (flex2.stress[:-1], np.append(flex2.stress, 1.0)):
+        with pytest.raises(ValueError, match="need one weight per edge"):
+            is_proper(marked, wrong, tol)
 
 
 def reference_is_proper(graph, weights, tol):
