@@ -8,7 +8,7 @@ identified, with gains recording which cell boundary each edge crosses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,7 +19,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .framework import Realization, _non_flat
-from .gain import MARKINGS, GainGraph, Vertex
+from .gain import GainGraph, Vertex, _check_marking, _frozen
 from .stress import weighted_laplacians
 from .tolerances import DEFAULT_TOL, ToleranceVault
 
@@ -29,30 +29,43 @@ SQRT3 = math.sqrt(3.0)
 
 @dataclass(frozen=True)
 class FiniteFramework:
-    """Simple finite graph with positions and cable/strut/bar markings."""
+    """Simple finite graph with positions and cable/strut/bar markings, checked
+    on construction, which keeps each edge's end positions as ``_ends``."""
 
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[Vertex, Vertex], ...]
     points: dict
     markings: tuple[str, ...]
+    _ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen = set()
+        index = {v: i for i, v in enumerate(self.vertices)}
+        if len(index) < len(self.vertices):
+            raise ValueError("vertex names must be distinct")
+        ends, seen = [], set()
         for u, v in self.edges:
-            if u == v:
+            try:
+                t, h = index[u], index[v]
+            except KeyError as exc:
+                raise ValueError(f"unknown vertex {exc.args[0]!r}") from None
+            if t == h:
                 raise ValueError("finite frameworks have no loops")
-            key = frozenset((u, v))
+            key = (t, h) if t < h else (h, t)
             if key in seen:
                 raise ValueError(f"parallel edge {u!r}-{v!r}")
             seen.add(key)
+            ends.append((t, h))
         if len(self.markings) != len(self.edges):
             raise ValueError("need one marking per edge")
         for marking in self.markings:
-            if marking not in MARKINGS:
-                raise ValueError(f"marking must be one of {MARKINGS}, got {marking!r}")
-        dims = {np.asarray(self.points[v]).size for v in self.vertices}
+            _check_marking(marking)
+        try:
+            dims = {np.asarray(self.points[v]).size for v in self.vertices}
+        except KeyError as exc:
+            raise ValueError(f"vertex {exc.args[0]!r} has no point") from None
         if len(dims) != 1:
             raise ValueError("inconsistent point dimensions")
+        object.__setattr__(self, "_ends", _frozen(np.array(ends, np.intp).reshape(-1, 2)))
 
     @property
     def dimension(self) -> int:
@@ -61,11 +74,10 @@ class FiniteFramework:
     def weighted_laplacian(self, weights) -> np.ndarray:
         """Classical stress matrix I(G)^T diag(w) I(G) of the finite graph."""
         w = np.asarray(weights, dtype=float).reshape(-1)
-        index = {v: i for i, v in enumerate(self.vertices)}
+        rows = np.arange(len(self.edges))
         inc = np.zeros((len(self.edges), len(self.vertices)))
-        for row, (u, v) in enumerate(self.edges):
-            inc[row, index[u]] = -1.0
-            inc[row, index[v]] = 1.0
+        inc[rows, self._ends[:, 0]] = -1.0
+        inc[rows, self._ends[:, 1]] = 1.0
         return inc.T @ (w[:, None] * inc)
 
     def equilibrium_residual(self, weights) -> float:
@@ -102,7 +114,7 @@ def finite_to_periodic(
     if set(tails) & set(heads):
         raise PairConditionViolated("pair tails u_i must avoid every head v_j")
     for u, v in pairs:
-        if u not in finite.points or v not in finite.points:
+        if u not in finite.vertices or v not in finite.vertices:
             raise PairConditionViolated(f"pair ({u!r}, {v!r}) references unknown vertices")
 
     columns = np.column_stack(
@@ -114,17 +126,10 @@ def finite_to_periodic(
     head_index = {v: i for i, v in enumerate(heads)}
     surviving = tuple(v for v in finite.vertices if v not in head_index)
     position = {v: i for i, v in enumerate(surviving)}
-    if len(position) < len(surviving):
-        raise ValueError("vertex names must be distinct")
-    try:
-        position.update((v, position[u]) for u, v in pairs)  # a head becomes its tail
-        # per edge, per end: the quotient vertex and the pair it heads, -1 for none
-        ends = np.array(
-            [(position[v], head_index.get(v, -1)) for edge in finite.edges for v in edge],
-            dtype=np.intp,
-        ).reshape(-1, 2, 2)
-    except KeyError as exc:
-        raise ValueError(f"unknown vertex {exc.args[0]!r}") from None
+    position.update((v, position[u]) for u, v in pairs)  # a head becomes its tail
+    # per vertex: its quotient vertex and the pair it heads, -1 for none; then per edge end
+    table = [(position[v], head_index.get(v, -1)) for v in finite.vertices]
+    ends = np.array(table, dtype=np.intp)[finite._ends]
     flip = ends[:, 0, 1] > ends[:, 1, 1]
     ends[flip] = ends[flip, ::-1]  # orient each edge towards its larger pair index
     # row i is e_i and the last row, index -1, is zero: an end that heads no pair adds nothing

@@ -83,11 +83,17 @@ def _non_flat(lattice: np.ndarray, tol: ToleranceVault) -> bool:
 def point_matrix(graph: GainGraph, real: Realization) -> np.ndarray:
     """d x |V| coordinate matrix in graph vertex order, read-only: a view of the
     points' array, gathered once when the realization lists its vertices in
-    another order."""
+    another order.  A realization that does not fit the graph, in dimension
+    or in a vertex with no point, raises ValueError."""
     rows = real._rows
+    if real.dimension != graph.dimension:
+        raise ValueError(f"a {real.dimension}-D realization of a {graph.dimension}-D graph")
     if tuple(real.points) != graph.vertices:
         index = {v: i for i, v in enumerate(real.points)}
-        rows = rows[[index[v] for v in graph.vertices]]
+        try:
+            rows = rows[[index[v] for v in graph.vertices]]
+        except KeyError as exc:
+            raise ValueError(f"vertex {exc.args[0]!r} has no point") from None
     matrix = rows.T
     matrix.flags.writeable = False
     return matrix

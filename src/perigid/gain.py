@@ -66,43 +66,34 @@ def _gain_tuple(gain) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _loop_gain(gain: tuple[int, ...]) -> tuple[int, ...] | None:
-    """A loop's gain with its first nonzero entry made positive; None when
-    every entry is zero."""
-    first = next((g for g in gain if g), 0)
-    if not first:
-        return None
-    return gain if first > 0 else tuple(map(neg, gain))
-
-
-def _loop_key(v: int, gain: tuple[int, ...]) -> tuple | None:
-    """The duplicate key (v, v, canonical gain) of a loop at position v; None
-    for a zero loop."""
-    loop_gain = _loop_gain(gain)
-    return None if loop_gain is None else (v, v, loop_gain)
-
-
-def _canonical(tail, head, gain: tuple[int, ...], index) -> tuple:
-    """(tail, head, gain) of the canonical representative, the rule behind
-    :func:`canonicalize_edge`; ``index`` maps vertex -> position."""
-    if tail == head:
-        loop_gain = _loop_gain(gain)
-        if loop_gain is None:
-            raise ZeroLoop(f"loop at {tail!r} must have a nonzero gain")
-        return tail, head, loop_gain
-    if index[tail] > index[head]:
-        return head, tail, tuple(-g for g in gain)
-    return tail, head, gain
+def _edge_keys(tails: Sequence, heads: Sequence, gains: Sequence, dimension: int) -> list:
+    """The duplicate key of each edge on vertex positions: (lo, hi, gain
+    from lo to hi) for a non-loop, and (v, v, gain with its first nonzero
+    entry positive) for a loop, None for a zero loop.  Two edges share a key
+    exactly when (u,v,g) ~ (v,u,-g) makes them one class.  A gain beats the
+    zero tuple exactly when its first nonzero entry is positive."""
+    zero = (0,) * dimension
+    return [
+        (t, h, g) if t < h else (h, t, tuple(map(neg, g))) if t > h
+        else (t, t, g) if g > zero else (t, t, tuple(map(neg, g))) if g < zero else None
+        for t, h, g in zip(tails, heads, gains)
+    ]
 
 
 def canonicalize_edge(tail, head, gain, order: Sequence[Vertex]) -> GainEdge:
     """Canonical representative of the edge class {(u,v,g), (v,u,-g)}.
 
     Non-loops are oriented tail-before-head in ``order``; loops flip so the
-    first nonzero gain entry is positive.  Idempotent.
+    first nonzero gain entry is positive.  Idempotent; an end that is not in
+    ``order``, at a loop too, raises KeyError.
     """
     index = {v: i for i, v in enumerate(order)}
-    return GainEdge(*_canonical(tail, head, _gain_tuple(gain), index))
+    gain = _gain_tuple(gain)
+    t = index[tail]
+    [key] = _edge_keys([t], [index[head]], [gain], len(gain))
+    if key is None:
+        raise ZeroLoop(f"loop at {tail!r} must have a nonzero gain")
+    return GainEdge(*((tail, head) if key[0] == t else (head, tail)), key[2])
 
 
 def _add_row(echelon: dict[int, Sequence[int]], row: Sequence[int]) -> None:
@@ -236,10 +227,7 @@ class GainGraph:
         self.tail_idx = _frozen(np.array(tails, dtype=np.intp))
         self.head_idx = _frozen(np.array(heads, dtype=np.intp))
         self.loop_mask = _frozen(self.tail_idx == self.head_idx)
-        keys = [
-            (t, h, g) if t < h else (h, t, tuple(map(neg, g))) if t > h else _loop_key(t, g)
-            for t, h, g in zip(tails, heads, gains)
-        ]
+        keys = _edge_keys(tails, heads, gains, self.dimension)
         unique = set(keys)
         if len(unique) < len(keys) or None in unique:
             self._raise_first_fault(keys, tails, heads, gains, markings)

@@ -41,10 +41,10 @@ def energy(graph: GainGraph, weights, real: Realization, tol: ToleranceVault) ->
     raises :class:`FormMismatch`.
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
-    lengths = measurement(graph, real)
-    direct = 0.5 * float(w @ lengths)
     points = point_matrix(graph, real).T
     form, form_terms = _zd_terms(graph, w, points, real.lattice)
+    lengths = measurement(graph, real)
+    direct = 0.5 * float(w @ lengths)
     pl_t = np.concatenate([points, real.lattice.T])  # [P L]^T, in the form's row order
     quadratic = 0.5 * float(np.sum(pl_t * form))
     terms = float(np.abs(w) @ lengths) + float(np.sum(np.abs(pl_t) * form_terms))
@@ -147,13 +147,13 @@ def standard_realization(
     w = np.asarray(weights, dtype=float).reshape(-1)
     d = graph.dimension
     n = graph.num_vertices
+    laps = weighted_laplacians(graph, w)
     spec = _stress_spectrum(graph, w, "laplacian", tol)
     if spec.nullity != 1 or not spec.is_psd:
         raise HypothesisFailed(
             f"need PSD stress matrix with kernel dimension 1, got Laplacian kernel "
             f"{spec.nullity}, min eigenvalue {spec.min_eigenvalue:g}"
         )
-    laps = weighted_laplacians(graph, w)
 
     basis = np.zeros((d, n + d))
     basis[:, n:] = np.eye(d)

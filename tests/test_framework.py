@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from perigid.certify import certify_fixed_lattice
 from perigid.errors import FlatLattice, NotAffinelySpanning
 from perigid.framework import (
     Realization,
     congruence_check,
+    edge_vectors,
     fixed_rigidity_matrix,
     is_affinely_spanning,
     is_fixed_lattice_inf_rigid,
@@ -17,6 +19,7 @@ from perigid.framework import (
     volume_rigidity_matrix,
 )
 from perigid.gain import GainGraph
+from perigid.optimize import energy
 
 from oracles import (
     realization_from_vector,
@@ -293,7 +296,8 @@ def test_realization_stacks_points_and_names_a_misfit():
 def test_point_matrix_views_the_points_in_graph_order():
     """In the realization's own vertex order the point matrix is a read-only
     view of its points' array; in another order, or with extra points, it
-    gathers the graph's vertices once; a missing vertex is a KeyError."""
+    gathers the graph's vertices once; a missing vertex is a ValueError that
+    names it."""
     graph = GainGraph(2, ("a", "b", "c"), [("a", "b", (0, 0)), ("b", "c", (1, 0))])
     points = {"a": (0.0, 1.0), "b": (2.0, 3.0), "c": (4.0, 5.0)}
     expected = np.array([[0.0, 2.0, 4.0], [1.0, 3.0, 5.0]])
@@ -304,5 +308,24 @@ def test_point_matrix_views_the_points_in_graph_order():
     reordered = Realization({"x": (9.0, 9.0), **dict(reversed(points.items()))}, np.eye(2))
     P = point_matrix(graph, reordered)
     assert np.array_equal(P, expected) and not P.flags.writeable
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^vertex 'c' has no point$"):
         point_matrix(graph, Realization({"a": (0.0, 1.0), "b": (2.0, 3.0)}, np.eye(2)))
+
+
+def test_a_realization_that_does_not_fit_its_graph_is_named(hexes, tol):
+    """A realization of another dimension, or one with a vertex missing,
+    raises a ValueError that names the mismatch on every geometric path,
+    not numpy's length or matmul errors or a KeyError."""
+    graph, real, w = hexes.graph, hexes.realization, hexes.stress
+    solid = Realization({v: np.append(p, 0.0) for v, p in real.points.items()}, np.eye(3))
+    partial = Realization({v: p for v, p in real.points.items() if v != "v6"}, real.lattice)
+    cases = [(solid, "^a 3-D realization of a 2-D graph$"), (partial, "^vertex 'v6' has no point$")]
+    for bad, message in cases:
+        for call in (
+            lambda: certify_fixed_lattice(graph, bad, w, tol),
+            lambda: edge_vectors(graph, bad),
+            lambda: rigidity_matrix(graph, bad),
+            lambda: energy(graph, w, bad, tol),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()

@@ -52,6 +52,47 @@ def test_canonicalize_idempotent_and_class_stable(ti, hi, gain):
     assert (once.tail, once.head, once.gain) == (flipped.tail, flipped.head, flipped.gain)
 
 
+def _reversed(edge):
+    tail, head, gain = edge
+    return head, tail, tuple(-g for g in gain)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_edge_key_matches_the_class_definition(data):
+    """(u,v,g) ~ (v,u,-g), loops included: two edges are one class exactly
+    when they are equal or one is the other reversed.  canonicalize_edge maps
+    them to one edge exactly then, and exactly then GainGraph raises
+    DuplicateEdge; gains past 2^63 are compared exactly.  A zero loop raises
+    ZeroLoop from both, and an end not in ``order``, loop or not, raises."""
+    d = data.draw(st.integers(1, 3))
+    order = tuple(f"v{i}" for i in range(data.draw(st.integers(1, 4))))
+    entry = st.integers(-2, 2) | st.integers(2**63, 2**64) | st.integers(-(2**64), -(2**63))
+    edge = st.tuples(st.sampled_from(order), st.sampled_from(order), st.tuples(*[entry] * d))
+    a, b = data.draw(edge), data.draw(edge)
+    zero_loops = [e for e in (a, b) if e[0] == e[1] and not any(e[2])]
+    if zero_loops:
+        with pytest.raises(ZeroLoop):
+            canonicalize_edge(*zero_loops[0], order)
+        with pytest.raises(ZeroLoop):
+            GainGraph(d, order, [a, b])
+        return
+    same = a == b or a == _reversed(b)
+    canonical = [tuple(canonicalize_edge(*e, order))[:3] for e in (a, b)]
+    for e, c in zip((a, b), canonical):
+        assert c in (e, _reversed(e))
+    assert (canonical[0] == canonical[1]) == same
+    try:
+        GainGraph(d, order, [a, b])
+        duplicate = False
+    except DuplicateEdge:
+        duplicate = True
+    assert duplicate == same
+    for tail, head in (("x", "x"), ("x", order[0]), (order[0], "x")):
+        with pytest.raises(KeyError):
+            canonicalize_edge(tail, head, a[2], order)
+
+
 def test_graph_rejects_duplicates_under_class():
     with pytest.raises(DuplicateEdge):
         GainGraph(2, ("a", "b"), [("a", "b", (1, 0)), ("b", "a", (-1, 0))])

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import perigid
 from perigid.certify import Verdict, certify_volume_constrained
 from perigid import optimize
 from perigid.errors import (
@@ -389,3 +391,46 @@ def test_verify_kkt_requires_feasibility(hexes, tol):
     shrunk = real.scaled(0.5)
     report = verify_kkt(hexes.graph, hexes.stress, shrunk, 0.0, tol)
     assert report.volume < 1.0 and not report.passed
+
+
+def test_every_weighted_function_wants_one_weight_per_edge(catalog, tol):
+    """Each public function that takes edge weights, on a framework that
+    passes its gates, raises the same ValueError for one weight too few and
+    one too many; ``standard_realization`` and ``energy`` once raised
+    IndexError and numpy's matmul error."""
+    hexes, octagon = catalog["hex"], catalog["octagon"]
+    graph, real, w = hexes.graph, hexes.realization, hexes.stress
+    cables = graph.with_markings(["cable"] * graph.num_edges)
+    unit, kkt = standard_realization(graph, w, tol)
+    looped, looped_w = perigid.extend_with_loops(graph, real, w, tol)
+    calls = {
+        "certify_fixed_lattice": (w, lambda x: perigid.certify_fixed_lattice(graph, real, x, tol)),
+        "certify_spiderweb": (w, lambda x: perigid.certify_spiderweb(cables, real, x, tol)),
+        "certify_super_stable": (w, lambda x: perigid.certify_super_stable(graph, real, x, tol)),
+        "certify_volume_constrained": (
+            w, lambda x: perigid.certify_volume_constrained(graph, unit, x, kkt.lam, tol)
+        ),
+        "conjugation_identity_check": (
+            octagon.finite_stress,
+            lambda x: perigid.conjugation_identity_check(octagon.finite, x, octagon.pairs, tol),
+        ),
+        "energy": (w, lambda x: energy(graph, x, real, tol)),
+        "energy_gradient": (w, lambda x: energy_gradient(graph, x, real, tol)),
+        "extend_with_loops": (w, lambda x: perigid.extend_with_loops(graph, real, x, tol)),
+        "standard_realization": (w, lambda x: standard_realization(graph, x, tol)),
+        "strip_loops": (looped_w, lambda x: perigid.strip_loops(looped, real, x, tol)),
+        "verify_equilibrium": (w, lambda x: perigid.verify_equilibrium(graph, real, x, "fixed", tol)),
+        "verify_kkt": (w, lambda x: verify_kkt(graph, x, unit, kkt.lam, tol)),
+        "weighted_laplacians": (w, lambda x: perigid.weighted_laplacians(graph, x)),
+    }
+    public = {
+        name for name in perigid.__all__
+        if inspect.isfunction(obj := getattr(perigid, name))
+        and "weights" in inspect.signature(obj).parameters
+    }
+    assert set(calls) == public
+    for name, (weights, call) in calls.items():
+        call(weights)
+        for wrong in (weights[:-1], np.append(weights, 1.0)):
+            with pytest.raises(ValueError, match="^need one weight per edge$"):
+                call(wrong)
