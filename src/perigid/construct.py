@@ -72,13 +72,18 @@ class FiniteFramework:
         return int(np.asarray(self.points[self.vertices[0]]).size)
 
     def weighted_laplacian(self, weights) -> np.ndarray:
-        """Classical stress matrix I(G)^T diag(w) I(G) of the finite graph."""
+        """Classical stress matrix I(G)^T diag(w) I(G) of the finite graph,
+        scattered from the edge ends in O(|E|): the graph is simple, so each
+        off-diagonal entry is one edge's -w."""
         w = np.asarray(weights, dtype=float).reshape(-1)
-        rows = np.arange(len(self.edges))
-        inc = np.zeros((len(self.edges), len(self.vertices)))
-        inc[rows, self._ends[:, 0]] = -1.0
-        inc[rows, self._ends[:, 1]] = 1.0
-        return inc.T @ (w[:, None] * inc)
+        if w.size != len(self.edges):
+            raise ValueError("need one weight per edge")
+        n = len(self.vertices)
+        tails, heads = self._ends.T
+        lap = np.zeros((n, n))
+        lap[tails, heads] = lap[heads, tails] = -w
+        lap[np.diag_indices(n)] = np.bincount(tails, w, n) + np.bincount(heads, w, n)
+        return lap
 
     def equilibrium_residual(self, weights) -> float:
         """Max force-balance residual: P L(G,w) should vanish."""

@@ -12,8 +12,10 @@ walked one by one, from the first, to raise the error of the first failing
 path; the walk also accepts what the column tests leave to it, such as int
 coordinates or str subclasses in a decoded document.
 
-Emitted documents and the CLI's ``--json`` reports are written by one
-indented-JSON writer, :func:`_indented_json`.
+The writer, :func:`dumps`, fills the fixed schema in straight from the
+graph's columns, one ``%`` template per vertex and per edge, and writes the
+text that ``json.dumps(document, indent=2)`` would.  The CLI's ``--json``
+reports, whose shape is not fixed, go through :func:`_indented_json`.
 """
 
 from __future__ import annotations
@@ -310,36 +312,6 @@ def loads(data) -> ParsedFramework:
     return ParsedFramework(graph, realization, stress, lam)
 
 
-def to_document(
-    graph: GainGraph,
-    realization: Optional[Realization] = None,
-    stress=None,
-    lam: Optional[float] = None,
-) -> dict:
-    """Framework document as a plain dict in canonical field order."""
-    doc: dict = {"dimension": graph.dimension}
-    names = list(map(str, graph.vertices))
-    if realization is None:
-        doc["vertices"] = [{"name": name} for name in names]
-    else:
-        positions = point_matrix(graph, realization).T.tolist()
-        doc["vertices"] = [
-            {"name": name, "position": position} for name, position in zip(names, positions)
-        ]
-        doc["lattice"] = realization.lattice.T.tolist()
-    weights = None if stress is None else np.asarray(stress, dtype=float).reshape(-1).tolist()
-    edges = []
-    for i, (tail, head, gain, marking) in enumerate(graph.edges):
-        entry = {"tail": str(tail), "head": str(head), "gain": list(gain), "type": marking}
-        if weights is not None:
-            entry["weight"] = weights[i]
-        edges.append(entry)
-    doc["edges"] = edges
-    if lam is not None:
-        doc["lambda"] = float(lam)
-    return doc
-
-
 def _float_text(x: float) -> str:
     """A float as the standard library's encoder writes it, NaN and the
     infinities as JavaScript literals."""
@@ -376,8 +348,8 @@ def _indented_json(obj, sort_keys: bool) -> str:
     its newlines re-indented to its depth: ``json`` indents depth k by
     "\n" + "  " * k, and an encoded string holds no raw newline.  So the
     output, and the exception of an input ``json`` refuses, are the
-    standard library's.  Circular references are not detected; reports and
-    documents are trees.
+    standard library's.  Circular references are not detected; reports are
+    trees.
     """
     scalar = _SCALARS.get
 
@@ -414,15 +386,69 @@ def _indented_json(obj, sort_keys: bool) -> str:
     return encode(obj) if encode is not None else container(obj, "\n")
 
 
+def _list_template(slot: str, count: int, depth: int) -> str:
+    """A list of ``count`` entries, each the ``%`` slot ``slot``, as
+    ``json.dumps(..., indent=2)`` writes a list whose closing bracket
+    stands at indentation ``depth``."""
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join([slot] * count) + "\n" + "  " * depth + "]"
+
+
 def dumps(
     graph: GainGraph,
     realization: Optional[Realization] = None,
     stress=None,
     lam: Optional[float] = None,
 ) -> bytes:
-    """Canonical UTF-8 serialization; stable under parse/emit round-trips."""
-    doc = to_document(graph, realization, stress, lam)
-    return (_indented_json(doc, sort_keys=False) + "\n").encode("utf-8")
+    """Canonical UTF-8 serialization; stable under parse/emit round-trips.
+
+    The text is ``json.dumps(document, indent=2)`` plus a newline, for the
+    document of the file format in canonical field order, written straight
+    from the graph's columns: each vertex name is encoded once and each
+    edge's ends are looked up by position, gains are written as integers,
+    coordinates, weights and lambda by :func:`_float_text`, and every
+    vertex and edge entry is one ``%`` template.  A stress of the wrong
+    length raises ValueError.
+    """
+    d = graph.dimension
+    names = [encode_basestring_ascii(str(v)) for v in graph.vertices]
+    if realization is None:
+        vertices = ['{\n      "name": %s\n    }' % name for name in names]
+    else:
+        rows = point_matrix(graph, realization).tolist()  # one row per coordinate
+        coordinates = [map(_float_text, row) for row in rows]
+        position = _list_template("%s", d, 3)
+        template = '{\n      "name": %s,\n      "position": ' + position + "\n    }"
+        vertices = map(template.__mod__, zip(names, *coordinates))
+    parts = ['{\n  "dimension": %d,\n  "vertices": [\n    ' % d, ",\n    ".join(vertices), "\n  ]"]
+    if realization is not None:
+        column = _list_template("%s", d, 2)
+        columns = [column % tuple(map(_float_text, col)) for col in realization.lattice.T.tolist()]
+        parts += [',\n  "lattice": [\n    ', ",\n    ".join(columns), "\n  ]"]
+
+    template = (
+        '{\n      "tail": %s,\n      "head": %s,\n      "gain": '
+        + _list_template("%d", d, 3)
+        + ',\n      "type": "%s"'
+    )
+    fields = [
+        map(names.__getitem__, graph.tail_idx.tolist()),
+        map(names.__getitem__, graph.head_idx.tolist()),
+        *zip(*graph._gains),
+        graph._markings,
+    ]
+    if stress is not None:
+        weights = np.asarray(stress, dtype=float).reshape(-1)
+        if weights.size != graph.num_edges:
+            raise ValueError("need one weight per edge")
+        template += ',\n      "weight": %s'
+        fields.append(map(_float_text, weights.tolist()))
+    edges = ",\n    ".join(map((template + "\n    }").__mod__, zip(*fields)))
+    parts.append(',\n  "edges": [\n    ' + edges + "\n  ]" if edges else ',\n  "edges": []')
+    if lam is not None:
+        parts.append(',\n  "lambda": ' + _float_text(float(lam)))
+    parts.append("\n}\n")
+    return "".join(parts).encode("utf-8")
 
 
 def loads_finite(data) -> tuple[FiniteFramework, Optional[np.ndarray]]:

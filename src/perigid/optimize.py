@@ -148,7 +148,7 @@ def standard_realization(
     d = graph.dimension
     n = graph.num_vertices
     laps = weighted_laplacians(graph, w)
-    spec = _stress_spectrum(graph, w, "laplacian", tol)
+    spec = _stress_spectrum(graph, w, "laplacian", tol, laps)
     if spec.nullity != 1 or not spec.is_psd:
         raise HypothesisFailed(
             f"need PSD stress matrix with kernel dimension 1, got Laplacian kernel "

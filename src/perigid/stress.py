@@ -123,7 +123,11 @@ def _strictly_positive(w: np.ndarray, tol: ToleranceVault) -> bool:
 
 
 def _stress_spectrum(
-    graph: GainGraph, w: np.ndarray, block: str, tol: ToleranceVault
+    graph: GainGraph,
+    w: np.ndarray,
+    block: str,
+    tol: ToleranceVault,
+    laps: Optional[WeightedLaplacians] = None,
 ) -> SpectrumResult:
     """Rank, nullity, marginal flag and PSD verdict of ``w``'s stress matrix
     ``block`` ("laplacian" or "zd_laplacian").
@@ -135,8 +139,8 @@ def _stress_spectrum(
     dimension the number of components and |V| + d - rank I_zd, exact
     integers from the graph's union-find walks.  1 and 1-hat lie in those
     kernels, so the least eigenvalue is exactly 0.0 and no cut is marginal.
-    Every other stress is assembled and goes to
-    :func:`~perigid.linalg.symmetric_spectrum`.
+    Every other stress is assembled, unless the caller passes ``laps``, its
+    assembly of ``w``, and goes to :func:`~perigid.linalg.symmetric_spectrum`.
     The graph rule reports Omega's ``second`` as min_e w_e / (|V| (|V| - 1)),
     e over the non-loop edges, on a connected graph: Omega dominates
     min_e w_e times the unweighted Laplacian, whose x^T L x over a unit x
@@ -160,7 +164,8 @@ def _stress_spectrum(
     Omega[1:,1:], Lzd is PSD exactly when Omega is (Sylvester), in both.
     """
     if not _strictly_positive(w, tol):
-        laps = weighted_laplacians(graph, w)
+        if laps is None:
+            laps = weighted_laplacians(graph, w)
         return symmetric_spectrum(getattr(laps, block), tol, laps.weight_scale)
     n, second = graph.num_vertices, 0.0
     if block == "laplacian":

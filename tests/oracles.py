@@ -4,7 +4,8 @@ the conic deformation, a projected-gradient refiner, seeded cable frameworks
 Bareiss elimination, the reference for the gain graph's echelon, and
 elimination over the rationals),
 the re-verification of a positive stress certificate from its witness, a
-two-pass reference reader of framework files, seeded out-degree gain graphs
+two-pass reference reader of framework files and the dict-building
+reference writer, seeded out-degree gain graphs
 (one with a degree-1 vertex), the per-vertex trivial motions and
 realization draws that the vectorised ones must reproduce, and the
 equilibrium check on the dense stress matrices that the edge sums replaced."""
@@ -440,6 +441,40 @@ def reference_loads_finite(data) -> tuple[FiniteFramework, Optional[np.ndarray]]
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return finite, _reference_stress(weights)
+
+
+# -- reference writer ----------------------------------------------------------
+
+
+def to_document(
+    graph: GainGraph,
+    realization: Optional[Realization] = None,
+    stress=None,
+    lam: Optional[float] = None,
+) -> dict:
+    """The framework document that ``fileformat.dumps`` writes, as a plain
+    dict in canonical field order, built from ``graph.edges``."""
+    doc: dict = {"dimension": graph.dimension}
+    names = list(map(str, graph.vertices))
+    if realization is None:
+        doc["vertices"] = [{"name": name} for name in names]
+    else:
+        positions = point_matrix(graph, realization).T.tolist()
+        doc["vertices"] = [
+            {"name": name, "position": position} for name, position in zip(names, positions)
+        ]
+        doc["lattice"] = realization.lattice.T.tolist()
+    weights = None if stress is None else np.asarray(stress, dtype=float).reshape(-1).tolist()
+    edges = []
+    for i, (tail, head, gain, marking) in enumerate(graph.edges):
+        entry = {"tail": str(tail), "head": str(head), "gain": list(gain), "type": marking}
+        if weights is not None:
+            entry["weight"] = weights[i]
+        edges.append(entry)
+    doc["edges"] = edges
+    if lam is not None:
+        doc["lambda"] = float(lam)
+    return doc
 
 
 def out_degree_graph(seed: int, n: int = 40, out: int = 3, d: int = 2, span: int = 1) -> GainGraph:

@@ -209,3 +209,37 @@ def test_finite_framework_validation():
         with pytest.raises(ValueError, match=f"^{first[0]}$"):
             FiniteFramework(("a", "b"), (("a", "b"), first[1], second[1]), points, ("bar",) * 3)
 
+
+
+def _dense_laplacian(finite, weights):
+    """The stress matrix as the incidence product I^T diag(w) I."""
+    inc = np.zeros((len(finite.edges), len(finite.vertices)))
+    rows = np.arange(len(finite.edges))
+    inc[rows, finite._ends[:, 0]] = -1.0
+    inc[rows, finite._ends[:, 1]] = 1.0
+    return inc.T @ (np.asarray(weights, dtype=float)[:, None] * inc)
+
+
+def test_finite_laplacian_is_the_incidence_product(octagon):
+    """The scattered stress matrix equals the dense incidence product to
+    rounding, off the diagonal exactly, on the octagon and on random
+    weights of the triangle."""
+    rng = np.random.default_rng(7)
+    cases = [(octagon.finite, octagon.finite_stress)]
+    cases += [(triangle_1d(), rng.standard_normal(3)) for _ in range(5)]
+    for finite, weights in cases:
+        ours, dense = finite.weighted_laplacian(weights), _dense_laplacian(finite, weights)
+        scale = np.abs(weights).max()
+        assert np.abs(ours - dense).max() <= 4 * np.finfo(float).eps * scale
+        off = ~np.eye(len(finite.vertices), dtype=bool)
+        assert np.array_equal(ours[off], dense[off])
+
+
+def test_finite_stress_needs_one_weight_per_edge(octagon):
+    """The finite stress matrix and its residual refuse a stress one weight
+    short or long, not with numpy's broadcast error."""
+    finite, w = octagon.finite, octagon.finite_stress
+    for wrong in (w[:-1], np.append(w, 1.0)):
+        for call in (finite.weighted_laplacian, finite.equilibrium_residual):
+            with pytest.raises(ValueError, match="^need one weight per edge$"):
+                call(wrong)

@@ -113,5 +113,5 @@ def test_decisions_read_the_edge_columns():
         and isinstance(node.value, ast.Name)
         and node.value.id == "graph"
     }
-    assert "fileformat.to_document" in readers  # the scan sees a reader
+    assert "cli._matrix_payload" in readers  # the scan sees a reader
     assert decisions & readers == set()

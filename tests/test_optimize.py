@@ -201,6 +201,29 @@ def test_standard_realization_refuses_a_lattice_flex(catalog, tol, name):
         standard_realization(fix.graph, fix.stress, tol)
 
 
+@pytest.mark.parametrize("name", ["flex1", "flex2", "hex", "octagon"])
+def test_standard_realization_assembles_once(catalog, tol, monkeypatch, name):
+    """One assembly of the weighted Laplacians per call: a stress that is
+    not strictly positive (flex1, flex2, octagon) has its spectrum decided
+    from the assembly that the solve reads, and hex's from the graph."""
+    from perigid import stress
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return weighted_laplacians(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "weighted_laplacians", counted)
+    monkeypatch.setattr(stress, "weighted_laplacians", counted)
+    fix = catalog[name]
+    try:
+        standard_realization(fix.graph, fix.stress, tol)
+    except HypothesisFailed:
+        assert name != "hex"
+    assert len(calls) == 1
+
+
 def test_standard_realization_huge_gain_is_degenerate_not_refused(hexes, tol):
     """With one gain of 1e9 the all-ones stress still meets the hypothesis
     exactly: it is strictly positive on a connected graph of gain rank 2, and

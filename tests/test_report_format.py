@@ -12,9 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from perigid import fixtures
 from perigid.cli import cli
-from perigid.fileformat import _indented_json
+from perigid.errors import DuplicateEdge
+from perigid.fileformat import _indented_json, dumps, loads
+from perigid.framework import Realization, point_matrix
+from perigid.gain import MARKINGS, GainGraph
 
 _floats = st.floats() | st.sampled_from(
     [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310, 1e308, 1e-7, 1e16]
@@ -184,3 +188,98 @@ def test_emitted_documents_are_two_space_json(fixture_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out == rolled.read_text(encoding="utf-8")
     _document_is_canonical(out)
+
+
+_names = st.text(st.characters(exclude_categories=["Cs"]), min_size=1, max_size=4)
+_names |= st.sampled_from(["é", "😀", 'a"b', "\\", "\n"])
+_odd_names = _names | st.integers(-5, 5) | st.tuples(st.integers(0, 3), st.integers(0, 3))
+_gain_entries = st.integers(-2, 2) | st.integers(2**63, 10**30) | st.integers(-(10**30), -(2**63))
+
+
+@st.composite
+def _frameworks(draw, names=_odd_names, reals=_floats):
+    """A gain graph with d = 1..3, possibly one vertex or no edge, loops of
+    nonzero gain and gains past 2^63, with or without a realization, a
+    stress and lambda."""
+    d = draw(st.integers(1, 3))
+    vertices = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    end = st.integers(0, len(vertices) - 1)
+    gain = st.lists(_gain_entries, min_size=d, max_size=d).map(tuple)
+    entries = st.lists(st.tuples(end, end, gain, st.sampled_from(MARKINGS)), max_size=6)
+    kept = []
+    for t, h, g, m in draw(entries):
+        edge = (vertices[t], vertices[h], g, m)
+        if t == h and not any(g):
+            continue
+        try:
+            GainGraph(d, vertices, kept + [edge])
+        except DuplicateEdge:
+            continue
+        kept.append(edge)
+    graph = GainGraph(d, vertices, kept)
+    realization = stress = lam = None
+    if draw(st.booleans()):
+        row = st.lists(reals, min_size=d, max_size=d)
+        points = {v: np.array(draw(row)) for v in vertices}
+        realization = Realization(points, np.array(draw(st.lists(row, min_size=d, max_size=d))))
+    if draw(st.booleans()):
+        stress = np.array(draw(st.lists(reals, min_size=len(kept), max_size=len(kept))))
+    if draw(st.booleans()):
+        lam = draw(reals)
+    return graph, realization, stress, lam
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(framework=_frameworks())
+def test_dumps_writes_the_reference_document(framework):
+    """``dumps`` writes the text of ``json.dumps(document, indent=2)`` for
+    the dict that the reference writer builds from ``graph.edges``."""
+    assert dumps(*framework) == (
+        json.dumps(oracles.to_document(*framework), indent=2) + "\n"
+    ).encode("utf-8")
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(framework=_frameworks(names=_names, reals=_finite))
+def test_dumps_round_trips_through_loads(framework):
+    """With finite reals and str names, reading what ``dumps`` writes gives
+    back the graph, realization, stress and lambda.  With no edge there is
+    no weight to write, so a stress reads back as none."""
+    graph, realization, stress, lam = framework
+    parsed = loads(dumps(graph, realization, stress, lam))
+    assert parsed.graph == graph
+    if realization is None:
+        assert parsed.realization is None
+    else:
+        points = point_matrix(graph, parsed.realization)
+        assert np.array_equal(points, point_matrix(graph, realization))
+        assert np.array_equal(parsed.realization.lattice, realization.lattice)
+    if stress is None or not graph.num_edges:
+        assert parsed.stress is None
+    else:
+        assert np.array_equal(parsed.stress, stress)
+    assert parsed.lam == lam
+
+
+def test_dumps_reads_the_columns_not_the_edges(catalog):
+    """Writing a fresh graph builds no tuple of GainEdge."""
+    hexes = catalog["hex"]
+    fresh = GainGraph._from_indices(
+        2, hexes.graph.vertices, hexes.graph.tail_idx.tolist(), hexes.graph.head_idx.tolist(),
+        hexes.graph._gains, hexes.graph._markings,
+    )
+    assert dumps(fresh, hexes.realization, hexes.stress, 1.0) == dumps(
+        hexes.graph, hexes.realization, hexes.stress, 1.0
+    )
+    assert "edges" not in fresh.__dict__
+
+
+def test_dumps_needs_one_weight_per_edge(catalog):
+    """A stress one weight short or long is refused, not cut or indexed past."""
+    hexes = catalog["hex"]
+    for wrong in (hexes.stress[:-1], np.append(hexes.stress, 1.0)):
+        with pytest.raises(ValueError, match="^need one weight per edge$"):
+            dumps(hexes.graph, hexes.realization, wrong)
