@@ -210,7 +210,6 @@ def test_finite_framework_validation():
             FiniteFramework(("a", "b"), (("a", "b"), first[1], second[1]), points, ("bar",) * 3)
 
 
-
 def _dense_laplacian(finite, weights):
     """The stress matrix as the incidence product I^T diag(w) I."""
     inc = np.zeros((len(finite.edges), len(finite.vertices)))
